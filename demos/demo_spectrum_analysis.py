@@ -77,8 +77,8 @@ other = walsh_spectrum(build_lut(field_make(8, 0x11D), 21))
 assert other.histogram == ws.histogram
 print("\nsame spectrum under modulus 0x11d: checked")
 
-# Sweeps accept threads=...; chunks merge in a fixed order, so any thread
-# count produces bit-identical results.
+# The Walsh sweep accepts threads=...; blocks merge in a fixed order, so any
+# thread count produces bit-identical results.
 again = walsh_spectrum(f, threads=4)
 assert again.histogram == ws.histogram
 print("thread-count invariance: checked")

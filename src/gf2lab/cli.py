@@ -25,8 +25,8 @@ from .catalog import catalog_table
 from .field import FieldConstructionError, field_make
 from .lutio import LutParseError, read_lut, write_lut
 from .report import AnalysisReport, report_to_json
-from .spectra import (FunctionTable, build_lut, ddt_rows,
-                      differential_uniformity, walsh_spectrum)
+from .spectra import (build_lut, ddt_rows, differential_uniformity,
+                      summarize, walsh_spectrum)
 from .theorems import run_all_checks
 
 DESK_DEGREE = 16
@@ -34,7 +34,8 @@ DESK_DEGREE = 16
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for sweeps (results identical for any count)")
+                   help="worker threads for Walsh sweeps (results identical for any "
+                        "count; verify runs on one thread and ignores it)")
     p.add_argument("--deep", action="store_true",
                    help="allow long-running large-field sweeps")
 
@@ -119,8 +120,7 @@ def _analyze(args) -> int:
                 delta = max(delta, int(row.counts.max()))
                 wr.writerow(row.counts.tolist())
     else:
-        delta, _ = differential_uniformity(
-            table, threads=args.threads, want_table=False, deep=args.deep)
+        delta, _ = differential_uniformity(table, want_table=False, deep=args.deep)
     timings["ddt"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
@@ -128,19 +128,12 @@ def _analyze(args) -> int:
                         deep=args.deep)
     timings["walsh"] = (time.perf_counter() - t0) * 1e3
 
-    import numpy as np
-    nl = (1 << (s.n - 1)) - ws.max_abs // 2
-    is_perm = bool(np.bincount(table.lut, minlength=s.size).all())
-    if s.n % 2 == 1:
-        v = 1 << ((s.n + 1) // 2)
-        is_ab = set(ws.histogram) == {0, v, -v}
-    else:
-        is_ab = None
+    summ = summarize(table, delta, ws)
     rep = AnalysisReport(
         field_n=s.n, poly=s.poly, map_kind=kind, exponent=exponent,
-        family=None, lut_sha256=digest, is_permutation=is_perm, delta=delta,
-        nl=nl, walsh_max=ws.max_abs, lam=ws.histogram, is_apn=delta == 2,
-        is_ab=is_ab, timings_ms=timings)
+        family=None, lut_sha256=digest, is_permutation=summ.is_permutation,
+        delta=delta, nl=summ.nl, walsh_max=summ.walsh_max, lam=summ.lam,
+        is_apn=summ.is_apn, is_ab=summ.is_ab, timings_ms=timings)
     rep.validate()
 
     if args.write_lut:
@@ -152,16 +145,16 @@ def _analyze(args) -> int:
     desc = f"x^{exponent}" if kind == "exponent" else f"lut sha256 {digest[:16]}..."
     print(f"field GF(2^{s.n}), modulus {s.poly:#x}")
     print(f"map {desc}")
-    print(f"permutation: {'yes' if is_perm else 'no'}")
+    print(f"permutation: {'yes' if summ.is_permutation else 'no'}")
     print(f"delta (differential uniformity): {delta}")
-    print(f"nonlinearity: {nl}   walsh max: {ws.max_abs}")
+    print(f"nonlinearity: {summ.nl}   walsh max: {summ.walsh_max}")
     # the conventional even-degree candidates differ; print both next to the measurement
     half = s.n // 2
     if s.n % 2 == 0:
         print(f"even-degree reference points: 2^(n-1) - 2^(n/2) = {(1 << (s.n - 1)) - (1 << half)}, "
               f"2^(n-1) - 2^(n/2 - 1) = {(1 << (s.n - 1)) - (1 << (half - 1))}")
-    ab = "n/a (even degree)" if is_ab is None else ("yes" if is_ab else "no")
-    print(f"apn: {'yes' if delta == 2 else 'no'}   ab: {ab}")
+    ab = "n/a (even degree)" if summ.is_ab is None else ("yes" if summ.is_ab else "no")
+    print(f"apn: {'yes' if summ.is_apn else 'no'}   ab: {ab}")
     return 0
 
 
@@ -174,8 +167,7 @@ def _verify(args) -> int:
         return _fail_usage("empty --k list")
     try:
         reports = run_all_checks(ks, samples=args.samples,
-                                 all_gamma=args.all_gamma, deep=args.deep,
-                                 threads=args.threads)
+                                 all_gamma=args.all_gamma, deep=args.deep)
     except ValueError as e:
         return _fail_usage(str(e))
     width = max(len(r.name) for r in reports)

@@ -10,6 +10,11 @@ The module provides the four ring/field operations, absolute and relative
 traces, Frobenius powers, and an exact solver for linearized equations
 (sums of terms c_j * x^(2^(e_j))), which reduces to linear algebra over
 GF(2).
+
+Bulk arithmetic (power-map tables, the proof replay) goes through one core:
+cached discrete-log / antilog tables of a fixed generator.  The scalar
+clmul path behind ``f_mul`` is kept independent of them and serves as the
+public scalar API and as the test oracle for the tables.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
+
+import numpy as np
 
 __all__ = [
     "FieldSpec",
@@ -367,8 +374,23 @@ def solve_linearized(
 
 
 # ---------------------------------------------------------------------------
-# discrete-log tables (internal performance helper)
+# log/exp tables: the vectorized arithmetic core
 # ---------------------------------------------------------------------------
+
+def _vec_mulmod(a: np.ndarray, b, n: int, poly: int) -> np.ndarray:
+    """Elementwise carry-less product reduced modulo poly.
+
+    a is an int64 array of n-bit values and b an array of the same shape or
+    a scalar; the unreduced product has at most 2n - 1 <= 47 bits, which
+    fits comfortably in int64.
+    """
+    acc = np.zeros_like(a)
+    for i in range(n):
+        acc ^= (a << i) * ((b >> i) & 1)
+    for j in range(2 * n - 2, n - 1, -1):
+        acc ^= (poly << (j - n)) * ((acc >> j) & 1)
+    return acc
+
 
 def _factorize(m: int) -> list[int]:
     """Distinct prime factors of m by trial division (m <= 2^24)."""
@@ -397,19 +419,26 @@ def _generator(n: int, poly: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _log_exp_tables(n: int, poly: int) -> tuple[list[int], list[int]]:
-    """(log, exp) tables for fast scalar multiplication.
+def _log_exp_tables(n: int, poly: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log, exp) tables of the smallest generator g, as read-only int64 arrays.
 
     exp has length 2^n - 1 with exp[i] = g^i; log has length 2^n with
-    log[exp[i]] = i and log[0] = -1.
+    log[exp[i]] = i and log[0] = -1.  The arrays are cached and shared by
+    every caller, hence frozen.
     """
-    g = _generator(n, poly)
     order = (1 << n) - 1
-    exp = [1] * order
-    log = [-1] * (1 << n)
-    acc = 1
-    for i in range(order):
-        exp[i] = acc
-        log[acc] = i
-        acc = _mul(n, poly, acc, g)
+    exp = np.empty(order, dtype=np.int64)
+    exp[0] = 1
+    # block doubling: exp[m:2m] = exp[:m] * g^m
+    m = 1
+    gm = _generator(n, poly)
+    while m < order:
+        step = min(m, order - m)
+        exp[m:m + step] = _vec_mulmod(exp[:step], gm, n, poly)
+        gm = _mul(n, poly, gm, gm)
+        m *= 2
+    log = np.full(1 << n, -1, dtype=np.int64)
+    log[exp] = np.arange(order)
+    exp.flags.writeable = False
+    log.flags.writeable = False
     return log, exp

@@ -38,11 +38,23 @@ class AnalysisReport:
     timings_ms: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        """Internal consistency: the NL identity and the histogram mass."""
-        assert self.nl == (1 << (self.field_n - 1)) - self.walsh_max // 2
+        """Internal consistency: the NL identity and the histogram mass.
+
+        Raises
+        ------
+        ValueError
+            Naming the identity the report breaks.
+        """
+        nl = (1 << (self.field_n - 1)) - self.walsh_max // 2
+        if self.nl != nl:
+            raise ValueError(
+                f"NL formula broken: nl={self.nl} but 2^(n-1) - walsh_max/2 = {nl}")
         total = sum(self.lam.values())
         size = 1 << self.field_n
-        assert total == size * (size - 1), total
+        if total != size * (size - 1):
+            raise ValueError(
+                f"histogram mass broken: coefficients sum to {total}, "
+                f"not 2^n * (2^n - 1) = {size * (size - 1)}")
 
 
 def report_to_dict(r: AnalysisReport) -> dict:

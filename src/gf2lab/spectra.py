@@ -2,13 +2,16 @@
 
 All sweeps operate on a :class:`FunctionTable` (a full lookup table of a map
 GF(2^n) -> GF(2^n)) and are exact: counts and transform coefficients are
-integers, never floats.  The Walsh sweep runs one fast Walsh-Hadamard
-transform per component b, which brings the total cost to about n * 2^(2n)
-bit operations instead of the 2^(3n) of the naive triple sum.
+integers, never floats.  Power-map tables are gathered from the log/exp
+tables of :mod:`gf2lab.field`.  The Walsh sweep runs one fast
+Walsh-Hadamard transform per component b, which brings the total cost to
+about n * 2^(2n) bit operations instead of the 2^(3n) of the naive triple
+sum.
 
-Sweeps accept a ``threads`` argument.  Work is split into fixed chunks that
-are merged in chunk order, so results are bit-identical for any thread
-count.
+Only the Walsh sweep is parallel: it accepts a ``threads`` argument and
+merges fixed blocks in block order, so results are bit-identical for any
+thread count.  The difference-table sweeps run on one thread, where a pool
+measured no faster.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .field import FieldSpec, _mul, trace_abs
+from .field import FieldSpec, _log_exp_tables, _mul, trace_abs
 
 __all__ = [
     "FunctionTable",
@@ -34,6 +37,7 @@ __all__ = [
     "walsh_spectrum",
     "walsh_row",
     "nonlinearity",
+    "summarize",
     "classify",
     "sampled_delta_lower_bound",
 ]
@@ -49,7 +53,8 @@ class FunctionTable:
     """A function GF(2^n) -> GF(2^n) as an exhaustive lookup table.
 
     ``lut[i]`` is the image of the element with integer encoding i; the
-    array has length 2^n and dtype int64.
+    array has length 2^n and dtype int64, and is read-only when made by
+    :func:`build_lut` or :func:`lut_from_values`.
     """
 
     spec: FieldSpec
@@ -108,59 +113,45 @@ class SpectrumSummary:
 
 
 # ---------------------------------------------------------------------------
-# lookup-table construction (vectorized square-and-multiply)
+# lookup-table construction
 # ---------------------------------------------------------------------------
 
-def _vec_mulmod(a: np.ndarray, b: np.ndarray, n: int, poly: int) -> np.ndarray:
-    """Elementwise carry-less product reduced modulo poly.
-
-    Operands are int64 arrays of n-bit values; the unreduced product has at
-    most 2n - 1 <= 47 bits, which fits comfortably in int64.
-    """
-    acc = np.zeros_like(a)
-    for i in range(n):
-        acc ^= (a << i) * ((b >> i) & 1)
-    for j in range(2 * n - 2, n - 1, -1):
-        acc ^= (poly << (j - n)) * ((acc >> j) & 1)
-    return acc
-
-
 def build_lut(s: FieldSpec, d: int) -> FunctionTable:
-    """Materialize the power map x -> x^d as a FunctionTable.
+    """Materialize the power map x -> x^d as a read-only FunctionTable.
 
+    Nonzero x = g^i maps to g^(i*d), gathered from the log/exp tables.
     With the 0^0 = 1 convention, d = 0 yields the constant-1 table; any
     d > 0 maps 0 to 0.
     """
     if d < 0:
         raise ValueError("exponent must be non-negative")
-    x = np.arange(s.size, dtype=np.int64)
-    acc = np.ones(s.size, dtype=np.int64)
-    for bit in range(d.bit_length() - 1, -1, -1):
-        acc = _vec_mulmod(acc, acc, s.n, s.poly)
-        if (d >> bit) & 1:
-            acc = _vec_mulmod(acc, x, s.n, s.poly)
-    return FunctionTable(s, acc)
+    log, exp = _log_exp_tables(s.n, s.poly)
+    lut = np.empty(s.size, dtype=np.int64)
+    lut[0] = 1 if d == 0 else 0
+    # reducing d first keeps log * d below 2^48, so int64 cannot overflow
+    lut[1:] = exp[(log[1:] * (d % s.order)) % s.order]
+    lut.flags.writeable = False
+    return FunctionTable(s, lut)
 
 
 def lut_from_values(s: FieldSpec, values) -> FunctionTable:
-    """Wrap an explicit value sequence as a FunctionTable, validating it."""
-    lut = np.asarray(values, dtype=np.int64)
+    """Wrap an explicit value sequence as a FunctionTable, validating it.
+
+    The values are copied, so the table can be frozen without freezing the
+    caller's array.
+    """
+    lut = np.array(values, dtype=np.int64)
     if lut.shape != (s.size,):
         raise ValueError(f"lookup table must have exactly {s.size} entries, got {lut.size}")
     if lut.size and (lut.min() < 0 or lut.max() >= s.size):
         raise ValueError("lookup table entry out of range")
+    lut.flags.writeable = False
     return FunctionTable(s, lut)
 
 
 # ---------------------------------------------------------------------------
 # difference distribution
 # ---------------------------------------------------------------------------
-
-def _chunk_ranges(lo: int, hi: int, parts: int) -> list[range]:
-    parts = max(1, min(parts, hi - lo))
-    step = (hi - lo + parts - 1) // parts
-    return [range(i, min(i + step, hi)) for i in range(lo, hi, step)]
-
 
 def _require_desk_scale(s: FieldSpec, deep: bool) -> None:
     if s.n >= DEEP_DEGREE and not deep:
@@ -169,19 +160,21 @@ def _require_desk_scale(s: FieldSpec, deep: bool) -> None:
             "use the sampled lower-bound helpers instead")
 
 
+def _ddt_row(lut: np.ndarray, idx: np.ndarray, a: int) -> np.ndarray:
+    """Counts of f(x) + f(x + a) = b for every b; idx is arange(2^n)."""
+    return np.bincount(lut ^ lut[idx ^ a], minlength=lut.size)
+
+
 def ddt_rows(f: FunctionTable) -> Iterator[DifferenceRow]:
     """Stream the difference distribution table one row (one a != 0) at a time."""
-    lut = f.lut
     idx = np.arange(f.spec.size)
     for a in range(1, f.spec.size):
-        diff = lut ^ lut[idx ^ a]
-        yield DifferenceRow(a, np.bincount(diff, minlength=f.spec.size))
+        yield DifferenceRow(a, _ddt_row(f.lut, idx, a))
 
 
 def differential_uniformity(
     f: FunctionTable,
     *,
-    threads: int = 1,
     want_table: bool | None = None,
     deep: bool = False,
 ) -> tuple[int, np.ndarray | None]:
@@ -201,30 +194,15 @@ def differential_uniformity(
     _require_desk_scale(s, deep)
     if want_table is None:
         want_table = s.n <= TABLE_DEGREE
-    lut = f.lut
-    size = s.size
-    idx = np.arange(size)
-
+    idx = np.arange(s.size)
     row_dtype = np.uint16 if s.n <= TABLE_DEGREE else np.uint32
-
-    def one_chunk(rng: range) -> tuple[int, np.ndarray | None]:
-        best = 0
-        rows = np.empty((len(rng), size), dtype=row_dtype) if want_table else None
-        for i, a in enumerate(rng):
-            counts = np.bincount(lut ^ lut[idx ^ a], minlength=size)
-            best = max(best, int(counts.max()))
-            if rows is not None:
-                rows[i] = counts
-        return best, rows
-
-    chunks = _chunk_ranges(1, size, max(1, threads) * 4)
-    if threads <= 1:
-        parts = [one_chunk(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(one_chunk, chunks))
-    delta = max(p[0] for p in parts)
-    table = np.concatenate([p[1] for p in parts]) if want_table else None
+    table = np.empty((s.size - 1, s.size), dtype=row_dtype) if want_table else None
+    delta = 0
+    for a in range(1, s.size):
+        counts = _ddt_row(f.lut, idx, a)
+        delta = max(delta, int(counts.max()))
+        if table is not None:
+            table[a - 1] = counts
     return delta, table
 
 
@@ -238,12 +216,11 @@ def sampled_delta_lower_bound(
     """
     rng = np.random.default_rng(seed)
     size = f.spec.size
-    lut = f.lut
     idx = np.arange(size)
     best = 0
     picks = rng.integers(1, size, size=samples)
     for a in picks:
-        best = max(best, int(np.bincount(lut ^ lut[idx ^ int(a)], minlength=size).max()))
+        best = max(best, int(_ddt_row(f.lut, idx, int(a)).max()))
     return best, samples
 
 
@@ -372,13 +349,9 @@ def nonlinearity(f: FunctionTable, *, threads: int = 1, deep: bool = False) -> i
     return (1 << (f.spec.n - 1)) - spec.max_abs // 2
 
 
-def classify(
-    f: FunctionTable, *, threads: int = 1, deep: bool = False
-) -> SpectrumSummary:
-    """Aggregate delta, nonlinearity, Walsh extremum, and the flag set."""
+def summarize(f: FunctionTable, delta: int, ws: WalshSpectrum) -> SpectrumSummary:
+    """Derive nonlinearity and the flag set from a measured delta and spectrum."""
     s = f.spec
-    delta, _ = differential_uniformity(f, threads=threads, want_table=False, deep=deep)
-    ws = walsh_spectrum(f, threads=threads, keep_table=False, deep=deep)
     nl = (1 << (s.n - 1)) - ws.max_abs // 2
     is_perm = bool(np.bincount(f.lut, minlength=s.size).all())
     if s.n % 2 == 1:
@@ -395,3 +368,12 @@ def classify(
         is_apn=delta == 2,
         is_ab=is_ab,
     )
+
+
+def classify(
+    f: FunctionTable, *, threads: int = 1, deep: bool = False
+) -> SpectrumSummary:
+    """Aggregate delta, nonlinearity, Walsh extremum, and the flag set."""
+    delta, _ = differential_uniformity(f, want_table=False, deep=deep)
+    ws = walsh_spectrum(f, threads=threads, keep_table=False, deep=deep)
+    return summarize(f, delta, ws)

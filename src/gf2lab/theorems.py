@@ -22,6 +22,10 @@ confines to {0, 1, 2, 4}.  The suite verifies the decomposition pointwise,
 the fiber/quartic correspondence, the fiber-sum formula against an
 independent fast-transform sweep, and the sign pattern that pins the
 extremal coefficient magnitude 2^(2k+1).
+
+Both suites run on one thread (a thread pool measured slower on the
+replay) and do their scalar arithmetic through the log/exp tables of
+:mod:`gf2lab.field`.
 """
 
 from __future__ import annotations
@@ -94,20 +98,23 @@ def dobbertin_exponent(k: int) -> int:
 # ---------------------------------------------------------------------------
 
 class _Arith:
-    """Discrete-log based scalar ops for the hot verification loops."""
+    """Discrete-log based scalar ops for the hot verification loops.
+
+    A view over the shared log/exp tables of :mod:`gf2lab.field`, copied to
+    Python lists: the replay indexes them one scalar at a time, where list
+    indexing is several times faster than indexing numpy arrays.
+    """
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
         self.n = spec.n
         self.order = spec.order
-        self.log, self.exp = _log_exp_tables(spec.n, spec.poly)
-        # roots of x^2 + x = const: const -> smaller root
-        self._as_root: dict[int, int] = {}
-        for x in range(spec.size):
-            img = self.mul(x, x) ^ x
-            cur = self._as_root.get(img)
-            if cur is None or x < cur:
-                self._as_root[img] = x
+        log, exp = _log_exp_tables(spec.n, spec.poly)
+        self.log = log.tolist()
+        self.exp = exp.tolist()
+        # roots of x^2 + x = const: const -> smaller root; x and x + 1 share
+        # the image, so the even x are exactly the smaller roots
+        self._as_root = {self.mul(x, x) ^ x: x for x in range(0, spec.size, 2)}
         self._subfields: dict[int, tuple[int, ...]] = {}
 
     def mul(self, a: int, b: int) -> int:
@@ -421,37 +428,24 @@ def _sweep_pairs(k: int, samples: int | None, seed: int) -> list[tuple[int, int]
 
 
 def reduction_sweep(k: int, *, samples: int | None = None,
-                    seed: int = DEFAULT_SEED, threads: int = 1) -> CheckReport:
+                    seed: int = DEFAULT_SEED) -> CheckReport:
     """Replay the reduction over many (a, b) pairs.
 
     Exhaustive by default for k <= 2, sampled (default 1000 pairs, fixed
     seed) otherwise.  Failures are counted, never raised, and the first one
-    is reported in the order of the pair list, independent of threading.
+    is reported in the order of the pair list.
     """
     _check_k(k)
     pairs = _sweep_pairs(k, samples, seed)
-
-    def run_chunk(chunk: list[tuple[int, int]]) -> tuple[int, str | None]:
-        fails = 0
-        first = None
-        for a, b in chunk:
-            try:
-                reduction_trace(k, a, b)
-            except VerificationError as e:
-                fails += 1
-                if first is None:
-                    first = str(e)
-        return fails, first
-
-    chunks = [pairs[i:i + 4096] for i in range(0, len(pairs), 4096)]
-    if threads <= 1:
-        parts = [run_chunk(ch) for ch in chunks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(run_chunk, chunks))
-    failures = sum(p[0] for p in parts)
-    first = next((p[1] for p in parts if p[1] is not None), None)
+    failures = 0
+    first = None
+    for a, b in pairs:
+        try:
+            reduction_trace(k, a, b)
+        except VerificationError as e:
+            failures += 1
+            if first is None:
+                first = str(e)
     return CheckReport(f"reduction-replay[k={k}]", len(pairs), failures, first)
 
 
@@ -572,17 +566,13 @@ def pi_fiber(w: MMWitness, u: int) -> frozenset[int]:
     return w.pi_fibers.get(u, frozenset())
 
 
-def _g_bit(A: _Arith, g2: int, d: int, x: int) -> int:
-    """The component bit Tr(gamma^2 * x^d) over the full field."""
-    acc = 0
-    v = A.mul(g2, A.pow(x, d))
-    for _ in range(A.n):
-        acc ^= v
-        v = A.mul(v, v)
-    return acc & 1
+def _split_offset(w: MMWitness, A: _Arith, a: int) -> int:
+    """The y-free term alpha*gamma^2*a^(2^k+2) of the split-coordinate form."""
+    ag2 = A.mul(w.alpha, A.mul(w.gamma, w.gamma))
+    return A.mul(ag2, A.pow(a, (1 << w.k) + 2))
 
 
-def mm_decomposition_check(w: MMWitness, *, threads: int = 1) -> CheckReport:
+def mm_decomposition_check(w: MMWitness) -> CheckReport:
     """Pointwise equality of g(y + omega*a) with its split-coordinate form.
 
     The split form is the half-field trace of y*pi(a) + alpha*gamma^2*
@@ -592,9 +582,9 @@ def mm_decomposition_check(w: MMWitness, *, threads: int = 1) -> CheckReport:
     k = w.k
     d = dobbertin_exponent(k)
     g2 = A.mul(w.gamma, w.gamma)
-    ag2 = A.mul(w.alpha, g2)
     sub_2k = A.subfield(2 * k)
     pi_of = {a: pi_image(w, a) for a in sub_2k}
+    offset_of = {a: _split_offset(w, A, a) for a in sub_2k}
     failures = 0
     first = None
     n_pairs = 0
@@ -602,9 +592,8 @@ def mm_decomposition_check(w: MMWitness, *, threads: int = 1) -> CheckReport:
         for a in sub_2k:
             n_pairs += 1
             x = y ^ A.mul(w.omega, a)
-            lhs = _g_bit(A, g2, d, x)
-            arg = A.mul(y, pi_of[a]) ^ A.mul(ag2, A.mul(A.frob(a, k), A.mul(a, a)))
-            rhs = A.subtrace(arg, 2 * k)
+            lhs = A.subtrace(A.mul(g2, A.pow(x, d)), A.n)
+            rhs = A.subtrace(A.mul(y, pi_of[a]) ^ offset_of[a], 2 * k)
             if lhs != rhs:
                 failures += 1
                 if first is None:
@@ -691,10 +680,9 @@ def _transform_row(w: MMWitness) -> np.ndarray:
 
 def _fiber_sum(w: MMWitness, A: _Arith, u: int, v: int) -> int:
     k = w.k
-    ag2 = A.mul(w.alpha, A.mul(w.gamma, w.gamma))
     total = 0
     for a in pi_fiber(w, u):
-        arg = A.mul(ag2, A.mul(A.frob(a, k), A.mul(a, a))) ^ A.mul(v, a)
+        arg = _split_offset(w, A, a) ^ A.mul(v, a)
         total += 1 - 2 * A.subtrace(arg, 2 * k)
     return (1 << (2 * k)) * total
 
@@ -723,7 +711,7 @@ def mm_walsh_crosscheck(w: MMWitness, u: int, v: int) -> int:
     return coef
 
 
-def mm_crosscheck_all(w: MMWitness, *, threads: int = 1) -> CheckReport:
+def mm_crosscheck_all(w: MMWitness) -> CheckReport:
     """Cross-check every (u, v) over the half-degree subfield grid."""
     A = _arith(w.spec.n, w.spec.poly)
     sub_2k = A.subfield(2 * w.k)
@@ -763,7 +751,6 @@ def m4_sum_check(w: MMWitness) -> CheckReport:
     if not (s1 == s2 == s3 == 1):
         failures += 1
         first = f"trace-stepping-stones: expected all 1, got {s1},{s2},{s3}"
-    ag2 = A.mul(w.alpha, A.mul(w.gamma, w.gamma))
     sub_2k = A.subfield(2 * k)
     extreme = 1 << (2 * k + 1)
     for u, members in sorted(w.pi_fibers.items()):
@@ -771,8 +758,8 @@ def m4_sum_check(w: MMWitness) -> CheckReport:
             continue
         for v in sub_2k:
             count += 1
-            bits = [A.subtrace(A.mul(ag2, A.mul(A.frob(a, k), A.mul(a, a)))
-                               ^ A.mul(v, a), 2 * k) for a in members]
+            bits = [A.subtrace(_split_offset(w, A, a) ^ A.mul(v, a), 2 * k)
+                    for a in members]
             coef = (1 << (2 * k)) * sum(1 - 2 * bit for bit in bits)
             if sum(bits) % 2 != 1 or abs(coef) != extreme:
                 failures += 1
@@ -786,13 +773,12 @@ def m4_sum_check(w: MMWitness) -> CheckReport:
 # combined driver
 # ---------------------------------------------------------------------------
 
-def delta_sweep(k: int, *, threads: int = 1, deep: bool = False) -> CheckReport:
+def delta_sweep(k: int, *, deep: bool = False) -> CheckReport:
     """Full-DDT check that the family's differential uniformity is exactly 4."""
     _check_k(k, deep or k <= DESK_K)
     from .spectra import differential_uniformity
     table = _family_table(k)
-    delta, _ = differential_uniformity(table, threads=threads, want_table=False,
-                                       deep=True)
+    delta, _ = differential_uniformity(table, want_table=False, deep=True)
     rows = table.spec.size - 1
     ok = delta == 4
     return CheckReport(f"delta-sweep[k={k}]", rows, 0 if ok else 1,
@@ -801,7 +787,7 @@ def delta_sweep(k: int, *, threads: int = 1, deep: bool = False) -> CheckReport:
 
 def run_all_checks(ks: Iterable[int], *, samples: int | None = None,
                    all_gamma: bool = False, deep: bool = False,
-                   threads: int = 1, seed: int = DEFAULT_SEED) -> list[CheckReport]:
+                   seed: int = DEFAULT_SEED) -> list[CheckReport]:
     """Run every verification suite for the requested k values.
 
     Returns the reports in a fixed order (delta sweep, reduction replay,
@@ -811,9 +797,8 @@ def run_all_checks(ks: Iterable[int], *, samples: int | None = None,
     reports: list[CheckReport] = []
     for k in ks:
         _check_k(k, deep)
-        reports.append(delta_sweep(k, threads=threads, deep=deep))
-        reports.append(reduction_sweep(k, samples=samples, seed=seed,
-                                       threads=threads))
+        reports.append(delta_sweep(k, deep=deep))
+        reports.append(reduction_sweep(k, samples=samples, seed=seed))
         gammas = all_gammas(k, deep=deep) if all_gamma else [None]
         for g in gammas:
             w = mm_basis(k, gamma=g, deep=deep)
@@ -822,10 +807,10 @@ def run_all_checks(ks: Iterable[int], *, samples: int | None = None,
             reports.append(base)
             if base.failures:
                 continue
-            reports.append(_retag(mm_decomposition_check(w, threads=threads), tag))
+            reports.append(_retag(mm_decomposition_check(w), tag))
             reports.append(_retag(fiber_partition_check(w), tag))
             reports.append(_retag(quartic_check_all(w), tag))
-            reports.append(_retag(mm_crosscheck_all(w, threads=threads), tag))
+            reports.append(_retag(mm_crosscheck_all(w), tag))
             reports.append(_retag(m4_sum_check(w), tag))
     return reports
 

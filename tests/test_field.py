@@ -2,7 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gf2lab import (
     FieldConstructionError,
@@ -19,6 +22,7 @@ from gf2lab import (
     trace_abs,
     trace_rel,
 )
+from gf2lab.field import _log_exp_tables
 
 # Lexicographically least irreducible polynomial per degree, frozen from an
 # independent sieve over all odd encodings.
@@ -279,3 +283,29 @@ def test_solve_linearized_validates_inputs():
 def test_spec_is_hashable_value_type():
     assert field_make(4) == FieldSpec(4, 0x13)
     assert len({field_make(4), FieldSpec(4, 0x13), field_make(5)}) == 2
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_log_exp_tables_against_scalar_mul(n):
+    s = field_make(n)
+    log, exp = _log_exp_tables(n, s.poly)
+    g = int(exp[1])
+    exp_l = exp.tolist()
+    assert exp_l[0] == 1 and int(log[0]) == -1
+    for i in range(s.order - 1):
+        assert exp_l[i + 1] == f_mul(s, exp_l[i], g)
+    assert f_mul(s, exp_l[-1], g) == 1
+    # log inverts exp on all of GF(2^n)*, so g generates the group
+    assert (log[exp] == np.arange(s.order)).all()
+    assert not log.flags.writeable and not exp.flags.writeable
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_log_exp_product_matches_scalar_mul(data):
+    n = data.draw(st.integers(2, 20), label="n")
+    s = field_make(n)
+    a = data.draw(st.integers(1, s.order), label="a")
+    b = data.draw(st.integers(1, s.order), label="b")
+    log, exp = _log_exp_tables(n, s.poly)
+    assert int(exp[(int(log[a]) + int(log[b])) % s.order]) == f_mul(s, a, b)

@@ -156,12 +156,6 @@ def test_reduction_sweep_sampled_determinism():
     assert c.failures == 0
 
 
-def test_reduction_sweep_threading_agrees():
-    one = reduction_sweep(1, threads=1)
-    many = reduction_sweep(1, threads=4)
-    assert one == many
-
-
 def test_all_gammas_frozen():
     assert all_gammas(1) == [0x1]
     assert all_gammas(2) == [0xBC, 0xBD]

@@ -13,7 +13,8 @@ from math import gcd
 from typing import NamedTuple
 
 from .field import FieldSpec, field_make
-from .spectra import FunctionTable, SpectrumSummary, build_lut, classify
+from .spectra import (FunctionTable, SpectrumSummary, build_lut, classify,
+                      require_desk_scale)
 
 __all__ = [
     "FamilySpec",
@@ -131,10 +132,10 @@ def catalog_table(max_n: int = 12, *, deep: bool = False,
     """Instantiate and measure every catalog row realizable at degree <= max_n.
 
     Every row gets a full exact spectrum sweep; conditioned rows also carry
-    the predicted (delta=4, permutation) pair for comparison.
+    the predicted (delta=4, permutation) pair for comparison.  A max_n of
+    16 or more needs deep, like any full sweep at that degree.
     """
-    if max_n > 16:
-        raise ValueError("catalog_table is limited to max_n <= 16")
+    require_desk_scale(max_n, deep)
     entries = []
     for fs in _desk_rows(max_n, deep):
         spec = field_make(fs.n)

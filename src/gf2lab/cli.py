@@ -17,19 +17,18 @@ input errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
+
+import numpy as np
 
 from .catalog import catalog_table
 from .field import FieldConstructionError, field_make
 from .lutio import LutParseError, read_lut, write_lut
 from .report import AnalysisReport, report_to_json
 from .spectra import (build_lut, ddt_rows, differential_uniformity,
-                      summarize, walsh_spectrum)
+                      require_desk_scale, summarize, walsh_spectrum)
 from .theorems import run_all_checks
-
-DESK_DEGREE = 16
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -37,7 +36,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="worker threads for Walsh sweeps (results identical for any "
                         "count; verify runs on one thread and ignores it)")
     p.add_argument("--deep", action="store_true",
-                   help="allow long-running large-field sweeps")
+                   help="allow full sweeps over GF(2^n) with n >= 16 (analyze, "
+                        "catalog --max-n, verify --k 4); they grow as n * 4^n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,23 +79,17 @@ def _fail_usage(msg: str) -> int:
 
 def _analyze(args) -> int:
     timings: dict[str, float] = {}
+    table = None
     if args.exp is not None:
         if args.n is None:
             return _fail_usage("--exp requires --n")
         if args.exp < 0:
             return _fail_usage("--exp must be non-negative")
-        if args.n > DESK_DEGREE and not args.deep:
-            return _fail_usage(
-                f"degree {args.n} exceeds the desk-scale limit {DESK_DEGREE}; "
-                "pass --deep to run anyway (sweeps grow as n * 4^n)")
         try:
             poly = int(args.poly, 16) if args.poly else None
-            spec = field_make(args.n, poly)
+            s = field_make(args.n, poly)
         except (ValueError, FieldConstructionError) as e:
             return _fail_usage(str(e))
-        t0 = time.perf_counter()
-        table = build_lut(spec, args.exp)
-        timings["build"] = (time.perf_counter() - t0) * 1e3
         kind, exponent, digest = "exponent", args.exp, None
     else:
         try:
@@ -104,21 +98,25 @@ def _analyze(args) -> int:
             return _fail_usage(str(e))
         except (LutParseError, FieldConstructionError, ValueError) as e:
             return _fail_usage(f"{args.lut}: {e}")
-        if table.spec.n > DESK_DEGREE and not args.deep:
-            return _fail_usage(
-                f"degree {table.spec.n} exceeds the desk-scale limit {DESK_DEGREE}; "
-                "pass --deep to run anyway")
-        kind, exponent = "lut", None
-    s = table.spec
+        s, kind, exponent = table.spec, "lut", None
+    try:
+        require_desk_scale(s.n, args.deep)
+    except ValueError as e:
+        return _fail_usage(str(e))
+    if table is None:
+        t0 = time.perf_counter()
+        table = build_lut(s, args.exp)
+        timings["build"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
     if args.ddt_csv:
         delta = 0
+        # DDT counts lie in 0..2^n: format each value once; CRLF as csv.writer
+        cells = np.array([str(v) for v in range(s.size + 1)], dtype=object)
         with open(args.ddt_csv, "w", newline="") as fh:
-            wr = csv.writer(fh)
             for row in ddt_rows(table):
                 delta = max(delta, int(row.counts.max()))
-                wr.writerow(row.counts.tolist())
+                fh.write(",".join(cells[row.counts].tolist()) + "\r\n")
     else:
         delta, _ = differential_uniformity(table, want_table=False, deep=args.deep)
     timings["ddt"] = (time.perf_counter() - t0) * 1e3

@@ -6,7 +6,8 @@ integers, never floats.  Power-map tables are gathered from the log/exp
 tables of :mod:`gf2lab.field`.  The Walsh sweep runs one fast
 Walsh-Hadamard transform per component b, which brings the total cost to
 about n * 2^(2n) bit operations instead of the 2^(3n) of the naive triple
-sum.
+sum.  Full sweeps with n >= 16 need ``deep=True`` (``--deep``), as
+decided for every caller by :func:`require_desk_scale`.
 
 Only the Walsh sweep is parallel: it accepts a ``threads`` argument and
 merges fixed blocks in block order, so results are bit-identical for any
@@ -40,10 +41,11 @@ __all__ = [
     "summarize",
     "classify",
     "sampled_delta_lower_bound",
+    "require_desk_scale",
 ]
 
-# Above this degree a full sweep must be requested explicitly.
-DEEP_DEGREE = 18
+# From this degree on a full sweep must be requested explicitly.
+DEEP_DEGREE = 16
 # Full DDT / Walsh tables are materialized in memory only up to this degree.
 TABLE_DEGREE = 12
 
@@ -153,11 +155,12 @@ def lut_from_values(s: FieldSpec, values) -> FunctionTable:
 # difference distribution
 # ---------------------------------------------------------------------------
 
-def _require_desk_scale(s: FieldSpec, deep: bool) -> None:
-    if s.n >= DEEP_DEGREE and not deep:
+def require_desk_scale(n: int, deep: bool) -> None:
+    """Raise ValueError for a full sweep over GF(2^n), n >= 16, unless deep."""
+    if n >= DEEP_DEGREE and not deep:
         raise ValueError(
-            f"full sweep over GF(2^{s.n}) refused without deep=True; "
-            "use the sampled lower-bound helpers instead")
+            f"full sweep over GF(2^{n}) needs deep=True (--deep on the command "
+            f"line), as does any degree >= {DEEP_DEGREE}; sweeps grow as n * 4^n")
 
 
 def _ddt_row(lut: np.ndarray, idx: np.ndarray, a: int) -> np.ndarray:
@@ -191,7 +194,7 @@ def differential_uniformity(
     f(x) + f(x+a) with a single bincount.
     """
     s = f.spec
-    _require_desk_scale(s, deep)
+    require_desk_scale(s.n, deep)
     if want_table is None:
         want_table = s.n <= TABLE_DEGREE
     idx = np.arange(s.size)
@@ -293,7 +296,7 @@ def walsh_spectrum(
     the thread count.
     """
     s = f.spec
-    _require_desk_scale(s, deep)
+    require_desk_scale(s.n, deep)
     if keep_table is None:
         keep_table = s.n <= TABLE_DEGREE
     masks = _trace_masks(s)

@@ -25,7 +25,8 @@ extremal coefficient magnitude 2^(2k+1).
 
 Both suites run on one thread (a thread pool measured slower on the
 replay) and do their scalar arithmetic through the log/exp tables of
-:mod:`gf2lab.field`.
+:mod:`gf2lab.field`.  The full sweeps at k = 4 (degree 16) need
+``deep=True``, as decided by :func:`gf2lab.spectra.require_desk_scale`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from typing import Iterable
 import numpy as np
 
 from .field import FieldSpec, field_make, solve_linearized, _log_exp_tables
-from .spectra import FunctionTable, build_lut, walsh_row
+from .spectra import (FunctionTable, build_lut, differential_uniformity,
+                      require_desk_scale, walsh_row)
 
 __all__ = [
     "VerificationError",
@@ -66,7 +68,6 @@ __all__ = [
 
 DEFAULT_SEED = 0x1CEB00DA
 MAX_K = 4
-DESK_K = 3
 
 
 class VerificationError(RuntimeError):
@@ -170,11 +171,9 @@ def _family_table(k: int) -> FunctionTable:
     return build_lut(spec, dobbertin_exponent(k))
 
 
-def _check_k(k: int, deep: bool = True) -> None:
+def _check_k(k: int) -> None:
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be between 1 and {MAX_K}")
-    if k > DESK_K and not deep:
-        raise ValueError(f"k={k} needs deep=True (field degree {4 * k})")
 
 
 # ---------------------------------------------------------------------------
@@ -323,40 +322,43 @@ def reduction_trace(k: int, a: int, b: int) -> ReductionTrace:
     t1i = A.inv(t1)
     t1i2 = A.mul(t1i, t1i)
 
-    def no_solutions(step: str, detail: str, aux: dict) -> ReductionTrace:
-        if norm:
-            raise VerificationError(step, detail + " yet solutions exist",
-                                    k=k, a=a, b=b)
-        return ReductionTrace(
-            k=k, a=a, b=b, c=c, t=t, branch="t!=1",
-            solutions_direct=direct, solutions_normalized=norm,
-            solutions_via_quadratics=frozenset(),
-            aux=aux, obstruction=step, checks=tuple(checks))
-
+    # Neither halving quadratic can lack roots.  s = (t+1)^(-2) lies in
+    # GF(2^k), so s*c^(2^(jk)) = (s*c)^(2^(jk)) and Tr(cy) = Tr(sc) + Tr(sc) = 0.
+    # cw is s*(c + c^(2^k)), of trace 0 the same way, plus a term of
+    # GF(2^(2k)), whose absolute trace over GF(2^(4k)) is 0.  And w^2 + w = e
+    # has two roots whenever Tr(e) = 0, so an empty root set is impossible.
     cy = A.mul(A.frob(c, k) ^ A.frob(c, 3 * k), t1i2)
     Y = A.quad_roots(cy)
     if not Y:
-        # y = z + z^(2^2k) has no candidate value at all
-        return no_solutions("halving-quadratic-unsolvable",
-                            "y^2 + y = (c^(2^k)+c^(2^3k))/(t+1)^2 has no root",
-                            {"cy": cy})
+        raise VerificationError(
+            "halving-quadratic-unsolvable",
+            "y^2 + y = (c^(2^k)+c^(2^3k))/(t+1)^2 has no root though its trace is 0",
+            k=k, a=a, b=b, cy=cy)
     p = min(Y)
     # the candidate y-value must itself sit in the half-degree subfield and
     # satisfy the trace relation p + p^(2^k) = t/(t+1); both are consequences
     # of an actual solution existing, so a violation rules solutions out
     p_ok = (A.frob(p, 2 * k) == p) and (p ^ A.frob(p, k) == A.mul(t, t1i))
     if not p_ok:
-        return no_solutions("halving-image-constraints",
-                            "candidate y-value violates its subfield/trace relations",
-                            {"p": p, "cy": cy})
+        if norm:
+            raise VerificationError(
+                "halving-image-constraints",
+                "candidate y-value violates its subfield/trace relations yet "
+                "solutions exist", k=k, a=a, b=b)
+        return ReductionTrace(
+            k=k, a=a, b=b, c=c, t=t, branch="t!=1",
+            solutions_direct=direct, solutions_normalized=norm,
+            solutions_via_quadratics=frozenset(), aux={"p": p, "cy": cy},
+            obstruction="halving-image-constraints", checks=tuple(checks))
     pk = A.frob(p, k)
     cw = A.mul(A.mul(A.mul(t1, t1), A.mul(pk, p)) ^ A.mul(t1, pk)
                ^ c ^ A.frob(c, k), t1i2)
     W = A.quad_roots(cw)
     if not W:
-        return no_solutions("second-halving-unsolvable",
-                            "w^2 + w = ((t+1)^2 p^(2^k+1) + (t+1)p^(2^k) + c + c^(2^k))/(t+1)^2 has no root",
-                            {"p": p, "cw": cw})
+        raise VerificationError(
+            "second-halving-unsolvable",
+            "w^2 + w = ((t+1)^2 p^(2^k+1) + (t+1)p^(2^k) + c + c^(2^k))/(t+1)^2 "
+            "has no root though its trace is 0", k=k, a=a, b=b, p=p, cw=cw)
     q = min(W)
     qk = A.frob(q, k)
     q2 = A.mul(q, q)
@@ -473,7 +475,8 @@ class MMWitness:
 
 def all_gammas(k: int, *, deep: bool = False) -> list[int]:
     """All nonzero gamma in GF(2^k) whose subfield absolute trace is 1."""
-    _check_k(k, deep)
+    _check_k(k)
+    require_desk_scale(4 * k, deep)
     table = _family_table(k)
     A = _arith(table.spec.n, table.spec.poly)
     return [g for g in A.subfield(k) if g and A.subtrace(g, k) == 1]
@@ -494,7 +497,8 @@ def mm_basis(k: int, *, gamma: int | None = None, deep: bool = False) -> MMWitne
     invariants are verified on the spot and raise :class:`VerificationError`
     if violated.
     """
-    _check_k(k, deep)
+    _check_k(k)
+    require_desk_scale(4 * k, deep)
     table = _family_table(k)
     spec = table.spec
     A = _arith(spec.n, spec.poly)
@@ -663,19 +667,10 @@ def quartic_check_all(w: MMWitness) -> CheckReport:
     return CheckReport(f"mm-quartic[k={w.k}]", count, failures, first)
 
 
-_row_cache: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _transform_row(w: MMWitness) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _transform_row(k: int, g2: int) -> np.ndarray:
     """Walsh row of the family map at component b = gamma^2 (independent path)."""
-    A = _arith(w.spec.n, w.spec.poly)
-    g2 = A.mul(w.gamma, w.gamma)
-    key = (w.k, g2)
-    row = _row_cache.get(key)
-    if row is None:
-        row = walsh_row(_family_table(w.k), g2)
-        _row_cache[key] = row
-    return row
+    return walsh_row(_family_table(k), g2)
 
 
 def _fiber_sum(w: MMWitness, A: _Arith, u: int, v: int) -> int:
@@ -698,7 +693,7 @@ def mm_walsh_crosscheck(w: MMWitness, u: int, v: int) -> int:
     A = _arith(w.spec.n, w.spec.poly)
     coef = _fiber_sum(w, A, u, v)
     lam = A.mul(u, w.omega) ^ u ^ v
-    direct = int(_transform_row(w)[lam])
+    direct = int(_transform_row(w.k, A.mul(w.gamma, w.gamma))[lam])
     if coef != direct:
         raise VerificationError(
             "fiber-sum-equals-transform",
@@ -775,10 +770,9 @@ def m4_sum_check(w: MMWitness) -> CheckReport:
 
 def delta_sweep(k: int, *, deep: bool = False) -> CheckReport:
     """Full-DDT check that the family's differential uniformity is exactly 4."""
-    _check_k(k, deep or k <= DESK_K)
-    from .spectra import differential_uniformity
+    _check_k(k)
     table = _family_table(k)
-    delta, _ = differential_uniformity(table, want_table=False, deep=True)
+    delta, _ = differential_uniformity(table, want_table=False, deep=deep)
     rows = table.spec.size - 1
     ok = delta == 4
     return CheckReport(f"delta-sweep[k={k}]", rows, 0 if ok else 1,
@@ -792,11 +786,15 @@ def run_all_checks(ks: Iterable[int], *, samples: int | None = None,
 
     Returns the reports in a fixed order (delta sweep, reduction replay,
     then the split-coordinate suite per gamma), suitable for tabular
-    display; nothing is raised, failures are counted in the reports.
+    display; failures are counted in the reports.  Every k is checked
+    for range and size before any suite runs.
     """
+    ks = list(ks)
+    for k in ks:
+        _check_k(k)
+        require_desk_scale(4 * k, deep)
     reports: list[CheckReport] = []
     for k in ks:
-        _check_k(k, deep)
         reports.append(delta_sweep(k, deep=deep))
         reports.append(reduction_sweep(k, samples=samples, seed=seed))
         gammas = all_gammas(k, deep=deep) if all_gamma else [None]

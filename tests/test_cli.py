@@ -6,8 +6,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from gf2lab import build_lut, ddt_rows, field_make, lut_from_values, write_lut
 from gf2lab.cli import main
 from gf2lab.theorems import CheckReport
 
@@ -76,6 +78,19 @@ def test_analyze_ddt_csv(tmp_path, capsys):
     assert max(max(row) for row in rows) == 4
 
 
+def test_analyze_ddt_csv_bytes_match_csv_writer(tmp_path, capsys):
+    s = field_make(6)
+    table = lut_from_values(s, np.random.default_rng(7).integers(0, s.size, s.size))
+    lut_path, csv_path, ref_path = (tmp_path / name for name in ("t.lut", "ddt.csv", "ref.csv"))
+    write_lut(lut_path, table)
+    assert main(["analyze", "--lut", str(lut_path), "--ddt-csv", str(csv_path)]) == 0
+    capsys.readouterr()
+    with open(ref_path, "w", newline="") as fh:
+        csv.writer(fh).writerows(row.counts.tolist() for row in ddt_rows(table))
+    assert csv_path.read_bytes() == ref_path.read_bytes()
+    assert csv_path.read_bytes().endswith(b"\r\n")
+
+
 def test_analyze_alternate_modulus(capsys):
     assert main(["analyze", "--exp", "21", "--n", "8", "--poly", "11d"]) == 0
     out = capsys.readouterr().out
@@ -100,6 +115,23 @@ def test_analyze_refuses_large_fields_without_deep(capsys):
     assert main(["analyze", "--exp", "3", "--n", "17"]) == 2
     err = capsys.readouterr().err
     assert "--deep" in err
+
+
+def test_every_entry_point_refuses_degree_16_before_any_work(tmp_path, capsys):
+    lut16 = tmp_path / "f16.lut"
+    write_lut(lut16, build_lut(field_make(16), 3))
+    outs = [tmp_path / name for name in ("r.json", "d.csv", "m.lut")]
+    flags = ["--json", str(outs[0]), "--ddt-csv", str(outs[1]), "--write-lut", str(outs[2])]
+    for source in (["--exp", "3", "--n", "16"], ["--lut", str(lut16)]):
+        assert main(["analyze", *source, *flags]) == 2
+        assert not any(p.exists() for p in outs)
+    assert main(["catalog", "--max-n", "16"]) == 2
+    assert main(["verify", "--k", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errs = captured.err.splitlines()
+    assert len(errs) == 4
+    assert all("GF(2^16)" in e and "deep=True" in e and "--deep" in e for e in errs)
 
 
 def test_analyze_source_flags_mutually_exclusive(tmp_path):

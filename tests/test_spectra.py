@@ -19,7 +19,8 @@ from gf2lab import (
     walsh_row,
     walsh_spectrum,
 )
-from gf2lab.spectra import sampled_delta_lower_bound, walsh_coefficient_direct
+from gf2lab.spectra import (require_desk_scale, sampled_delta_lower_bound,
+                            walsh_coefficient_direct)
 
 
 def test_build_lut_matches_scalar_pow():
@@ -206,6 +207,13 @@ def test_thread_count_does_not_change_results():
         ws = walsh_spectrum(table, threads=threads, keep_table=True)
         assert ws.histogram == base_ws.histogram
         assert (ws.table == base_ws.table).all()
+
+
+def test_desk_scale_threshold_is_degree_16():
+    require_desk_scale(15, False)
+    require_desk_scale(16, True)
+    with pytest.raises(ValueError, match="deep=True.*--deep"):
+        require_desk_scale(16, False)
 
 
 def test_deep_degree_gate():

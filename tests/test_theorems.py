@@ -28,9 +28,11 @@ from gf2lab import (
     reduction_trace,
     run_all_checks,
 )
+from gf2lab import theorems
 from gf2lab.spectra import walsh_coefficient_direct
 from gf2lab.theorems import (
     DEFAULT_SEED,
+    _Arith,
     _family_table,
     fiber_partition_check,
 )
@@ -125,6 +127,46 @@ def test_reduction_trace_empty_without_obstruction():
     assert tr.obstruction is None
     assert tr.solutions_direct == frozenset()
     assert tr.solutions_via_quadratics == frozenset()
+
+
+def test_replay_branch_tally_over_every_c():
+    # with a = 1 and b = c + 1 every c of the field is one derivation instance;
+    # only halving-image-constraints ever ends a replay early
+    expected = {
+        1: {("t!=1", "halving-image-constraints", 0): 4, ("t!=1", None, 0): 1,
+            ("t!=1", None, 2): 2, ("t!=1", None, 4): 1,
+            ("t=1", None, 0): 4, ("t=1", None, 2): 4},
+        2: {("t!=1", "halving-image-constraints", 0): 96, ("t!=1", None, 0): 24,
+            ("t!=1", None, 2): 48, ("t!=1", None, 4): 24,
+            ("t=1", None, 0): 32, ("t=1", None, 2): 32},
+        3: {("t!=1", "halving-image-constraints", 0): 1792, ("t!=1", None, 0): 448,
+            ("t!=1", None, 2): 896, ("t!=1", None, 4): 448,
+            ("t=1", None, 0): 256, ("t=1", None, 2): 256},
+    }
+    for k, want in expected.items():
+        tally = Counter()
+        for c in range(1 << (4 * k)):
+            tr = reduction_trace(k, 1, c ^ 1)
+            tally[(tr.branch, tr.obstruction, len(tr.solutions_direct))] += 1
+        assert tally == want, k
+
+
+@pytest.mark.parametrize("call, step", [(1, "halving-quadratic-unsolvable"),
+                                        (2, "second-halving-unsolvable")])
+def test_unsolvable_halving_is_an_impossible_state(monkeypatch, call, step):
+    # b = 0 (c = 1, t = 0) reaches both halving quadratics and has no
+    # solutions, so an empty root set there could only pass as an obstruction
+    real = _Arith.quad_roots
+    calls = []
+
+    def quad_roots(self, const):
+        calls.append(const)
+        return frozenset() if len(calls) == call else real(self, const)
+
+    monkeypatch.setattr(_Arith, "quad_roots", quad_roots)
+    with pytest.raises(VerificationError) as exc:
+        reduction_trace(1, 1, 0)
+    assert exc.value.step == step
 
 
 def test_reduction_trace_nontrivial_difference():
@@ -309,6 +351,16 @@ def test_run_all_checks_order_and_success():
         "mm-extremal-sum[k=1]",
     ]
     assert all(r.ok for r in reports)
+
+
+def test_run_all_checks_refuses_before_any_suite(monkeypatch):
+    ran = []
+    monkeypatch.setattr(theorems, "delta_sweep", lambda k, deep: ran.append(k))
+    with pytest.raises(ValueError, match="deep"):
+        run_all_checks([1, 4])
+    with pytest.raises(ValueError):
+        run_all_checks([1, 5], deep=True)
+    assert ran == []
 
 
 def test_run_all_checks_all_gamma_tags():

@@ -127,8 +127,7 @@ def _desk_rows(max_n: int, deep: bool) -> list[FamilySpec]:
     return rows
 
 
-def catalog_table(max_n: int = 12, *, deep: bool = False,
-                  threads: int = 1) -> list[CatalogEntry]:
+def catalog_table(max_n: int = 12, *, deep: bool = False) -> list[CatalogEntry]:
     """Instantiate and measure every catalog row realizable at degree <= max_n.
 
     Every row gets a full exact spectrum sweep; conditioned rows also carry
@@ -140,7 +139,7 @@ def catalog_table(max_n: int = 12, *, deep: bool = False,
     for fs in _desk_rows(max_n, deep):
         spec = field_make(fs.n)
         table = build_lut(spec, fs.d)
-        summary = classify(table, threads=threads)
+        summary = classify(table)
         ok = conditions_met(fs)
         entries.append(CatalogEntry(
             family=fs,

@@ -33,8 +33,8 @@ from .theorems import run_all_checks
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for Walsh sweeps (results identical for any "
-                        "count; verify runs on one thread and ignores it)")
+                   help="accepted for compatibility and ignored: every sweep runs "
+                        "on one thread")
     p.add_argument("--deep", action="store_true",
                    help="allow full sweeps over GF(2^n) with n >= 16 (analyze, "
                         "catalog --max-n, verify --k 4); they grow as n * 4^n")
@@ -122,8 +122,7 @@ def _analyze(args) -> int:
     timings["ddt"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
-    ws = walsh_spectrum(table, threads=args.threads, keep_table=False,
-                        deep=args.deep)
+    ws = walsh_spectrum(table, keep_table=False, deep=args.deep)
     timings["walsh"] = (time.perf_counter() - t0) * 1e3
 
     summ = summarize(table, delta, ws)
@@ -183,7 +182,7 @@ def _verify(args) -> int:
 
 def _catalog(args) -> int:
     try:
-        entries = catalog_table(args.max_n, deep=args.deep, threads=args.threads)
+        entries = catalog_table(args.max_n, deep=args.deep)
     except ValueError as e:
         return _fail_usage(str(e))
     hdr = (f"{'family':<10} {'n':>3} {'d':>6} {'cond':>5} "

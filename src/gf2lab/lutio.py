@@ -20,6 +20,8 @@ from .spectra import FunctionTable, lut_from_values
 __all__ = ["LutParseError", "read_lut", "write_lut", "lut_digest"]
 
 _HEADER = re.compile(r"^n=(\d+)\s+poly=([0-9a-f]+)\s*$")
+# int(tok, 16) alone would also take signs, a 0x prefix and underscores
+_HEX_TOKEN = re.compile(r"[0-9a-fA-F]+")
 
 
 class LutParseError(ValueError):
@@ -54,10 +56,9 @@ def read_lut(path: str | Path) -> tuple[FunctionTable, str]:
     expected = spec.size
     for line_no, line in enumerate(lines[1:], start=2):
         for tok in line.split():
-            try:
-                v = int(tok, 16)
-            except ValueError:
-                raise LutParseError(line_no, f"not a hexadecimal value: {tok!r}") from None
+            if not _HEX_TOKEN.fullmatch(tok):
+                raise LutParseError(line_no, f"not a hexadecimal value: {tok!r}")
+            v = int(tok, 16)
             if v >= spec.size:
                 raise LutParseError(line_no, f"value {tok} out of range for GF(2^{n})")
             values.append(v)

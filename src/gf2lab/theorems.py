@@ -176,6 +176,11 @@ def _check_k(k: int) -> None:
         raise ValueError(f"k must be between 1 and {MAX_K}")
 
 
+def _check_samples(samples: int | None) -> None:
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+
+
 # ---------------------------------------------------------------------------
 # reduction replay
 # ---------------------------------------------------------------------------
@@ -435,9 +440,11 @@ def reduction_sweep(k: int, *, samples: int | None = None,
 
     Exhaustive by default for k <= 2, sampled (default 1000 pairs, fixed
     seed) otherwise.  Failures are counted, never raised, and the first one
-    is reported in the order of the pair list.
+    is reported in the order of the pair list.  A samples count below 1
+    raises ValueError.
     """
     _check_k(k)
+    _check_samples(samples)
     pairs = _sweep_pairs(k, samples, seed)
     failures = 0
     first = None
@@ -787,9 +794,10 @@ def run_all_checks(ks: Iterable[int], *, samples: int | None = None,
     Returns the reports in a fixed order (delta sweep, reduction replay,
     then the split-coordinate suite per gamma), suitable for tabular
     display; failures are counted in the reports.  Every k is checked
-    for range and size before any suite runs.
+    for range and size, and samples for sign, before any suite runs.
     """
     ks = list(ks)
+    _check_samples(samples)
     for k in ks:
         _check_k(k)
         require_desk_scale(4 * k, deep)

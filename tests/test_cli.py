@@ -155,7 +155,11 @@ def test_verify_usage_errors(capsys):
     assert main(["verify", "--k", "zero"]) == 2
     assert main(["verify", "--k", ""]) == 2
     assert main(["verify", "--k", "9"]) == 2
-    capsys.readouterr()
+    for samples in ("0", "-3"):
+        assert main(["verify", "--k", "1", "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("samples must be at least 1") == 2
 
 
 def test_verify_reports_failures(monkeypatch, capsys):

@@ -68,12 +68,14 @@ def test_bad_header(tmp_path):
         assert exc.value.line == 1
 
 
-def test_non_hex_token_reports_line(tmp_path):
-    text = "n=4 poly=13\n0 1 2 3\n4 5 zz 7\n"
+@pytest.mark.parametrize("tok", ["zz", "-1", "0x1", "+1", "1_0"])
+def test_non_hex_token_reports_line(tmp_path, tok):
+    # int(tok, 16) takes all but "zz"; the format allows hex digits only
+    text = f"n=4 poly=13\n0 1 2 3\n4 5 {tok} 7\n"
     with pytest.raises(LutParseError) as exc:
         read_lut(_write(tmp_path, text))
     assert exc.value.line == 3
-    assert "zz" in str(exc.value)
+    assert tok in str(exc.value)
 
 
 def test_value_out_of_range(tmp_path):

@@ -1,6 +1,7 @@
 """Difference tables, Walsh sweeps, and classification flags."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from gf2lab import (
     walsh_row,
     walsh_spectrum,
 )
-from gf2lab.spectra import (require_desk_scale, sampled_delta_lower_bound,
-                            walsh_coefficient_direct)
+from gf2lab.spectra import (WALSH_BLOCK_COEFFS, require_desk_scale,
+                            sampled_delta_lower_bound, walsh_coefficient_direct)
 
 
 def test_build_lut_matches_scalar_pow():
@@ -200,13 +201,32 @@ def test_spectrum_invariant_under_basis_change():
     assert sorted(wa.histogram) == [-32, -16, 0, 16, 32]
 
 
-def test_thread_count_does_not_change_results():
-    table = build_lut(field_make(8), 21)
-    base_ws = walsh_spectrum(table, threads=1, keep_table=True)
-    for threads in (2, 3, 8):
-        ws = walsh_spectrum(table, threads=threads, keep_table=True)
-        assert ws.histogram == base_ws.histogram
-        assert (ws.table == base_ws.table).all()
+def test_walsh_blocks_agree_with_rows_and_histogram():
+    n = 10
+    s = field_make(n)
+    block = WALSH_BLOCK_COEFFS >> n
+    assert 1 < block and 2 * block < s.size - 1  # several blocks, a short last one
+    table = lut_from_values(s, np.random.default_rng(10).integers(0, s.size, s.size))
+    ws = walsh_spectrum(table, keep_table=True)
+    assert ws.table.dtype == np.int32
+    assert ws.histogram == Counter(ws.table.ravel().tolist())
+    assert ws.max_abs == int(np.abs(ws.table).max())
+    for lo in range(1, s.size, block):
+        for b in (lo, min(lo + block, s.size) - 1):
+            assert (walsh_row(table, b) == ws.table[b - 1]).all()
+
+
+@pytest.mark.parametrize("n", [2, 5, 10])
+def test_constant_maps_reach_both_extreme_coefficients(n):
+    # f = c: f^(a, b) is 0 for a != 0 and 2^n * (-1)^Tr(bc) for a = 0
+    size = 1 << n
+    s = field_make(n)
+    zero = walsh_spectrum(lut_from_values(s, [0] * size), keep_table=False)
+    assert zero.histogram == Counter({size: size - 1, 0: (size - 1) ** 2})
+    one = walsh_spectrum(build_lut(s, 0), keep_table=False)
+    assert one.histogram == Counter({size: size // 2 - 1, -size: size // 2,
+                                     0: (size - 1) ** 2})
+    assert zero.max_abs == one.max_abs == size
 
 
 def test_desk_scale_threshold_is_degree_16():

@@ -360,6 +360,11 @@ def test_run_all_checks_refuses_before_any_suite(monkeypatch):
         run_all_checks([1, 4])
     with pytest.raises(ValueError):
         run_all_checks([1, 5], deep=True)
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples"):
+            run_all_checks([1], samples=samples)
+        with pytest.raises(ValueError, match="samples"):
+            reduction_sweep(1, samples=samples)
     assert ran == []
 
 

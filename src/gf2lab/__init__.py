@@ -13,7 +13,8 @@ from .field import (FieldSpec, SubfieldTower, FieldConstructionError,
 from .spectra import (FunctionTable, DifferenceRow, WalshSpectrum,
                       SpectrumSummary, build_lut, lut_from_values,
                       differential_uniformity, ddt_rows, walsh_spectrum,
-                      walsh_row, nonlinearity, classify)
+                      walsh_row, power_delta, power_walsh_spectrum,
+                      nonlinearity, classify)
 from .catalog import (FamilySpec, CatalogEntry, PermutationCheck,
                       family_exponent, permutation_check, inverse_map,
                       catalog_table)

@@ -38,7 +38,7 @@ class AnalysisReport:
     timings_ms: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        """Internal consistency: the NL identity and the histogram mass.
+        """Internal consistency: the NL identity, the histogram mass and Parseval.
 
         Raises
         ------
@@ -55,6 +55,12 @@ class AnalysisReport:
             raise ValueError(
                 f"histogram mass broken: coefficients sum to {total}, "
                 f"not 2^n * (2^n - 1) = {size * (size - 1)}")
+        # each component b carries sum over a of f^(a, b)^2 = 2^(2n)
+        energy = sum(v * v * c for v, c in self.lam.items())
+        if energy != size * size * (size - 1):
+            raise ValueError(
+                f"Parseval identity broken: sum of v^2 * count is {energy}, "
+                f"not 2^(2n) * (2^n - 1) = {size * size * (size - 1)}")
 
 
 def report_to_dict(r: AnalysisReport) -> dict:

@@ -9,15 +9,27 @@ about n * 2^(2n) bit operations instead of the 2^(3n) of the naive triple
 sum.  Full sweeps with n >= 16 need ``deep=True`` (``--deep``), as
 decided for every caller by :func:`require_desk_scale`.
 
-Every sweep runs on one thread: the Walsh sweep transforms fixed-size
-blocks of components in place and merges them into one offset histogram,
-so its results do not depend on the block size.
+Exponent inputs (tables made by :func:`build_lut`, which carry their
+exponent d) go through the power-map orbit engine: substituting x = a*y
+gives delta(a, b) = delta(1, b / a^d) and f^(a, b) = f^(ac, b c^d), so
+:func:`power_delta` reads one DDT row and :func:`power_walsh_spectrum`
+transforms only the g = gcd(d, 2^n - 1) coset representatives of the
+components, each weighted by (2^n - 1) / g.  :func:`classify` picks them
+for exponent tables.  Lookup-table inputs and the named sweeps
+(:func:`differential_uniformity`, :func:`ddt_rows`,
+:func:`walsh_spectrum`, :func:`walsh_row`) stay full sweeps whatever the
+table, and serve as the oracle the orbit engine is tested against.
+
+Every sweep runs on one thread: the Walsh sweeps transform fixed-size
+blocks of components in place and merge them into one offset histogram,
+so their results do not depend on the block size.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterator
 
 import numpy as np
@@ -35,6 +47,8 @@ __all__ = [
     "ddt_rows",
     "walsh_spectrum",
     "walsh_row",
+    "power_delta",
+    "power_walsh_spectrum",
     "nonlinearity",
     "summarize",
     "classify",
@@ -58,11 +72,13 @@ class FunctionTable:
 
     ``lut[i]`` is the image of the element with integer encoding i; the
     array has length 2^n and dtype int64, and is read-only when made by
-    :func:`build_lut` or :func:`lut_from_values`.
+    :func:`build_lut` or :func:`lut_from_values`.  ``exponent`` is d when
+    the table is the power map x^d made by :func:`build_lut`, else None.
     """
 
     spec: FieldSpec
     lut: np.ndarray
+    exponent: int | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +96,7 @@ class DifferenceRow:
 
 @dataclass(frozen=True, eq=False)
 class WalshSpectrum:
-    """Result of a full Walsh sweep.
+    """Result of a Walsh sweep over every component b != 0.
 
     Attributes
     ----------
@@ -135,7 +151,7 @@ def build_lut(s: FieldSpec, d: int) -> FunctionTable:
     # reducing d first keeps log * d below 2^48, so int64 cannot overflow
     lut[1:] = exp[(log[1:] * (d % s.order)) % s.order]
     lut.flags.writeable = False
-    return FunctionTable(s, lut)
+    return FunctionTable(s, lut, d)
 
 
 def lut_from_values(s: FieldSpec, values) -> FunctionTable:
@@ -285,6 +301,42 @@ def _walsh_block(f: FunctionTable, masks: np.ndarray, bs: np.ndarray) -> np.ndar
     return _fwht_rows(signs)
 
 
+def _walsh_counts(
+    f: FunctionTable,
+    masks: np.ndarray,
+    bs: np.ndarray,
+    *,
+    weight: int = 1,
+    table: np.ndarray | None = None,
+) -> WalshSpectrum:
+    """Histogram of every coefficient f^(a, b) over all a and the b in bs.
+
+    One transform of size 2^n per b, in blocks of about WALSH_BLOCK_COEFFS
+    coefficients; each count is multiplied by weight.  The histogram is
+    counted over transform columns: a -> masks[a] is a bijection, so no
+    block is reindexed unless table (whose row i receives b = bs[i]) is
+    given.
+    """
+    size = f.spec.size
+    half = size >> 1
+    block = max(1, WALSH_BLOCK_COEFFS // size)
+    # every coefficient v is even and lies in [-2^n, 2^n]; bin v/2 + 2^(n-1)
+    # counts the value v
+    counts = np.zeros(size + 1, dtype=np.int64)
+    for lo in range(0, len(bs), block):
+        rows = _walsh_block(f, masks, bs[lo : lo + block])
+        if table is not None:
+            table[lo : lo + len(rows)] = rows[:, masks]
+        rows >>= 1
+        rows += half
+        counts += np.bincount(rows.ravel(), minlength=size + 1)
+    values = np.flatnonzero(counts)
+    hist = Counter(dict(zip((2 * values - size).tolist(),
+                            (counts[values] * weight).tolist())))
+    max_abs = max(size - 2 * int(values[0]), 2 * int(values[-1]) - size)
+    return WalshSpectrum(max_abs, hist, table)
+
+
 def walsh_spectrum(
     f: FunctionTable,
     *,
@@ -293,30 +345,51 @@ def walsh_spectrum(
 ) -> WalshSpectrum:
     """Full Walsh sweep: every coefficient f^(a,b) for all a and b != 0.
 
-    One transform of size 2^n per b, in blocks of about WALSH_BLOCK_COEFFS
-    coefficients.  The histogram is counted over transform columns: a ->
-    masks[a] is a bijection, so no block is reindexed unless the table is
-    kept.
+    The sweep transforms every component b whatever the table, so it is
+    the oracle for :func:`power_walsh_spectrum`.
     """
     s = f.spec
     require_desk_scale(s.n, deep)
     if keep_table is None:
         keep_table = s.n <= TABLE_DEGREE
-    masks = _trace_masks(s)
-    size = s.size
-    block = max(1, WALSH_BLOCK_COEFFS // size)
-    table = np.empty((size - 1, size), dtype=np.int32) if keep_table else None
-    # coefficients lie in [-2^n, 2^n]; bin v + 2^n counts the value v
-    counts = np.zeros(2 * size + 1, dtype=np.int64)
-    for lo in range(1, size, block):
-        rows = _walsh_block(f, masks, np.arange(lo, min(lo + block, size)))
-        if table is not None:
-            table[lo - 1 : lo - 1 + len(rows)] = rows[:, masks]
-        counts += np.bincount((rows + size).ravel(), minlength=2 * size + 1)
-    values = np.flatnonzero(counts)
-    hist = Counter(dict(zip((values - size).tolist(), counts[values].tolist())))
-    max_abs = max(size - int(values[0]), int(values[-1]) - size)
-    return WalshSpectrum(max_abs, hist, table)
+    table = np.empty((s.size - 1, s.size), dtype=np.int32) if keep_table else None
+    return _walsh_counts(f, _trace_masks(s), np.arange(1, s.size), table=table)
+
+
+def _require_exponent(f: FunctionTable) -> int:
+    if f.exponent is None:
+        raise ValueError("the orbit engine needs a power-map table made by build_lut")
+    return f.exponent
+
+
+def power_delta(f: FunctionTable, *, deep: bool = False) -> int:
+    """Differential uniformity of a power-map table from its row a = 1.
+
+    For f(x) = x^d, delta(a, b) = delta(1, b / a^d), so every row is a
+    permutation of the row a = 1.  Raises ValueError for a table without
+    an exponent.
+    """
+    _require_exponent(f)
+    require_desk_scale(f.spec.n, deep)
+    return int(_ddt_row(f.lut, np.arange(f.spec.size), 1).max())
+
+
+def power_walsh_spectrum(f: FunctionTable, *, deep: bool = False) -> WalshSpectrum:
+    """Exact Walsh extremum and histogram of a power-map table, without the table.
+
+    For f(x) = x^d, f^(a, b) = f^(ac, b c^d) for every c != 0, so the
+    coefficients of component b are those of any b' in the same coset of
+    the d-th powers, the subgroup of index g = gcd(d, 2^n - 1).  The
+    generator powers gamma^0 .. gamma^(g-1) represent the g cosets, each of
+    (2^n - 1) / g components.  At g = 2^n - 1 (d = 0, d = 2^n - 1) this is
+    the full sweep.  Raises ValueError for a table without an exponent.
+    """
+    d = _require_exponent(f)
+    s = f.spec
+    require_desk_scale(s.n, deep)
+    g = gcd(d, s.order)
+    _, exp = _log_exp_tables(s.n, s.poly)
+    return _walsh_counts(f, _trace_masks(s), exp[:g], weight=s.order // g)
 
 
 def walsh_row(f: FunctionTable, b: int) -> np.ndarray:
@@ -369,7 +442,13 @@ def summarize(f: FunctionTable, delta: int, ws: WalshSpectrum) -> SpectrumSummar
 
 
 def classify(f: FunctionTable, *, deep: bool = False) -> SpectrumSummary:
-    """Aggregate delta, nonlinearity, Walsh extremum, and the flag set."""
+    """Aggregate delta, nonlinearity, Walsh extremum, and the flag set.
+
+    Exponent tables go through the orbit engine, other tables through the
+    full sweeps.
+    """
+    if f.exponent is not None:
+        return summarize(f, power_delta(f, deep=deep), power_walsh_spectrum(f, deep=deep))
     delta, _ = differential_uniformity(f, want_table=False, deep=deep)
     ws = walsh_spectrum(f, keep_table=False, deep=deep)
     return summarize(f, delta, ws)

@@ -45,13 +45,15 @@ def test_analyze_json_report(tmp_path, capsys):
     assert set(doc["timings_ms"]) == {"build", "ddt", "walsh"}
 
 
-def test_analyze_lut_round_trip(tmp_path, capsys):
+@pytest.mark.parametrize("n,d", [(6, 13), (12, 73), (12, 2730), (8, 0)])
+def test_analyze_lut_round_trip(tmp_path, capsys, n, d):
+    # --exp takes the power-map orbit engine, --lut the full sweeps
     lut_path = tmp_path / "map.lut"
-    assert main(["analyze", "--exp", "13", "--n", "6",
+    assert main(["analyze", "--exp", str(d), "--n", str(n),
                  "--write-lut", str(lut_path)]) == 0
     first = tmp_path / "first.json"
     second = tmp_path / "second.json"
-    assert main(["analyze", "--exp", "13", "--n", "6", "--json", str(first)]) == 0
+    assert main(["analyze", "--exp", str(d), "--n", str(n), "--json", str(first)]) == 0
     assert main(["analyze", "--lut", str(lut_path), "--json", str(second)]) == 0
     capsys.readouterr()
     a = json.loads(first.read_text())

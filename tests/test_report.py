@@ -32,6 +32,12 @@ def test_validate_rejects_broken_histogram_mass():
         replace(_good_report(), lam=Counter({0: 28, 4: 21})).validate()
 
 
+def test_validate_rejects_broken_parseval_identity():
+    # right mass (56) but weights that put 4 and -4 on too few coefficients
+    with pytest.raises(ValueError, match="Parseval"):
+        replace(_good_report(), lam=Counter({0: 35, 4: 14, -4: 7})).validate()
+
+
 def test_validate_survives_optimized_mode():
     # python -O strips assert statements; the checks must still raise
     code = ("from collections import Counter\n"

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from math import gcd
 
 import numpy as np
 import pytest
@@ -16,10 +17,15 @@ from gf2lab import (
     field_make,
     lut_from_values,
     nonlinearity,
+    power_delta,
+    power_walsh_spectrum,
     trace_abs,
     walsh_row,
     walsh_spectrum,
 )
+from gf2lab import spectra
+from gf2lab.catalog import _desk_rows
+from gf2lab.field import _log_exp_tables
 from gf2lab.spectra import (WALSH_BLOCK_COEFFS, require_desk_scale,
                             sampled_delta_lower_bound, walsh_coefficient_direct)
 
@@ -259,3 +265,72 @@ def test_trace_mask_consistency():
             for y in range(s.size):
                 parity = bin(int(masks[a]) & y).count("1") & 1
                 assert parity == trace_abs(s, f_mul(s, a, y))
+
+
+def _orbit_cases():
+    catalog = _desk_rows(12, True)
+    for n in range(2, 13):
+        order = (1 << n) - 1
+        coprime = next(d for d in range(3, 4 * order) if gcd(d, order) == 1)
+        ds = {coprime, 3, 0, order, order - 1, (1 << 70) + 3}
+        # the largest proper divisor of 2^n - 1, when 2^n - 1 is not prime
+        p = next(p for p in range(2, order + 1) if order % p == 0)
+        if p < order:
+            ds.add(order // p)
+        ds |= {fs.d for fs in catalog if fs.n == n}
+        for d in sorted(ds):
+            yield n, None, d
+    yield 8, 0x11D, 21
+
+
+@pytest.mark.parametrize("n,poly,d", list(_orbit_cases()))
+def test_orbit_engine_matches_full_sweeps(n, poly, d):
+    table = build_lut(field_make(n, poly), d)
+    delta, _ = differential_uniformity(table, want_table=False)
+    assert power_delta(table) == delta
+    full = walsh_spectrum(table, keep_table=False)
+    orbit = power_walsh_spectrum(table)
+    assert orbit.max_abs == full.max_abs
+    assert orbit.histogram == full.histogram
+    assert orbit.table is None
+
+
+def test_named_sweeps_stay_full_and_orbit_needs_an_exponent(monkeypatch):
+    rows, bs = [], []
+    ddt_row, walsh_block = spectra._ddt_row, spectra._walsh_block
+
+    def counting_ddt_row(lut, idx, a):
+        rows.append(a)
+        return ddt_row(lut, idx, a)
+
+    def counting_walsh_block(f, masks, block):
+        bs.extend(block.tolist())
+        return walsh_block(f, masks, block)
+
+    monkeypatch.setattr(spectra, "_ddt_row", counting_ddt_row)
+    monkeypatch.setattr(spectra, "_walsh_block", counting_walsh_block)
+    n, d = 8, 21
+    s = field_make(n)
+    table = build_lut(s, d)
+    differential_uniformity(table)
+    assert rows == list(range(1, s.size))
+    walsh_spectrum(table)
+    assert bs == list(range(1, s.size))
+    rows.clear()
+    bs.clear()
+    power_delta(table)
+    assert rows == [1]
+    power_walsh_spectrum(table)
+    g = gcd(d, s.order)
+    assert bs == _log_exp_tables(n, s.poly)[1][:g].tolist()
+    plain = lut_from_values(s, table.lut)
+    assert plain.exponent is None
+    with pytest.raises(ValueError, match="build_lut"):
+        power_delta(plain)
+    with pytest.raises(ValueError, match="build_lut"):
+        power_walsh_spectrum(plain)
+    big = build_lut(field_make(16), 273)
+    with pytest.raises(ValueError, match="deep"):
+        power_delta(big)
+    with pytest.raises(ValueError, match="deep"):
+        power_walsh_spectrum(big)

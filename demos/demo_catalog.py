@@ -45,9 +45,8 @@ print(f"\ninversion on GF(2^8): delta={summary.delta}, nl={summary.nl}, "
 # -- The measured table -----------------------------------------------------
 #
 # catalog_table() measures every family member realizable up to the given
-# degree exactly, through the power-map orbit engine (one DDT row and
-# gcd(d, 2^n - 1) Walsh transforms per row), and attaches the prediction
-# when the side conditions hold.
+# degree exactly, through the power-map orbit engine of gf2lab.spectra,
+# and attaches the prediction when the side conditions hold.
 
 print(f"\n{'family':10s} {'n':>3} {'d':>5} {'cond':>5} {'delta':>6} "
       f"{'nl':>5} {'perm':>5}")

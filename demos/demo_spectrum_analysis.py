@@ -62,9 +62,8 @@ assert int(abs(row).max()) <= ws.max_abs
 # (delta = 2), and -- on odd-degree fields -- the almost-bent property,
 # which asks for the three-valued spectrum {0, +-2^((n+1)/2)}.
 
-# For a power-map table it uses the orbit engine: one DDT row and
-# gcd(d, 2^n - 1) Walsh transforms give the same exact answers as the full
-# sweeps above.
+# For a power-map table it uses the orbit engine of gf2lab.spectra, which
+# gives the same exact answers as the full sweeps above.
 summary = classify(f)
 assert summary.delta == delta and summary.lam == ws.histogram
 print(f"\nx^21 on GF(2^8): delta={summary.delta}, nl={summary.nl}, "

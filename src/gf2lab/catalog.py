@@ -130,12 +130,11 @@ def _desk_rows(max_n: int, deep: bool) -> list[FamilySpec]:
 def catalog_table(max_n: int = 12, *, deep: bool = False) -> list[CatalogEntry]:
     """Instantiate and measure every catalog row realizable at degree <= max_n.
 
-    Every row gets its exact spectrum from the power-map orbit engine
-    (:func:`gf2lab.spectra.classify` on the exponent table: one DDT row and
-    gcd(d, 2^n - 1) Walsh transforms; lookup tables and the named full
-    sweeps stay the oracle it is tested against); conditioned rows also
-    carry the predicted (delta=4, permutation) pair for comparison.  A
-    max_n of 16 or more needs deep, like any sweep at that degree.
+    Every row is an exponent input, so :func:`gf2lab.spectra.classify`
+    measures it exactly through the power-map orbit engine; conditioned
+    rows also carry the predicted (delta=4, permutation) pair for
+    comparison.  A max_n of 16 or more needs deep, like any sweep at that
+    degree.
     """
     require_desk_scale(max_n, deep)
     entries = []

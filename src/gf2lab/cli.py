@@ -26,9 +26,8 @@ from .catalog import catalog_table
 from .field import FieldConstructionError, field_make
 from .lutio import LutParseError, read_lut, write_lut
 from .report import AnalysisReport, report_to_json
-from .spectra import (build_lut, ddt_rows, differential_uniformity,
-                      power_delta, power_walsh_spectrum, require_desk_scale,
-                      summarize, walsh_spectrum)
+from .spectra import (_delta, _spectrum, build_lut, ddt_rows,
+                      require_desk_scale, summarize)
 from .theorems import run_all_checks
 
 
@@ -118,17 +117,12 @@ def _analyze(args) -> int:
             for row in ddt_rows(table):
                 delta = max(delta, int(row.counts.max()))
                 fh.write(",".join(cells[row.counts].tolist()) + "\r\n")
-    elif kind == "exponent":
-        delta = power_delta(table, deep=args.deep)
     else:
-        delta, _ = differential_uniformity(table, want_table=False, deep=args.deep)
+        delta = _delta(table, args.deep)
     timings["ddt"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
-    if kind == "exponent":
-        ws = power_walsh_spectrum(table, deep=args.deep)
-    else:
-        ws = walsh_spectrum(table, keep_table=False, deep=args.deep)
+    ws = _spectrum(table, args.deep)
     timings["walsh"] = (time.perf_counter() - t0) * 1e3
 
     summ = summarize(table, delta, ws)

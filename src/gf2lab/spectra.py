@@ -10,15 +10,13 @@ sum.  Full sweeps with n >= 16 need ``deep=True`` (``--deep``), as
 decided for every caller by :func:`require_desk_scale`.
 
 Exponent inputs (tables made by :func:`build_lut`, which carry their
-exponent d) go through the power-map orbit engine: substituting x = a*y
-gives delta(a, b) = delta(1, b / a^d) and f^(a, b) = f^(ac, b c^d), so
-:func:`power_delta` reads one DDT row and :func:`power_walsh_spectrum`
-transforms only the g = gcd(d, 2^n - 1) coset representatives of the
-components, each weighted by (2^n - 1) / g.  :func:`classify` picks them
-for exponent tables.  Lookup-table inputs and the named sweeps
-(:func:`differential_uniformity`, :func:`ddt_rows`,
-:func:`walsh_spectrum`, :func:`walsh_row`) stay full sweeps whatever the
-table, and serve as the oracle the orbit engine is tested against.
+exponent) go through the power-map orbit engine, :func:`power_delta` and
+:func:`power_walsh_spectrum`, whose docstrings give the derivation.
+Lookup-table inputs and the named sweeps (:func:`differential_uniformity`,
+:func:`ddt_rows`, :func:`walsh_spectrum`, :func:`walsh_row`) stay full
+sweeps whatever the table, and serve as the oracle the orbit engine is
+tested against.  :func:`classify` and ``analyze`` choose between the two
+in one place, by the table's exponent.
 
 Every sweep runs on one thread: the Walsh sweeps transform fixed-size
 blocks of components in place and merge them into one offset histogram,
@@ -365,9 +363,9 @@ def _require_exponent(f: FunctionTable) -> int:
 def power_delta(f: FunctionTable, *, deep: bool = False) -> int:
     """Differential uniformity of a power-map table from its row a = 1.
 
-    For f(x) = x^d, delta(a, b) = delta(1, b / a^d), so every row is a
-    permutation of the row a = 1.  Raises ValueError for a table without
-    an exponent.
+    For f(x) = x^d, substituting x = a*y gives delta(a, b) =
+    delta(1, b / a^d), so every row is a permutation of the row a = 1.
+    Raises ValueError for a table without an exponent.
     """
     _require_exponent(f)
     require_desk_scale(f.spec.n, deep)
@@ -377,12 +375,14 @@ def power_delta(f: FunctionTable, *, deep: bool = False) -> int:
 def power_walsh_spectrum(f: FunctionTable, *, deep: bool = False) -> WalshSpectrum:
     """Exact Walsh extremum and histogram of a power-map table, without the table.
 
-    For f(x) = x^d, f^(a, b) = f^(ac, b c^d) for every c != 0, so the
-    coefficients of component b are those of any b' in the same coset of
-    the d-th powers, the subgroup of index g = gcd(d, 2^n - 1).  The
-    generator powers gamma^0 .. gamma^(g-1) represent the g cosets, each of
-    (2^n - 1) / g components.  At g = 2^n - 1 (d = 0, d = 2^n - 1) this is
-    the full sweep.  Raises ValueError for a table without an exponent.
+    For f(x) = x^d, substituting x = c*y gives f^(a, b) = f^(ac, b c^d)
+    for every c != 0, so the coefficients of component b are those of any
+    b' in the same coset of the d-th powers, the subgroup of index
+    g = gcd(d, 2^n - 1).  The generator powers gamma^0 .. gamma^(g-1)
+    represent the g cosets, each of (2^n - 1) / g components, so each
+    transform is weighted by (2^n - 1) / g.  At g = 2^n - 1 (d = 0,
+    d = 2^n - 1) this is the full sweep.  Raises ValueError for a table
+    without an exponent.
     """
     d = _require_exponent(f)
     s = f.spec
@@ -441,14 +441,24 @@ def summarize(f: FunctionTable, delta: int, ws: WalshSpectrum) -> SpectrumSummar
     )
 
 
+def _delta(f: FunctionTable, deep: bool) -> int:
+    """Exact delta: the orbit engine for exponent tables, else the full sweep."""
+    if f.exponent is not None:
+        return power_delta(f, deep=deep)
+    return differential_uniformity(f, want_table=False, deep=deep)[0]
+
+
+def _spectrum(f: FunctionTable, deep: bool) -> WalshSpectrum:
+    """Exact Walsh extremum and histogram, chosen like :func:`_delta`."""
+    if f.exponent is not None:
+        return power_walsh_spectrum(f, deep=deep)
+    return walsh_spectrum(f, keep_table=False, deep=deep)
+
+
 def classify(f: FunctionTable, *, deep: bool = False) -> SpectrumSummary:
     """Aggregate delta, nonlinearity, Walsh extremum, and the flag set.
 
     Exponent tables go through the orbit engine, other tables through the
     full sweeps.
     """
-    if f.exponent is not None:
-        return summarize(f, power_delta(f, deep=deep), power_walsh_spectrum(f, deep=deep))
-    delta, _ = differential_uniformity(f, want_table=False, deep=deep)
-    ws = walsh_spectrum(f, keep_table=False, deep=deep)
-    return summarize(f, delta, ws)
+    return summarize(f, _delta(f, deep), _spectrum(f, deep))

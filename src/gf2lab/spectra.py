@@ -50,7 +50,6 @@ __all__ = [
     "nonlinearity",
     "summarize",
     "classify",
-    "sampled_delta_lower_bound",
     "require_desk_scale",
 ]
 
@@ -223,24 +222,6 @@ def differential_uniformity(
         if table is not None:
             table[a - 1] = counts
     return delta, table
-
-
-def sampled_delta_lower_bound(
-    f: FunctionTable, samples: int, seed: int = 0
-) -> tuple[int, int]:
-    """Lower bound on delta from a uniform sample of differences a.
-
-    Returns (bound, samples_used).  The value is only a lower bound: a full
-    sweep may find a larger count on an unsampled a.
-    """
-    rng = np.random.default_rng(seed)
-    size = f.spec.size
-    idx = np.arange(size)
-    best = 0
-    picks = rng.integers(1, size, size=samples)
-    for a in picks:
-        best = max(best, int(_ddt_row(f.lut, idx, int(a)).max()))
-    return best, samples
 
 
 # ---------------------------------------------------------------------------

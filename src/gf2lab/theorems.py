@@ -23,6 +23,13 @@ the fiber/quartic correspondence, the fiber-sum formula against an
 independent fast-transform sweep, and the sign pattern that pins the
 extremal coefficient magnitude 2^(2k+1).
 
+Every sweep reports one :class:`CheckReport` row under one rule: each case
+(a pair, a point, a fiber) whose check raises :class:`VerificationError`
+counts as one failure, the first in case order is kept as
+``first_failure``, and any other exception propagates.  A basis that fails
+to construct is a failed ``mm-basis`` row, and :func:`run_all_checks` skips
+the suites that need it for that gamma.
+
 Both suites run on one thread (a thread pool measured slower on the
 replay) and do their scalar arithmetic through the log/exp tables of
 :mod:`gf2lab.field`.  The full sweeps at k = 4 (degree 16) need
@@ -33,7 +40,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable
 
@@ -425,6 +432,25 @@ class CheckReport:
         return self.failures == 0
 
 
+def _tally(name: str, cases: Iterable[tuple], check) -> CheckReport:
+    """Run ``check(*case)`` on every case and report one row.
+
+    Each :class:`VerificationError` counts as one failure and the first one,
+    in case order, becomes ``first_failure``; other exceptions propagate.
+    """
+    instances = failures = 0
+    first = None
+    for case in cases:
+        instances += 1
+        try:
+            check(*case)
+        except VerificationError as e:
+            failures += 1
+            if first is None:
+                first = str(e)
+    return CheckReport(name, instances, failures, first)
+
+
 def _sweep_pairs(k: int, samples: int | None, seed: int) -> list[tuple[int, int]]:
     size = 1 << (4 * k)
     if samples is None and k <= 2:
@@ -439,23 +465,12 @@ def reduction_sweep(k: int, *, samples: int | None = None,
     """Replay the reduction over many (a, b) pairs.
 
     Exhaustive by default for k <= 2, sampled (default 1000 pairs, fixed
-    seed) otherwise.  Failures are counted, never raised, and the first one
-    is reported in the order of the pair list.  A samples count below 1
-    raises ValueError.
+    seed) otherwise.  A samples count below 1 raises ValueError.
     """
     _check_k(k)
     _check_samples(samples)
-    pairs = _sweep_pairs(k, samples, seed)
-    failures = 0
-    first = None
-    for a, b in pairs:
-        try:
-            reduction_trace(k, a, b)
-        except VerificationError as e:
-            failures += 1
-            if first is None:
-                first = str(e)
-    return CheckReport(f"reduction-replay[k={k}]", len(pairs), failures, first)
+    return _tally(f"reduction-replay[k={k}]", _sweep_pairs(k, samples, seed),
+                  lambda a, b: reduction_trace(k, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -596,20 +611,18 @@ def mm_decomposition_check(w: MMWitness) -> CheckReport:
     sub_2k = A.subfield(2 * k)
     pi_of = {a: pi_image(w, a) for a in sub_2k}
     offset_of = {a: _split_offset(w, A, a) for a in sub_2k}
-    failures = 0
-    first = None
-    n_pairs = 0
-    for y in sub_2k:
-        for a in sub_2k:
-            n_pairs += 1
-            x = y ^ A.mul(w.omega, a)
-            lhs = A.subtrace(A.mul(g2, A.pow(x, d)), A.n)
-            rhs = A.subtrace(A.mul(y, pi_of[a]) ^ offset_of[a], 2 * k)
-            if lhs != rhs:
-                failures += 1
-                if first is None:
-                    first = f"decomposition mismatch at y={y:#x}, a={a:#x}"
-    return CheckReport(f"mm-decomposition[k={k}]", n_pairs, failures, first)
+
+    def check(y: int, a: int) -> None:
+        x = y ^ A.mul(w.omega, a)
+        lhs = A.subtrace(A.mul(g2, A.pow(x, d)), A.n)
+        if lhs != A.subtrace(A.mul(y, pi_of[a]) ^ offset_of[a], 2 * k):
+            raise VerificationError(
+                "split-coordinate-form",
+                "g(y + omega*a) differs from its split-coordinate form",
+                k=k, y=y, a=a)
+
+    return _tally(f"mm-decomposition[k={k}]",
+                  ((y, a) for y in sub_2k for a in sub_2k), check)
 
 
 @dataclass(frozen=True, eq=False)
@@ -659,19 +672,9 @@ def quartic_roots(w: MMWitness, a0: int) -> QuarticRoots:
 
 def quartic_check_all(w: MMWitness) -> CheckReport:
     """Run the quartic/fiber correspondence at one representative per fiber."""
-    failures = 0
-    first = None
-    count = 0
-    for u in sorted(w.pi_fibers):
-        count += 1
-        a0 = min(w.pi_fibers[u])
-        try:
-            quartic_roots(w, a0)
-        except VerificationError as e:
-            failures += 1
-            if first is None:
-                first = str(e)
-    return CheckReport(f"mm-quartic[k={w.k}]", count, failures, first)
+    return _tally(f"mm-quartic[k={w.k}]",
+                  ((w, min(w.pi_fibers[u])) for u in sorted(w.pi_fibers)),
+                  quartic_roots)
 
 
 @lru_cache(maxsize=8)
@@ -715,60 +718,47 @@ def mm_walsh_crosscheck(w: MMWitness, u: int, v: int) -> int:
 
 def mm_crosscheck_all(w: MMWitness) -> CheckReport:
     """Cross-check every (u, v) over the half-degree subfield grid."""
-    A = _arith(w.spec.n, w.spec.poly)
-    sub_2k = A.subfield(2 * w.k)
-    failures = 0
-    first = None
-    count = 0
-    for u in sub_2k:
-        for v in sub_2k:
-            count += 1
-            try:
-                mm_walsh_crosscheck(w, u, v)
-            except VerificationError as e:
-                failures += 1
-                if first is None:
-                    first = str(e)
-    return CheckReport(f"mm-walsh-crosscheck[k={w.k}]", count, failures, first)
+    sub_2k = _arith(w.spec.n, w.spec.poly).subfield(2 * w.k)
+    return _tally(f"mm-walsh-crosscheck[k={w.k}]",
+                  ((w, u, v) for u in sub_2k for v in sub_2k), mm_walsh_crosscheck)
 
 
 def m4_sum_check(w: MMWitness) -> CheckReport:
     """Sign pattern of size-4 fibers and the trace stepping stones.
 
-    For every u whose fiber has four members and every v, the four
-    half-field trace bits must sum to 1 mod 2, forcing a 3-against-1 sign
-    split and hence coefficient magnitude exactly 2^(2k+1).  The stepping
-    stones Tr(alpha*gamma) = Tr_k(gamma*(alpha + alpha^(2^k))) = Tr_k(gamma^2)
-    = 1 are verified unconditionally (size-4 fibers first occur at k = 3).
+    The stepping stones Tr(alpha*gamma) = Tr_k(gamma*(alpha + alpha^(2^k)))
+    = Tr_k(gamma^2) = 1 are verified unconditionally (size-4 fibers first
+    occur at k = 3).  Then, for every u whose fiber has four members and
+    every v, the four half-field trace bits must sum to 1 mod 2, forcing a
+    3-against-1 sign split.  Four signs +-1 sum to +-2 exactly when an odd
+    number of them are -1, so the check is that the fiber sum has magnitude
+    exactly 2^(2k+1).
     """
     A = _arith(w.spec.n, w.spec.poly)
     k = w.k
-    failures = 0
-    first = None
-    count = 0
-    s1 = A.subtrace(A.mul(w.alpha, w.gamma), 2 * k)
-    s2 = A.subtrace(A.mul(w.gamma, w.alpha ^ A.frob(w.alpha, k)), k)
-    s3 = A.subtrace(A.mul(w.gamma, w.gamma), k)
-    count += 1
-    if not (s1 == s2 == s3 == 1):
-        failures += 1
-        first = f"trace-stepping-stones: expected all 1, got {s1},{s2},{s3}"
+
+    def stepping_stones() -> None:
+        traces = (A.subtrace(A.mul(w.alpha, w.gamma), 2 * k),
+                  A.subtrace(A.mul(w.gamma, w.alpha ^ A.frob(w.alpha, k)), k),
+                  A.subtrace(A.mul(w.gamma, w.gamma), k))
+        if traces != (1, 1, 1):
+            raise VerificationError(
+                "trace-stepping-stones", "expected all three traces to be 1",
+                k=k, traces=traces)
+
+    def four_term_sum(u: int, v: int) -> None:
+        coef = _fiber_sum(w, A, u, v)
+        if abs(coef) != 1 << (2 * k + 1):
+            raise VerificationError(
+                "four-term-trace-sum",
+                "the four half-field trace bits do not sum to 1 mod 2",
+                k=k, u=u, v=v, coefficient=coef)
+
     sub_2k = A.subfield(2 * k)
-    extreme = 1 << (2 * k + 1)
-    for u, members in sorted(w.pi_fibers.items()):
-        if len(members) != 4:
-            continue
-        for v in sub_2k:
-            count += 1
-            bits = [A.subtrace(_split_offset(w, A, a) ^ A.mul(v, a), 2 * k)
-                    for a in members]
-            coef = (1 << (2 * k)) * sum(1 - 2 * bit for bit in bits)
-            if sum(bits) % 2 != 1 or abs(coef) != extreme:
-                failures += 1
-                if first is None:
-                    first = (f"four-term-trace-sum at u={u:#x}, v={v:#x}: "
-                             f"bits={bits}, coefficient={coef}")
-    return CheckReport(f"mm-extremal-sum[k={k}]", count, failures, first)
+    cases = [(stepping_stones,)] + [
+        (four_term_sum, u, v) for u, members in sorted(w.pi_fibers.items())
+        if len(members) == 4 for v in sub_2k]
+    return _tally(f"mm-extremal-sum[k={k}]", cases, lambda step, *args: step(*args))
 
 
 # ---------------------------------------------------------------------------
@@ -793,8 +783,10 @@ def run_all_checks(ks: Iterable[int], *, samples: int | None = None,
 
     Returns the reports in a fixed order (delta sweep, reduction replay,
     then the split-coordinate suite per gamma), suitable for tabular
-    display; failures are counted in the reports.  Every k is checked
-    for range and size, and samples for sign, before any suite runs.
+    display; failures are counted in the reports.  A basis that fails to
+    construct is an ``mm-basis`` row with one failure, and the suites that
+    need it are skipped for that gamma.  Every k is checked for range and
+    size, and samples for sign, before any suite runs.
     """
     ks = list(ks)
     _check_samples(samples)
@@ -805,25 +797,18 @@ def run_all_checks(ks: Iterable[int], *, samples: int | None = None,
     for k in ks:
         reports.append(delta_sweep(k, deep=deep))
         reports.append(reduction_sweep(k, samples=samples, seed=seed))
-        gammas = all_gammas(k, deep=deep) if all_gamma else [None]
-        for g in gammas:
-            w = mm_basis(k, gamma=g, deep=deep)
-            tag = f",gamma={w.gamma:#x}" if all_gamma else ""
-            base = mm_basis_report(w, tag)
-            reports.append(base)
-            if base.failures:
-                continue
-            reports.append(_retag(mm_decomposition_check(w), tag))
-            reports.append(_retag(fiber_partition_check(w), tag))
-            reports.append(_retag(quartic_check_all(w), tag))
-            reports.append(_retag(mm_crosscheck_all(w), tag))
-            reports.append(_retag(m4_sum_check(w), tag))
+        for g in (all_gammas(k, deep=deep) if all_gamma else [None]):
+            try:
+                w = mm_basis(k, gamma=g, deep=deep)
+            except VerificationError as e:
+                rows = [CheckReport(f"mm-basis[k={k}]", 1, 1, str(e))]
+            else:
+                rows = [CheckReport(f"mm-basis[k={k}]", 1, 0),
+                        mm_decomposition_check(w), fiber_partition_check(w),
+                        quartic_check_all(w), mm_crosscheck_all(w), m4_sum_check(w)]
+            tag = f",gamma={g:#x}" if all_gamma else ""
+            reports += [replace(r, name=r.name.replace("]", f"{tag}]")) for r in rows]
     return reports
-
-
-def mm_basis_report(w: MMWitness, tag: str = "") -> CheckReport:
-    """Summarize a successfully constructed witness as a report row."""
-    return CheckReport(f"mm-basis[k={w.k}{tag}]", 1, 0)
 
 
 def fiber_partition_check(w: MMWitness) -> CheckReport:
@@ -835,11 +820,3 @@ def fiber_partition_check(w: MMWitness) -> CheckReport:
     return CheckReport(
         f"mm-fibers[k={w.k}]", len(w.pi_fibers), 0 if ok else 1,
         None if ok else f"partition broken: sizes {dict(sizes)}, total {total}")
-
-
-def _retag(report: CheckReport, tag: str) -> CheckReport:
-    if not tag:
-        return report
-    name = report.name.replace("]", f"{tag}]")
-    return CheckReport(name, report.instances, report.failures,
-                       report.first_failure)

@@ -177,6 +177,20 @@ def test_verify_reports_failures(monkeypatch, capsys):
     assert "counterexample detail" in out
 
 
+def test_verify_reports_a_failed_basis(monkeypatch, capsys):
+    from gf2lab import theorems
+
+    monkeypatch.setattr(theorems, "solve_linearized", lambda *args: set())
+    assert main(["verify", "--k", "1"]) == 1
+    out = capsys.readouterr().out
+    rows = [line.split() for line in out.splitlines()[1:] if line.strip()]
+    assert rows[:3] == [["delta-sweep[k=1]", "15", "0"],
+                        ["reduction-replay[k=1]", "240", "0"],
+                        ["mm-basis[k=1]", "1", "1"]]
+    assert "mm-decomposition" not in out
+    assert "\nFAILED: 1 check(s); first counterexample: alpha-roots-subfield: " in out
+
+
 def test_catalog_output(capsys):
     assert main(["catalog", "--max-n", "8"]) == 0
     out = capsys.readouterr().out

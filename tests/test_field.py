@@ -255,6 +255,28 @@ def test_solve_linearized_against_brute_force(n):
         assert len(got) == 0 or (len(got) & (len(got) - 1)) == 0
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_solve_linearized_matches_brute_force_property(data):
+    s = field_make(data.draw(st.integers(2, 10), label="n"))
+    element = st.integers(0, s.order)
+    coeffs = data.draw(st.lists(st.tuples(element, st.integers(0, s.n - 1)),
+                                min_size=1, max_size=3), label="coeffs")
+
+    def image(x):
+        acc = 0
+        for c, e in coeffs:
+            acc ^= f_mul(s, c, frobenius(s, x, e))
+        return acc
+
+    # plant a root half the time, so both solvable and unsolvable cases occur
+    rhs = data.draw(element, label="rhs")
+    if data.draw(st.booleans(), label="planted"):
+        rhs = image(rhs)
+    assert solve_linearized(s, coeffs, rhs) == {x for x in range(s.size)
+                                                if image(x) == rhs}
+
+
 def test_solve_linearized_substitution_large():
     s = field_make(10)
     rng = random.Random(99)

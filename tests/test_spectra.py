@@ -27,7 +27,7 @@ from gf2lab import spectra
 from gf2lab.catalog import _desk_rows
 from gf2lab.field import _log_exp_tables
 from gf2lab.spectra import (WALSH_BLOCK_COEFFS, require_desk_scale,
-                            sampled_delta_lower_bound, walsh_coefficient_direct)
+                            walsh_coefficient_direct)
 
 
 def test_build_lut_matches_scalar_pow():
@@ -249,10 +249,6 @@ def test_deep_degree_gate():
         differential_uniformity(table)
     with pytest.raises(ValueError, match="deep"):
         walsh_spectrum(table)
-    # the sampled path stays available at any degree
-    bound, used = sampled_delta_lower_bound(build_lut(s, s.size - 2), 10, seed=5)
-    assert used == 10
-    assert bound in (2, 4)  # inversion on an even-degree field is known 4-uniform
 
 
 def test_trace_mask_consistency():

@@ -3,6 +3,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gf2lab import (
     CheckReport,
@@ -33,6 +35,7 @@ from gf2lab.spectra import walsh_coefficient_direct
 from gf2lab.theorems import (
     DEFAULT_SEED,
     _Arith,
+    _arith,
     _family_table,
     fiber_partition_check,
 )
@@ -380,6 +383,96 @@ def test_run_all_checks_deterministic():
     a = run_all_checks([3], samples=30)
     b = run_all_checks([3], samples=30)
     assert a == b
+
+
+def test_tally_counts_each_verification_error_and_keeps_the_first():
+    def check(i):
+        if i % 2:
+            raise VerificationError(f"step-{i}", "odd case", i=i)
+
+    assert theorems._tally("t", [(i,) for i in range(6)], check) == CheckReport(
+        "t", 6, 3, "step-1: odd case [i=0x1]")
+
+    def broken(i):
+        raise KeyError(i)
+
+    with pytest.raises(KeyError):
+        theorems._tally("t", [(0,)], broken)
+
+
+def _with_zero_solution(real):
+    def diff_solution_count(k, a, b):
+        count, sols = real(k, a, b)
+        return count, sols | {0}
+    return diff_solution_count
+
+
+def _plus_one(real):
+    return lambda *args: real(*args) + 1
+
+
+# suite -> (its report from the witness, the theorems global to break, the
+# breaking wrapper, the step its first failure names)
+BREAKS = {
+    "reduction-replay": (lambda w: reduction_sweep(w.k), "diff_solution_count",
+                         _with_zero_solution, "normalized-product-identity"),
+    "mm-decomposition": (mm_decomposition_check, "pi_image",
+                         lambda real: lambda w, a: real(w, a) ^ 1,
+                         "split-coordinate-form"),
+    "mm-quartic": (quartic_check_all, "solve_linearized",
+                   lambda real: lambda *args: set(), "fiber-root-correspondence"),
+    "mm-walsh-crosscheck": (mm_crosscheck_all, "_fiber_sum", _plus_one,
+                            "fiber-sum-equals-transform"),
+    "mm-extremal-sum": (m4_sum_check, "_fiber_sum", _plus_one, "four-term-trace-sum"),
+}
+
+
+@pytest.mark.parametrize("suite", BREAKS)
+def test_tallied_suite_counts_a_broken_input(monkeypatch, suite):
+    run, target, breaker, step = BREAKS[suite]
+    w = mm_basis(3)
+    clean = run(w)
+    monkeypatch.setattr(theorems, target, breaker(getattr(theorems, target)))
+    broken = run(w)
+    assert clean.ok and clean.name == broken.name == f"{suite}[k=3]"
+    assert broken.instances == clean.instances
+    assert broken.failures > 0
+    assert broken.first_failure.startswith(f"{step}: ")
+
+
+def test_failed_basis_skips_its_suites_for_that_gamma_only(monkeypatch):
+    real = theorems.mm_basis
+
+    def mm_basis_failing_at_0xbc(k, *, gamma=None, deep=False):
+        if gamma == 0xBC:
+            raise VerificationError("alpha-roots-subfield", "forced", k=k, gamma=gamma)
+        return real(k, gamma=gamma, deep=deep)
+
+    monkeypatch.setattr(theorems, "mm_basis", mm_basis_failing_at_0xbc)
+    reports = run_all_checks([2], samples=10, all_gamma=True)
+    assert [r.name for r in reports] == [
+        "delta-sweep[k=2]",
+        "reduction-replay[k=2]",
+        "mm-basis[k=2,gamma=0xbc]",
+        "mm-basis[k=2,gamma=0xbd]",
+        "mm-decomposition[k=2,gamma=0xbd]",
+        "mm-fibers[k=2,gamma=0xbd]",
+        "mm-quartic[k=2,gamma=0xbd]",
+        "mm-walsh-crosscheck[k=2,gamma=0xbd]",
+        "mm-extremal-sum[k=2,gamma=0xbd]",
+    ]
+    assert reports[2] == CheckReport("mm-basis[k=2,gamma=0xbc]", 1, 1,
+                                     "alpha-roots-subfield: forced [k=0x2, gamma=0xbc]")
+    assert all(r.ok for r in reports[:2] + reports[3:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_quad_roots_match_brute_force(data):
+    s = field_make(data.draw(st.integers(2, 10), label="n"))
+    c = data.draw(st.integers(0, s.order), label="c")
+    roots = {x for x in range(s.size) if f_mul(s, x, x) ^ x == c}
+    assert _arith(s.n, s.poly).quad_roots(c) == roots
 
 
 def test_verification_error_carries_context():

@@ -10,7 +10,11 @@ normalized solution, a four-term relative-trace constraint, a quadratic in
 the Frobenius pair-sum, and finally one or two ordinary quadratics whose
 roots are filtered back against the product identity.  Every identity is
 checked on every solution; any violation raises :class:`VerificationError`
-naming the failing step.
+naming the failing step.  The pair sweep scans every pair's solution set
+exhaustively in one batched pass (one difference row per distinct a) and
+replays the derivation once per distinct c = b/a^d + 1, since a and b enter
+the checks only through c and the normalized set; a pair whose set differs
+from that replay's is replayed on its own.
 
 The *split-coordinate suite* checks the Maiorana-McFarland structure of the
 component g(x) = Tr(gamma^2 * x^d): a basis (gamma, alpha, omega) is
@@ -75,6 +79,8 @@ __all__ = [
 
 DEFAULT_SEED = 0x1CEB00DA
 MAX_K = 4
+# VerificationError context keys that are counts or signed values, not elements
+_DECIMAL = frozenset({"k", "count", "size", "coefficient", "fiber_sum", "transform"})
 
 
 class VerificationError(RuntimeError):
@@ -91,8 +97,9 @@ class VerificationError(RuntimeError):
     def __init__(self, step: str, detail: str, **context):
         self.step = step
         self.context = context
-        ctx = ", ".join(f"{k}={v:#x}" if isinstance(v, int) else f"{k}={v}"
-                        for k, v in context.items())
+        # field elements print in hex; counts and signed values in decimal
+        ctx = ", ".join(f"{key}={v:#x}" if isinstance(v, int) and key not in _DECIMAL
+                        else f"{key}={v}" for key, v in context.items())
         super().__init__(f"{step}: {detail} [{ctx}]")
 
 
@@ -220,6 +227,22 @@ class ReductionTrace:
     checks: tuple[str, ...]
 
 
+def _scan(lut: np.ndarray, diffs: np.ndarray, row_of: np.ndarray,
+          b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every solution of f(x+a) + f(x) = b for each pair (diffs[row_of[i]], b[i]).
+
+    One difference row ``lut ^ lut[x ^ a]`` is built per entry of ``diffs``
+    and compared against the b of every pair with that a, in the narrowest
+    unsigned dtype that holds a field element (several times faster than
+    int64).  Returns the hits as (pair index, x) arrays, ordered by pair and
+    then by x.
+    """
+    lut = lut.astype(np.min_scalar_type(lut.size - 1))
+    rows = lut ^ lut[np.arange(lut.size) ^ diffs[:, None]]
+    hits = np.flatnonzero(rows[row_of] == b.astype(lut.dtype)[:, None])
+    return np.divmod(hits, lut.size)
+
+
 def diff_solution_count(k: int, a: int, b: int) -> tuple[int, frozenset[int]]:
     """Exact |{x : f(x+a) + f(x) = b}| with the solution set, a != 0.
 
@@ -232,9 +255,8 @@ def diff_solution_count(k: int, a: int, b: int) -> tuple[int, frozenset[int]]:
         raise ValueError("difference a must be a nonzero field element")
     if not 0 <= b < size:
         raise ValueError("b out of range")
-    lut = table.lut
-    xs = np.nonzero((lut ^ lut[np.arange(size) ^ a]) == b)[0]
-    sols = frozenset(int(x) for x in xs)
+    _, xs = _scan(table.lut, np.array([a]), np.zeros(1, dtype=int), np.array([b]))
+    sols = frozenset(xs.tolist())
     if len(sols) > 4:
         raise VerificationError(
             "count-bound", "difference equation has more than four solutions",
@@ -451,13 +473,42 @@ def _tally(name: str, cases: Iterable[tuple], check) -> CheckReport:
     return CheckReport(name, instances, failures, first)
 
 
-def _sweep_pairs(k: int, samples: int | None, seed: int) -> list[tuple[int, int]]:
+def _sweep_pairs(k: int, samples: int | None, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (a, b) pairs of a sweep as two index arrays, in case order."""
     size = 1 << (4 * k)
     if samples is None and k <= 2:
-        return [(a, b) for a in range(1, size) for b in range(size)]
+        return np.divmod(np.arange(size, size * size), size)
     count = samples if samples is not None else 1000
     rng = random.Random(seed)
-    return [(rng.randrange(1, size), rng.randrange(size)) for _ in range(count)]
+    draws = [(rng.randrange(1, size), rng.randrange(size)) for _ in range(count)]
+    return tuple(np.array(draws).T)
+
+
+# a chunk of the pair sweep compares at most this many (pair, x) entries
+_SCAN_ENTRIES = 1 << 16
+
+
+def _normalized_sets(k: int, a: np.ndarray,
+                     b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solution count, normalized set and c = b/a^d + 1 of every pair.
+
+    The set {x/a} is returned sorted in four slots padded in front with -1
+    (a pair with more than four solutions keeps its first four).  Division
+    is a subtraction of logs on the shared log/exp tables.
+    """
+    table = _family_table(k)
+    order = table.spec.order
+    log, exp = _log_exp_tables(table.spec.n, table.spec.poly)
+    pair, x = _scan(table.lut, *np.unique(a, return_inverse=True), b)
+    count = np.bincount(pair, minlength=a.size)
+    slot = np.arange(pair.size) - (np.cumsum(count) - count)[pair]
+    keep = slot < 4
+    pair, x, slot = pair[keep], x[keep], slot[keep]
+    sets = np.full((a.size, 4), -1)
+    sets[pair, slot] = np.where(x == 0, 0, exp[(log[x] - log[a][pair]) % order])
+    sets.sort(axis=1)
+    c = np.where(b == 0, 1, exp[(log[b] - dobbertin_exponent(k) * log[a]) % order] ^ 1)
+    return count, sets, c
 
 
 def reduction_sweep(k: int, *, samples: int | None = None,
@@ -466,11 +517,41 @@ def reduction_sweep(k: int, *, samples: int | None = None,
 
     Exhaustive by default for k <= 2, sampled (default 1000 pairs, fixed
     seed) otherwise.  A samples count below 1 raises ValueError.
+
+    Every check of :func:`reduction_trace` is a function of c = b/a^d + 1
+    and the normalized solution set {x/a} alone, so the derivation is
+    replayed once per distinct c, as ``reduction_trace(k, 1, c + 1)``.  A
+    pair is settled, i.e. passes, when its exhaustively scanned set has at
+    most four members, equals the solution set of that replay, and the
+    replay passed.  Every other pair is replayed on its own, so the report
+    equals one ``reduction_trace(k, a, b)`` per pair, first failure included.
     """
     _check_k(k)
     _check_samples(samples)
-    return _tally(f"reduction-replay[k={k}]", _sweep_pairs(k, samples, seed),
-                  lambda a, b: reduction_trace(k, a, b))
+    a, b = _sweep_pairs(k, samples, seed)
+    size = 1 << (4 * k)
+    # per c: replayed yet, replay passed, and its solution set slotted as above
+    replayed = np.zeros(size, dtype=bool)
+    passed = np.zeros(size, dtype=bool)
+    solutions = np.full((size, 4), -1)
+    settled = np.zeros(a.size, dtype=bool)
+    step = max(1, _SCAN_ENTRIES // size)
+    for lo in range(0, a.size, step):
+        count, sets, c = _normalized_sets(k, a[lo:lo + step], b[lo:lo + step])
+        for cv in np.unique(c[~replayed[c]]).tolist():
+            replayed[cv] = True
+            try:
+                sols = sorted(reduction_trace(k, 1, cv ^ 1).solutions_normalized)
+            except VerificationError:
+                continue
+            passed[cv] = True
+            solutions[cv, 4 - len(sols):] = sols
+        settled[lo:lo + step] = ((count <= 4) & passed[c]
+                                 & (sets == solutions[c]).all(axis=1))
+    rest = np.flatnonzero(~settled).tolist()
+    report = _tally(f"reduction-replay[k={k}]", ((int(a[i]), int(b[i])) for i in rest),
+                    lambda a, b: reduction_trace(k, a, b))
+    return replace(report, instances=a.size)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,13 @@ from pathlib import Path
 
 import gf2lab
 
-# __main__ runs the command line on import
 MODULES = [importlib.import_module(f"gf2lab.{m.name}")
-           for m in pkgutil.iter_modules(gf2lab.__path__) if m.name != "__main__"]
+           for m in pkgutil.iter_modules(gf2lab.__path__)]
+
+
+def test_main_module_imports_like_the_rest():
+    # __main__ included: it runs the command line only as a script
+    assert "gf2lab.__main__" in {mod.__name__ for mod in MODULES}
 
 
 def test_every_export_resolves():

@@ -1,10 +1,17 @@
 """Lookup-table file format: round trips and parse diagnostics."""
 
 import hashlib
+import tempfile
+from functools import lru_cache
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gf2lab import LutParseError, build_lut, field_make, read_lut, write_lut
+from gf2lab import (FieldConstructionError, LutParseError, build_lut, field_make,
+                    lut_from_values, read_lut, write_lut)
 from gf2lab.lutio import lut_digest
 
 FROZEN_DIGEST_N4_D7 = "65da0655c8c79aa966a088cb342305933b9c826c85f58eb51b94e549c1a83cad"
@@ -18,6 +25,42 @@ def test_round_trip(tmp_path):
     assert back.spec == table.spec
     assert list(back.lut) == list(table.lut)
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert lut_digest(back) == lut_digest(table)
+
+
+@lru_cache(maxsize=None)
+def _moduli(n):
+    """Every irreducible modulus of degree n."""
+    found = []
+    for poly in range((1 << n) | 1, 1 << (n + 1), 2):
+        try:
+            found.append(field_make(n, poly).poly)
+        except FieldConstructionError:
+            pass
+    return found
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_round_trip_property(data):
+    # random degree, modulus and table; line width and token case are free
+    n = data.draw(st.integers(2, 10), label="n")
+    poly = data.draw(st.sampled_from(_moduli(n)), label="poly")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    per_line = data.draw(st.integers(1, 40), label="per_line")
+    upper = data.draw(st.booleans(), label="upper")
+    spec = field_make(n, poly)
+    table = lut_from_values(spec, np.random.default_rng(seed).integers(0, spec.size, spec.size))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "map.lut"
+        write_lut(path, table, per_line=per_line)
+        if upper:
+            header, body = path.read_text().split("\n", 1)
+            path.write_text(f"{header}\n{body.upper()}")
+        back, digest = read_lut(path)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert back.spec == spec
+    assert back.lut.tolist() == table.lut.tolist()
     assert lut_digest(back) == lut_digest(table)
 
 
@@ -98,7 +141,6 @@ def test_too_few_values(tmp_path):
 
 
 def test_reducible_modulus_rejected(tmp_path):
-    from gf2lab import FieldConstructionError
     text = "n=4 poly=11\n" + " ".join(["0"] * 16) + "\n"
     with pytest.raises(FieldConstructionError):
         read_lut(_write(tmp_path, text))

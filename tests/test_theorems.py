@@ -1,5 +1,6 @@
 """Derivation replays and the split-coordinate verification suite."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from gf2lab import (
     CheckReport,
+    FunctionTable,
     VerificationError,
     all_gammas,
     build_lut,
@@ -199,6 +201,93 @@ def test_reduction_sweep_sampled_determinism():
     assert a.instances == 40 and a.failures == 0
     c = reduction_sweep(3, samples=40, seed=12345)
     assert c.failures == 0
+
+
+def _sweep_cases(k, samples):
+    """The sweep's (a, b) pairs in case order, drawn here independently."""
+    size = 1 << (4 * k)
+    if samples is None:
+        return [(a, b) for a in range(1, size) for b in range(size)]
+    rng = random.Random(DEFAULT_SEED)
+    return [(rng.randrange(1, size), rng.randrange(size)) for _ in range(samples)]
+
+
+def _per_pair_replay(k, samples):
+    return theorems._tally(f"reduction-replay[k={k}]", _sweep_cases(k, samples),
+                           lambda a, b: reduction_trace(k, a, b))
+
+
+@pytest.mark.parametrize("k, samples", [(1, None), (2, None), (3, 200)])
+def test_reduction_sweep_equals_the_per_pair_replay(k, samples):
+    assert reduction_sweep(k, samples=samples) == _per_pair_replay(k, samples)
+
+
+def test_reduction_sweep_replays_each_c_once_on_a_clean_table(monkeypatch):
+    real = theorems.reduction_trace
+    calls = Counter()
+
+    def counting(k, a, b):
+        calls[(a, b)] += 1
+        return real(k, a, b)
+
+    monkeypatch.setattr(theorems, "reduction_trace", counting)
+    assert reduction_sweep(2).ok
+    assert calls == Counter((1, c ^ 1) for c in range(256))
+
+
+def _swap_out(lut, a, b, sols):
+    # swapping f(x) with a value off the pair's set removes x and x + a from it
+    x = min(sols)
+    y = next(y for y in range(lut.size) if y not in sols)
+    lut[x], lut[y] = lut[y], lut[x]
+    return True
+
+
+def _bump(lut, a, b, sols):
+    # f(x0) = f(x0 + a) + b adds x0 and x0 + a after the four solutions, so
+    # the first four still match and only the count of six tells them apart
+    x0 = next((x for x in range(lut.size) if min(x, x ^ a) > max(sols)), None)
+    if x0 is None:
+        return False
+    lut[x0] = lut[x0 ^ a] ^ b
+    return True
+
+
+def _move(lut, a, b, sols):
+    # x and x + a leave the set and y and y + a join it: four solutions still,
+    # but not the right four
+    x = min(sols)
+    y = next(y for y in range(lut.size) if y not in sols and y ^ a not in sols)
+    lut[x] ^= 1
+    lut[y] = lut[y ^ a] ^ b
+    return True
+
+
+def _break_first_four(monkeypatch, k, samples, corrupt):
+    """Patch the family table so the first pair with four solutions that
+    ``corrupt`` can break fails; returns that pair."""
+    clean = _family_table(k)
+    for a, b in _sweep_cases(k, samples):
+        count, sols = diff_solution_count(k, a, b)
+        lut = clean.lut.copy()
+        if count == 4 and corrupt(lut, a, b, sols):
+            broken = FunctionTable(clean.spec, lut, clean.exponent)
+            monkeypatch.setattr(theorems, "_family_table", lambda kk: broken)
+            return a, b
+    raise AssertionError("no pair to break")
+
+
+@pytest.mark.parametrize("corrupt", [_swap_out, _bump, _move])
+@pytest.mark.parametrize("k, samples", [(1, None), (3, 200)])
+def test_reduction_sweep_equals_the_per_pair_replay_on_a_broken_table(
+        monkeypatch, k, samples, corrupt):
+    a, b = _break_first_four(monkeypatch, k, samples, corrupt)
+    report = reduction_sweep(k, samples=samples)
+    assert report == _per_pair_replay(k, samples)
+    assert report.failures > 0
+    if corrupt is _bump:
+        with pytest.raises(VerificationError, match="count-bound"):
+            diff_solution_count(k, a, b)
 
 
 def test_all_gammas_frozen():
@@ -462,7 +551,7 @@ def test_failed_basis_skips_its_suites_for_that_gamma_only(monkeypatch):
         "mm-extremal-sum[k=2,gamma=0xbd]",
     ]
     assert reports[2] == CheckReport("mm-basis[k=2,gamma=0xbc]", 1, 1,
-                                     "alpha-roots-subfield: forced [k=0x2, gamma=0xbc]")
+                                     "alpha-roots-subfield: forced [k=2, gamma=0xbc]")
     assert all(r.ok for r in reports[:2] + reports[3:])
 
 
@@ -481,3 +570,19 @@ def test_verification_error_carries_context():
     assert err.context == {"k": 1, "a": 0x3, "note": "x"}
     msg = str(err)
     assert "some-step" in msg and "identity failed" in msg and "a=0x3" in msg
+
+
+def test_verification_error_prints_counts_in_decimal(monkeypatch):
+    # field elements stay hex; counts and signed values read as numbers
+    assert _break_first_four(monkeypatch, 1, None, _bump) == (1, 1)
+    with pytest.raises(VerificationError) as exc:
+        diff_solution_count(1, 1, 1)
+    assert str(exc.value) == ("count-bound: difference equation has more than four "
+                              "solutions [k=1, a=0x1, b=0x1, count=6]")
+    monkeypatch.undo()
+
+    w = mm_basis(3)
+    monkeypatch.setattr(theorems, "_fiber_sum", _plus_one(theorems._fiber_sum))
+    assert m4_sum_check(w).first_failure == (
+        "four-term-trace-sum: the four half-field trace bits do not sum to 1 mod 2 "
+        "[k=3, u=0x48, v=0x0, coefficient=-127]")

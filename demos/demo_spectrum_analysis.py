@@ -34,7 +34,7 @@ print(f"map x^21 on GF(2^{s.n}), first eight values:",
 # and each row sums to 2^n.  The maximum over all a != 0 is the
 # differential uniformity delta.
 
-delta, ddt = differential_uniformity(f)
+delta, ddt = differential_uniformity(f, want_table=True)
 print(f"\ndifferential uniformity delta = {delta}")
 print("row a=1 count histogram:", dict(Counter(ddt[0].tolist())))
 

@@ -13,8 +13,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .field import FieldSpec, field_make
-from .spectra import (FunctionTable, SpectrumSummary, build_lut, classify,
-                      require_desk_scale)
+from .spectra import FunctionTable, SpectrumSummary, build_lut, classify
 
 __all__ = [
     "FamilySpec",
@@ -130,13 +129,12 @@ def _desk_rows(max_n: int, deep: bool) -> list[FamilySpec]:
 def catalog_table(max_n: int = 12, *, deep: bool = False) -> list[CatalogEntry]:
     """Instantiate and measure every catalog row realizable at degree <= max_n.
 
-    Every row is an exponent input, so :func:`gf2lab.spectra.classify`
-    measures it exactly through the power-map orbit engine; conditioned
-    rows also carry the predicted (delta=4, permutation) pair for
-    comparison.  A max_n of 16 or more needs deep, like any sweep at that
-    degree.
+    Every row has degree at most 12 and is an exponent input, so
+    :func:`gf2lab.spectra.classify` measures it exactly through the
+    power-map orbit engine, and a larger max_n yields the max_n = 12 rows.
+    deep adds the n = 10 Gold and Kasami rows.  Conditioned rows also carry
+    the predicted (delta=4, permutation) pair for comparison.
     """
-    require_desk_scale(max_n, deep)
     entries = []
     for fs in _desk_rows(max_n, deep):
         spec = field_make(fs.n)

@@ -37,7 +37,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "on one thread")
     p.add_argument("--deep", action="store_true",
                    help="allow full sweeps over GF(2^n) with n >= 16 (analyze, "
-                        "catalog --max-n, verify --k 4); they grow as n * 4^n")
+                        "verify --k 4), which grow as n * 4^n; on catalog, add "
+                        "the n = 10 Gold and Kasami rows")
 
 
 def build_parser() -> argparse.ArgumentParser:

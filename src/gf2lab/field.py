@@ -120,17 +120,17 @@ def _polygcd(a: int, b: int) -> int:
     return a
 
 
-def _mul(n: int, poly: int, a: int, b: int) -> int:
+def _mul(poly: int, a: int, b: int) -> int:
     return _polymod(_clmul(a, b), poly)
 
 
-def _pow(n: int, poly: int, a: int, d: int) -> int:
+def _pow(poly: int, a: int, d: int) -> int:
     acc = 1
     base = a
     while d:
         if d & 1:
-            acc = _mul(n, poly, acc, base)
-        base = _mul(n, poly, base, base)
+            acc = _mul(poly, acc, base)
+        base = _mul(poly, base, base)
         d >>= 1
     return acc
 
@@ -229,7 +229,7 @@ def f_mul(s: FieldSpec, a: int, b: int) -> int:
     """Field multiplication: polynomial product reduced modulo s.poly."""
     _check_element(s, a)
     _check_element(s, b)
-    return _mul(s.n, s.poly, a, b)
+    return _mul(s.poly, a, b)
 
 
 def f_pow(s: FieldSpec, a: int, d: int) -> int:
@@ -241,7 +241,7 @@ def f_pow(s: FieldSpec, a: int, d: int) -> int:
     _check_element(s, a)
     if d < 0:
         raise ValueError("negative exponents are not defined; use f_inv")
-    return _pow(s.n, s.poly, a, d)
+    return _pow(s.poly, a, d)
 
 
 def f_inv(s: FieldSpec, a: int) -> int:
@@ -249,7 +249,7 @@ def f_inv(s: FieldSpec, a: int) -> int:
     _check_element(s, a)
     if a == 0:
         raise ValueError("zero has no multiplicative inverse")
-    return _pow(s.n, s.poly, a, s.size - 2)
+    return _pow(s.poly, a, s.size - 2)
 
 
 def frobenius(s: FieldSpec, a: int, e: int) -> int:
@@ -258,7 +258,7 @@ def frobenius(s: FieldSpec, a: int, e: int) -> int:
     if e < 0:
         raise ValueError("Frobenius power must be non-negative")
     for _ in range(e % s.n):
-        a = _mul(s.n, s.poly, a, a)
+        a = _mul(s.poly, a, a)
     return a
 
 
@@ -269,7 +269,7 @@ def trace_abs(s: FieldSpec, a: int) -> int:
     x = a
     for _ in range(s.n):
         acc ^= x
-        x = _mul(s.n, s.poly, x, x)
+        x = _mul(s.poly, x, x)
     return acc
 
 
@@ -328,7 +328,7 @@ def solve_linearized(
     for j in range(n):
         img = 0
         for c, e in terms:
-            img ^= _mul(n, s.poly, c, frobenius(s, 1 << j, e))
+            img ^= _mul(s.poly, c, frobenius(s, 1 << j, e))
         cols.append(img)
     # row i of the system: bits over unknowns j, augmented with rhs bit i
     rows = []
@@ -413,7 +413,7 @@ def _generator(n: int, poly: int) -> int:
     order = (1 << n) - 1
     primes = _factorize(order)
     for g in range(2, 1 << n):
-        if all(_pow(n, poly, g, order // p) != 1 for p in primes):
+        if all(_pow(poly, g, order // p) != 1 for p in primes):
             return g
     raise RuntimeError("no generator found")  # pragma: no cover
 
@@ -435,7 +435,7 @@ def _log_exp_tables(n: int, poly: int) -> tuple[np.ndarray, np.ndarray]:
     while m < order:
         step = min(m, order - m)
         exp[m:m + step] = _vec_mulmod(exp[:step], gm, n, poly)
-        gm = _mul(n, poly, gm, gm)
+        gm = _mul(poly, gm, gm)
         m *= 2
     log = np.full(1 << n, -1, dtype=np.int64)
     log[exp] = np.arange(order)

@@ -7,7 +7,8 @@ tables of :mod:`gf2lab.field`.  The Walsh sweep runs one fast
 Walsh-Hadamard transform per component b, which brings the total cost to
 about n * 2^(2n) bit operations instead of the 2^(3n) of the naive triple
 sum.  Full sweeps with n >= 16 need ``deep=True`` (``--deep``), as
-decided for every caller by :func:`require_desk_scale`.
+decided for every caller by :func:`require_desk_scale`; the one-row
+:func:`power_delta` is not a full sweep and needs no ``deep``.
 
 Exponent inputs (tables made by :func:`build_lut`, which carry their
 exponent) go through the power-map orbit engine, :func:`power_delta` and
@@ -55,8 +56,6 @@ __all__ = [
 
 # From this degree on a full sweep must be requested explicitly.
 DEEP_DEGREE = 16
-# Full DDT / Walsh tables are materialized in memory only up to this degree.
-TABLE_DEGREE = 12
 # Walsh coefficients per transform block (one row when a row is larger).  The
 # int32 block (512 KiB) and its int64 mask product fit a 2 MiB L2 cache;
 # 2^16 to 2^18 measured within 5% of each other at n = 10..13.
@@ -104,7 +103,7 @@ class WalshSpectrum:
         multiplicities sum to 2^n * (2^n - 1).
     table : numpy.ndarray or None
         Full int32 coefficient table with table[b-1, a] = f^(a,b), kept
-        only when the field is small enough (or explicitly requested).
+        only when requested (``keep_table=True``).
     """
 
     max_abs: int
@@ -193,7 +192,7 @@ def ddt_rows(f: FunctionTable) -> Iterator[DifferenceRow]:
 def differential_uniformity(
     f: FunctionTable,
     *,
-    want_table: bool | None = None,
+    want_table: bool = False,
     deep: bool = False,
 ) -> tuple[int, np.ndarray | None]:
     """Differential uniformity and (optionally) the full DDT.
@@ -202,18 +201,17 @@ def differential_uniformity(
     -------
     (delta, table)
         delta is max over a != 0 and all b of |{x : f(x+a)+f(x) = b}|.
-        table[a-1, b] holds the counts when materialized (by default only
-        for n <= 12), else None.
+        table[a-1, b] holds the counts when requested (``want_table=True``),
+        else None.
 
     The sweep is one pass per difference a, accumulating the counts of
     f(x) + f(x+a) with a single bincount.
     """
     s = f.spec
     require_desk_scale(s.n, deep)
-    if want_table is None:
-        want_table = s.n <= TABLE_DEGREE
     idx = np.arange(s.size)
-    row_dtype = np.uint16 if s.n <= TABLE_DEGREE else np.uint32
+    # a count is at most 2^n
+    row_dtype = np.min_scalar_type(s.size)
     table = np.empty((s.size - 1, s.size), dtype=row_dtype) if want_table else None
     delta = 0
     for a in range(1, s.size):
@@ -240,7 +238,7 @@ def _trace_masks(s: FieldSpec) -> np.ndarray:
     xm = 1
     for _ in range(2 * n - 1):
         tr_of_xm.append(trace_abs(s, xm))
-        xm = _mul(n, s.poly, xm, 0b10)
+        xm = _mul(s.poly, xm, 0b10)
     basis = np.zeros(n, dtype=np.int64)
     for i in range(n):
         m = 0
@@ -319,7 +317,7 @@ def _walsh_counts(
 def walsh_spectrum(
     f: FunctionTable,
     *,
-    keep_table: bool | None = None,
+    keep_table: bool = False,
     deep: bool = False,
 ) -> WalshSpectrum:
     """Full Walsh sweep: every coefficient f^(a,b) for all a and b != 0.
@@ -329,8 +327,6 @@ def walsh_spectrum(
     """
     s = f.spec
     require_desk_scale(s.n, deep)
-    if keep_table is None:
-        keep_table = s.n <= TABLE_DEGREE
     table = np.empty((s.size - 1, s.size), dtype=np.int32) if keep_table else None
     return _walsh_counts(f, _trace_masks(s), np.arange(1, s.size), table=table)
 
@@ -341,15 +337,15 @@ def _require_exponent(f: FunctionTable) -> int:
     return f.exponent
 
 
-def power_delta(f: FunctionTable, *, deep: bool = False) -> int:
+def power_delta(f: FunctionTable) -> int:
     """Differential uniformity of a power-map table from its row a = 1.
 
     For f(x) = x^d, substituting x = a*y gives delta(a, b) =
     delta(1, b / a^d), so every row is a permutation of the row a = 1.
-    Raises ValueError for a table without an exponent.
+    One row costs 2^n, so no degree needs ``deep``.  Raises ValueError for
+    a table without an exponent.
     """
     _require_exponent(f)
-    require_desk_scale(f.spec.n, deep)
     return int(_ddt_row(f.lut, np.arange(f.spec.size), 1).max())
 
 
@@ -389,16 +385,19 @@ def walsh_coefficient_direct(f: FunctionTable, a: int, b: int) -> int:
     s = f.spec
     total = 0
     for x in range(s.size):
-        e = trace_abs(s, _mul(s.n, s.poly, a, x)) ^ trace_abs(
-            s, _mul(s.n, s.poly, b, int(f.lut[x])))
+        e = trace_abs(s, _mul(s.poly, a, x)) ^ trace_abs(
+            s, _mul(s.poly, b, int(f.lut[x])))
         total += 1 - 2 * e
     return total
 
 
 def nonlinearity(f: FunctionTable, *, deep: bool = False) -> int:
-    """2^(n-1) - max|f^|/2: distance of all components to affine functions."""
-    spec = walsh_spectrum(f, keep_table=False, deep=deep)
-    return (1 << (f.spec.n - 1)) - spec.max_abs // 2
+    """2^(n-1) - max|f^|/2: distance of all components to affine functions.
+
+    The extremum comes from the orbit engine for exponent tables, else from
+    the full sweep, as in :func:`classify`.
+    """
+    return (1 << (f.spec.n - 1)) - _spectrum(f, deep).max_abs // 2
 
 
 def summarize(f: FunctionTable, delta: int, ws: WalshSpectrum) -> SpectrumSummary:
@@ -425,15 +424,15 @@ def summarize(f: FunctionTable, delta: int, ws: WalshSpectrum) -> SpectrumSummar
 def _delta(f: FunctionTable, deep: bool) -> int:
     """Exact delta: the orbit engine for exponent tables, else the full sweep."""
     if f.exponent is not None:
-        return power_delta(f, deep=deep)
-    return differential_uniformity(f, want_table=False, deep=deep)[0]
+        return power_delta(f)
+    return differential_uniformity(f, deep=deep)[0]
 
 
 def _spectrum(f: FunctionTable, deep: bool) -> WalshSpectrum:
     """Exact Walsh extremum and histogram, chosen like :func:`_delta`."""
     if f.exponent is not None:
         return power_walsh_spectrum(f, deep=deep)
-    return walsh_spectrum(f, keep_table=False, deep=deep)
+    return walsh_spectrum(f, deep=deep)
 
 
 def classify(f: FunctionTable, *, deep: bool = False) -> SpectrumSummary:

@@ -34,10 +34,10 @@ counts as one failure, the first in case order is kept as
 to construct is a failed ``mm-basis`` row, and :func:`run_all_checks` skips
 the suites that need it for that gamma.
 
-Both suites run on one thread (a thread pool measured slower on the
-replay) and do their scalar arithmetic through the log/exp tables of
-:mod:`gf2lab.field`.  The full sweeps at k = 4 (degree 16) need
-``deep=True``, as decided by :func:`gf2lab.spectra.require_desk_scale`.
+Both suites do their scalar arithmetic through the log/exp tables of
+:mod:`gf2lab.field`.  The full difference-table sweep at k = 4 (degree 16)
+needs ``deep=True``, as decided by :func:`gf2lab.spectra.require_desk_scale`;
+the replay and the split-coordinate suite are not full sweeps and need none.
 """
 
 from __future__ import annotations
@@ -246,7 +246,7 @@ def _scan(lut: np.ndarray, diffs: np.ndarray, row_of: np.ndarray,
 def diff_solution_count(k: int, a: int, b: int) -> tuple[int, frozenset[int]]:
     """Exact |{x : f(x+a) + f(x) = b}| with the solution set, a != 0.
 
-    The count is additionally asserted to be at most four.
+    A count above four raises :class:`VerificationError`.
     """
     _check_k(k)
     table = _family_table(k)
@@ -576,10 +576,9 @@ class MMWitness:
     pi_fibers: dict
 
 
-def all_gammas(k: int, *, deep: bool = False) -> list[int]:
+def all_gammas(k: int) -> list[int]:
     """All nonzero gamma in GF(2^k) whose subfield absolute trace is 1."""
     _check_k(k)
-    require_desk_scale(4 * k, deep)
     table = _family_table(k)
     A = _arith(table.spec.n, table.spec.poly)
     return [g for g in A.subfield(k) if g and A.subtrace(g, k) == 1]
@@ -592,7 +591,7 @@ def pi_image(w: MMWitness, a: int) -> int:
     return A.mul(w.gamma, A.frob(a, w.k - 1)) ^ A.mul(g2, A.mul(A.frob(a, w.k), a))
 
 
-def mm_basis(k: int, *, gamma: int | None = None, deep: bool = False) -> MMWitness:
+def mm_basis(k: int, *, gamma: int | None = None) -> MMWitness:
     """Construct and validate the split-coordinate basis (gamma, alpha, omega).
 
     gamma defaults to the least qualifying element (any choice passes; a
@@ -601,12 +600,11 @@ def mm_basis(k: int, *, gamma: int | None = None, deep: bool = False) -> MMWitne
     if violated.
     """
     _check_k(k)
-    require_desk_scale(4 * k, deep)
     table = _family_table(k)
     spec = table.spec
     A = _arith(spec.n, spec.poly)
     sub_2k = A.subfield(2 * k)
-    candidates = all_gammas(k, deep=deep)
+    candidates = all_gammas(k)
     if gamma is None:
         gamma = candidates[0]
     elif gamma not in candidates:
@@ -850,7 +848,7 @@ def delta_sweep(k: int, *, deep: bool = False) -> CheckReport:
     """Full-DDT check that the family's differential uniformity is exactly 4."""
     _check_k(k)
     table = _family_table(k)
-    delta, _ = differential_uniformity(table, want_table=False, deep=deep)
+    delta, _ = differential_uniformity(table, deep=deep)
     rows = table.spec.size - 1
     ok = delta == 4
     return CheckReport(f"delta-sweep[k={k}]", rows, 0 if ok else 1,
@@ -858,8 +856,7 @@ def delta_sweep(k: int, *, deep: bool = False) -> CheckReport:
 
 
 def run_all_checks(ks: Iterable[int], *, samples: int | None = None,
-                   all_gamma: bool = False, deep: bool = False,
-                   seed: int = DEFAULT_SEED) -> list[CheckReport]:
+                   all_gamma: bool = False, deep: bool = False) -> list[CheckReport]:
     """Run every verification suite for the requested k values.
 
     Returns the reports in a fixed order (delta sweep, reduction replay,
@@ -877,10 +874,10 @@ def run_all_checks(ks: Iterable[int], *, samples: int | None = None,
     reports: list[CheckReport] = []
     for k in ks:
         reports.append(delta_sweep(k, deep=deep))
-        reports.append(reduction_sweep(k, samples=samples, seed=seed))
-        for g in (all_gammas(k, deep=deep) if all_gamma else [None]):
+        reports.append(reduction_sweep(k, samples=samples))
+        for g in (all_gammas(k) if all_gamma else [None]):
             try:
-                w = mm_basis(k, gamma=g, deep=deep)
+                w = mm_basis(k, gamma=g)
             except VerificationError as e:
                 rows = [CheckReport(f"mm-basis[k={k}]", 1, 1, str(e))]
             else:

@@ -127,5 +127,7 @@ def test_catalog_table_deep_rows():
 
 
 def test_catalog_table_degree_limit():
-    with pytest.raises(ValueError):
-        catalog_table(17)
+    # no row exceeds degree 12, so a larger max_n measures the same rows
+    def rows(max_n):
+        return [(e.family, vars(e.summary)) for e in catalog_table(max_n)]
+    assert rows(17) == rows(12)

@@ -127,12 +127,11 @@ def test_every_entry_point_refuses_degree_16_before_any_work(tmp_path, capsys):
     for source in (["--exp", "3", "--n", "16"], ["--lut", str(lut16)]):
         assert main(["analyze", *source, *flags]) == 2
         assert not any(p.exists() for p in outs)
-    assert main(["catalog", "--max-n", "16"]) == 2
     assert main(["verify", "--k", "4"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     errs = captured.err.splitlines()
-    assert len(errs) == 4
+    assert len(errs) == 3
     assert all("GF(2^16)" in e and "deep=True" in e and "--deep" in e for e in errs)
 
 
@@ -196,8 +195,11 @@ def test_catalog_output(capsys):
     out = capsys.readouterr().out
     assert "gold" in out and "kasami" in out and "inverse" in out
     assert "MISMATCH" not in out
-    assert main(["catalog", "--max-n", "17"]) == 2
-    capsys.readouterr()
+    # no catalog row exceeds degree 12, so no larger max_n is refused
+    assert main(["catalog", "--max-n", "17"]) == 0
+    beyond = capsys.readouterr().out
+    assert main(["catalog", "--max-n", "12"]) == 0
+    assert capsys.readouterr().out == beyond
 
 
 def test_json_identical_across_thread_counts(tmp_path, capsys):

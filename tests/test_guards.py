@@ -1,7 +1,9 @@
-"""Package-wide guards: every export resolves, and no check is an ``assert``.
+"""Package-wide guards: every export resolves, no check is an ``assert``, and
+every parameter is read.
 
 ``python -O`` strips ``assert`` statements, so validation in the package
-raises explicit errors instead.
+raises explicit errors instead.  A parameter that its body never reads is a
+knob that changes nothing.
 """
 
 import ast
@@ -34,3 +36,21 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted(Path(gf2lab.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [a.vararg, a.kwarg] if p is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            unread += [f"{path.name}:{node.lineno} {name}({p})"
+                       for p in params if p not in read]
+    assert not unread, f"parameters never read: {unread}"

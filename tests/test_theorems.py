@@ -26,6 +26,8 @@ from gf2lab import (
     mm_walsh_crosscheck,
     pi_fiber,
     pi_image,
+    power_delta,
+    power_walsh_spectrum,
     quartic_check_all,
     quartic_roots,
     reduction_sweep,
@@ -52,10 +54,10 @@ def test_k_range_validation():
         diff_solution_count(0, 1, 0)
     with pytest.raises(ValueError):
         reduction_sweep(5)
-    with pytest.raises(ValueError, match="deep"):
-        mm_basis(4)
-    with pytest.raises(ValueError, match="deep"):
-        all_gammas(4)
+    with pytest.raises(ValueError):
+        all_gammas(5)
+    # the split-coordinate basis is no full sweep: k = 4 runs without deep
+    assert mm_basis(4).gamma in all_gammas(4)
 
 
 def test_diff_solution_count_validation():
@@ -429,6 +431,18 @@ def test_m4_extremal_coefficients_appear_in_spectrum():
     assert seen == {extreme}
 
 
+def test_paper_claims_beyond_desk_scale():
+    # delta 4 and Walsh extremum 2^(2k+1) at k = 4, 5 from the orbit engine;
+    # only its Walsh pass is gated at these degrees
+    for k in (4, 5):
+        table = build_lut(field_make(4 * k), dobbertin_exponent(k))
+        assert power_delta(table) == 4
+        assert power_walsh_spectrum(table, deep=True).max_abs == 1 << (2 * k + 1)
+    w = mm_basis(4)
+    for suite in (quartic_check_all, m4_sum_check, mm_crosscheck_all):
+        assert suite(w).ok
+
+
 def test_run_all_checks_order_and_success():
     reports = run_all_checks([1])
     names = [r.name for r in reports]
@@ -532,10 +546,10 @@ def test_tallied_suite_counts_a_broken_input(monkeypatch, suite):
 def test_failed_basis_skips_its_suites_for_that_gamma_only(monkeypatch):
     real = theorems.mm_basis
 
-    def mm_basis_failing_at_0xbc(k, *, gamma=None, deep=False):
+    def mm_basis_failing_at_0xbc(k, *, gamma=None):
         if gamma == 0xBC:
             raise VerificationError("alpha-roots-subfield", "forced", k=k, gamma=gamma)
-        return real(k, gamma=gamma, deep=deep)
+        return real(k, gamma=gamma)
 
     monkeypatch.setattr(theorems, "mm_basis", mm_basis_failing_at_0xbc)
     reports = run_all_checks([2], samples=10, all_gamma=True)

@@ -133,10 +133,14 @@ def catalog_table(max_n: int = 12, *, deep: bool = False) -> list[CatalogEntry]:
     :func:`gf2lab.spectra.classify` measures it exactly through the
     power-map orbit engine, and a larger max_n yields the max_n = 12 rows.
     deep adds the n = 10 Gold and Kasami rows.  Conditioned rows also carry
-    the predicted (delta=4, permutation) pair for comparison.
+    the predicted (delta=4, permutation) pair for comparison.  Raises
+    ValueError for a max_n below every row's degree (below 4).
     """
+    rows = _desk_rows(max_n, deep)
+    if not rows:
+        raise ValueError(f"no catalog row has degree <= {max_n}; the smallest degree is 4")
     entries = []
-    for fs in _desk_rows(max_n, deep):
+    for fs in rows:
         spec = field_make(fs.n)
         table = build_lut(spec, fs.d)
         summary = classify(table)

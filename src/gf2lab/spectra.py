@@ -21,7 +21,10 @@ in one place, by the table's exponent.
 
 Every sweep runs on one thread: the Walsh sweeps transform fixed-size
 blocks of components in place and merge them into one offset histogram,
-so their results do not depend on the block size.
+so their results do not depend on the block size.  A block holds one
+component per column, in the narrowest integer dtype that holds +-2^n
+(int16 up to n = 14, int32 above), so every butterfly level of the
+transform streams runs at least one block row long.
 """
 
 from __future__ import annotations
@@ -56,10 +59,12 @@ __all__ = [
 
 # From this degree on a full sweep must be requested explicitly.
 DEEP_DEGREE = 16
-# Walsh coefficients per transform block (one row when a row is larger).  The
-# int32 block (512 KiB) and its int64 mask product fit a 2 MiB L2 cache;
-# 2^16 to 2^18 measured within 5% of each other at n = 10..13.
-WALSH_BLOCK_COEFFS = 1 << 17
+# Walsh coefficients per transform block (one column when a column is
+# larger).  An int16 block and its mask product take 512 KiB each.  Full
+# sweeps of a random table, best of 3, at 2^16 / 2^17 / 2^18 / 2^19
+# coefficients: n = 11 took 19.0 / 16.6 / 15.6 / 17.4 ms, n = 12 90 / 75 /
+# 67 / 68 ms, n = 13 492 / 370 / 307 / 294 ms (2-vCPU Xeon, numpy 2.4).
+WALSH_BLOCK_COEFFS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,12 +258,20 @@ def _trace_masks(s: FieldSpec) -> np.ndarray:
 
 
 def _fwht_rows(mat: np.ndarray) -> np.ndarray:
-    """Fast Walsh-Hadamard transform of each row of a C-contiguous int32 matrix, in place."""
-    rows, size = mat.shape
+    """Fast Walsh-Hadamard transform along axis 0 of a C-contiguous matrix, in place.
+
+    mat has shape (2^n, R): each of its R columns is one transform.  Level
+    h pairs the runs of h * R elements that start h rows apart, so even the
+    first levels stream runs of at least R elements.  After level h every
+    value v satisfies |v| <= 2h <= 2^n, so the matrix's dtype must hold
+    +-2^n (see :func:`_walsh_block`).
+    """
+    size = mat.shape[0]
+    width = mat.size // size
     h = 1
     while h < size:
-        m = mat.reshape(rows, size // (2 * h), 2, h)
-        top, bot = m[:, :, 0, :], m[:, :, 1, :]
+        m = mat.reshape(size // (2 * h), 2, h * width)
+        top, bot = m[:, 0], m[:, 1]
         diff = top - bot
         top += bot
         bot[...] = diff
@@ -267,12 +280,18 @@ def _fwht_rows(mat: np.ndarray) -> np.ndarray:
 
 
 def _walsh_block(f: FunctionTable, masks: np.ndarray, bs: np.ndarray) -> np.ndarray:
-    """Rows of coefficients for the given b values, column u = parity(u & x).
+    """Coefficients for the given b values, one column per b, row u = parity(u & x).
 
-    Tr(a*x) = parity(masks[a] & x), so f^(a, b) sits at column masks[a].
+    Tr(a*x) = parity(masks[a] & x), so f^(a, b) sits at row masks[a] of
+    b's column.  The block is int16 for n <= 14 and int32 above: every
+    coefficient lies in [-2^n, 2^n], and 2^14 is the largest such bound
+    int16 holds.  Table values and masks are below 2^n, so the mask product
+    is taken in the same dtype.
     """
+    dtype = np.int16 if f.spec.n <= 14 else np.int32
     # sign table: (-1)^Tr(b * f(x)) via the mask parity trick
-    signs = (np.bitwise_count(masks[bs][:, None] & f.lut) & 1).astype(np.int32)
+    product = f.lut.astype(dtype)[:, None] & masks[bs].astype(dtype)
+    signs = (np.bitwise_count(product) & 1).astype(dtype)
     signs *= -2
     signs += 1
     return _fwht_rows(signs)
@@ -290,7 +309,7 @@ def _walsh_counts(
 
     One transform of size 2^n per b, in blocks of about WALSH_BLOCK_COEFFS
     coefficients; each count is multiplied by weight.  The histogram is
-    counted over transform columns: a -> masks[a] is a bijection, so no
+    counted over the transform index u: a -> masks[a] is a bijection, so no
     block is reindexed unless table (whose row i receives b = bs[i]) is
     given.
     """
@@ -301,12 +320,12 @@ def _walsh_counts(
     # counts the value v
     counts = np.zeros(size + 1, dtype=np.int64)
     for lo in range(0, len(bs), block):
-        rows = _walsh_block(f, masks, bs[lo : lo + block])
+        coeffs = _walsh_block(f, masks, bs[lo : lo + block])
         if table is not None:
-            table[lo : lo + len(rows)] = rows[:, masks]
-        rows >>= 1
-        rows += half
-        counts += np.bincount(rows.ravel(), minlength=size + 1)
+            table[lo : lo + coeffs.shape[1]] = coeffs[masks].T
+        coeffs >>= 1
+        coeffs += half
+        counts += np.bincount(coeffs.ravel(), minlength=size + 1)
     values = np.flatnonzero(counts)
     hist = Counter(dict(zip((2 * values - size).tolist(),
                             (counts[values] * weight).tolist())))
@@ -370,11 +389,11 @@ def power_walsh_spectrum(f: FunctionTable, *, deep: bool = False) -> WalshSpectr
 
 
 def walsh_row(f: FunctionTable, b: int) -> np.ndarray:
-    """All coefficients f^(a, b) for one fixed b (row indexed by a)."""
+    """All coefficients f^(a, b) for one fixed b, as an int32 row indexed by a."""
     if not 0 < b < f.spec.size:
         raise ValueError("b must be a nonzero field element")
     masks = _trace_masks(f.spec)
-    return _walsh_block(f, masks, np.array([b]))[0, masks]
+    return _walsh_block(f, masks, np.array([b]))[masks, 0].astype(np.int32, copy=False)
 
 
 def walsh_coefficient_direct(f: FunctionTable, a: int, b: int) -> int:

@@ -131,3 +131,10 @@ def test_catalog_table_degree_limit():
     def rows(max_n):
         return [(e.family, vars(e.summary)) for e in catalog_table(max_n)]
     assert rows(17) == rows(12)
+
+
+def test_catalog_table_refuses_a_max_n_without_rows():
+    for max_n in (-5, 0, 3):
+        with pytest.raises(ValueError, match=f"no catalog row has degree <= {max_n}"):
+            catalog_table(max_n)
+    assert {e.family.n for e in catalog_table(4)} == {4}

@@ -202,6 +202,14 @@ def test_catalog_output(capsys):
     assert capsys.readouterr().out == beyond
 
 
+def test_catalog_refuses_a_max_n_without_rows(capsys):
+    for max_n in ("-5", "3"):
+        assert main(["catalog", "--max-n", max_n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no catalog row has degree <= {max_n}; the smallest degree is 4\n"
+
+
 def test_json_identical_across_thread_counts(tmp_path, capsys):
     docs = []
     for threads in ("1", "3"):

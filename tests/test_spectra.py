@@ -236,6 +236,33 @@ def test_constant_maps_reach_both_extreme_coefficients(n):
     assert zero.max_abs == one.max_abs == size
 
 
+@pytest.mark.parametrize("n", [14, 15])
+def test_walsh_blocks_hold_both_extremes_at_the_dtype_switch(n):
+    # n = 14 is the last degree with int16 blocks, n = 15 the first with
+    # int32.  f = 0 puts +2^n at a = 0 of every component, and the constant
+    # 1 puts (-1)^Tr(b) * 2^n there; both pass through blocks of several
+    # columns and a short last block.
+    s = field_make(n)
+    size = s.size
+    masks = spectra._trace_masks(s)
+    block = WALSH_BLOCK_COEFFS >> n
+    assert block > 1
+    bs = np.linspace(1, size - 1, 2 * block + 2, dtype=np.int64)
+    odd = sum(trace_abs(s, int(b)) for b in bs)
+    assert 0 < odd < len(bs)
+    zeros = len(bs) * (size - 1)
+    zero = spectra._walsh_counts(lut_from_values(s, np.zeros(size, np.int64)), masks, bs)
+    assert zero.histogram == Counter({size: len(bs), 0: zeros})
+    one = spectra._walsh_counts(build_lut(s, 0), masks, bs)
+    assert one.histogram == Counter({size: len(bs) - odd, -size: odd, 0: zeros})
+    assert zero.max_abs == one.max_abs == size
+    table = lut_from_values(s, np.random.default_rng(n).integers(0, size, size))
+    for a, b in ((0, 1), (0x1234, size - 1)):
+        row = walsh_row(table, b)
+        assert row.dtype == np.int32
+        assert int(row[a]) == walsh_coefficient_direct(table, a, b)
+
+
 def test_desk_scale_threshold_is_degree_16():
     require_desk_scale(15, False)
     require_desk_scale(16, True)

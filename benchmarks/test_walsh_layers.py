@@ -6,6 +6,8 @@ transform and the offset histogram.  A block holds
 ``WALSH_BLOCK_COEFFS >> n`` components at n = 12 and 13, and one component
 at n = 20.  Each step is reached through the module's own functions, never
 a copy of them, so the file measures whatever block layout the module uses.
+The sign build starts from the table already cast by ``_block_lut``, which
+a sweep does once, not once per block.
 Block sizes differ between layouts, so every case records its coefficient
 count as ``extra_info["coeffs"]``: compare time per coefficient.
 
@@ -29,46 +31,46 @@ def block(request):
     s = field_make(n)
     f = lut_from_values(s, np.random.default_rng(n).integers(0, s.size, s.size))
     bs = np.arange(1, max(1, spectra.WALSH_BLOCK_COEFFS >> n) + 1)
-    return f, spectra._trace_masks(s), bs
+    return f, spectra._trace_masks(s), bs, spectra._block_lut(f)
 
 
 @pytest.fixture
 def timed(benchmark, block):
-    f, _, bs = block
+    f, _, bs, _ = block
     benchmark.extra_info["coeffs"] = len(bs) * f.spec.size
     return benchmark
 
 
-def _untransformed(monkeypatch, f, masks, bs):
+def _untransformed(monkeypatch, lut, masks, bs):
     """The block as _walsh_block builds it, before the transform."""
     with monkeypatch.context() as m:
         m.setattr(spectra, "_fwht_rows", lambda mat: mat)
-        return spectra._walsh_block(f, masks, bs)
+        return spectra._walsh_block(lut, masks, bs)
 
 
 def test_sign_build(timed, monkeypatch, block):
-    f, masks, bs = block
+    f, masks, bs, lut = block
     monkeypatch.setattr(spectra, "_fwht_rows", lambda mat: mat)
-    signs = timed.pedantic(spectra._walsh_block, (f, masks, bs),
+    signs = timed.pedantic(spectra._walsh_block, (lut, masks, bs),
                            rounds=ROUNDS, warmup_rounds=1)
     assert signs.size == len(bs) * f.spec.size
     assert np.isin(signs, (-1, 1)).all()
 
 
 def test_fwht_block(timed, monkeypatch, block):
-    f, masks, bs = block
-    signs = _untransformed(monkeypatch, f, masks, bs)
+    _, masks, bs, lut = block
+    signs = _untransformed(monkeypatch, lut, masks, bs)
     coeffs = timed.pedantic(spectra._fwht_rows, setup=lambda: ((signs.copy(),), {}),
                             rounds=ROUNDS, warmup_rounds=1)
-    assert (coeffs == spectra._walsh_block(f, masks, bs)).all()
+    assert (coeffs == spectra._walsh_block(lut, masks, bs)).all()
 
 
 def test_histogram_step(timed, monkeypatch, block):
-    f, masks, bs = block
-    coeffs = spectra._walsh_block(f, masks, bs)
+    f, masks, bs, lut = block
+    coeffs = spectra._walsh_block(lut, masks, bs)
     fresh = []
     # _walsh_counts over one block, fed a fresh copy of the transformed block
-    monkeypatch.setattr(spectra, "_walsh_block", lambda f, masks, bs: fresh.pop())
+    monkeypatch.setattr(spectra, "_walsh_block", lambda lut, masks, bs: fresh.pop())
 
     def setup():
         fresh.append(coeffs.copy())

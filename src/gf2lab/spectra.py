@@ -264,7 +264,7 @@ def _fwht_rows(mat: np.ndarray) -> np.ndarray:
     h pairs the runs of h * R elements that start h rows apart, so even the
     first levels stream runs of at least R elements.  After level h every
     value v satisfies |v| <= 2h <= 2^n, so the matrix's dtype must hold
-    +-2^n (see :func:`_walsh_block`).
+    +-2^n (see :func:`_block_lut`).
     """
     size = mat.shape[0]
     width = mat.size // size
@@ -279,18 +279,26 @@ def _fwht_rows(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _walsh_block(f: FunctionTable, masks: np.ndarray, bs: np.ndarray) -> np.ndarray:
+def _block_lut(f: FunctionTable) -> np.ndarray:
+    """f's table in the dtype of its Walsh blocks, cast once per sweep.
+
+    The blocks are int16 for n <= 14 and int32 above: every coefficient
+    lies in [-2^n, 2^n], and 2^14 is the largest such bound int16 holds.
+    """
+    return f.lut.astype(np.int16 if f.spec.n <= 14 else np.int32)
+
+
+def _walsh_block(lut: np.ndarray, masks: np.ndarray, bs: np.ndarray) -> np.ndarray:
     """Coefficients for the given b values, one column per b, row u = parity(u & x).
 
+    lut is the table from :func:`_block_lut`, and the block has its dtype.
     Tr(a*x) = parity(masks[a] & x), so f^(a, b) sits at row masks[a] of
-    b's column.  The block is int16 for n <= 14 and int32 above: every
-    coefficient lies in [-2^n, 2^n], and 2^14 is the largest such bound
-    int16 holds.  Table values and masks are below 2^n, so the mask product
+    b's column.  Table values and masks are below 2^n, so the mask product
     is taken in the same dtype.
     """
-    dtype = np.int16 if f.spec.n <= 14 else np.int32
+    dtype = lut.dtype
     # sign table: (-1)^Tr(b * f(x)) via the mask parity trick
-    product = f.lut.astype(dtype)[:, None] & masks[bs].astype(dtype)
+    product = lut[:, None] & masks[bs].astype(dtype)
     signs = (np.bitwise_count(product) & 1).astype(dtype)
     signs *= -2
     signs += 1
@@ -319,8 +327,9 @@ def _walsh_counts(
     # every coefficient v is even and lies in [-2^n, 2^n]; bin v/2 + 2^(n-1)
     # counts the value v
     counts = np.zeros(size + 1, dtype=np.int64)
+    lut = _block_lut(f)
     for lo in range(0, len(bs), block):
-        coeffs = _walsh_block(f, masks, bs[lo : lo + block])
+        coeffs = _walsh_block(lut, masks, bs[lo : lo + block])
         if table is not None:
             table[lo : lo + coeffs.shape[1]] = coeffs[masks].T
         coeffs >>= 1
@@ -393,7 +402,8 @@ def walsh_row(f: FunctionTable, b: int) -> np.ndarray:
     if not 0 < b < f.spec.size:
         raise ValueError("b must be a nonzero field element")
     masks = _trace_masks(f.spec)
-    return _walsh_block(f, masks, np.array([b]))[masks, 0].astype(np.int32, copy=False)
+    row = _walsh_block(_block_lut(f), masks, np.array([b]))[masks, 0]
+    return row.astype(np.int32, copy=False)
 
 
 def walsh_coefficient_direct(f: FunctionTable, a: int, b: int) -> int:

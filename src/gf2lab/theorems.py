@@ -10,11 +10,13 @@ normalized solution, a four-term relative-trace constraint, a quadratic in
 the Frobenius pair-sum, and finally one or two ordinary quadratics whose
 roots are filtered back against the product identity.  Every identity is
 checked on every solution; any violation raises :class:`VerificationError`
-naming the failing step.  The pair sweep scans every pair's solution set
-exhaustively in one batched pass (one difference row per distinct a) and
-replays the derivation once per distinct c = b/a^d + 1, since a and b enter
-the checks only through c and the normalized set; a pair whose set differs
-from that replay's is replayed on its own.
+naming the failing step.  The pair sweep scans no pair: once the family
+table is checked homogeneous (f(0) = 0 and f(g*x) = g^d * f(x)), the
+substitution x = a*y reduces every solution set to the row a = 1,
+S(a, b) = a * S(1, b/a^d), so one grouping of that row feeds one replay
+per distinct c = b/a^d + 1, and a and b enter the checks only through c
+and the normalized set.  A pair whose replay failed, and every pair of a
+table that is not homogeneous, is replayed on its own.
 
 The *split-coordinate suite* checks the Maiorana-McFarland structure of the
 component g(x) = Tr(gamma^2 * x^d): a basis (gamma, alpha, omega) is
@@ -227,20 +229,13 @@ class ReductionTrace:
     checks: tuple[str, ...]
 
 
-def _scan(lut: np.ndarray, diffs: np.ndarray, row_of: np.ndarray,
-          b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every solution of f(x+a) + f(x) = b for each pair (diffs[row_of[i]], b[i]).
-
-    One difference row ``lut ^ lut[x ^ a]`` is built per entry of ``diffs``
-    and compared against the b of every pair with that a, in the narrowest
-    unsigned dtype that holds a field element (several times faster than
-    int64).  Returns the hits as (pair index, x) arrays, ordered by pair and
-    then by x.
-    """
-    lut = lut.astype(np.min_scalar_type(lut.size - 1))
-    rows = lut ^ lut[np.arange(lut.size) ^ diffs[:, None]]
-    hits = np.flatnonzero(rows[row_of] == b.astype(lut.dtype)[:, None])
-    return np.divmod(hits, lut.size)
+def _count_bound(k: int, a: int, b: int, sols: frozenset[int]) -> frozenset[int]:
+    """The solution set of f(x+a) + f(x) = b, refused above four members."""
+    if len(sols) > 4:
+        raise VerificationError(
+            "count-bound", "difference equation has more than four solutions",
+            k=k, a=a, b=b, count=len(sols))
+    return sols
 
 
 def diff_solution_count(k: int, a: int, b: int) -> tuple[int, frozenset[int]]:
@@ -249,18 +244,13 @@ def diff_solution_count(k: int, a: int, b: int) -> tuple[int, frozenset[int]]:
     A count above four raises :class:`VerificationError`.
     """
     _check_k(k)
-    table = _family_table(k)
-    size = table.spec.size
-    if not 0 < a < size:
+    lut = _family_table(k).lut
+    if not 0 < a < lut.size:
         raise ValueError("difference a must be a nonzero field element")
-    if not 0 <= b < size:
+    if not 0 <= b < lut.size:
         raise ValueError("b out of range")
-    _, xs = _scan(table.lut, np.array([a]), np.zeros(1, dtype=int), np.array([b]))
-    sols = frozenset(xs.tolist())
-    if len(sols) > 4:
-        raise VerificationError(
-            "count-bound", "difference equation has more than four solutions",
-            k=k, a=a, b=b, count=len(sols))
+    xs = np.flatnonzero(lut ^ lut[np.arange(lut.size) ^ a] == b)
+    sols = _count_bound(k, a, b, frozenset(xs.tolist()))
     return len(sols), sols
 
 
@@ -271,6 +261,12 @@ def reduction_trace(k: int, a: int, b: int) -> ReductionTrace:
     computed solution set; a mismatch raises :class:`VerificationError`.
     """
     _count, direct = diff_solution_count(k, a, b)
+    return _derive(k, a, b, direct)
+
+
+def _derive(k: int, a: int, b: int, direct: frozenset[int]) -> ReductionTrace:
+    """The derivation of :func:`reduction_trace` from the solution set
+    ``direct`` of f(x+a) + f(x) = b, which has at most four members."""
     table = _family_table(k)
     A = _arith(table.spec.n, table.spec.poly)
     d = dobbertin_exponent(k)
@@ -484,31 +480,17 @@ def _sweep_pairs(k: int, samples: int | None, seed: int) -> tuple[np.ndarray, np
     return tuple(np.array(draws).T)
 
 
-# a chunk of the pair sweep compares at most this many (pair, x) entries
-_SCAN_ENTRIES = 1 << 16
+def _homogeneous(table: FunctionTable, d: int) -> bool:
+    """Whether f(0) = 0 and f(g*x) = g^d * f(x) for every x != 0.
 
-
-def _normalized_sets(k: int, a: np.ndarray,
-                     b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solution count, normalized set and c = b/a^d + 1 of every pair.
-
-    The set {x/a} is returned sorted in four slots padded in front with -1
-    (a pair with more than four solutions keeps its first four).  Division
-    is a subtraction of logs on the shared log/exp tables.
+    g is the generator of the log/exp tables.  One pass in exp order: the
+    log of f(g^(i+1)) must be the log of f(g^i) plus d, modulo 2^n - 1, and
+    a zero image (log -1) must be followed by another.
     """
-    table = _family_table(k)
-    order = table.spec.order
     log, exp = _log_exp_tables(table.spec.n, table.spec.poly)
-    pair, x = _scan(table.lut, *np.unique(a, return_inverse=True), b)
-    count = np.bincount(pair, minlength=a.size)
-    slot = np.arange(pair.size) - (np.cumsum(count) - count)[pair]
-    keep = slot < 4
-    pair, x, slot = pair[keep], x[keep], slot[keep]
-    sets = np.full((a.size, 4), -1)
-    sets[pair, slot] = np.where(x == 0, 0, exp[(log[x] - log[a][pair]) % order])
-    sets.sort(axis=1)
-    c = np.where(b == 0, 1, exp[(log[b] - dobbertin_exponent(k) * log[a]) % order] ^ 1)
-    return count, sets, c
+    logs = log[table.lut[exp]]
+    succ = np.where(logs < 0, -1, (logs + d) % table.spec.order)
+    return table.lut[0] == 0 and np.array_equal(np.roll(logs, -1), succ)
 
 
 def reduction_sweep(k: int, *, samples: int | None = None,
@@ -518,36 +500,45 @@ def reduction_sweep(k: int, *, samples: int | None = None,
     Exhaustive by default for k <= 2, sampled (default 1000 pairs, fixed
     seed) otherwise.  A samples count below 1 raises ValueError.
 
-    Every check of :func:`reduction_trace` is a function of c = b/a^d + 1
-    and the normalized solution set {x/a} alone, so the derivation is
-    replayed once per distinct c, as ``reduction_trace(k, 1, c + 1)``.  A
-    pair is settled, i.e. passes, when its exhaustively scanned set has at
-    most four members, equals the solution set of that replay, and the
-    replay passed.  Every other pair is replayed on its own, so the report
-    equals one ``reduction_trace(k, a, b)`` per pair, first failure included.
+    Lemma: if f(0) = 0 and f(g*x) = g^d * f(x) for every x != 0, then by
+    induction f(a*x) = a^d * f(x) for every a != 0 and every x, and the
+    substitution x = a*y gives S(a, b) = a * S(1, b/a^d), where S(a, b) is
+    the solution set of f(x+a) + f(x) = b.  Every check of
+    :func:`reduction_trace` is a function of c = b/a^d + 1 and the
+    normalized set S(a, b)/a alone, so on such a table the pair (a, b)
+    passes exactly when the replay of (1, c + 1) does.  The sweep checks
+    that premise on the family table once, groups the row a = 1 once (one
+    stable argsort and one bincount give every S(1, v)), and replays the
+    derivation once per distinct c from that grouping, under the same
+    four-solution bound; a pair whose replay passed is settled without a
+    scan.  Every other pair, and every pair of a table that fails the
+    premise, runs its own ``reduction_trace(k, a, b)``, so the report equals
+    the per-pair one, first failure included.
     """
     _check_k(k)
     _check_samples(samples)
     a, b = _sweep_pairs(k, samples, seed)
-    size = 1 << (4 * k)
-    # per c: replayed yet, replay passed, and its solution set slotted as above
-    replayed = np.zeros(size, dtype=bool)
-    passed = np.zeros(size, dtype=bool)
-    solutions = np.full((size, 4), -1)
+    table = _family_table(k)
+    d = dobbertin_exponent(k)
     settled = np.zeros(a.size, dtype=bool)
-    step = max(1, _SCAN_ENTRIES // size)
-    for lo in range(0, a.size, step):
-        count, sets, c = _normalized_sets(k, a[lo:lo + step], b[lo:lo + step])
-        for cv in np.unique(c[~replayed[c]]).tolist():
-            replayed[cv] = True
+    if _homogeneous(table, d):
+        log, exp = _log_exp_tables(table.spec.n, table.spec.poly)
+        # the pair (a, b) replays as (1, v) with v = b/a^d, i.e. c = v + 1
+        v = np.where(b == 0, 0, exp[(log[b] - d * log[a]) % table.spec.order])
+        lut = table.lut
+        row = lut ^ lut[np.arange(lut.size) ^ 1]
+        # S(1, w) is xs[bounds[w]:bounds[w + 1]]
+        xs = np.argsort(row, kind="stable")
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=lut.size))))
+        passed = np.zeros(lut.size, dtype=bool)
+        for w in np.unique(v).tolist():
             try:
-                sols = sorted(reduction_trace(k, 1, cv ^ 1).solutions_normalized)
+                _derive(k, 1, w, _count_bound(
+                    k, 1, w, frozenset(xs[bounds[w]:bounds[w + 1]].tolist())))
             except VerificationError:
                 continue
-            passed[cv] = True
-            solutions[cv, 4 - len(sols):] = sols
-        settled[lo:lo + step] = ((count <= 4) & passed[c]
-                                 & (sets == solutions[c]).all(axis=1))
+            passed[w] = True
+        settled = passed[v]
     rest = np.flatnonzero(~settled).tolist()
     report = _tally(f"reduction-replay[k={k}]", ((int(a[i]), int(b[i])) for i in rest),
                     lambda a, b: reduction_trace(k, a, b))

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +36,7 @@ from gf2lab import (
     run_all_checks,
 )
 from gf2lab import theorems
+from gf2lab.field import _log_exp_tables
 from gf2lab.spectra import walsh_coefficient_direct
 from gf2lab.theorems import (
     DEFAULT_SEED,
@@ -225,14 +227,18 @@ def test_reduction_sweep_equals_the_per_pair_replay(k, samples):
 
 
 def test_reduction_sweep_replays_each_c_once_on_a_clean_table(monkeypatch):
-    real = theorems.reduction_trace
+    real = theorems._derive
     calls = Counter()
 
-    def counting(k, a, b):
+    def counting(k, a, b, direct):
         calls[(a, b)] += 1
-        return real(k, a, b)
+        return real(k, a, b, direct)
 
-    monkeypatch.setattr(theorems, "reduction_trace", counting)
+    def no_scan(k, a, b):
+        raise AssertionError(f"pair ({a}, {b}) was scanned")
+
+    monkeypatch.setattr(theorems, "_derive", counting)
+    monkeypatch.setattr(theorems, "diff_solution_count", no_scan)
     assert reduction_sweep(2).ok
     assert calls == Counter((1, c ^ 1) for c in range(256))
 
@@ -290,6 +296,66 @@ def test_reduction_sweep_equals_the_per_pair_replay_on_a_broken_table(
     if corrupt is _bump:
         with pytest.raises(VerificationError, match="count-bound"):
             diff_solution_count(k, a, b)
+
+
+@pytest.mark.parametrize("k, samples", [(1, None), (2, 2000)])
+def test_every_difference_row_is_the_row_a1_scaled(k, samples):
+    # S(a, b) = a * S(1, b / a^d), both sides from the independent scan
+    s = field_make(4 * k)
+    d = dobbertin_exponent(k)
+    for a, b in _sweep_cases(k, samples):
+        ad_inv = f_pow(s, f_pow(s, a, d), s.size - 2)
+        _, row1 = diff_solution_count(k, 1, f_mul(s, b, ad_inv))
+        assert {f_mul(s, a, y) for y in row1} == diff_solution_count(k, a, b)[1]
+
+
+def _scaled(m):
+    """f(x) times g^m: homogeneous, but b is off by the factor g^m."""
+    def table(lut, log, exp):
+        lut[:] = np.where(lut == 0, 0, exp[(log[lut] + m) % exp.size])
+    return table
+
+
+def _zero_to_one(lut, log, exp):
+    lut[0] = 1
+
+
+def _family_variant(k, change):
+    clean = _family_table(k)
+    lut = clean.lut.copy()
+    change(lut, *_log_exp_tables(clean.spec.n, clean.spec.poly))
+    return FunctionTable(clean.spec, lut, clean.exponent)
+
+
+@pytest.mark.parametrize("change", [_scaled(1), _scaled(5), _zero_to_one],
+                         ids=["g", "g^5", "f(0)=1"])
+@pytest.mark.parametrize("k, samples", [(1, None), (3, 200)])
+def test_reduction_sweep_equals_the_per_pair_replay_on_a_rescaled_table(
+        monkeypatch, k, samples, change):
+    broken = _family_variant(k, change)
+    assert theorems._homogeneous(broken, dobbertin_exponent(k)) == (change is not _zero_to_one)
+    monkeypatch.setattr(theorems, "_family_table", lambda kk: broken)
+    report = reduction_sweep(k, samples=samples)
+    assert report == _per_pair_replay(k, samples)
+    if change is not _zero_to_one:
+        assert report.failures > 0
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_homogeneity_check_rejects_two_swapped_entries(k):
+    d = dobbertin_exponent(k)
+    assert theorems._homogeneous(_family_table(k), d)
+    order = _family_table(k).spec.order
+    for i in (1, order // 2, order - 2):
+        def swap(lut, log, exp):
+            x, y = exp[i], exp[i + 1]
+            lut[x], lut[y] = lut[y], lut[x]
+        assert not theorems._homogeneous(_family_variant(k, swap), d), i
+
+
+def test_reduction_sweep_at_k4_needs_no_deep():
+    assert reduction_sweep(4, samples=1000) == CheckReport(
+        "reduction-replay[k=4]", 1000, 0, None)
 
 
 def test_all_gammas_frozen():
@@ -504,10 +570,7 @@ def test_tally_counts_each_verification_error_and_keeps_the_first():
 
 
 def _with_zero_solution(real):
-    def diff_solution_count(k, a, b):
-        count, sols = real(k, a, b)
-        return count, sols | {0}
-    return diff_solution_count
+    return lambda k, a, b, direct: real(k, a, b, direct | {0})
 
 
 def _plus_one(real):
@@ -517,7 +580,7 @@ def _plus_one(real):
 # suite -> (its report from the witness, the theorems global to break, the
 # breaking wrapper, the step its first failure names)
 BREAKS = {
-    "reduction-replay": (lambda w: reduction_sweep(w.k), "diff_solution_count",
+    "reduction-replay": (lambda w: reduction_sweep(w.k), "_derive",
                          _with_zero_solution, "normalized-product-identity"),
     "mm-decomposition": (mm_decomposition_check, "pi_image",
                          lambda real: lambda w, a: real(w, a) ^ 1,

@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 from .field import FieldSpec, field_make
 from .spectra import FunctionTable, SpectrumSummary, build_lut, classify
+from .theorems import dobbertin_exponent
 
 __all__ = [
     "FamilySpec",
@@ -80,7 +81,7 @@ def family_exponent(family: str, *, n: int | None = None,
         raise ValueError("dobbertin requires parameter k >= 1")
     if n is not None and n != 4 * k:
         raise ValueError(f"dobbertin with k={k} lives on degree {4 * k}, not {n}")
-    return FamilySpec("dobbertin", 4 * k, (1 << (2 * k)) + (1 << k) + 1, k)
+    return FamilySpec("dobbertin", 4 * k, dobbertin_exponent(k), k)
 
 
 def conditions_met(fs: FamilySpec) -> bool:
@@ -129,7 +130,8 @@ def _desk_rows(max_n: int, deep: bool) -> list[FamilySpec]:
 def catalog_table(max_n: int = 12, *, deep: bool = False) -> list[CatalogEntry]:
     """Instantiate and measure every catalog row realizable at degree <= max_n.
 
-    Every row has degree at most 12 and is an exponent input, so
+    Every row has degree at most 12 and is a power map, whose table has an
+    exponent (see :attr:`gf2lab.spectra.FunctionTable.exponent`), so
     :func:`gf2lab.spectra.classify` measures it exactly through the
     power-map orbit engine, and a larger max_n yields the max_n = 12 rows.
     deep adds the n = 10 Gold and Kasami rows.  Conditioned rows also carry

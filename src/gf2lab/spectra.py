@@ -10,14 +10,14 @@ sum.  Full sweeps with n >= 16 need ``deep=True`` (``--deep``), as
 decided for every caller by :func:`require_desk_scale`; the one-row
 :func:`power_delta` is not a full sweep and needs no ``deep``.
 
-Exponent inputs (tables made by :func:`build_lut`, which carry their
-exponent) go through the power-map orbit engine, :func:`power_delta` and
-:func:`power_walsh_spectrum`, whose docstrings give the derivation.
-Lookup-table inputs and the named sweeps (:func:`differential_uniformity`,
-:func:`ddt_rows`, :func:`walsh_spectrum`, :func:`walsh_row`) stay full
-sweeps whatever the table, and serve as the oracle the orbit engine is
-tested against.  :func:`classify` and ``analyze`` choose between the two
-in one place, by the table's exponent.
+Tables with an exponent (:attr:`FunctionTable.exponent`, read from the
+table) go through the power-map orbit engine, :func:`power_delta` and
+:func:`power_walsh_spectrum`, whose docstrings give the derivation; other
+tables go through the full sweeps.  The named sweeps
+(:func:`differential_uniformity`, :func:`ddt_rows`, :func:`walsh_spectrum`,
+:func:`walsh_row`) stay full sweeps whatever the table, and serve as the
+oracle the orbit engine is tested against.  :func:`classify` and
+``analyze`` choose between the two in one place, by the table's exponent.
 
 Every sweep runs on one thread: the Walsh sweeps transform fixed-size
 blocks of components in place and merge them into one offset histogram,
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Iterator
 
@@ -73,13 +74,37 @@ class FunctionTable:
 
     ``lut[i]`` is the image of the element with integer encoding i; the
     array has length 2^n and dtype int64, and is read-only when made by
-    :func:`build_lut` or :func:`lut_from_values`.  ``exponent`` is d when
-    the table is the power map x^d made by :func:`build_lut`, else None.
+    :func:`build_lut` or :func:`lut_from_values`.
     """
 
     spec: FieldSpec
     lut: np.ndarray
-    exponent: int | None = None
+
+    @cached_property
+    def exponent(self) -> int | None:
+        """The e in [0, 2^n - 1) with f(g*x) = g^e * f(x) for every x, or None.
+
+        g is the generator of the log/exp tables, so by induction
+        f(c*x) = c^e * f(x) for every c != 0: the one premise of the
+        power-map orbit engine and the replay sweep, met by every x^d and
+        c*x^d (c != 0), with e = d mod 2^n - 1, whatever made the table.
+        Tables with an image 0 off 0 (the zero map fits every e), or with
+        f(0) != 0 (which forces e = 0) and not constant off 0, get None
+        without the log/exp tables; the others take one pass over the logs
+        of f(g^i).  Computed once, so the lut must not change afterwards.
+        """
+        s, lut = self.spec, self.lut
+        if not lut[1:].all() or (lut[0] and (lut[2:] != lut[1]).any()):
+            return None
+        log, exp = _log_exp_tables(s.n, s.poly)
+        logs = log[lut[exp]]
+        e = int(logs[1] - logs[0]) % s.order
+        # logs[i] = logs[0] + i*e; the wrap from g^(2^n-2) to g^0 holds
+        # because (2^n - 1)*e = 0 mod 2^n - 1
+        steps = np.arange(s.order, dtype=np.int64) * e
+        steps += logs[0]
+        steps %= s.order
+        return e if np.array_equal(logs, steps) else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +177,7 @@ def build_lut(s: FieldSpec, d: int) -> FunctionTable:
     # reducing d first keeps log * d below 2^48, so int64 cannot overflow
     lut[1:] = exp[(log[1:] * (d % s.order)) % s.order]
     lut.flags.writeable = False
-    return FunctionTable(s, lut, d)
+    return FunctionTable(s, lut)
 
 
 def lut_from_values(s: FieldSpec, values) -> FunctionTable:
@@ -361,17 +386,18 @@ def walsh_spectrum(
 
 def _require_exponent(f: FunctionTable) -> int:
     if f.exponent is None:
-        raise ValueError("the orbit engine needs a power-map table made by build_lut")
+        raise ValueError("the orbit engine needs a homogeneous table, "
+                         "f(c*x) = c^e * f(x) for every c != 0 (FunctionTable.exponent)")
     return f.exponent
 
 
 def power_delta(f: FunctionTable) -> int:
     """Differential uniformity of a power-map table from its row a = 1.
 
-    For f(x) = x^d, substituting x = a*y gives delta(a, b) =
-    delta(1, b / a^d), so every row is a permutation of the row a = 1.
-    One row costs 2^n, so no degree needs ``deep``.  Raises ValueError for
-    a table without an exponent.
+    For f(a*y) = a^d * f(y) (d = ``f.exponent``), substituting x = a*y
+    gives delta(a, b) = delta(1, b / a^d), so every row is a permutation
+    of the row a = 1.  One row costs 2^n, so no degree needs ``deep``.
+    Raises ValueError for a table without an exponent.
     """
     _require_exponent(f)
     return int(_ddt_row(f.lut, np.arange(f.spec.size), 1).max())
@@ -380,14 +406,14 @@ def power_delta(f: FunctionTable) -> int:
 def power_walsh_spectrum(f: FunctionTable, *, deep: bool = False) -> WalshSpectrum:
     """Exact Walsh extremum and histogram of a power-map table, without the table.
 
-    For f(x) = x^d, substituting x = c*y gives f^(a, b) = f^(ac, b c^d)
-    for every c != 0, so the coefficients of component b are those of any
-    b' in the same coset of the d-th powers, the subgroup of index
-    g = gcd(d, 2^n - 1).  The generator powers gamma^0 .. gamma^(g-1)
-    represent the g cosets, each of (2^n - 1) / g components, so each
-    transform is weighted by (2^n - 1) / g.  At g = 2^n - 1 (d = 0,
-    d = 2^n - 1) this is the full sweep.  Raises ValueError for a table
-    without an exponent.
+    For f(c*y) = c^d * f(y) (d = ``f.exponent``), substituting x = c*y
+    gives f^(a, b) = f^(ac, b c^d) for every c != 0, so the coefficients
+    of component b are those of any b' in the same coset of the d-th
+    powers, the subgroup of index g = gcd(d, 2^n - 1).  The generator
+    powers gamma^0 .. gamma^(g-1) represent the g cosets, each of
+    (2^n - 1) / g components, so each transform is weighted by
+    (2^n - 1) / g.  At g = 2^n - 1 (d = 0: x^0, x^(2^n - 1)) this is the
+    full sweep.  Raises ValueError for a table without an exponent.
     """
     d = _require_exponent(f)
     s = f.spec
@@ -423,8 +449,9 @@ def walsh_coefficient_direct(f: FunctionTable, a: int, b: int) -> int:
 def nonlinearity(f: FunctionTable, *, deep: bool = False) -> int:
     """2^(n-1) - max|f^|/2: distance of all components to affine functions.
 
-    The extremum comes from the orbit engine for exponent tables, else from
-    the full sweep, as in :func:`classify`.
+    The extremum comes from the orbit engine for tables with an exponent
+    (see :attr:`FunctionTable.exponent`), else from the full sweep, as in
+    :func:`classify`.
     """
     return (1 << (f.spec.n - 1)) - _spectrum(f, deep).max_abs // 2
 
@@ -451,7 +478,7 @@ def summarize(f: FunctionTable, delta: int, ws: WalshSpectrum) -> SpectrumSummar
 
 
 def _delta(f: FunctionTable, deep: bool) -> int:
-    """Exact delta: the orbit engine for exponent tables, else the full sweep."""
+    """Exact delta: the orbit engine for tables with an exponent, else the full sweep."""
     if f.exponent is not None:
         return power_delta(f)
     return differential_uniformity(f, deep=deep)[0]
@@ -467,7 +494,7 @@ def _spectrum(f: FunctionTable, deep: bool) -> WalshSpectrum:
 def classify(f: FunctionTable, *, deep: bool = False) -> SpectrumSummary:
     """Aggregate delta, nonlinearity, Walsh extremum, and the flag set.
 
-    Exponent tables go through the orbit engine, other tables through the
-    full sweeps.
+    Tables with an exponent (see :attr:`FunctionTable.exponent`) go
+    through the orbit engine, other tables through the full sweeps.
     """
     return summarize(f, _delta(f, deep), _spectrum(f, deep))

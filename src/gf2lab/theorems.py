@@ -11,12 +11,13 @@ the Frobenius pair-sum, and finally one or two ordinary quadratics whose
 roots are filtered back against the product identity.  Every identity is
 checked on every solution; any violation raises :class:`VerificationError`
 naming the failing step.  The pair sweep scans no pair: once the family
-table is checked homogeneous (f(0) = 0 and f(g*x) = g^d * f(x)), the
-substitution x = a*y reduces every solution set to the row a = 1,
-S(a, b) = a * S(1, b/a^d), so one grouping of that row feeds one replay
-per distinct c = b/a^d + 1, and a and b enter the checks only through c
-and the normalized set.  A pair whose replay failed, and every pair of a
-table that is not homogeneous, is replayed on its own.
+table's exponent reads d (the premise stated at
+:attr:`gf2lab.spectra.FunctionTable.exponent`), the substitution x = a*y
+reduces every solution set to the row a = 1, S(a, b) = a * S(1, b/a^d),
+so one grouping of that row feeds one replay per distinct c = b/a^d + 1,
+and a and b enter the checks only through c and the normalized set.  A
+pair whose replay failed, and every pair of a table whose exponent is not
+d, is replayed on its own.
 
 The *split-coordinate suite* checks the Maiorana-McFarland structure of the
 component g(x) = Tr(gamma^2 * x^d): a basis (gamma, alpha, omega) is
@@ -48,6 +49,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from math import gcd
 from typing import Iterable
 
 import numpy as np
@@ -132,7 +134,6 @@ class _Arith:
         # roots of x^2 + x = const: const -> smaller root; x and x + 1 share
         # the image, so the even x are exactly the smaller roots
         self._as_root = {self.mul(x, x) ^ x: x for x in range(0, spec.size, 2)}
-        self._subfields: dict[int, tuple[int, ...]] = {}
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -159,12 +160,13 @@ class _Arith:
         return frozenset() if r is None else frozenset((r, r ^ 1))
 
     def subfield(self, m: int) -> tuple[int, ...]:
-        """All elements fixed by the m-fold Frobenius, i.e. GF(2^m)."""
-        got = self._subfields.get(m)
-        if got is None:
-            got = tuple(x for x in range(self.spec.size) if self.frob(x, m) == x)
-            self._subfields[m] = got
-        return got
+        """All elements fixed by the m-fold Frobenius, in increasing order.
+
+        They form GF(2^j), j = gcd(m, n): 0 and the 2^j - 1 powers of
+        g^((2^n - 1) / (2^j - 1)), one stride of the exp table.
+        """
+        step = self.order // ((1 << gcd(m, self.n)) - 1)
+        return tuple(sorted([0] + self.exp[::step]))
 
     def subtrace(self, a: int, m: int) -> int:
         """Absolute trace of the GF(2^m) subfield, for elements lying in it."""
@@ -480,19 +482,6 @@ def _sweep_pairs(k: int, samples: int | None, seed: int) -> tuple[np.ndarray, np
     return tuple(np.array(draws).T)
 
 
-def _homogeneous(table: FunctionTable, d: int) -> bool:
-    """Whether f(0) = 0 and f(g*x) = g^d * f(x) for every x != 0.
-
-    g is the generator of the log/exp tables.  One pass in exp order: the
-    log of f(g^(i+1)) must be the log of f(g^i) plus d, modulo 2^n - 1, and
-    a zero image (log -1) must be followed by another.
-    """
-    log, exp = _log_exp_tables(table.spec.n, table.spec.poly)
-    logs = log[table.lut[exp]]
-    succ = np.where(logs < 0, -1, (logs + d) % table.spec.order)
-    return table.lut[0] == 0 and np.array_equal(np.roll(logs, -1), succ)
-
-
 def reduction_sweep(k: int, *, samples: int | None = None,
                     seed: int = DEFAULT_SEED) -> CheckReport:
     """Replay the reduction over many (a, b) pairs.
@@ -500,10 +489,10 @@ def reduction_sweep(k: int, *, samples: int | None = None,
     Exhaustive by default for k <= 2, sampled (default 1000 pairs, fixed
     seed) otherwise.  A samples count below 1 raises ValueError.
 
-    Lemma: if f(0) = 0 and f(g*x) = g^d * f(x) for every x != 0, then by
-    induction f(a*x) = a^d * f(x) for every a != 0 and every x, and the
-    substitution x = a*y gives S(a, b) = a * S(1, b/a^d), where S(a, b) is
-    the solution set of f(x+a) + f(x) = b.  Every check of
+    Lemma: if the table's exponent is d (f(a*x) = a^d * f(x) for every
+    a != 0 and every x, see :attr:`gf2lab.spectra.FunctionTable.exponent`),
+    the substitution x = a*y gives S(a, b) = a * S(1, b/a^d), where S(a, b)
+    is the solution set of f(x+a) + f(x) = b.  Every check of
     :func:`reduction_trace` is a function of c = b/a^d + 1 and the
     normalized set S(a, b)/a alone, so on such a table the pair (a, b)
     passes exactly when the replay of (1, c + 1) does.  The sweep checks
@@ -521,7 +510,7 @@ def reduction_sweep(k: int, *, samples: int | None = None,
     table = _family_table(k)
     d = dobbertin_exponent(k)
     settled = np.zeros(a.size, dtype=bool)
-    if _homogeneous(table, d):
+    if table.exponent == d:
         log, exp = _log_exp_tables(table.spec.n, table.spec.poly)
         # the pair (a, b) replays as (1, v) with v = b/a^d, i.e. c = v + 1
         v = np.where(b == 0, 0, exp[(log[b] - d * log[a]) % table.spec.order])

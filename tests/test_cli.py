@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from gf2lab import build_lut, ddt_rows, field_make, lut_from_values, write_lut
+from gf2lab import (build_lut, ddt_rows, differential_uniformity, field_make,
+                    lut_from_values, read_lut, walsh_spectrum, write_lut)
 from gf2lab.cli import main
 from gf2lab.theorems import CheckReport
 
@@ -47,7 +48,8 @@ def test_analyze_json_report(tmp_path, capsys):
 
 @pytest.mark.parametrize("n,d", [(6, 13), (12, 73), (12, 2730), (8, 0)])
 def test_analyze_lut_round_trip(tmp_path, capsys, n, d):
-    # --exp takes the power-map orbit engine, --lut the full sweeps
+    # both sides are power maps, so both take the orbit engine: the named
+    # full sweeps of the file's table are the oracle
     lut_path = tmp_path / "map.lut"
     assert main(["analyze", "--exp", str(d), "--n", str(n),
                  "--write-lut", str(lut_path)]) == 0
@@ -62,6 +64,11 @@ def test_analyze_lut_round_trip(tmp_path, capsys, n, d):
     assert b["map"]["lut_sha256"] == hashlib.sha256(lut_path.read_bytes()).hexdigest()
     assert a["results"] == b["results"]
     assert a["field"] == b["field"]
+    table, _ = read_lut(lut_path)
+    full = walsh_spectrum(table)
+    assert b["results"]["delta"] == differential_uniformity(table)[0]
+    assert b["results"]["walsh_max"] == full.max_abs
+    assert b["results"]["lambda_histogram"] == {str(v): c for v, c in full.histogram.items()}
 
 
 def test_analyze_ddt_csv(tmp_path, capsys):

@@ -6,6 +6,8 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gf2lab import (
     build_lut,
@@ -348,13 +350,87 @@ def test_named_sweeps_stay_full_and_orbit_needs_an_exponent(monkeypatch):
     g = gcd(d, s.order)
     assert bs == _log_exp_tables(n, s.poly)[1][:g].tolist()
     plain = lut_from_values(s, table.lut)
-    assert plain.exponent is None
-    with pytest.raises(ValueError, match="build_lut"):
-        power_delta(plain)
-    with pytest.raises(ValueError, match="build_lut"):
-        power_walsh_spectrum(plain)
+    assert plain.exponent == d
+    lut = table.lut.copy()
+    lut[5], lut[9] = lut[9], lut[5]
+    swapped = lut_from_values(s, lut)
+    with pytest.raises(ValueError, match="homogeneous table"):
+        power_delta(swapped)
+    with pytest.raises(ValueError, match="homogeneous table"):
+        power_walsh_spectrum(swapped)
     # one row is no full sweep: only the Walsh engine needs deep at n = 16
     big = build_lut(field_make(16), 273)
     assert power_delta(big) == 4
     with pytest.raises(ValueError, match="deep"):
         power_walsh_spectrum(big)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_exponent_is_read_from_the_table(data):
+    n = data.draw(st.integers(2, 10), label="n")
+    s = field_make(n)
+    d = data.draw(st.integers(0, 4 * s.size), label="d")
+    c = data.draw(st.integers(1, s.order), label="c")
+    values = [f_mul(s, c, int(y)) for y in build_lut(s, d).lut]
+    e = d % s.order
+    assert lut_from_values(s, values).exponent == e
+    x = data.draw(st.integers(1, s.order), label="x")
+    v = data.draw(st.integers(0, s.order).filter(lambda v: v != values[x]), label="v")
+    assert lut_from_values(s, values[:x] + [v] + values[x + 1:]).exponent is None
+    v0 = data.draw(st.integers(0, s.order).filter(lambda v: v != values[0]), label="v0")
+    moved = lut_from_values(s, [v0] + values[1:]).exponent
+    assert moved == (None if e else 0)
+    assert lut_from_values(s, [0] * s.size).exponent is None
+
+
+def test_a_stale_label_cannot_reach_the_orbit_engine():
+    # x^21 on GF(2^8) with two images swapped is no power map
+    s = field_make(8)
+    lut = build_lut(s, 21).lut.copy()
+    lut[5], lut[9] = lut[9], lut[5]
+    f = lut_from_values(s, lut)
+    assert f.exponent is None
+    summ = classify(f)
+    full = walsh_spectrum(f)
+    assert summ.delta == differential_uniformity(f)[0] == 6
+    assert (summ.walsh_max, summ.lam) == (full.max_abs, full.histogram)
+
+
+def test_a_lut_copy_of_a_power_map_takes_the_orbit_engine(monkeypatch):
+    rows, bs = [], []
+    ddt_row, walsh_block = spectra._ddt_row, spectra._walsh_block
+
+    def counting_ddt_row(lut, idx, a):
+        rows.append(a)
+        return ddt_row(lut, idx, a)
+
+    def counting_walsh_block(f, masks, block):
+        bs.extend(block.tolist())
+        return walsh_block(f, masks, block)
+
+    monkeypatch.setattr(spectra, "_ddt_row", counting_ddt_row)
+    monkeypatch.setattr(spectra, "_walsh_block", counting_walsh_block)
+    n, d = 12, 2730
+    s = field_make(n)
+    copy = lut_from_values(s, build_lut(s, d).lut)
+    summ = classify(copy)
+    assert rows == [1]
+    assert bs == _log_exp_tables(n, s.poly)[1][:gcd(d, s.order)].tolist()
+    assert summ.delta == power_delta(build_lut(s, d))
+
+
+@pytest.mark.parametrize("change", ["zero-off-0", "f(0)-not-constant"])
+def test_rejected_tables_build_no_log_exp_tables(monkeypatch, change):
+    s = field_make(10)
+    lut = build_lut(s, 73).lut.copy()
+    if change == "zero-off-0":
+        lut[7] = 0
+    else:
+        lut[0] = 1
+
+    def no_tables(n, poly):
+        raise AssertionError("log/exp tables built for a rejected table")
+
+    monkeypatch.setattr(spectra, "_log_exp_tables", no_tables)
+    assert lut_from_values(s, lut).exponent is None

@@ -279,7 +279,7 @@ def _break_first_four(monkeypatch, k, samples, corrupt):
         count, sols = diff_solution_count(k, a, b)
         lut = clean.lut.copy()
         if count == 4 and corrupt(lut, a, b, sols):
-            broken = FunctionTable(clean.spec, lut, clean.exponent)
+            broken = FunctionTable(clean.spec, lut)
             monkeypatch.setattr(theorems, "_family_table", lambda kk: broken)
             return a, b
     raise AssertionError("no pair to break")
@@ -324,7 +324,7 @@ def _family_variant(k, change):
     clean = _family_table(k)
     lut = clean.lut.copy()
     change(lut, *_log_exp_tables(clean.spec.n, clean.spec.poly))
-    return FunctionTable(clean.spec, lut, clean.exponent)
+    return FunctionTable(clean.spec, lut)
 
 
 @pytest.mark.parametrize("change", [_scaled(1), _scaled(5), _zero_to_one],
@@ -333,7 +333,7 @@ def _family_variant(k, change):
 def test_reduction_sweep_equals_the_per_pair_replay_on_a_rescaled_table(
         monkeypatch, k, samples, change):
     broken = _family_variant(k, change)
-    assert theorems._homogeneous(broken, dobbertin_exponent(k)) == (change is not _zero_to_one)
+    assert (broken.exponent == dobbertin_exponent(k)) == (change is not _zero_to_one)
     monkeypatch.setattr(theorems, "_family_table", lambda kk: broken)
     report = reduction_sweep(k, samples=samples)
     assert report == _per_pair_replay(k, samples)
@@ -344,13 +344,13 @@ def test_reduction_sweep_equals_the_per_pair_replay_on_a_rescaled_table(
 @pytest.mark.parametrize("k", [1, 2])
 def test_homogeneity_check_rejects_two_swapped_entries(k):
     d = dobbertin_exponent(k)
-    assert theorems._homogeneous(_family_table(k), d)
+    assert _family_table(k).exponent == d
     order = _family_table(k).spec.order
     for i in (1, order // 2, order - 2):
         def swap(lut, log, exp):
             x, y = exp[i], exp[i + 1]
             lut[x], lut[y] = lut[y], lut[x]
-        assert not theorems._homogeneous(_family_variant(k, swap), d), i
+        assert _family_variant(k, swap).exponent != d, i
 
 
 def test_reduction_sweep_at_k4_needs_no_deep():
@@ -362,6 +362,14 @@ def test_all_gammas_frozen():
     assert all_gammas(1) == [0x1]
     assert all_gammas(2) == [0xBC, 0xBD]
     assert all_gammas(3) == [0x1, 0x4A3, 0x983, 0xD21]
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 16])
+def test_subfields_are_one_stride_of_the_exp_table(n):
+    s = field_make(n)
+    for m in (m for m in range(1, n + 1) if n % m == 0):
+        scan = tuple(x for x in range(s.size) if frobenius(s, x, m) == x)
+        assert _arith(s.n, s.poly).subfield(m) == scan, m
 
 
 def test_mm_basis_witness_k1():

@@ -52,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--exp", type=int, help="analyze the power map x^d")
     src.add_argument("--lut", help="analyze a lookup-table file")
     pa.add_argument("--n", type=int, help="field degree (required with --exp)")
-    pa.add_argument("--poly", help="field modulus as hex (default: least irreducible)")
+    pa.add_argument("--poly", help="field modulus as hex, with --exp only "
+                                   "(default: least irreducible)")
     pa.add_argument("--json", help="write the JSON report to this path")
     pa.add_argument("--ddt-csv", help="dump the full difference table as CSV")
     pa.add_argument("--write-lut", help="also write the analyzed map as a LUT file")
@@ -93,6 +94,9 @@ def _analyze(args) -> int:
             return _fail_usage(str(e))
         kind, exponent, digest = "exponent", args.exp, None
     else:
+        if args.n is not None or args.poly is not None:
+            return _fail_usage("--n and --poly apply to --exp only; a LUT file "
+                               "names its field in its header")
         try:
             table, digest = read_lut(args.lut)
         except OSError as e:
@@ -129,7 +133,7 @@ def _analyze(args) -> int:
     summ = summarize(table, delta, ws)
     rep = AnalysisReport(
         field_n=s.n, poly=s.poly, map_kind=kind, exponent=exponent,
-        family=None, lut_sha256=digest, is_permutation=summ.is_permutation,
+        lut_sha256=digest, is_permutation=summ.is_permutation,
         delta=delta, nl=summ.nl, walsh_max=summ.walsh_max, lam=summ.lam,
         is_apn=summ.is_apn, is_ab=summ.is_ab, timings_ms=timings)
     rep.validate()

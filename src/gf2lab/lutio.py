@@ -4,6 +4,8 @@ The exchange format is plain text: a header line ``n=<degree> poly=<hex>``
 followed by exactly 2^n whitespace-separated hexadecimal values (lowercase,
 no prefix), the i-th value being the image of the element with integer
 encoding i.  Hexadecimal keeps the files bit-exact and readable at n <= 16.
+:func:`write_lut` puts 16 values on a line; :func:`read_lut` takes any
+whitespace between them.
 """
 
 from __future__ import annotations
@@ -66,16 +68,17 @@ def read_lut(path: str | Path) -> tuple[FunctionTable, str]:
                 raise LutParseError(line_no, f"more than {expected} values")
     if len(values) < expected:
         raise LutParseError(len(lines), f"expected {expected} values, found {len(values)}")
-    return lut_from_values(spec, values), digest
+    # ints already range-checked: typed here, numpy need not infer a dtype
+    return lut_from_values(spec, np.array(values, dtype=np.int64)), digest
 
 
-def write_lut(path: str | Path, f: FunctionTable, per_line: int = 16) -> None:
-    """Write a FunctionTable in the exchange format (16 values per line)."""
+def write_lut(path: str | Path, f: FunctionTable) -> None:
+    """Write a FunctionTable in the exchange format, 16 values per line."""
     s = f.spec
     out = [f"n={s.n} poly={s.poly:x}"]
     vals = [format(int(v), "x") for v in f.lut]
-    for i in range(0, len(vals), per_line):
-        out.append(" ".join(vals[i:i + per_line]))
+    for i in range(0, len(vals), 16):
+        out.append(" ".join(vals[i:i + 16]))
     Path(path).write_text("\n".join(out) + "\n", encoding="ascii")
 
 

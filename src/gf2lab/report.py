@@ -24,9 +24,8 @@ class AnalysisReport:
 
     field_n: int
     poly: int
-    map_kind: str                 # "exponent" | "lut" | "family"
+    map_kind: str                 # "exponent" | "lut"
     exponent: int | None
-    family: str | None
     lut_sha256: str | None
     is_permutation: bool
     delta: int
@@ -70,7 +69,7 @@ def report_to_dict(r: AnalysisReport) -> dict:
         "map": {
             "kind": r.map_kind,
             "exponent": r.exponent,
-            "family": r.family,
+            "family": None,
             "lut_sha256": r.lut_sha256,
         },
         "results": {

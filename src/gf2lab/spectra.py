@@ -131,14 +131,10 @@ class WalshSpectrum:
     histogram : Counter
         Multiplicity of each coefficient value over all a and b != 0; the
         multiplicities sum to 2^n * (2^n - 1).
-    table : numpy.ndarray or None
-        Full int32 coefficient table with table[b-1, a] = f^(a,b), kept
-        only when requested (``keep_table=True``).
     """
 
     max_abs: int
     histogram: Counter
-    table: np.ndarray | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,13 +180,23 @@ def lut_from_values(s: FieldSpec, values) -> FunctionTable:
     """Wrap an explicit value sequence as a FunctionTable, validating it.
 
     The values are copied, so the table can be frozen without freezing the
-    caller's array.
+    caller's array.  Values whose array dtype is not an integer kind
+    (floats, strings, booleans, objects) raise ValueError, as do Python
+    ints outside [0, 2^n), however wide.
     """
-    lut = np.array(values, dtype=np.int64)
+    lut = np.array(values)
+    if lut.dtype.kind not in "iu":
+        # numpy holds Python ints beyond 64 bits (or past int64 next to
+        # others) as object or float64 entries; only such input pays a pass
+        wide = lut.ndim == 1 and all(type(v) is int for v in values)
+        if wide and not all(0 <= v < s.size for v in values):
+            raise ValueError("lookup table entry out of range")
+        raise ValueError(f"lookup table entries must be integers, got dtype {lut.dtype}")
     if lut.shape != (s.size,):
         raise ValueError(f"lookup table must have exactly {s.size} entries, got {lut.size}")
     if lut.size and (lut.min() < 0 or lut.max() >= s.size):
         raise ValueError("lookup table entry out of range")
+    lut = lut.astype(np.int64, copy=False)
     lut.flags.writeable = False
     return FunctionTable(s, lut)
 
@@ -219,37 +225,17 @@ def ddt_rows(f: FunctionTable) -> Iterator[DifferenceRow]:
         yield DifferenceRow(a, _ddt_row(f.lut, idx, a))
 
 
-def differential_uniformity(
-    f: FunctionTable,
-    *,
-    want_table: bool = False,
-    deep: bool = False,
-) -> tuple[int, np.ndarray | None]:
-    """Differential uniformity and (optionally) the full DDT.
-
-    Returns
-    -------
-    (delta, table)
-        delta is max over a != 0 and all b of |{x : f(x+a)+f(x) = b}|.
-        table[a-1, b] holds the counts when requested (``want_table=True``),
-        else None.
+def differential_uniformity(f: FunctionTable, *, deep: bool = False) -> int:
+    """Differential uniformity: max over a != 0 and all b of |{x : f(x+a)+f(x) = b}|.
 
     The sweep is one pass per difference a, accumulating the counts of
-    f(x) + f(x+a) with a single bincount.
+    f(x) + f(x+a) with a single bincount; :func:`ddt_rows` streams the
+    rows themselves.
     """
     s = f.spec
     require_desk_scale(s.n, deep)
     idx = np.arange(s.size)
-    # a count is at most 2^n
-    row_dtype = np.min_scalar_type(s.size)
-    table = np.empty((s.size - 1, s.size), dtype=row_dtype) if want_table else None
-    delta = 0
-    for a in range(1, s.size):
-        counts = _ddt_row(f.lut, idx, a)
-        delta = max(delta, int(counts.max()))
-        if table is not None:
-            table[a - 1] = counts
-    return delta, table
+    return max(int(_ddt_row(f.lut, idx, a).max()) for a in range(1, s.size))
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +322,13 @@ def _walsh_counts(
     bs: np.ndarray,
     *,
     weight: int = 1,
-    table: np.ndarray | None = None,
 ) -> WalshSpectrum:
     """Histogram of every coefficient f^(a, b) over all a and the b in bs.
 
     One transform of size 2^n per b, in blocks of about WALSH_BLOCK_COEFFS
     coefficients; each count is multiplied by weight.  The histogram is
     counted over the transform index u: a -> masks[a] is a bijection, so no
-    block is reindexed unless table (whose row i receives b = bs[i]) is
-    given.
+    block is reindexed.
     """
     size = f.spec.size
     half = size >> 1
@@ -355,8 +339,6 @@ def _walsh_counts(
     lut = _block_lut(f)
     for lo in range(0, len(bs), block):
         coeffs = _walsh_block(lut, masks, bs[lo : lo + block])
-        if table is not None:
-            table[lo : lo + coeffs.shape[1]] = coeffs[masks].T
         coeffs >>= 1
         coeffs += half
         counts += np.bincount(coeffs.ravel(), minlength=size + 1)
@@ -364,24 +346,19 @@ def _walsh_counts(
     hist = Counter(dict(zip((2 * values - size).tolist(),
                             (counts[values] * weight).tolist())))
     max_abs = max(size - 2 * int(values[0]), 2 * int(values[-1]) - size)
-    return WalshSpectrum(max_abs, hist, table)
+    return WalshSpectrum(max_abs, hist)
 
 
-def walsh_spectrum(
-    f: FunctionTable,
-    *,
-    keep_table: bool = False,
-    deep: bool = False,
-) -> WalshSpectrum:
+def walsh_spectrum(f: FunctionTable, *, deep: bool = False) -> WalshSpectrum:
     """Full Walsh sweep: every coefficient f^(a,b) for all a and b != 0.
 
     The sweep transforms every component b whatever the table, so it is
-    the oracle for :func:`power_walsh_spectrum`.
+    the oracle for :func:`power_walsh_spectrum`; :func:`walsh_row` gives
+    the coefficients of one component.
     """
     s = f.spec
     require_desk_scale(s.n, deep)
-    table = np.empty((s.size - 1, s.size), dtype=np.int32) if keep_table else None
-    return _walsh_counts(f, _trace_masks(s), np.arange(1, s.size), table=table)
+    return _walsh_counts(f, _trace_masks(s), np.arange(1, s.size))
 
 
 def _require_exponent(f: FunctionTable) -> int:
@@ -481,7 +458,7 @@ def _delta(f: FunctionTable, deep: bool) -> int:
     """Exact delta: the orbit engine for tables with an exponent, else the full sweep."""
     if f.exponent is not None:
         return power_delta(f)
-    return differential_uniformity(f, deep=deep)[0]
+    return differential_uniformity(f, deep=deep)
 
 
 def _spectrum(f: FunctionTable, deep: bool) -> WalshSpectrum:

@@ -471,23 +471,22 @@ def _tally(name: str, cases: Iterable[tuple], check) -> CheckReport:
     return CheckReport(name, instances, failures, first)
 
 
-def _sweep_pairs(k: int, samples: int | None, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _sweep_pairs(k: int, samples: int | None) -> tuple[np.ndarray, np.ndarray]:
     """The (a, b) pairs of a sweep as two index arrays, in case order."""
     size = 1 << (4 * k)
     if samples is None and k <= 2:
         return np.divmod(np.arange(size, size * size), size)
     count = samples if samples is not None else 1000
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     draws = [(rng.randrange(1, size), rng.randrange(size)) for _ in range(count)]
     return tuple(np.array(draws).T)
 
 
-def reduction_sweep(k: int, *, samples: int | None = None,
-                    seed: int = DEFAULT_SEED) -> CheckReport:
+def reduction_sweep(k: int, *, samples: int | None = None) -> CheckReport:
     """Replay the reduction over many (a, b) pairs.
 
-    Exhaustive by default for k <= 2, sampled (default 1000 pairs, fixed
-    seed) otherwise.  A samples count below 1 raises ValueError.
+    Exhaustive by default for k <= 2, sampled (default 1000 pairs drawn
+    from DEFAULT_SEED) otherwise.  A samples count below 1 raises ValueError.
 
     Lemma: if the table's exponent is d (f(a*x) = a^d * f(x) for every
     a != 0 and every x, see :attr:`gf2lab.spectra.FunctionTable.exponent`),
@@ -506,7 +505,7 @@ def reduction_sweep(k: int, *, samples: int | None = None,
     """
     _check_k(k)
     _check_samples(samples)
-    a, b = _sweep_pairs(k, samples, seed)
+    a, b = _sweep_pairs(k, samples)
     table = _family_table(k)
     d = dobbertin_exponent(k)
     settled = np.zeros(a.size, dtype=bool)
@@ -828,7 +827,7 @@ def delta_sweep(k: int, *, deep: bool = False) -> CheckReport:
     """Full-DDT check that the family's differential uniformity is exactly 4."""
     _check_k(k)
     table = _family_table(k)
-    delta, _ = differential_uniformity(table, deep=deep)
+    delta = differential_uniformity(table, deep=deep)
     rows = table.spec.size - 1
     ok = delta == 4
     return CheckReport(f"delta-sweep[k={k}]", rows, 0 if ok else 1,

@@ -27,6 +27,7 @@ from gf2lab import (
     run_all_checks,
     walsh_spectrum,
 )
+from gf2lab import spectra
 from gf2lab.cli import main
 from gf2lab.spectra import walsh_coefficient_direct
 from gf2lab.theorems import _family_table
@@ -36,15 +37,15 @@ from gf2lab.theorems import _family_table
                            "sweep for k=1..3, and for k=4 under the deep flag")
 def test_criterion_1_delta_full_sweeps():
     for k in (1, 2):
-        delta, _ = differential_uniformity(_family_table(k), want_table=False)
+        delta = differential_uniformity(_family_table(k))
         assert delta == 4, f"k={k} delta {delta}"
     t0 = time.perf_counter()
-    delta, _ = differential_uniformity(_family_table(3), want_table=False)
+    delta = differential_uniformity(_family_table(3))
     k3_elapsed = time.perf_counter() - t0
     assert delta == 4
     assert k3_elapsed < 60, f"k=3 sweep took {k3_elapsed:.1f}s"
     t0 = time.perf_counter()
-    delta, _ = differential_uniformity(_family_table(4), want_table=False, deep=True)
+    delta = differential_uniformity(_family_table(4), deep=True)
     k4_elapsed = time.perf_counter() - t0
     assert delta == 4
     assert k4_elapsed < 1800, f"k=4 sweep took {k4_elapsed:.1f}s"
@@ -56,7 +57,7 @@ def test_criterion_2_walsh_extremum():
     expected = {1: (8, 4), 2: (32, 112), 3: (128, 1984)}
     for k, (wmax, nl) in expected.items():
         t0 = time.perf_counter()
-        ws = walsh_spectrum(_family_table(k), keep_table=False)
+        ws = walsh_spectrum(_family_table(k))
         elapsed = time.perf_counter() - t0
         assert ws.max_abs == wmax == 1 << (2 * k + 1)
         n = 4 * k
@@ -121,11 +122,14 @@ def test_criterion_5_replays():
                            "transform vs direct sums, modulus independence, and "
                            "the almost-bent witness x^3 on GF(2^5)")
 def test_criterion_6_engine_self_checks():
-    # Parseval per component for every degree up to 10
+    # Parseval per component for every degree up to 10; the block kernel
+    # puts component b in column b - 1 and f^(a, b) in row masks[a]
     for n in range(2, 11):
-        ws = walsh_spectrum(build_lut(field_make(n), 3), keep_table=True)
-        sq = ws.table.astype(np.int64) ** 2
-        assert (sq.sum(axis=1) == 1 << (2 * n)).all(), n
+        s = field_make(n)
+        coeffs = spectra._walsh_block(spectra._block_lut(build_lut(s, 3)),
+                                      spectra._trace_masks(s), np.arange(1, s.size))
+        sq = coeffs.astype(np.int64) ** 2
+        assert (sq.sum(axis=0) == 1 << (2 * n)).all(), n
     # difference-table rows: all counts even, each row sums to 2^n
     for n, d in ((4, 7), (6, 62), (8, 21)):
         size = 1 << n
@@ -136,16 +140,17 @@ def test_criterion_6_engine_self_checks():
     rng = random.Random(0x1CEB00DA)
     s = field_make(5)
     table = lut_from_values(s, [rng.randrange(s.size) for _ in range(s.size)])
-    ws = walsh_spectrum(table, keep_table=True)
+    masks = spectra._trace_masks(s)
+    coeffs = spectra._walsh_block(spectra._block_lut(table), masks, np.arange(1, s.size))
     for _ in range(50):
         a, b = rng.randrange(s.size), rng.randrange(1, s.size)
-        assert int(ws.table[b - 1, a]) == walsh_coefficient_direct(table, a, b)
+        assert int(coeffs[masks[a], b - 1]) == walsh_coefficient_direct(table, a, b)
     # the spectrum multiset does not depend on the modulus choice
-    wa = walsh_spectrum(build_lut(field_make(8, 0x11B), 21), keep_table=False)
-    wb = walsh_spectrum(build_lut(field_make(8, 0x11D), 21), keep_table=False)
+    wa = walsh_spectrum(build_lut(field_make(8, 0x11B), 21))
+    wb = walsh_spectrum(build_lut(field_make(8, 0x11D), 21))
     assert wa.histogram == wb.histogram
-    da, _ = differential_uniformity(build_lut(field_make(8, 0x11B), 21), want_table=False)
-    db, _ = differential_uniformity(build_lut(field_make(8, 0x11D), 21), want_table=False)
+    da = differential_uniformity(build_lut(field_make(8, 0x11B), 21))
+    db = differential_uniformity(build_lut(field_make(8, 0x11D), 21))
     assert da == db
     # almost-bent witness: the cube map on GF(2^5)
     summary = classify(build_lut(field_make(5), 3))

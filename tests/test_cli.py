@@ -66,7 +66,7 @@ def test_analyze_lut_round_trip(tmp_path, capsys, n, d):
     assert a["field"] == b["field"]
     table, _ = read_lut(lut_path)
     full = walsh_spectrum(table)
-    assert b["results"]["delta"] == differential_uniformity(table)[0]
+    assert b["results"]["delta"] == differential_uniformity(table)
     assert b["results"]["walsh_max"] == full.max_abs
     assert b["results"]["lambda_histogram"] == {str(v): c for v, c in full.histogram.items()}
 
@@ -140,6 +140,22 @@ def test_every_entry_point_refuses_degree_16_before_any_work(tmp_path, capsys):
     errs = captured.err.splitlines()
     assert len(errs) == 3
     assert all("GF(2^16)" in e and "deep=True" in e and "--deep" in e for e in errs)
+
+
+def test_analyze_lut_refuses_field_flags(tmp_path, capsys):
+    # the file's header names the field; --n and --poly would be ignored
+    lut = tmp_path / "m.lut"
+    write_lut(lut, build_lut(field_make(8), 21))
+    outs = [tmp_path / name for name in ("r.json", "d.csv", "w.lut")]
+    flags = ["--json", str(outs[0]), "--ddt-csv", str(outs[1]), "--write-lut", str(outs[2])]
+    for extra in (["--n", "12"], ["--poly", "11d"], ["--n", "12", "--poly", "11d"],
+                  ["--n", "8"]):
+        assert main(["analyze", "--lut", str(lut), *extra, *flags]) == 2
+        assert not any(p.exists() for p in outs)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errs = captured.err.splitlines()
+        assert len(errs) == 1 and "--exp only" in errs[0]
 
 
 def test_analyze_source_flags_mutually_exclusive(tmp_path):

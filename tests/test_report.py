@@ -13,7 +13,7 @@ from gf2lab import AnalysisReport
 def _good_report() -> AnalysisReport:
     # x^3 on GF(2^3): almost bent, coefficient 0 28 times, 4 21 times, -4 7 times
     return AnalysisReport(
-        field_n=3, poly=0xB, map_kind="exponent", exponent=3, family=None,
+        field_n=3, poly=0xB, map_kind="exponent", exponent=3,
         lut_sha256=None, is_permutation=True, delta=2, nl=2, walsh_max=4,
         lam=Counter({0: 28, 4: 21, -4: 7}), is_apn=True, is_ab=True)
 
@@ -42,7 +42,7 @@ def test_validate_survives_optimized_mode():
     # python -O strips assert statements; the checks must still raise
     code = ("from collections import Counter\n"
             "from gf2lab import AnalysisReport\n"
-            "r = AnalysisReport(3, 0xB, 'exponent', 3, None, None, True, 2, 3, 4,\n"
+            "r = AnalysisReport(3, 0xB, 'exponent', 3, None, True, 2, 3, 4,\n"
             "                   Counter({0: 28, 4: 21, -4: 7}), True, True)\n"
             "try:\n"
             "    r.validate()\n"

@@ -32,6 +32,16 @@ from gf2lab.spectra import (WALSH_BLOCK_COEFFS, require_desk_scale,
                             walsh_coefficient_direct)
 
 
+def _walsh_table(f):
+    """(masks, coeffs): coeffs[masks[a], b - 1] = f^(a, b) for every a and b != 0.
+
+    One call of the block kernel over every component; row u of column
+    b - 1 is the coefficient at the a with masks[a] = u.
+    """
+    masks = spectra._trace_masks(f.spec)
+    return masks, spectra._walsh_block(spectra._block_lut(f), masks, np.arange(1, f.spec.size))
+
+
 def test_build_lut_matches_scalar_pow():
     cases = [(4, None, 7), (5, None, 3), (6, None, 13), (6, None, 62),
              (6, None, 63),                # d = 2^n - 1: nonzero x maps to 1
@@ -75,34 +85,61 @@ def test_lut_from_values_validation():
         lut_from_values(s, [0] * 7 + [8])
     with pytest.raises(ValueError):
         lut_from_values(s, [0] * 7 + [-1])
+    # every integer dtype is taken, and stored as int64
+    for dtype in (np.uint8, np.int16, np.uint32, np.uint64):
+        table = lut_from_values(s, np.arange(8, dtype=dtype))
+        assert table.lut.dtype == np.int64 and table.lut.tolist() == list(range(8))
+    with pytest.raises(ValueError, match="out of range"):
+        lut_from_values(s, np.array([0] * 7 + [2**64 - 1], dtype=np.uint64))
+
+
+@pytest.mark.parametrize("values", [
+    [0.9, 1.2, 2.5, 3.99],                 # would truncate to the identity
+    [0, 1, 2, 3.0],
+    np.arange(4, dtype=np.float64),
+    ["3", "1", "0", "2"],                  # would be parsed
+    [True, False, True, False],
+    [0, 1, None, 3],
+    np.arange(4, dtype=object),
+], ids=["floats", "one-float", "float-array", "strings", "bools", "none", "objects"])
+def test_lut_from_values_rejects_non_integers(values):
+    with pytest.raises(ValueError, match="must be integers"):
+        lut_from_values(field_make(2), values)
+
+
+@pytest.mark.parametrize("wide", [2**63, 2**64, 2**70, -2**70],
+                         ids=["2^63", "2^64", "2^70", "-2^70"])
+def test_lut_from_values_wide_ints_are_out_of_range(wide):
+    # numpy keeps these as float64 or object entries, never as int64
+    with pytest.raises(ValueError, match="out of range"):
+        lut_from_values(field_make(2), [0, 1, 2, wide])
 
 
 def test_differential_uniformity_known_values():
     table = build_lut(field_make(4), 7)
-    delta, ddt = differential_uniformity(table, want_table=True)
-    assert delta == 4
-    assert ddt is not None and ddt.shape == (15, 16)
-    assert differential_uniformity(table)[1] is None
+    delta = differential_uniformity(table)
+    assert type(delta) is int and delta == 4
+    rows = [row.counts for row in ddt_rows(table)]
+    assert np.array(rows).shape == (15, 16)
     # the identity map concentrates each difference row on a single value
     ident = build_lut(field_make(4), 1)
-    delta, _ = differential_uniformity(ident)
-    assert delta == 16
+    assert differential_uniformity(ident) == 16
     # the cube map is APN on odd-degree fields
-    delta, _ = differential_uniformity(build_lut(field_make(5), 3))
-    assert delta == 2
+    assert differential_uniformity(build_lut(field_make(5), 3)) == 2
 
 
 @pytest.mark.parametrize("n,d", [(4, 7), (6, 5), (6, 62), (8, 21)])
 def test_ddt_row_properties(n, d):
     table = build_lut(field_make(n), d)
     size = 1 << n
-    _, ddt = differential_uniformity(table, want_table=True)
+    delta = 0
     for a, row in enumerate(ddt_rows(table), start=1):
         assert row.a == a
         counts = row.counts
         assert counts.sum() == size
         assert not (counts & 1).any()  # solutions pair up as {x, x+a}
-        assert (ddt[a - 1] == counts).all()
+        delta = max(delta, int(counts.max()))
+    assert differential_uniformity(table) == delta
 
 
 def test_ddt_counts_against_direct_enumeration():
@@ -112,7 +149,7 @@ def test_ddt_counts_against_direct_enumeration():
     rng.shuffle(lut)
     lut[3] = lut[5]  # break bijectivity so rows are not uniform
     table = lut_from_values(s, lut)
-    _, ddt = differential_uniformity(table, want_table=True)
+    ddt = np.array([row.counts for row in ddt_rows(table)])
     for _ in range(100):
         a = rng.randrange(1, s.size)
         b = rng.randrange(s.size)
@@ -125,18 +162,16 @@ def test_walsh_against_direct_definition():
     s = field_make(5)
     lut = [rng.randrange(s.size) for _ in range(s.size)]
     table = lut_from_values(s, lut)
-    ws = walsh_spectrum(table, keep_table=True)
+    masks, coeffs = _walsh_table(table)
     for _ in range(50):
         a = rng.randrange(s.size)
         b = rng.randrange(1, s.size)
-        assert int(ws.table[b - 1, a]) == walsh_coefficient_direct(table, a, b)
+        assert int(coeffs[masks[a], b - 1]) == walsh_coefficient_direct(table, a, b)
 
 
 def test_walsh_row_matches_full_table():
+    # rows against the kernel's columns: test_walsh_blocks_agree_with_rows_and_histogram
     table = build_lut(field_make(6), 13)
-    ws = walsh_spectrum(table, keep_table=True)
-    for b in (1, 7, 33, 63):
-        assert (walsh_row(table, b) == ws.table[b - 1]).all()
     with pytest.raises(ValueError):
         walsh_row(table, 0)
 
@@ -144,16 +179,15 @@ def test_walsh_row_matches_full_table():
 @pytest.mark.parametrize("n", range(2, 11))
 def test_parseval_per_component(n):
     s = field_make(n)
-    table = build_lut(s, 3)
-    ws = walsh_spectrum(table, keep_table=True)
+    _, coeffs = _walsh_table(build_lut(s, 3))
     # for each component b, the coefficients over all a carry total mass 2^(2n)
-    sq = ws.table.astype(np.int64) ** 2
-    assert (sq.sum(axis=1) == 1 << (2 * n)).all()
+    sq = coeffs.astype(np.int64) ** 2
+    assert (sq.sum(axis=0) == 1 << (2 * n)).all()
 
 
 def test_walsh_histogram_mass():
     table = build_lut(field_make(6), 62)
-    ws = walsh_spectrum(table, keep_table=False)
+    ws = walsh_spectrum(table)
     size = 1 << 6
     assert sum(ws.histogram.values()) == size * (size - 1)
     assert ws.max_abs == max(abs(v) for v in ws.histogram)
@@ -169,8 +203,8 @@ def test_permutation_iff_all_components_balanced():
             lut[rng.randrange(s.size)] = lut[rng.randrange(s.size)]
         table = lut_from_values(s, lut)
         is_perm = len(set(lut)) == s.size
-        ws = walsh_spectrum(table, keep_table=True)
-        balanced = bool((ws.table[:, 0] == 0).all())  # coefficients at a = 0
+        _, coeffs = _walsh_table(table)
+        balanced = bool((coeffs[0] == 0).all())  # row masks[0] = 0 holds a = 0
         assert balanced == is_perm
         assert classify(table).is_permutation == is_perm
 
@@ -193,7 +227,7 @@ def test_classify_known_maps():
 def test_nonlinearity_identity():
     for n, d in [(4, 7), (5, 3), (6, 13), (8, 254)]:
         table = build_lut(field_make(n), d)
-        ws = walsh_spectrum(table, keep_table=False)
+        ws = walsh_spectrum(table)
         assert nonlinearity(table) == (1 << (n - 1)) - ws.max_abs // 2
 
 
@@ -201,11 +235,9 @@ def test_spectrum_invariant_under_basis_change():
     # same power map, two different moduli: delta and the histogram agree
     a = build_lut(field_make(8, 0x11B), 21)
     b = build_lut(field_make(8, 0x11D), 21)
-    da, _ = differential_uniformity(a, want_table=False)
-    db, _ = differential_uniformity(b, want_table=False)
-    assert da == db == 4
-    wa = walsh_spectrum(a, keep_table=False)
-    wb = walsh_spectrum(b, keep_table=False)
+    assert differential_uniformity(a) == differential_uniformity(b) == 4
+    wa = walsh_spectrum(a)
+    wb = walsh_spectrum(b)
     assert wa.histogram == wb.histogram
     assert sorted(wa.histogram) == [-32, -16, 0, 16, 32]
 
@@ -216,13 +248,14 @@ def test_walsh_blocks_agree_with_rows_and_histogram():
     block = WALSH_BLOCK_COEFFS >> n
     assert 1 < block and 2 * block < s.size - 1  # several blocks, a short last one
     table = lut_from_values(s, np.random.default_rng(10).integers(0, s.size, s.size))
-    ws = walsh_spectrum(table, keep_table=True)
-    assert ws.table.dtype == np.int32
-    assert ws.histogram == Counter(ws.table.ravel().tolist())
-    assert ws.max_abs == int(np.abs(ws.table).max())
+    ws = walsh_spectrum(table)
+    masks, coeffs = _walsh_table(table)
+    assert ws.histogram == Counter(coeffs.ravel().tolist())
+    assert ws.max_abs == int(np.abs(coeffs).max())
+    # the first and last b of every block: 1, R, R + 1, ..., 2^n - 1
     for lo in range(1, s.size, block):
         for b in (lo, min(lo + block, s.size) - 1):
-            assert (walsh_row(table, b) == ws.table[b - 1]).all()
+            assert (walsh_row(table, b) == coeffs[masks, b - 1]).all()
 
 
 @pytest.mark.parametrize("n", [2, 5, 10])
@@ -230,9 +263,9 @@ def test_constant_maps_reach_both_extreme_coefficients(n):
     # f = c: f^(a, b) is 0 for a != 0 and 2^n * (-1)^Tr(bc) for a = 0
     size = 1 << n
     s = field_make(n)
-    zero = walsh_spectrum(lut_from_values(s, [0] * size), keep_table=False)
+    zero = walsh_spectrum(lut_from_values(s, [0] * size))
     assert zero.histogram == Counter({size: size - 1, 0: (size - 1) ** 2})
-    one = walsh_spectrum(build_lut(s, 0), keep_table=False)
+    one = walsh_spectrum(build_lut(s, 0))
     assert one.histogram == Counter({size: size // 2 - 1, -size: size // 2,
                                      0: (size - 1) ** 2})
     assert zero.max_abs == one.max_abs == size
@@ -312,13 +345,11 @@ def _orbit_cases():
 @pytest.mark.parametrize("n,poly,d", list(_orbit_cases()))
 def test_orbit_engine_matches_full_sweeps(n, poly, d):
     table = build_lut(field_make(n, poly), d)
-    delta, _ = differential_uniformity(table, want_table=False)
-    assert power_delta(table) == delta
-    full = walsh_spectrum(table, keep_table=False)
+    assert power_delta(table) == differential_uniformity(table)
+    full = walsh_spectrum(table)
     orbit = power_walsh_spectrum(table)
     assert orbit.max_abs == full.max_abs
     assert orbit.histogram == full.histogram
-    assert orbit.table is None
 
 
 def test_named_sweeps_stay_full_and_orbit_needs_an_exponent(monkeypatch):
@@ -393,7 +424,7 @@ def test_a_stale_label_cannot_reach_the_orbit_engine():
     assert f.exponent is None
     summ = classify(f)
     full = walsh_spectrum(f)
-    assert summ.delta == differential_uniformity(f)[0] == 6
+    assert summ.delta == differential_uniformity(f) == 6
     assert (summ.walsh_max, summ.lam) == (full.max_abs, full.histogram)
 
 

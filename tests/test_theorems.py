@@ -199,12 +199,10 @@ def test_reduction_sweep_exhaustive_k1():
 
 
 def test_reduction_sweep_sampled_determinism():
-    a = reduction_sweep(3, samples=40, seed=DEFAULT_SEED)
-    b = reduction_sweep(3, samples=40, seed=DEFAULT_SEED)
+    a = reduction_sweep(3, samples=40)
+    b = reduction_sweep(3, samples=40)
     assert a == b
     assert a.instances == 40 and a.failures == 0
-    c = reduction_sweep(3, samples=40, seed=12345)
-    assert c.failures == 0
 
 
 def _sweep_cases(k, samples):

@@ -3,9 +3,11 @@
 One replay instance, ``reduction_trace(3, 1, 1)``: a = 1 and b = 1 give
 c = 0, whose equation has four solutions and runs the whole t != 1 branch
 down to the terminal quadratics.  Then the pair sweep
-:func:`gf2lab.reduction_sweep` at k = 3 with 20000 and 5000 sampled pairs
-and at k = 4 with 1000, the sizes ``verify`` runs.  Only public functions
-are called, so the file runs unchanged on any version of the package.  The
+:func:`gf2lab.reduction_sweep` exhaustive at k = 2 (every c), at k = 3
+with 20000 and 5000 sampled pairs and at k = 4 with 1000, the sizes
+``verify`` runs, and the split-coordinate cross-check
+:func:`gf2lab.mm_crosscheck_all` at k = 3.  Only public functions are
+called, so the file runs unchanged on any version of the package.  The
 first round builds the family table and the scalar tables, and is not
 timed.  Every case records its instance count as
 ``extra_info["instances"]``.
@@ -17,7 +19,7 @@ Not part of the test suite (``testpaths`` is ``tests``).  Run it with::
 
 import pytest
 
-from gf2lab import reduction_sweep, reduction_trace
+from gf2lab import mm_basis, mm_crosscheck_all, reduction_sweep, reduction_trace
 
 
 def test_one_replay_instance(benchmark):
@@ -33,3 +35,17 @@ def test_pair_sweep(benchmark, k, samples):
     report = benchmark.pedantic(reduction_sweep, (k,), {"samples": samples},
                                 rounds=5, warmup_rounds=1)
     assert report.ok and report.instances == samples
+
+
+def test_pair_sweep_exhaustive_k2(benchmark):
+    pairs = 255 * 256
+    benchmark.extra_info["instances"] = pairs
+    report = benchmark.pedantic(reduction_sweep, (2,), rounds=5, warmup_rounds=1)
+    assert report.ok and report.instances == pairs
+
+
+def test_mm_crosscheck_all_k3(benchmark):
+    w = mm_basis(3)
+    benchmark.extra_info["instances"] = 1 << 12
+    report = benchmark.pedantic(mm_crosscheck_all, (w,), rounds=5, warmup_rounds=1)
+    assert report.ok and report.instances == 1 << 12

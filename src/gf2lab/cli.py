@@ -24,7 +24,7 @@ import numpy as np
 
 from .catalog import catalog_table
 from .field import FieldConstructionError, field_make
-from .lutio import LutParseError, read_lut, write_lut
+from .lutio import _HEX_TOKEN, LutParseError, read_lut, write_lut
 from .report import AnalysisReport, report_to_json
 from .spectra import (_delta, _spectrum, build_lut, ddt_rows,
                       require_desk_scale, summarize)
@@ -87,8 +87,10 @@ def _analyze(args) -> int:
             return _fail_usage("--exp requires --n")
         if args.exp < 0:
             return _fail_usage("--exp must be non-negative")
+        if args.poly is not None and not _HEX_TOKEN.fullmatch(args.poly):
+            return _fail_usage(f"--poly must be hexadecimal digits, got {args.poly!r}")
         try:
-            poly = int(args.poly, 16) if args.poly else None
+            poly = None if args.poly is None else int(args.poly, 16)
             s = field_make(args.n, poly)
         except (ValueError, FieldConstructionError) as e:
             return _fail_usage(str(e))

@@ -14,10 +14,11 @@ naming the failing step.  The pair sweep scans no pair: once the family
 table's exponent reads d (the premise stated at
 :attr:`gf2lab.spectra.FunctionTable.exponent`), the substitution x = a*y
 reduces every solution set to the row a = 1, S(a, b) = a * S(1, b/a^d),
-so one grouping of that row feeds one replay per distinct c = b/a^d + 1,
-and a and b enter the checks only through c and the normalized set.  A
-pair whose replay failed, and every pair of a table whose exponent is not
-d, is replayed on its own.
+and a and b enter the checks only through c = b/a^d + 1 and the normalized
+set.  So one grouping of that row feeds one array pass over every c (every
+c the pairs reach, when they are sampled); the scalar derivation replays
+only unsettled pairs: those whose c failed the pass, and every pair of a
+table whose exponent is not d.
 
 The *split-coordinate suite* checks the Maiorana-McFarland structure of the
 component g(x) = Tr(gamma^2 * x^d): a basis (gamma, alpha, omega) is
@@ -28,7 +29,13 @@ collapse to sums over the fibers of pi, whose sizes a linearized quartic
 confines to {0, 1, 2, 4}.  The suite verifies the decomposition pointwise,
 the fiber/quartic correspondence, the fiber-sum formula against an
 independent fast-transform sweep, and the sign pattern that pins the
-extremal coefficient magnitude 2^(2k+1).
+extremal coefficient magnitude 2^(2k+1).  The pointwise decomposition and
+the fiber-sum cross-check each make one array pass over their whole grid
+of 2^(4k) cases; the scalar check replays only the unsettled cases.
+
+An array pass settles a case only where the scalar check passes, so every
+report equals the all-scalar one, first failure included, and the scalar
+checks stay the only source of :class:`VerificationError` text.
 
 Every sweep reports one :class:`CheckReport` row under one rule: each case
 (a pair, a point, a fiber) whose check raises :class:`VerificationError`
@@ -37,10 +44,11 @@ counts as one failure, the first in case order is kept as
 to construct is a failed ``mm-basis`` row, and :func:`run_all_checks` skips
 the suites that need it for that gamma.
 
-Both suites do their scalar arithmetic through the log/exp tables of
-:mod:`gf2lab.field`.  The full difference-table sweep at k = 4 (degree 16)
-needs ``deep=True``, as decided by :func:`gf2lab.spectra.require_desk_scale`;
-the replay and the split-coordinate suite are not full sweeps and need none.
+Both suites do their arithmetic, scalar and array, through the log/exp
+tables of :mod:`gf2lab.field`.  The full difference-table sweep at k = 4
+(degree 16) needs ``deep=True``, as decided by
+:func:`gf2lab.spectra.require_desk_scale`; the replay and the
+split-coordinate suite are not full sweeps and need none.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import gcd
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -131,9 +139,7 @@ class _Arith:
         log, exp = _log_exp_tables(spec.n, spec.poly)
         self.log = log.tolist()
         self.exp = exp.tolist()
-        # roots of x^2 + x = const: const -> smaller root; x and x + 1 share
-        # the image, so the even x are exactly the smaller roots
-        self._as_root = {self.mul(x, x) ^ x: x for x in range(0, spec.size, 2)}
+        self.root = _quad_root_table(spec.n, spec.poly).tolist()
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -156,8 +162,8 @@ class _Arith:
 
     def quad_roots(self, const: int) -> frozenset[int]:
         """Roots of x^2 + x + const = 0 (either two or none)."""
-        r = self._as_root.get(const)
-        return frozenset() if r is None else frozenset((r, r ^ 1))
+        r = self.root[const]
+        return frozenset() if r < 0 else frozenset((r, r ^ 1))
 
     def subfield(self, m: int) -> tuple[int, ...]:
         """All elements fixed by the m-fold Frobenius, in increasing order.
@@ -181,6 +187,64 @@ class _Arith:
 @lru_cache(maxsize=8)
 def _arith(n: int, poly: int) -> _Arith:
     return _Arith(FieldSpec(n, poly))
+
+
+@lru_cache(maxsize=8)
+def _quad_root_table(n: int, poly: int) -> np.ndarray:
+    """root[e] is the even root of x^2 + x = e, or -1 when there is none.
+
+    x and x + 1 share the image, so the even x are exactly the smaller roots
+    and each image of an even x is hit once.  Read-only, shared by callers.
+    """
+    log, exp = _log_exp_tables(n, poly)
+    xs = np.arange(0, 1 << n, 2)
+    squares = np.where(xs == 0, 0, exp[2 * log[xs] % exp.size])
+    root = np.full(1 << n, -1, dtype=np.int64)
+    root[squares ^ xs] = xs
+    root.flags.writeable = False
+    return root
+
+
+class _ArrayArith:
+    """The ops of :class:`_Arith` applied elementwise to numpy arrays.
+
+    The array passes of the replay and the split suites evaluate one
+    identity over every case at once with these; they read the same log/exp
+    and quadratic-root tables as the scalar ops.  ``pow`` takes d >= 1 and
+    ``inv`` nonzero elements; other inputs give unspecified elements, which
+    callers mask out.
+    """
+
+    def __init__(self, spec: FieldSpec):
+        self.order = spec.order
+        self.log, self.exp = _log_exp_tables(spec.n, spec.poly)
+        self.root = _quad_root_table(spec.n, spec.poly)
+
+    def mul(self, a, b) -> np.ndarray:
+        prod = self.exp[(self.log[a] + self.log[b]) % self.order]
+        return np.where((a == 0) | (b == 0), 0, prod)
+
+    def inv(self, a) -> np.ndarray:
+        return self.exp[-self.log[a] % self.order]
+
+    def pow(self, a, d: int) -> np.ndarray:
+        return np.where(a == 0, 0, self.exp[self.log[a] * (d % self.order) % self.order])
+
+    def frob(self, a, e: int) -> np.ndarray:
+        return self.pow(a, 1 << e)
+
+    def subtrace(self, a, m: int) -> np.ndarray:
+        """Absolute trace of the GF(2^m) subfield, for elements lying in it."""
+        acc = x = a
+        for _ in range(m - 1):
+            x = self.mul(x, x)
+            acc = acc ^ x
+        return acc
+
+
+@lru_cache(maxsize=8)
+def _array_arith(n: int, poly: int) -> _ArrayArith:
+    return _ArrayArith(FieldSpec(n, poly))
 
 
 @lru_cache(maxsize=8)
@@ -438,6 +502,94 @@ def _derive(k: int, a: int, b: int, direct: frozenset[int]) -> ReductionTrace:
         obstruction=None, checks=tuple(checks))
 
 
+class _ReplayColumns(NamedTuple):
+    """Per-row outcome of :func:`_derive_pass`.
+
+    ``passed`` says whether the replay passes; on a passing row ``t_one`` is
+    its branch (t = 1), ``obstructed`` whether halving-image-constraints
+    ended it, and ``count`` the size of its solution set.
+    """
+
+    passed: np.ndarray
+    t_one: np.ndarray
+    obstructed: np.ndarray
+    count: np.ndarray
+
+
+def _derive_pass(k: int, sols: np.ndarray, valid: np.ndarray,
+                 c: np.ndarray) -> _ReplayColumns:
+    """Every check of :func:`_derive` at a = 1, as masks over many c at once.
+
+    Row i replays the pair (1, c[i] + 1), whose solution set is held by the
+    slots of ``sols[i]`` where ``valid[i]`` is set (distinct elements; the
+    width is at least four).  A row passes exactly when the four-solution
+    bound and the scalar replay pass, so a failing row is left to
+    :func:`_derive` for its error.  Two steps take a shorter form: the
+    filtered roots equal the solution set when the set is covered by the
+    roots and as many roots as it has members satisfy the product identity,
+    since each member already did; and two equal terminal constants give
+    one root pair, not two.
+    """
+    table = _family_table(k)
+    V = _array_arith(table.spec.n, table.spec.poly)
+    mul, fr, root = V.mul, V.frob, V.root
+    x = sols
+    count = valid.sum(axis=1)
+    ck, c3k = fr(c, k), fr(c, 3 * k)
+    t = c ^ ck ^ fr(c, 2 * k) ^ c3k
+    col = lambda v: v[:, None]
+
+    def product_identity(x: np.ndarray) -> np.ndarray:
+        x2k, xk = fr(x, 2 * k), fr(x, k)
+        return mul(x2k, xk) ^ mul(x2k, x) ^ mul(xk, x) ^ x2k ^ xk ^ x ^ col(c)
+
+    x2k, xk = fr(x, 2 * k), fr(x, k)
+    u = x ^ x2k
+    slot_ok = ((product_identity(x) == 0)
+               & (u ^ xk ^ fr(x, 3 * k) == col(t))
+               & (mul(u, u) ^ mul(col(t ^ 1), u) ^ col(ck ^ c3k) == 0))
+    ok = (count <= 4) & (fr(t, k) == t)
+
+    # branch t = 1: one terminal quadratic, x + x^(2^2k) = r, x + x^(2^k) = s
+    t_one = t == 1
+    r = fr(c, k - 1) ^ fr(c, 3 * k - 1)
+    rk = fr(r, k)
+    s = fr(mul(rk, r) ^ c ^ ck ^ rk, 4 * k - 1)
+    gaps_ok = (u == col(r)) & (x ^ xk == col(s))
+    r0 = root[mul(r, s) ^ s ^ r ^ c]
+
+    # branch t != 1: the halving roots p and q, then two terminal quadratics
+    t1 = t ^ 1
+    t1i = V.inv(t1)
+    t1i2 = mul(t1i, t1i)
+    t1sq = mul(t1, t1)
+    p = root[mul(ck ^ c3k, t1i2)]
+    pk = fr(p, k)
+    p_ok = (p >= 0) & (fr(p, 2 * k) == p) & (p ^ pk == mul(t, t1i))
+    q = root[mul(mul(t1sq, mul(pk, p)) ^ mul(t1, pk) ^ c ^ ck, t1i2)]
+    qk, q2 = fr(q, k), mul(q, q)
+    k1 = mul(t1sq, mul(qk, q) ^ q2) ^ mul(t1, qk) ^ c
+    k2 = mul(t1sq, mul(qk, q) ^ qk ^ q2 ^ q) ^ mul(t1, fr(q ^ 1, k)) ^ c
+    r1, r2 = root[k1], root[k2]
+    z = mul(x, col(t1i))
+    images_ok = (((z ^ fr(z, 2 * k) ^ col(p)) < 2)
+                 & ((z ^ fr(z, k) ^ col(q)) < 2))
+
+    # the terminal roots of the row's branch, in pairs {r, r + 1}
+    first = np.where(t_one, r0, r1)
+    second = np.where(t_one | (k2 == k1), -1, r2)
+    roots = np.stack([first, first ^ 1, second, second ^ 1], axis=1)
+    has = np.repeat(np.stack([first >= 0, second >= 0], axis=1), 2, axis=1)
+    covered = ((x[:, :, None] == roots[:, None, :]) & has[:, None, :]).any(axis=2)
+    matched = ((product_identity(np.where(has, roots, 0)) == 0) & has).sum(axis=1) == count
+    branch_ok = np.where(col(t_one), gaps_ok, images_ok)
+    terminal_ok = matched & ((covered & branch_ok) | ~valid).all(axis=1)
+    ok &= (slot_ok | ~valid).all(axis=1)
+    ok &= np.where(t_one, terminal_ok,
+                   (p >= 0) & np.where(p_ok, (q >= 0) & terminal_ok, count == 0))
+    return _ReplayColumns(ok, t_one, ~t_one & ~p_ok, count)
+
+
 @dataclass(frozen=True)
 class CheckReport:
     """One verification row: check name, instances tried, failures seen."""
@@ -471,6 +623,16 @@ def _tally(name: str, cases: Iterable[tuple], check) -> CheckReport:
     return CheckReport(name, instances, failures, first)
 
 
+def _grid_tally(name: str, sub: tuple[int, ...], ok: np.ndarray, check,
+                *lead) -> CheckReport:
+    """The report of ``check(*lead, sub[i], sub[j])`` over every cell of the
+    grid, from an array pass ``ok[i, j]`` that holds only where that check
+    passes: the cells it does not settle run the check, in case order."""
+    fails = np.flatnonzero(~ok).tolist()
+    cases = ((*lead, sub[i // len(sub)], sub[i % len(sub)]) for i in fails)
+    return replace(_tally(name, cases, check), instances=ok.size)
+
+
 def _sweep_pairs(k: int, samples: int | None) -> tuple[np.ndarray, np.ndarray]:
     """The (a, b) pairs of a sweep as two index arrays, in case order."""
     size = 1 << (4 * k)
@@ -496,12 +658,14 @@ def reduction_sweep(k: int, *, samples: int | None = None) -> CheckReport:
     normalized set S(a, b)/a alone, so on such a table the pair (a, b)
     passes exactly when the replay of (1, c + 1) does.  The sweep checks
     that premise on the family table once, groups the row a = 1 once (one
-    stable argsort and one bincount give every S(1, v)), and replays the
-    derivation once per distinct c from that grouping, under the same
-    four-solution bound; a pair whose replay passed is settled without a
-    scan.  Every other pair, and every pair of a table that fails the
-    premise, runs its own ``reduction_trace(k, a, b)``, so the report equals
-    the per-pair one, first failure included.
+    stable argsort and one bincount give every S(1, v)), and makes one
+    array pass over every c the pairs reach (all of them when exhaustive)
+    under the same four-solution bound; a pair whose c passed is settled
+    without a scan.  The scalar derivation replays only unsettled pairs:
+    every other pair, and every pair of a table that fails the premise,
+    runs its own ``reduction_trace(k, a, b)``.  The pass settles no c whose
+    scalar replay fails, so the report equals the per-pair one, first
+    failure included.
     """
     _check_k(k)
     _check_samples(samples)
@@ -515,17 +679,18 @@ def reduction_sweep(k: int, *, samples: int | None = None) -> CheckReport:
         v = np.where(b == 0, 0, exp[(log[b] - d * log[a]) % table.spec.order])
         lut = table.lut
         row = lut ^ lut[np.arange(lut.size) ^ 1]
-        # S(1, w) is xs[bounds[w]:bounds[w + 1]]
+        # S(1, w) is xs[starts[w]:starts[w] + counts[w]]
         xs = np.argsort(row, kind="stable")
-        bounds = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=lut.size))))
+        counts = np.bincount(row, minlength=lut.size)
+        starts = np.cumsum(counts) - counts
+        reached = np.zeros(lut.size, dtype=bool)
+        reached[v] = True
+        ws = np.flatnonzero(reached)
+        slots = np.arange(max(4, counts.max()))
+        valid = slots < counts[ws, None]
+        sols = np.where(valid, xs[np.minimum(starts[ws, None] + slots, lut.size - 1)], 0)
         passed = np.zeros(lut.size, dtype=bool)
-        for w in np.unique(v).tolist():
-            try:
-                _derive(k, 1, w, _count_bound(
-                    k, 1, w, frozenset(xs[bounds[w]:bounds[w + 1]].tolist())))
-            except VerificationError:
-                continue
-            passed[w] = True
+        passed[ws] = _derive_pass(k, sols, valid, ws ^ 1).passed
         settled = passed[v]
     rest = np.flatnonzero(~settled).tolist()
     report = _tally(f"reduction-replay[k={k}]", ((int(a[i]), int(b[i])) for i in rest),
@@ -667,20 +832,26 @@ def mm_decomposition_check(w: MMWitness) -> CheckReport:
     d = dobbertin_exponent(k)
     g2 = A.mul(w.gamma, w.gamma)
     sub_2k = A.subfield(2 * k)
-    pi_of = {a: pi_image(w, a) for a in sub_2k}
-    offset_of = {a: _split_offset(w, A, a) for a in sub_2k}
 
     def check(y: int, a: int) -> None:
         x = y ^ A.mul(w.omega, a)
         lhs = A.subtrace(A.mul(g2, A.pow(x, d)), A.n)
-        if lhs != A.subtrace(A.mul(y, pi_of[a]) ^ offset_of[a], 2 * k):
+        split = A.mul(y, pi_image(w, a)) ^ _split_offset(w, A, a)
+        if lhs != A.subtrace(split, 2 * k):
             raise VerificationError(
                 "split-coordinate-form",
                 "g(y + omega*a) differs from its split-coordinate form",
                 k=k, y=y, a=a)
 
-    return _tally(f"mm-decomposition[k={k}]",
-                  ((y, a) for y in sub_2k for a in sub_2k), check)
+    # the same identity over the whole grid, y along rows and a along columns
+    V = _array_arith(w.spec.n, w.spec.poly)
+    a = np.array(sub_2k)
+    y = a[:, None]
+    pi = V.mul(w.gamma, V.frob(a, k - 1)) ^ V.mul(g2, V.mul(V.frob(a, k), a))
+    offset = V.mul(A.mul(w.alpha, g2), V.pow(a, (1 << k) + 2))
+    lhs = V.subtrace(V.mul(g2, V.pow(y ^ V.mul(w.omega, a), d)), A.n)
+    ok = lhs == V.subtrace(V.mul(y, pi) ^ offset, 2 * k)
+    return _grid_tally(f"mm-decomposition[k={k}]", sub_2k, ok, check)
 
 
 @dataclass(frozen=True, eq=False)
@@ -776,9 +947,27 @@ def mm_walsh_crosscheck(w: MMWitness, u: int, v: int) -> int:
 
 def mm_crosscheck_all(w: MMWitness) -> CheckReport:
     """Cross-check every (u, v) over the half-degree subfield grid."""
-    sub_2k = _arith(w.spec.n, w.spec.poly).subfield(2 * w.k)
-    return _tally(f"mm-walsh-crosscheck[k={w.k}]",
-                  ((w, u, v) for u in sub_2k for v in sub_2k), mm_walsh_crosscheck)
+    A = _arith(w.spec.n, w.spec.poly)
+    V = _array_arith(w.spec.n, w.spec.poly)
+    k = w.k
+    sub_2k = A.subfield(2 * k)
+    # the fiber sums over the whole grid, u along rows and v along columns;
+    # the fiber of each u fills the leading slots of its row of ``fib``
+    fibers = [sorted(pi_fiber(w, u)) for u in sub_2k]
+    size = np.array([len(m) for m in fibers])
+    fib = np.zeros((len(fibers), size.max()), dtype=np.int64)
+    for i, members in enumerate(fibers):
+        fib[i, :len(members)] = members
+    in_fiber = (np.arange(size.max()) < size[:, None])[:, None, :]
+    g2 = A.mul(w.gamma, w.gamma)
+    offset = V.mul(A.mul(w.alpha, g2), V.pow(fib, (1 << k) + 2))
+    u = np.array(sub_2k)[:, None]
+    v = u.T
+    bits = V.subtrace(offset[:, None, :] ^ V.mul(v[..., None], fib[:, None, :]), 2 * k)
+    coef = (1 << (2 * k)) * np.where(in_fiber, 1 - 2 * bits, 0).sum(axis=2)
+    direct = _transform_row(k, g2)[V.mul(u, w.omega) ^ u ^ v]
+    ok = (coef == direct) & (np.abs(coef) <= (1 << (2 * k)) * size[:, None])
+    return _grid_tally(f"mm-walsh-crosscheck[k={k}]", sub_2k, ok, mm_walsh_crosscheck, w)
 
 
 def m4_sum_check(w: MMWitness) -> CheckReport:

@@ -118,6 +118,12 @@ def test_analyze_usage_errors(tmp_path, capsys):
     assert main(["analyze", "--lut", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    # int(s, 16) would take a sign, underscores and spaces; --poly takes hex digits
+    for poly in (" +1_1d", "1_1d", "-11d"):
+        assert main(["analyze", "--exp", "21", "--n", "8", f"--poly={poly}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
 
 
 def test_analyze_refuses_large_fields_without_deep(capsys):
@@ -244,6 +250,19 @@ def test_json_identical_across_thread_counts(tmp_path, capsys):
         docs.append(json.dumps(doc, sort_keys=True))
     capsys.readouterr()
     assert docs[0] == docs[1]
+
+
+def test_cli_jobs_never_load_numpy_ma():
+    # importing numpy.ma costs every process that loads it 15-17 ms
+    jobs = [["verify", "--k", "1,2"], ["analyze", "--exp", "73", "--n", "12"],
+            ["catalog", "--max-n", "8"]]
+    code = ("import sys\n"
+            "from gf2lab.cli import main\n"
+            f"codes = [main(argv) for argv in {jobs!r}]\n"
+            "print(codes, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
 
 def test_module_entry_point():

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -238,7 +239,8 @@ def test_reduction_sweep_replays_each_c_once_on_a_clean_table(monkeypatch):
     monkeypatch.setattr(theorems, "_derive", counting)
     monkeypatch.setattr(theorems, "diff_solution_count", no_scan)
     assert reduction_sweep(2).ok
-    assert calls == Counter((1, c ^ 1) for c in range(256))
+    # the array pass settles every c, so the scalar derivation never runs
+    assert calls == Counter()
 
 
 def _swap_out(lut, a, b, sols):
@@ -354,6 +356,63 @@ def test_homogeneity_check_rejects_two_swapped_entries(k):
 def test_reduction_sweep_at_k4_needs_no_deep():
     assert reduction_sweep(4, samples=1000) == CheckReport(
         "reduction-replay[k=4]", 1000, 0, None)
+
+
+def _row_a1(k, ws):
+    """S(1, w) for each w, each from its own scan of the family table."""
+    lut = _family_table(k).lut
+    row = lut ^ lut[np.arange(lut.size) ^ 1]
+    return [np.flatnonzero(row == w).tolist() for w in ws]
+
+
+def _derive_pass(k, ws, sets):
+    """The array pass over the pairs (1, w), the sets padded into slots."""
+    width = max(4, max(map(len, sets)))
+    sols = np.zeros((len(sets), width), dtype=np.int64)
+    for i, members in enumerate(sets):
+        sols[i, :len(members)] = members
+    valid = np.arange(width) < np.array([len(m) for m in sets])[:, None]
+    return theorems._derive_pass(k, sols, valid, np.array(ws) ^ 1)
+
+
+def _scalar_replay(k, w, sols):
+    """The scalar replay of (1, w) under the four-solution bound, or None."""
+    try:
+        return theorems._derive(k, 1, w, theorems._count_bound(k, 1, w, frozenset(sols)))
+    except VerificationError:
+        return None
+
+
+@pytest.mark.parametrize("k, samples", [(1, None), (2, None), (3, None), (4, 300)])
+def test_derive_pass_equals_the_scalar_replay_at_every_c(k, samples):
+    size = 1 << (4 * k)
+    ws = range(size) if samples is None else random.Random(k).sample(range(size), samples)
+    sets = _row_a1(k, ws)
+    cols = _derive_pass(k, ws, sets)
+    for i, (w, sols) in enumerate(zip(ws, sets)):
+        tr = _scalar_replay(k, w, sols)
+        assert cols.passed[i] and tr is not None, w
+        # the columns behind the branch tally of every c
+        assert (cols.t_one[i], cols.obstructed[i], cols.count[i]) == (
+            tr.branch == "t=1", tr.obstruction is not None, len(tr.solutions_direct)), w
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_derive_pass_equals_the_scalar_replay_on_perturbed_sets(k):
+    size = 1 << (4 * k)
+    rng = random.Random(DEFAULT_SEED + k)
+    ws = [rng.randrange(size) for _ in range(120)]
+    sets = []
+    for members, change in zip(_row_a1(k, ws), ["drop", "replace", "add"] * 40):
+        members = set(members)
+        if change != "add" and members:
+            members.discard(rng.choice(sorted(members)))
+        if change != "drop":
+            members.add(rng.randrange(size))
+        sets.append(sorted(members))
+    want = [_scalar_replay(k, w, sols) is not None for w, sols in zip(ws, sets)]
+    assert 0 < sum(want) < len(want)
+    assert _derive_pass(k, ws, sets).passed.tolist() == want
 
 
 def test_all_gammas_frozen():
@@ -575,41 +634,70 @@ def test_tally_counts_each_verification_error_and_keeps_the_first():
         theorems._tally("t", [(0,)], broken)
 
 
-def _with_zero_solution(real):
-    return lambda k, a, b, direct: real(k, a, b, direct | {0})
-
-
 def _plus_one(real):
     return lambda *args: real(*args) + 1
 
 
-# suite -> (its report from the witness, the theorems global to break, the
-# breaking wrapper, the step its first failure names)
+def _patched(target, wrapper):
+    """A breaker that wraps the theorems global ``target``; the witness stays."""
+    def breaker(monkeypatch, w):
+        monkeypatch.setattr(theorems, target, wrapper(getattr(theorems, target)))
+        return w
+    return breaker
+
+
+def _broken_family_table(monkeypatch, w):
+    _break_first_four(monkeypatch, w.k, 1000, _move)
+    return w
+
+
+def _other_alpha(monkeypatch, w):
+    # alpha + 1 is no root of z^2 + gamma*z + gamma^3 (omega + 1 would be)
+    return replace(w, alpha=w.alpha ^ 1)
+
+
+# suite -> (its report from the witness, the breaker returning the witness
+# to run on, the step its first failure names)
 BREAKS = {
-    "reduction-replay": (lambda w: reduction_sweep(w.k), "_derive",
-                         _with_zero_solution, "normalized-product-identity"),
-    "mm-decomposition": (mm_decomposition_check, "pi_image",
-                         lambda real: lambda w, a: real(w, a) ^ 1,
-                         "split-coordinate-form"),
-    "mm-quartic": (quartic_check_all, "solve_linearized",
-                   lambda real: lambda *args: set(), "fiber-root-correspondence"),
-    "mm-walsh-crosscheck": (mm_crosscheck_all, "_fiber_sum", _plus_one,
-                            "fiber-sum-equals-transform"),
-    "mm-extremal-sum": (m4_sum_check, "_fiber_sum", _plus_one, "four-term-trace-sum"),
+    "reduction-replay": (lambda w: reduction_sweep(w.k), _broken_family_table,
+                         "normalized-product-identity"),
+    "mm-decomposition": (mm_decomposition_check, _other_alpha, "split-coordinate-form"),
+    "mm-quartic": (quartic_check_all,
+                   _patched("solve_linearized", lambda real: lambda *args: set()),
+                   "fiber-root-correspondence"),
+    "mm-walsh-crosscheck": (mm_crosscheck_all, _other_alpha, "fiber-sum-equals-transform"),
+    "mm-extremal-sum": (m4_sum_check, _patched("_fiber_sum", _plus_one),
+                        "four-term-trace-sum"),
 }
 
 
 @pytest.mark.parametrize("suite", BREAKS)
 def test_tallied_suite_counts_a_broken_input(monkeypatch, suite):
-    run, target, breaker, step = BREAKS[suite]
+    run, breaker, step = BREAKS[suite]
     w = mm_basis(3)
     clean = run(w)
-    monkeypatch.setattr(theorems, target, breaker(getattr(theorems, target)))
-    broken = run(w)
+    broken = run(breaker(monkeypatch, w))
     assert clean.ok and clean.name == broken.name == f"{suite}[k=3]"
     assert broken.instances == clean.instances
     assert broken.failures > 0
     assert broken.first_failure.startswith(f"{step}: ")
+
+
+@pytest.mark.parametrize("change", [lambda w: w, lambda w: replace(w, alpha=w.alpha ^ 1),
+                                    lambda w: replace(w, omega=w.omega ^ 2)],
+                         ids=["clean", "alpha+1", "omega+g"])
+@pytest.mark.parametrize("suite", [mm_decomposition_check, mm_crosscheck_all])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_split_suites_equal_the_scalar_tally(monkeypatch, k, suite, change):
+    clean = mm_basis(k)
+    w = change(clean)
+    settled = suite(w)
+    # an array pass that settles nothing sends every case to the scalar check
+    real = theorems._grid_tally
+    monkeypatch.setattr(theorems, "_grid_tally", lambda name, sub, ok, *rest:
+                        real(name, sub, np.zeros_like(ok), *rest))
+    assert settled == suite(w)
+    assert settled.ok == (w is clean)
 
 
 def test_failed_basis_skips_its_suites_for_that_gamma_only(monkeypatch):

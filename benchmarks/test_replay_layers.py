@@ -5,12 +5,14 @@ c = 0, whose equation has four solutions and runs the whole t != 1 branch
 down to the terminal quadratics.  Then the pair sweep
 :func:`gf2lab.reduction_sweep` exhaustive at k = 2 (every c), at k = 3
 with 20000 and 5000 sampled pairs and at k = 4 with 1000, the sizes
-``verify`` runs, and the split-coordinate cross-check
-:func:`gf2lab.mm_crosscheck_all` at k = 3.  Only public functions are
-called, so the file runs unchanged on any version of the package.  The
-first round builds the family table and the scalar tables, and is not
-timed.  Every case records its instance count as
-``extra_info["instances"]``.
+``verify`` runs, and three split-coordinate suites at k = 3: the
+cross-check :func:`gf2lab.mm_crosscheck_all`, the quartic/fiber
+correspondence :func:`gf2lab.quartic_check_all` and the sign pattern
+:func:`gf2lab.m4_sum_check`; last the basis :func:`gf2lab.mm_basis` at
+k = 4.  Only public functions are called, so the file runs unchanged on any
+version of the package.  The first round builds the family table and the
+arithmetic tables, and is not timed.  Every case records its instance count
+as ``extra_info["instances"]``.
 
 Not part of the test suite (``testpaths`` is ``tests``).  Run it with::
 
@@ -19,7 +21,8 @@ Not part of the test suite (``testpaths`` is ``tests``).  Run it with::
 
 import pytest
 
-from gf2lab import mm_basis, mm_crosscheck_all, reduction_sweep, reduction_trace
+from gf2lab import (m4_sum_check, mm_basis, mm_crosscheck_all, quartic_check_all,
+                    reduction_sweep, reduction_trace)
 
 
 def test_one_replay_instance(benchmark):
@@ -49,3 +52,24 @@ def test_mm_crosscheck_all_k3(benchmark):
     benchmark.extra_info["instances"] = 1 << 12
     report = benchmark.pedantic(mm_crosscheck_all, (w,), rounds=5, warmup_rounds=1)
     assert report.ok and report.instances == 1 << 12
+
+
+def test_quartic_check_all_k3(benchmark):
+    w = mm_basis(3)
+    benchmark.extra_info["instances"] = len(w.pi_fibers)
+    report = benchmark.pedantic(quartic_check_all, (w,), rounds=5, warmup_rounds=1)
+    assert report.ok and report.instances == len(w.pi_fibers)
+
+
+def test_m4_sum_check_k3(benchmark):
+    w = mm_basis(3)
+    # the stepping stones, then two size-4 fibers against every v
+    benchmark.extra_info["instances"] = 1 + 2 * 64
+    report = benchmark.pedantic(m4_sum_check, (w,), rounds=5, warmup_rounds=1)
+    assert report.ok and report.instances == 1 + 2 * 64
+
+
+def test_mm_basis_k4(benchmark):
+    benchmark.extra_info["instances"] = 1
+    w = benchmark.pedantic(mm_basis, (4,), rounds=5, warmup_rounds=1)
+    assert w.k == 4

@@ -31,11 +31,16 @@ the fiber/quartic correspondence, the fiber-sum formula against an
 independent fast-transform sweep, and the sign pattern that pins the
 extremal coefficient magnitude 2^(2k+1).  The pointwise decomposition and
 the fiber-sum cross-check each make one array pass over their whole grid
-of 2^(4k) cases; the scalar check replays only the unsettled cases.
+of 2^(4k) cases, and the sign pattern one over its size-4 fibers; the
+scalar check replays only the unsettled cases.
 
 An array pass settles a case only where the scalar check passes, so every
 report equals the all-scalar one, first failure included, and the scalar
-checks stay the only source of :class:`VerificationError` text.
+checks stay the only source of :class:`VerificationError` text.  Both
+evaluate the same code: one arithmetic, :class:`_Arith`, takes a Python int
+or a numpy array in each op, and each identity (the product identity and
+the other steps of the replay, the inner map pi, the split offset, the
+decomposition, the fiber sum) is written once and serves both.
 
 Every sweep reports one :class:`CheckReport` row under one rule: each case
 (a pair, a point, a fiber) whose check raises :class:`VerificationError`
@@ -44,11 +49,10 @@ counts as one failure, the first in case order is kept as
 to construct is a failed ``mm-basis`` row, and :func:`run_all_checks` skips
 the suites that need it for that gamma.
 
-Both suites do their arithmetic, scalar and array, through the log/exp
-tables of :mod:`gf2lab.field`.  The full difference-table sweep at k = 4
-(degree 16) needs ``deep=True``, as decided by
-:func:`gf2lab.spectra.require_desk_scale`; the replay and the
-split-coordinate suite are not full sweeps and need none.
+The arithmetic reads the log/exp tables of :mod:`gf2lab.field` and copies
+none of them.  The full difference-table sweep at k = 4 (degree 16) needs
+``deep=True``, as decided by :func:`gf2lab.spectra.require_desk_scale`; the
+replay and the split-coordinate suite are not full sweeps and need none.
 """
 
 from __future__ import annotations
@@ -110,8 +114,9 @@ class VerificationError(RuntimeError):
         self.step = step
         self.context = context
         # field elements print in hex; counts and signed values in decimal
-        ctx = ", ".join(f"{key}={v:#x}" if isinstance(v, int) and key not in _DECIMAL
-                        else f"{key}={v}" for key, v in context.items())
+        ctx = ", ".join(f"{key}={v:#x}" if isinstance(v, (int, np.integer))
+                        and key not in _DECIMAL else f"{key}={v}"
+                        for key, v in context.items())
         super().__init__(f"{step}: {detail} [{ctx}]")
 
 
@@ -121,48 +126,49 @@ def dobbertin_exponent(k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# table-backed scalar arithmetic (internal)
+# table-backed arithmetic (internal)
 # ---------------------------------------------------------------------------
 
 class _Arith:
-    """Discrete-log based scalar ops for the hot verification loops.
+    """Discrete-log arithmetic of one field, on Python ints and numpy arrays alike.
 
-    A view over the shared log/exp tables of :mod:`gf2lab.field`, copied to
-    Python lists: the replay indexes them one scalar at a time, where list
-    indexing is several times faster than indexing numpy arrays.
+    The ops read the cached read-only log/exp tables of :mod:`gf2lab.field`
+    and the quadratic-root table, and apply elementwise, so one identity
+    written with them serves a scalar check and an array pass over many
+    cases.  Zero is handled by the nonzero mask, without a branch; ``pow``
+    takes d >= 1 and ``inv`` nonzero elements.  A scalar op returns a numpy
+    integer.
     """
 
     def __init__(self, spec: FieldSpec):
-        self.spec = spec
         self.n = spec.n
         self.order = spec.order
-        log, exp = _log_exp_tables(spec.n, spec.poly)
-        self.log = log.tolist()
-        self.exp = exp.tolist()
-        self.root = _quad_root_table(spec.n, spec.poly).tolist()
+        self.log, self.exp = _log_exp_tables(spec.n, spec.poly)
+        # root[e] is the even root of x^2 + x = e, or -1 when there is none:
+        # x and x + 1 share the image, so each image of an even x is hit once
+        xs = np.arange(0, spec.size, 2)
+        self.root = np.full(spec.size, -1, dtype=np.int64)
+        self.root[self.mul(xs, xs) ^ xs] = xs
+        self.root.flags.writeable = False
 
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[(self.log[a] + self.log[b]) % self.order]
+    def mul(self, a, b):
+        return self.exp[(self.log[a] + self.log[b]) % self.order] * ((a != 0) & (b != 0))
 
-    def inv(self, a: int) -> int:
+    def inv(self, a):
         return self.exp[-self.log[a] % self.order]
 
-    def pow(self, a: int, d: int) -> int:
-        if a == 0:
-            return 1 if d == 0 else 0
-        return self.exp[(self.log[a] * d) % self.order]
+    def pow(self, a, d: int):
+        return self.exp[self.log[a] * (d % self.order) % self.order] * (a != 0)
 
-    def frob(self, a: int, e: int) -> int:
-        return self.pow(a, 1 << e)
+    def frob(self, a, e: int):
+        return self.exp[(self.log[a] << e) % self.order] * (a != 0)
 
-    def sqrt(self, a: int) -> int:
-        return self.pow(a, 1 << (self.n - 1))
+    def sqrt(self, a):
+        return self.frob(a, self.n - 1)
 
     def quad_roots(self, const: int) -> frozenset[int]:
         """Roots of x^2 + x + const = 0 (either two or none)."""
-        r = self.root[const]
+        r = int(self.root[const])
         return frozenset() if r < 0 else frozenset((r, r ^ 1))
 
     def subfield(self, m: int) -> tuple[int, ...]:
@@ -172,68 +178,9 @@ class _Arith:
         g^((2^n - 1) / (2^j - 1)), one stride of the exp table.
         """
         step = self.order // ((1 << gcd(m, self.n)) - 1)
-        return tuple(sorted([0] + self.exp[::step]))
+        return tuple(sorted([0] + self.exp[::step].tolist()))
 
-    def subtrace(self, a: int, m: int) -> int:
-        """Absolute trace of the GF(2^m) subfield, for elements lying in it."""
-        acc = 0
-        x = a
-        for _ in range(m):
-            acc ^= x
-            x = self.mul(x, x)
-        return acc
-
-
-@lru_cache(maxsize=8)
-def _arith(n: int, poly: int) -> _Arith:
-    return _Arith(FieldSpec(n, poly))
-
-
-@lru_cache(maxsize=8)
-def _quad_root_table(n: int, poly: int) -> np.ndarray:
-    """root[e] is the even root of x^2 + x = e, or -1 when there is none.
-
-    x and x + 1 share the image, so the even x are exactly the smaller roots
-    and each image of an even x is hit once.  Read-only, shared by callers.
-    """
-    log, exp = _log_exp_tables(n, poly)
-    xs = np.arange(0, 1 << n, 2)
-    squares = np.where(xs == 0, 0, exp[2 * log[xs] % exp.size])
-    root = np.full(1 << n, -1, dtype=np.int64)
-    root[squares ^ xs] = xs
-    root.flags.writeable = False
-    return root
-
-
-class _ArrayArith:
-    """The ops of :class:`_Arith` applied elementwise to numpy arrays.
-
-    The array passes of the replay and the split suites evaluate one
-    identity over every case at once with these; they read the same log/exp
-    and quadratic-root tables as the scalar ops.  ``pow`` takes d >= 1 and
-    ``inv`` nonzero elements; other inputs give unspecified elements, which
-    callers mask out.
-    """
-
-    def __init__(self, spec: FieldSpec):
-        self.order = spec.order
-        self.log, self.exp = _log_exp_tables(spec.n, spec.poly)
-        self.root = _quad_root_table(spec.n, spec.poly)
-
-    def mul(self, a, b) -> np.ndarray:
-        prod = self.exp[(self.log[a] + self.log[b]) % self.order]
-        return np.where((a == 0) | (b == 0), 0, prod)
-
-    def inv(self, a) -> np.ndarray:
-        return self.exp[-self.log[a] % self.order]
-
-    def pow(self, a, d: int) -> np.ndarray:
-        return np.where(a == 0, 0, self.exp[self.log[a] * (d % self.order) % self.order])
-
-    def frob(self, a, e: int) -> np.ndarray:
-        return self.pow(a, 1 << e)
-
-    def subtrace(self, a, m: int) -> np.ndarray:
+    def subtrace(self, a, m: int):
         """Absolute trace of the GF(2^m) subfield, for elements lying in it."""
         acc = x = a
         for _ in range(m - 1):
@@ -243,8 +190,15 @@ class _ArrayArith:
 
 
 @lru_cache(maxsize=8)
-def _array_arith(n: int, poly: int) -> _ArrayArith:
-    return _ArrayArith(FieldSpec(n, poly))
+def _arith(n: int, poly: int) -> _Arith:
+    return _Arith(FieldSpec(n, poly))
+
+
+def _check_elements(spec: FieldSpec, a, name: str) -> None:
+    """Refuse an element, or an array holding one, outside [0, 2^n): numpy
+    indexing would wrap a negative one silently."""
+    if np.any((a < 0) | (a >= spec.size)):
+        raise ValueError(f"{name} is not an element of GF(2^{spec.n})")
 
 
 @lru_cache(maxsize=8)
@@ -337,11 +291,11 @@ def _derive(k: int, a: int, b: int, direct: frozenset[int]) -> ReductionTrace:
     A = _arith(table.spec.n, table.spec.poly)
     d = dobbertin_exponent(k)
     ainv = A.inv(a)
-    norm = frozenset(A.mul(x, ainv) for x in direct)
-    back = lambda roots: frozenset(A.mul(x, a) for x in roots)
+    norm = frozenset(int(A.mul(x, ainv)) for x in direct)
+    back = lambda roots: frozenset(int(A.mul(x, a)) for x in roots)
 
-    c = A.mul(A.inv(A.pow(a, d)), b) ^ 1
-    t = c ^ A.frob(c, k) ^ A.frob(c, 2 * k) ^ A.frob(c, 3 * k)
+    c = int(_normalized(A, d, a, b) ^ 1)
+    t = int(_relative_trace(A, k, c))
     checks = ["count-bound"]
     if A.frob(t, k) != t:
         raise VerificationError(
@@ -349,25 +303,17 @@ def _derive(k: int, a: int, b: int, direct: frozenset[int]) -> ReductionTrace:
             k=k, a=a, b=b, t=t)
     checks.append("trace-codomain")
 
-    def product_identity(x: int) -> int:
-        # x^(2^2k+2^k) + x^(2^2k+1) + x^(2^k+1) + x^(2^2k) + x^(2^k) + x + c
-        x2k = A.frob(x, 2 * k)
-        xk = A.frob(x, k)
-        return (A.mul(x2k, xk) ^ A.mul(x2k, x) ^ A.mul(xk, x)
-                ^ x2k ^ xk ^ x ^ c)
-
     for x in norm:
-        if product_identity(x) != 0:
+        if _product_identity(A, k, x, c) != 0:
             raise VerificationError(
                 "normalized-product-identity",
                 "a normalized solution fails the expanded difference equation",
                 k=k, a=a, b=b, x=x)
-        if x ^ A.frob(x, k) ^ A.frob(x, 2 * k) ^ A.frob(x, 3 * k) != t:
+        if _relative_trace(A, k, x) != t:
             raise VerificationError(
                 "four-term-trace-identity",
                 "solution's relative trace does not equal t", k=k, a=a, b=b, x=x)
-        u = x ^ A.frob(x, 2 * k)
-        if A.mul(u, u) ^ A.mul(t ^ 1, u) ^ A.frob(c, k) ^ A.frob(c, 3 * k) != 0:
+        if _pair_sum_quadratic(A, k, x, c, t) != 0:
             raise VerificationError(
                 "pair-sum-quadratic",
                 "u = x + x^(2^2k) fails u^2 + (t+1)u + c^(2^k) + c^(2^3k) = 0",
@@ -376,24 +322,21 @@ def _derive(k: int, a: int, b: int, direct: frozenset[int]) -> ReductionTrace:
                "pair-sum-quadratic"]
 
     def filtered(roots: Iterable[int]) -> frozenset[int]:
-        return frozenset(x for x in roots if product_identity(x) == 0)
+        return frozenset(x for x in roots if _product_identity(A, k, x, c) == 0)
 
     if t == 1:
-        # pair-sum quadratic degenerates: x + x^(2^2k) is forced to the
-        # square root r of its constant term, and x + x^(2^k) to s below
-        r = A.frob(c, k - 1) ^ A.frob(c, 3 * k - 1)
-        rk = A.frob(r, k)
-        s = A.sqrt(A.mul(rk, r) ^ c ^ A.frob(c, k) ^ rk)
+        r, s, e = (int(v) for v in _gap_constants(A, k, c))
         for x in norm:
-            if x ^ A.frob(x, 2 * k) != r:
+            pair_gap, half_gap = _gaps(A, k, x)
+            if pair_gap != r:
                 raise VerificationError(
                     "pair-gap-constant", "x + x^(2^2k) differs from r",
                     k=k, a=a, b=b, x=x, r=r)
-            if x ^ A.frob(x, k) != s:
+            if half_gap != s:
                 raise VerificationError(
                     "half-gap-constant", "x + x^(2^k) differs from s",
                     k=k, a=a, b=b, x=x, s=s)
-        roots = A.quad_roots(A.mul(r, s) ^ s ^ r ^ c)
+        roots = A.quad_roots(e)
         if not norm <= roots:
             raise VerificationError(
                 "terminal-quadratic-cover",
@@ -414,16 +357,12 @@ def _derive(k: int, a: int, b: int, direct: frozenset[int]) -> ReductionTrace:
             aux={"r": r, "s": s}, obstruction=None, checks=tuple(checks))
 
     # branch t != 1: substitute x = (t+1) z and halve twice
-    t1 = t ^ 1
-    t1i = A.inv(t1)
-    t1i2 = A.mul(t1i, t1i)
-
     # Neither halving quadratic can lack roots.  s = (t+1)^(-2) lies in
     # GF(2^k), so s*c^(2^(jk)) = (s*c)^(2^(jk)) and Tr(cy) = Tr(sc) + Tr(sc) = 0.
     # cw is s*(c + c^(2^k)), of trace 0 the same way, plus a term of
     # GF(2^(2k)), whose absolute trace over GF(2^(4k)) is 0.  And w^2 + w = e
     # has two roots whenever Tr(e) = 0, so an empty root set is impossible.
-    cy = A.mul(A.frob(c, k) ^ A.frob(c, 3 * k), t1i2)
+    cy = int(_halving_constant(A, k, c, t))
     Y = A.quad_roots(cy)
     if not Y:
         raise VerificationError(
@@ -434,8 +373,7 @@ def _derive(k: int, a: int, b: int, direct: frozenset[int]) -> ReductionTrace:
     # the candidate y-value must itself sit in the half-degree subfield and
     # satisfy the trace relation p + p^(2^k) = t/(t+1); both are consequences
     # of an actual solution existing, so a violation rules solutions out
-    p_ok = (A.frob(p, 2 * k) == p) and (p ^ A.frob(p, k) == A.mul(t, t1i))
-    if not p_ok:
+    if not _halving_image_ok(A, k, p, t):
         if norm:
             raise VerificationError(
                 "halving-image-constraints",
@@ -446,9 +384,7 @@ def _derive(k: int, a: int, b: int, direct: frozenset[int]) -> ReductionTrace:
             solutions_direct=direct, solutions_normalized=norm,
             solutions_via_quadratics=frozenset(), aux={"p": p, "cy": cy},
             obstruction="halving-image-constraints", checks=tuple(checks))
-    pk = A.frob(p, k)
-    cw = A.mul(A.mul(A.mul(t1, t1), A.mul(pk, p)) ^ A.mul(t1, pk)
-               ^ c ^ A.frob(c, k), t1i2)
+    cw = int(_second_halving_constant(A, k, c, t, p))
     W = A.quad_roots(cw)
     if not W:
         raise VerificationError(
@@ -456,12 +392,7 @@ def _derive(k: int, a: int, b: int, direct: frozenset[int]) -> ReductionTrace:
             "w^2 + w = ((t+1)^2 p^(2^k+1) + (t+1)p^(2^k) + c + c^(2^k))/(t+1)^2 "
             "has no root though its trace is 0", k=k, a=a, b=b, p=p, cw=cw)
     q = min(W)
-    qk = A.frob(q, k)
-    q2 = A.mul(q, q)
-    t1sq = A.mul(t1, t1)
-    # terminal quadratics for w = q and w = q + 1
-    k1 = A.mul(t1sq, A.mul(qk, q) ^ q2) ^ A.mul(t1, qk) ^ c
-    k2 = A.mul(t1sq, A.mul(qk, q) ^ qk ^ q2 ^ q) ^ A.mul(t1, A.frob(q ^ 1, k)) ^ c
+    k1, k2 = _terminal_constants(A, k, c, t, q)
     roots = A.quad_roots(k1) | A.quad_roots(k2)
     if len(roots) > 4:
         raise VerificationError(
@@ -479,10 +410,10 @@ def _derive(k: int, a: int, b: int, direct: frozenset[int]) -> ReductionTrace:
             "filtered terminal roots differ from the direct solution set",
             k=k, a=a, b=b)
     per_solution = {}
+    t1i = A.inv(t ^ 1)
     for x in norm:
-        z = A.mul(x, t1i)
-        y_img = z ^ A.frob(z, 2 * k)
-        w_img = z ^ A.frob(z, k)
+        z = int(A.mul(x, t1i))
+        y_img, w_img = (int(v) for v in _gaps(A, k, z))
         if y_img not in (p, p ^ 1):
             raise VerificationError(
                 "halving-image-membership", "z + z^(2^2k) is neither p nor p+1",
@@ -500,6 +431,76 @@ def _derive(k: int, a: int, b: int, direct: frozenset[int]) -> ReductionTrace:
         solutions_via_quadratics=back(via),
         aux={"p": p, "q": q, "cy": cy, "cw": cw, "per_solution": per_solution},
         obstruction=None, checks=tuple(checks))
+
+
+# The identities of the derivation, each written once for the scalar replay
+# above and the array pass below; x, c and t are elements or arrays.
+
+def _normalized(A: _Arith, d: int, a, b):
+    """b/a^d for a != 0, in one table lookup: c = b/a^d + 1 and the
+    normalized set S(a, b)/a are all the derivation reads of (a, b)."""
+    return A.exp[(A.log[b] - d * A.log[a]) % A.order] * (b != 0)
+
+
+def _relative_trace(A: _Arith, k: int, x):
+    """x + x^(2^k) + x^(2^2k) + x^(2^3k), the trace of GF(2^(4k)) over GF(2^k)."""
+    return x ^ A.frob(x, k) ^ A.frob(x, 2 * k) ^ A.frob(x, 3 * k)
+
+
+def _gaps(A: _Arith, k: int, x) -> tuple:
+    """x + x^(2^2k) and x + x^(2^k)."""
+    return x ^ A.frob(x, 2 * k), x ^ A.frob(x, k)
+
+
+def _product_identity(A: _Arith, k: int, x, c):
+    """x^(2^2k+2^k) + x^(2^2k+1) + x^(2^k+1) + x^(2^2k) + x^(2^k) + x + c,
+    zero at every normalized solution x."""
+    x2k, xk = A.frob(x, 2 * k), A.frob(x, k)
+    return A.mul(x2k, xk) ^ A.mul(x2k, x) ^ A.mul(xk, x) ^ x2k ^ xk ^ x ^ c
+
+
+def _pair_sum_quadratic(A: _Arith, k: int, x, c, t):
+    """u^2 + (t+1)u + c^(2^k) + c^(2^3k) at u = x + x^(2^2k)."""
+    u = _gaps(A, k, x)[0]
+    return A.mul(u, u) ^ A.mul(t ^ 1, u) ^ A.frob(c, k) ^ A.frob(c, 3 * k)
+
+
+def _gap_constants(A: _Arith, k: int, c) -> tuple:
+    """Branch t = 1: the pair-sum quadratic degenerates, x + x^(2^2k) is
+    forced to the square root r of its constant term and x + x^(2^k) to s;
+    returns r, s and the constant r*s + s + r + c of the terminal quadratic."""
+    r = A.frob(c, k - 1) ^ A.frob(c, 3 * k - 1)
+    rk = A.frob(r, k)
+    s = A.sqrt(A.mul(rk, r) ^ c ^ A.frob(c, k) ^ rk)
+    return r, s, A.mul(r, s) ^ s ^ r ^ c
+
+
+def _halving_constant(A: _Arith, k: int, c, t):
+    """Branch t != 1, x = (t+1) z: y = z + z^(2^2k) solves y^2 + y = cy."""
+    t1i = A.inv(t ^ 1)
+    return A.mul(A.frob(c, k) ^ A.frob(c, 3 * k), A.mul(t1i, t1i))
+
+
+def _halving_image_ok(A: _Arith, k: int, p, t):
+    """p lies in GF(2^(2k)) and p + p^(2^k) = t/(t+1)."""
+    pair_gap, half_gap = _gaps(A, k, p)
+    return (pair_gap == 0) & (half_gap == A.mul(t, A.inv(t ^ 1)))
+
+
+def _second_halving_constant(A: _Arith, k: int, c, t, p):
+    """w = z + z^(2^k) solves w^2 + w = cw once y = p."""
+    t1 = t ^ 1
+    t1i, pk = A.inv(t1), A.frob(p, k)
+    return A.mul(A.mul(A.mul(t1, t1), A.mul(pk, p)) ^ A.mul(t1, pk) ^ c ^ A.frob(c, k),
+                 A.mul(t1i, t1i))
+
+
+def _terminal_constants(A: _Arith, k: int, c, t, q) -> tuple:
+    """The constants of the terminal quadratics in x for w = q and w = q + 1."""
+    t1 = t ^ 1
+    t1sq, qk, q2 = A.mul(t1, t1), A.frob(q, k), A.mul(q, q)
+    return (A.mul(t1sq, A.mul(qk, q) ^ q2) ^ A.mul(t1, qk) ^ c,
+            A.mul(t1sq, A.mul(qk, q) ^ qk ^ q2 ^ q) ^ A.mul(t1, A.frob(q ^ 1, k)) ^ c)
 
 
 class _ReplayColumns(NamedTuple):
@@ -531,49 +532,31 @@ def _derive_pass(k: int, sols: np.ndarray, valid: np.ndarray,
     one root pair, not two.
     """
     table = _family_table(k)
-    V = _array_arith(table.spec.n, table.spec.poly)
-    mul, fr, root = V.mul, V.frob, V.root
+    A = _arith(table.spec.n, table.spec.poly)
     x = sols
     count = valid.sum(axis=1)
-    ck, c3k = fr(c, k), fr(c, 3 * k)
-    t = c ^ ck ^ fr(c, 2 * k) ^ c3k
     col = lambda v: v[:, None]
-
-    def product_identity(x: np.ndarray) -> np.ndarray:
-        x2k, xk = fr(x, 2 * k), fr(x, k)
-        return mul(x2k, xk) ^ mul(x2k, x) ^ mul(xk, x) ^ x2k ^ xk ^ x ^ col(c)
-
-    x2k, xk = fr(x, 2 * k), fr(x, k)
-    u = x ^ x2k
-    slot_ok = ((product_identity(x) == 0)
-               & (u ^ xk ^ fr(x, 3 * k) == col(t))
-               & (mul(u, u) ^ mul(col(t ^ 1), u) ^ col(ck ^ c3k) == 0))
-    ok = (count <= 4) & (fr(t, k) == t)
+    t = _relative_trace(A, k, c)
+    slot_ok = ((_product_identity(A, k, x, col(c)) == 0)
+               & (_relative_trace(A, k, x) == col(t))
+               & (_pair_sum_quadratic(A, k, x, col(c), col(t)) == 0))
+    ok = (count <= 4) & (A.frob(t, k) == t)
 
     # branch t = 1: one terminal quadratic, x + x^(2^2k) = r, x + x^(2^k) = s
     t_one = t == 1
-    r = fr(c, k - 1) ^ fr(c, 3 * k - 1)
-    rk = fr(r, k)
-    s = fr(mul(rk, r) ^ c ^ ck ^ rk, 4 * k - 1)
-    gaps_ok = (u == col(r)) & (x ^ xk == col(s))
-    r0 = root[mul(r, s) ^ s ^ r ^ c]
+    r, s, e = _gap_constants(A, k, c)
+    pair_gap, half_gap = _gaps(A, k, x)
+    gaps_ok = (pair_gap == col(r)) & (half_gap == col(s))
+    r0 = A.root[e]
 
     # branch t != 1: the halving roots p and q, then two terminal quadratics
-    t1 = t ^ 1
-    t1i = V.inv(t1)
-    t1i2 = mul(t1i, t1i)
-    t1sq = mul(t1, t1)
-    p = root[mul(ck ^ c3k, t1i2)]
-    pk = fr(p, k)
-    p_ok = (p >= 0) & (fr(p, 2 * k) == p) & (p ^ pk == mul(t, t1i))
-    q = root[mul(mul(t1sq, mul(pk, p)) ^ mul(t1, pk) ^ c ^ ck, t1i2)]
-    qk, q2 = fr(q, k), mul(q, q)
-    k1 = mul(t1sq, mul(qk, q) ^ q2) ^ mul(t1, qk) ^ c
-    k2 = mul(t1sq, mul(qk, q) ^ qk ^ q2 ^ q) ^ mul(t1, fr(q ^ 1, k)) ^ c
-    r1, r2 = root[k1], root[k2]
-    z = mul(x, col(t1i))
-    images_ok = (((z ^ fr(z, 2 * k) ^ col(p)) < 2)
-                 & ((z ^ fr(z, k) ^ col(q)) < 2))
+    p = A.root[_halving_constant(A, k, c, t)]
+    p_ok = (p >= 0) & _halving_image_ok(A, k, p, t)
+    q = A.root[_second_halving_constant(A, k, c, t, p)]
+    k1, k2 = _terminal_constants(A, k, c, t, q)
+    r1, r2 = A.root[k1], A.root[k2]
+    y_img, w_img = _gaps(A, k, A.mul(x, col(A.inv(t ^ 1))))
+    images_ok = ((y_img ^ col(p)) < 2) & ((w_img ^ col(q)) < 2)
 
     # the terminal roots of the row's branch, in pairs {r, r + 1}
     first = np.where(t_one, r0, r1)
@@ -581,7 +564,8 @@ def _derive_pass(k: int, sols: np.ndarray, valid: np.ndarray,
     roots = np.stack([first, first ^ 1, second, second ^ 1], axis=1)
     has = np.repeat(np.stack([first >= 0, second >= 0], axis=1), 2, axis=1)
     covered = ((x[:, :, None] == roots[:, None, :]) & has[:, None, :]).any(axis=2)
-    matched = ((product_identity(np.where(has, roots, 0)) == 0) & has).sum(axis=1) == count
+    matched = ((_product_identity(A, k, np.where(has, roots, 0), col(c)) == 0)
+               & has).sum(axis=1) == count
     branch_ok = np.where(col(t_one), gaps_ok, images_ok)
     terminal_ok = matched & ((covered & branch_ok) | ~valid).all(axis=1)
     ok &= (slot_ok | ~valid).all(axis=1)
@@ -674,9 +658,9 @@ def reduction_sweep(k: int, *, samples: int | None = None) -> CheckReport:
     d = dobbertin_exponent(k)
     settled = np.zeros(a.size, dtype=bool)
     if table.exponent == d:
-        log, exp = _log_exp_tables(table.spec.n, table.spec.poly)
-        # the pair (a, b) replays as (1, v) with v = b/a^d, i.e. c = v + 1
-        v = np.where(b == 0, 0, exp[(log[b] - d * log[a]) % table.spec.order])
+        A = _arith(table.spec.n, table.spec.poly)
+        # the pair (a, b) replays as (1, v), i.e. c = v + 1
+        v = _normalized(A, d, a, b)
         lut = table.lut
         row = lut ^ lut[np.arange(lut.size) ^ 1]
         # S(1, w) is xs[starts[w]:starts[w] + counts[w]]
@@ -728,11 +712,17 @@ def all_gammas(k: int) -> list[int]:
     return [g for g in A.subfield(k) if g and A.subtrace(g, k) == 1]
 
 
-def pi_image(w: MMWitness, a: int) -> int:
-    """The inner map pi(a) = gamma*a^(2^(k-1)) + gamma^2*a^(2^k+1)."""
+def pi_image(w: MMWitness, a):
+    """The inner map pi(a) = gamma*a^(2^(k-1)) + gamma^2*a^(2^k+1).
+
+    ``a`` is a field element, or an array of them mapped elementwise; an
+    element outside the field raises ValueError.
+    """
+    _check_elements(w.spec, a, "a")
     A = _arith(w.spec.n, w.spec.poly)
-    g2 = A.mul(w.gamma, w.gamma)
-    return A.mul(w.gamma, A.frob(a, w.k - 1)) ^ A.mul(g2, A.mul(A.frob(a, w.k), a))
+    u = (A.mul(w.gamma, A.frob(a, w.k - 1))
+         ^ A.mul(A.mul(w.gamma, w.gamma), A.mul(A.frob(a, w.k), a)))
+    return u if isinstance(a, np.ndarray) else int(u)
 
 
 def mm_basis(k: int, *, gamma: int | None = None) -> MMWitness:
@@ -753,8 +743,7 @@ def mm_basis(k: int, *, gamma: int | None = None) -> MMWitness:
         gamma = candidates[0]
     elif gamma not in candidates:
         raise ValueError(f"gamma {gamma:#x} is not a trace-one element of GF(2^{k})")
-    g2 = A.mul(gamma, gamma)
-    g3 = A.mul(g2, gamma)
+    g3 = int(A.mul(A.mul(gamma, gamma), gamma))
     # alpha: root of z^2 + gamma*z = gamma^3 inside GF(2^(2k))
     alpha_roots = solve_linearized(spec, [(1, 1), (gamma, 0)], g3)
     in_sub = sorted(r for r in alpha_roots if A.frob(r, 2 * k) == r)
@@ -782,17 +771,18 @@ def mm_basis(k: int, *, gamma: int | None = None) -> MMWitness:
     if omega ^ A.frob(omega, 2 * k) != 1:
         raise VerificationError(
             "omega-conjugate-gap", "omega + omega^(2^2k) != 1", k=k, omega=omega)
-    # the split coordinates must cover the whole field
-    cover = {y ^ A.mul(omega, a) for y in sub_2k for a in sub_2k}
-    if len(cover) != spec.size:
+    # the split coordinates must hit every element of the field once
+    sub = np.array(sub_2k)
+    cover = np.bincount((sub[:, None] ^ A.mul(omega, sub)).ravel(), minlength=spec.size)
+    if not (cover == 1).all():
         raise VerificationError(
             "split-coordinates-cover",
             "y + omega*a does not enumerate the field", k=k)
     # fibers of the inner map
     fibers: dict[int, set[int]] = {}
-    w_tmp = MMWitness(k, spec, gamma, alpha, omega, {})
-    for a in sub_2k:
-        fibers.setdefault(pi_image(w_tmp, a), set()).add(a)
+    images = pi_image(MMWitness(k, spec, gamma, alpha, omega, {}), sub).tolist()
+    for a, u in zip(sub_2k, images):
+        fibers.setdefault(u, set()).add(a)
     frozen = {}
     for u, members in fibers.items():
         if len(members) not in (1, 2, 4):
@@ -815,7 +805,7 @@ def pi_fiber(w: MMWitness, u: int) -> frozenset[int]:
     return w.pi_fibers.get(u, frozenset())
 
 
-def _split_offset(w: MMWitness, A: _Arith, a: int) -> int:
+def _split_offset(w: MMWitness, A: _Arith, a):
     """The y-free term alpha*gamma^2*a^(2^k+2) of the split-coordinate form."""
     ag2 = A.mul(w.alpha, A.mul(w.gamma, w.gamma))
     return A.mul(ag2, A.pow(a, (1 << w.k) + 2))
@@ -833,25 +823,20 @@ def mm_decomposition_check(w: MMWitness) -> CheckReport:
     g2 = A.mul(w.gamma, w.gamma)
     sub_2k = A.subfield(2 * k)
 
+    def holds(y, a):
+        lhs = A.subtrace(A.mul(g2, A.pow(y ^ A.mul(w.omega, a), d)), A.n)
+        return lhs == A.subtrace(A.mul(y, pi_image(w, a)) ^ _split_offset(w, A, a), 2 * k)
+
     def check(y: int, a: int) -> None:
-        x = y ^ A.mul(w.omega, a)
-        lhs = A.subtrace(A.mul(g2, A.pow(x, d)), A.n)
-        split = A.mul(y, pi_image(w, a)) ^ _split_offset(w, A, a)
-        if lhs != A.subtrace(split, 2 * k):
+        if not holds(y, a):
             raise VerificationError(
                 "split-coordinate-form",
                 "g(y + omega*a) differs from its split-coordinate form",
                 k=k, y=y, a=a)
 
-    # the same identity over the whole grid, y along rows and a along columns
-    V = _array_arith(w.spec.n, w.spec.poly)
-    a = np.array(sub_2k)
-    y = a[:, None]
-    pi = V.mul(w.gamma, V.frob(a, k - 1)) ^ V.mul(g2, V.mul(V.frob(a, k), a))
-    offset = V.mul(A.mul(w.alpha, g2), V.pow(a, (1 << k) + 2))
-    lhs = V.subtrace(V.mul(g2, V.pow(y ^ V.mul(w.omega, a), d)), A.n)
-    ok = lhs == V.subtrace(V.mul(y, pi) ^ offset, 2 * k)
-    return _grid_tally(f"mm-decomposition[k={k}]", sub_2k, ok, check)
+    # the whole grid at once, y along rows and a along columns
+    sub = np.array(sub_2k)
+    return _grid_tally(f"mm-decomposition[k={k}]", sub_2k, holds(sub[:, None], sub), check)
 
 
 @dataclass(frozen=True, eq=False)
@@ -872,15 +857,15 @@ class QuarticRoots:
 
 def quartic_roots(w: MMWitness, a0: int) -> QuarticRoots:
     """Solve the fiber quartic at a0 and verify the root/fiber correspondence."""
+    _check_elements(w.spec, a0, "a0")
     A = _arith(w.spec.n, w.spec.poly)
     k = w.k
     if A.frob(a0, 2 * k) != a0:
         raise ValueError(f"a0 {a0:#x} is not in the half-degree subfield")
     u = pi_image(w, a0)
     fiber = pi_fiber(w, u)
-    coeff = A.frob(a0, k) ^ a0
-    gi = A.inv(w.gamma)
-    full = solve_linearized(w.spec, [(1, 2), (coeff, 1), (gi, 0)], 0)
+    gi = int(A.inv(w.gamma))
+    full = solve_linearized(w.spec, [(1, 2), (int(A.frob(a0, k) ^ a0), 1), (gi, 0)], 0)
     sub = frozenset(c for c in full if A.frob(c, k) == c)
     mapped = frozenset(a0 ^ A.mul(c, c) for c in sub)
     if mapped != fiber:
@@ -912,13 +897,36 @@ def _transform_row(k: int, g2: int) -> np.ndarray:
     return walsh_row(_family_table(k), g2)
 
 
+def _transform_value(w: MMWitness, A: _Arith, u, v):
+    """The transform coefficient at (lam, gamma^2), lam = u*omega + u + v:
+    the plain-coordinate twin of the split-coordinate point (u, v)."""
+    return _transform_row(w.k, int(A.mul(w.gamma, w.gamma)))[A.mul(u, w.omega) ^ u ^ v]
+
+
+def _fiber_terms(w: MMWitness, A: _Arith, a, v):
+    """(-1)^Tr(alpha*gamma^2*a^(2^k+2) + v*a), the half-field trace: the
+    term of a fiber member a in the fiber sum at v."""
+    return 1 - 2 * A.subtrace(_split_offset(w, A, a) ^ A.mul(v, a), 2 * w.k)
+
+
 def _fiber_sum(w: MMWitness, A: _Arith, u: int, v: int) -> int:
-    k = w.k
-    total = 0
-    for a in pi_fiber(w, u):
-        arg = _split_offset(w, A, a) ^ A.mul(v, a)
-        total += 1 - 2 * A.subtrace(arg, 2 * k)
-    return (1 << (2 * k)) * total
+    """2^(2k) times the sum of the terms over the fiber of u at v."""
+    return (1 << (2 * w.k)) * sum(int(_fiber_terms(w, A, a, v)) for a in pi_fiber(w, u))
+
+
+def _fiber_sum_grid(w: MMWitness, us) -> np.ndarray:
+    """:func:`_fiber_sum` at every u of ``us`` (rows) and every v of
+    GF(2^(2k)) (columns), from one array of the fibers padded into slots."""
+    A = _arith(w.spec.n, w.spec.poly)
+    fibers = [sorted(pi_fiber(w, u)) for u in us]
+    size = np.array([len(m) for m in fibers], dtype=np.int64)
+    fib = np.zeros((len(fibers), max(size, default=0)), dtype=np.int64)
+    for i, members in enumerate(fibers):
+        fib[i, :len(members)] = members
+    in_fiber = np.arange(fib.shape[1]) < size[:, None, None]
+    v = np.array(A.subfield(2 * w.k))[:, None]
+    terms = np.where(in_fiber, _fiber_terms(w, A, fib[:, None, :], v), 0)
+    return (1 << (2 * w.k)) * terms.sum(axis=2)
 
 
 def mm_walsh_crosscheck(w: MMWitness, u: int, v: int) -> int:
@@ -927,12 +935,13 @@ def mm_walsh_crosscheck(w: MMWitness, u: int, v: int) -> int:
     The split-coordinate point (u, v) corresponds to the plain transform
     argument lam = u*omega + u + v; the value from the fiber sum must agree
     with the fast-transform coefficient at (lam, gamma^2) and respect the
-    bound 2^(2k) * |fiber|.
+    bound 2^(2k) * |fiber|.  An element outside the field raises ValueError.
     """
+    _check_elements(w.spec, u, "u")
+    _check_elements(w.spec, v, "v")
     A = _arith(w.spec.n, w.spec.poly)
     coef = _fiber_sum(w, A, u, v)
-    lam = A.mul(u, w.omega) ^ u ^ v
-    direct = int(_transform_row(w.k, A.mul(w.gamma, w.gamma))[lam])
+    direct = int(_transform_value(w, A, u, v))
     if coef != direct:
         raise VerificationError(
             "fiber-sum-equals-transform",
@@ -948,25 +957,14 @@ def mm_walsh_crosscheck(w: MMWitness, u: int, v: int) -> int:
 def mm_crosscheck_all(w: MMWitness) -> CheckReport:
     """Cross-check every (u, v) over the half-degree subfield grid."""
     A = _arith(w.spec.n, w.spec.poly)
-    V = _array_arith(w.spec.n, w.spec.poly)
     k = w.k
     sub_2k = A.subfield(2 * k)
-    # the fiber sums over the whole grid, u along rows and v along columns;
-    # the fiber of each u fills the leading slots of its row of ``fib``
-    fibers = [sorted(pi_fiber(w, u)) for u in sub_2k]
-    size = np.array([len(m) for m in fibers])
-    fib = np.zeros((len(fibers), size.max()), dtype=np.int64)
-    for i, members in enumerate(fibers):
-        fib[i, :len(members)] = members
-    in_fiber = (np.arange(size.max()) < size[:, None])[:, None, :]
-    g2 = A.mul(w.gamma, w.gamma)
-    offset = V.mul(A.mul(w.alpha, g2), V.pow(fib, (1 << k) + 2))
+    # the same two checks over the whole grid, u along rows and v along columns
+    coef = _fiber_sum_grid(w, sub_2k)
+    size = np.array([len(pi_fiber(w, u)) for u in sub_2k])
     u = np.array(sub_2k)[:, None]
-    v = u.T
-    bits = V.subtrace(offset[:, None, :] ^ V.mul(v[..., None], fib[:, None, :]), 2 * k)
-    coef = (1 << (2 * k)) * np.where(in_fiber, 1 - 2 * bits, 0).sum(axis=2)
-    direct = _transform_row(k, g2)[V.mul(u, w.omega) ^ u ^ v]
-    ok = (coef == direct) & (np.abs(coef) <= (1 << (2 * k)) * size[:, None])
+    ok = ((coef == _transform_value(w, A, u, u.T))
+          & (np.abs(coef) <= (1 << (2 * k)) * size[:, None]))
     return _grid_tally(f"mm-walsh-crosscheck[k={k}]", sub_2k, ok, mm_walsh_crosscheck, w)
 
 
@@ -979,15 +977,17 @@ def m4_sum_check(w: MMWitness) -> CheckReport:
     every v, the four half-field trace bits must sum to 1 mod 2, forcing a
     3-against-1 sign split.  Four signs +-1 sum to +-2 exactly when an odd
     number of them are -1, so the check is that the fiber sum has magnitude
-    exactly 2^(2k+1).
+    exactly 2^(2k+1).  One pass over the fiber sums of those (u, v) settles
+    the cells that pass; the scalar check runs on the rest, in case order.
     """
     A = _arith(w.spec.n, w.spec.poly)
     k = w.k
 
     def stepping_stones() -> None:
-        traces = (A.subtrace(A.mul(w.alpha, w.gamma), 2 * k),
-                  A.subtrace(A.mul(w.gamma, w.alpha ^ A.frob(w.alpha, k)), k),
-                  A.subtrace(A.mul(w.gamma, w.gamma), k))
+        traces = tuple(int(A.subtrace(x, m)) for x, m in (
+            (A.mul(w.alpha, w.gamma), 2 * k),
+            (A.mul(w.gamma, w.alpha ^ A.frob(w.alpha, k)), k),
+            (A.mul(w.gamma, w.gamma), k)))
         if traces != (1, 1, 1):
             raise VerificationError(
                 "trace-stepping-stones", "expected all three traces to be 1",
@@ -1002,10 +1002,13 @@ def m4_sum_check(w: MMWitness) -> CheckReport:
                 k=k, u=u, v=v, coefficient=coef)
 
     sub_2k = A.subfield(2 * k)
+    four = [u for u, members in sorted(w.pi_fibers.items()) if len(members) == 4]
+    settled = np.abs(_fiber_sum_grid(w, four)).ravel() == 1 << (2 * k + 1)
     cases = [(stepping_stones,)] + [
-        (four_term_sum, u, v) for u, members in sorted(w.pi_fibers.items())
-        if len(members) == 4 for v in sub_2k]
-    return _tally(f"mm-extremal-sum[k={k}]", cases, lambda step, *args: step(*args))
+        (four_term_sum, four[i // len(sub_2k)], sub_2k[i % len(sub_2k)])
+        for i in np.flatnonzero(~settled).tolist()]
+    report = _tally(f"mm-extremal-sum[k={k}]", cases, lambda step, *args: step(*args))
+    return replace(report, instances=1 + settled.size)
 
 
 # ---------------------------------------------------------------------------

@@ -482,6 +482,61 @@ def test_pi_image_matches_scalar_formula():
             assert a in pi_fiber(w, pi_image(w, a))
 
 
+@pytest.mark.parametrize("element", [-1, 256, 1 << 20], ids=["-1", "2^n", "2^20"])
+@pytest.mark.parametrize("call", [pi_image, quartic_roots,
+                                  lambda w, e: mm_walsh_crosscheck(w, e, 0),
+                                  lambda w, e: mm_walsh_crosscheck(w, 0, e)],
+                         ids=["pi_image", "quartic_roots", "crosscheck-u", "crosscheck-v"])
+def test_elements_outside_the_field_are_refused(call, element):
+    # numpy indexing wraps a negative element, so each is checked up front
+    w = mm_basis(2)
+    with pytest.raises(ValueError, match="not an element of GF"):
+        call(w, element)
+    if call is pi_image:
+        with pytest.raises(ValueError, match="not an element of GF"):
+            pi_image(w, np.array([0, element]))
+
+
+def _leaves(value):
+    """Every dict key and value and every member, through nested containers."""
+    if isinstance(value, dict):
+        for key, v in value.items():
+            yield key
+            yield from _leaves(v)
+    elif isinstance(value, (set, frozenset, tuple, list)):
+        for v in value:
+            yield from _leaves(v)
+    else:
+        yield value
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_public_results_hold_python_ints(k):
+    # one pair with a != 1 per kind: t = 1, t != 1 with solutions, obstructed
+    kinds = {}
+    for b in range(1 << (4 * k)):
+        tr = reduction_trace(k, 3, b)
+        kind = (tr.branch, tr.obstruction, len(tr.solutions_direct) > 0)
+        if kind in {("t=1", None, True), ("t!=1", None, True),
+                    ("t!=1", "halving-image-constraints", False)}:
+            kinds.setdefault(kind, tr)
+        if len(kinds) == 3:
+            break
+    assert len(kinds) == 3
+    values = [(tr.k, tr.a, tr.b, tr.c, tr.t, tr.solutions_direct, tr.solutions_normalized,
+               tr.solutions_via_quadratics, tr.aux) for tr in kinds.values()]
+    assert any("per_solution" in tr.aux for tr in kinds.values())
+    w = mm_basis(k)
+    a0 = min(w.pi_fibers[min(w.pi_fibers)])
+    qr = quartic_roots(w, a0)
+    values += [pi_image(w, a0), qr.a0, qr.u, qr.roots_full, qr.roots_subfield, qr.fiber,
+               mm_walsh_crosscheck(w, qr.u, a0), w.k, w.gamma, w.alpha, w.omega,
+               w.pi_fibers, all_gammas(k)]
+    # strings are the names of the aux entries
+    leaked = [v for v in _leaves(values) if type(v) not in (int, str)]
+    assert not leaked
+
+
 def test_fiber_partition_check():
     for k in (1, 2):
         rep = fiber_partition_check(mm_basis(k))
@@ -634,10 +689,6 @@ def test_tally_counts_each_verification_error_and_keeps_the_first():
         theorems._tally("t", [(0,)], broken)
 
 
-def _plus_one(real):
-    return lambda *args: real(*args) + 1
-
-
 def _patched(target, wrapper):
     """A breaker that wraps the theorems global ``target``; the witness stays."""
     def breaker(monkeypatch, w):
@@ -656,6 +707,14 @@ def _other_alpha(monkeypatch, w):
     return replace(w, alpha=w.alpha ^ 1)
 
 
+def _fiber_member_plus_one(monkeypatch, w):
+    # the least size-4 fiber (u = 0x48 at k = 3) with its least member m
+    # replaced by m + 1, another element of the half field
+    u = min(u for u, members in w.pi_fibers.items() if len(members) == 4)
+    m = min(w.pi_fibers[u])
+    return replace(w, pi_fibers={**w.pi_fibers, u: w.pi_fibers[u] - {m} | {m ^ 1}})
+
+
 # suite -> (its report from the witness, the breaker returning the witness
 # to run on, the step its first failure names)
 BREAKS = {
@@ -666,8 +725,7 @@ BREAKS = {
                    _patched("solve_linearized", lambda real: lambda *args: set()),
                    "fiber-root-correspondence"),
     "mm-walsh-crosscheck": (mm_crosscheck_all, _other_alpha, "fiber-sum-equals-transform"),
-    "mm-extremal-sum": (m4_sum_check, _patched("_fiber_sum", _plus_one),
-                        "four-term-trace-sum"),
+    "mm-extremal-sum": (m4_sum_check, _fiber_member_plus_one, "four-term-trace-sum"),
 }
 
 
@@ -698,6 +756,39 @@ def test_split_suites_equal_the_scalar_tally(monkeypatch, k, suite, change):
                         real(name, sub, np.zeros_like(ok), *rest))
     assert settled == suite(w)
     assert settled.ok == (w is clean)
+
+
+@pytest.mark.parametrize("suite, scalar_cases", [(mm_decomposition_check, 0),
+                                                 (mm_crosscheck_all, 0), (m4_sum_check, 1)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_array_passes_settle_every_clean_case(monkeypatch, k, suite, scalar_cases):
+    # a pass that settles too little changes no report, so count the scalar
+    # cases: none on a clean witness but the extremal sum's stepping stones
+    real = theorems._tally
+    ran = []
+
+    def counting(name, cases, check):
+        cases = list(cases)
+        ran.extend(cases)
+        return real(name, cases, check)
+
+    monkeypatch.setattr(theorems, "_tally", counting)
+    assert suite(mm_basis(k)).ok
+    assert len(ran) == scalar_cases
+
+
+@pytest.mark.parametrize("change", [lambda w: w, lambda w: _fiber_member_plus_one(None, w)],
+                         ids=["clean", "fiber-member+1"])
+def test_extremal_sum_equals_the_scalar_tally(monkeypatch, change):
+    clean = mm_basis(3)
+    w = change(clean)
+    settled = m4_sum_check(w)
+    # sums off by one never have magnitude 2^(2k+1), so the pass settles
+    # nothing and every cell goes to the scalar check
+    real = theorems._fiber_sum_grid
+    monkeypatch.setattr(theorems, "_fiber_sum_grid", lambda *args: real(*args) + 1)
+    assert settled == m4_sum_check(w)
+    assert (settled.instances, settled.failures) == (129, 0 if w is clean else 32)
 
 
 def test_failed_basis_skips_its_suites_for_that_gamma_only(monkeypatch):
@@ -743,6 +834,12 @@ def test_verification_error_carries_context():
     assert "some-step" in msg and "identity failed" in msg and "a=0x3" in msg
 
 
+def test_verification_error_prints_numpy_elements_in_hex():
+    err = VerificationError("some-step", "identity failed", k=np.int64(3), x=np.int64(10),
+                            count=np.int64(6))
+    assert str(err) == "some-step: identity failed [k=3, x=0xa, count=6]"
+
+
 def test_verification_error_prints_counts_in_decimal(monkeypatch):
     # field elements stay hex; counts and signed values read as numbers
     assert _break_first_four(monkeypatch, 1, None, _bump) == (1, 1)
@@ -752,8 +849,7 @@ def test_verification_error_prints_counts_in_decimal(monkeypatch):
                               "solutions [k=1, a=0x1, b=0x1, count=6]")
     monkeypatch.undo()
 
-    w = mm_basis(3)
-    monkeypatch.setattr(theorems, "_fiber_sum", _plus_one(theorems._fiber_sum))
+    w = _fiber_member_plus_one(monkeypatch, mm_basis(3))
     assert m4_sum_check(w).first_failure == (
         "four-term-trace-sum: the four half-field trace bits do not sum to 1 mod 2 "
-        "[k=3, u=0x48, v=0x0, coefficient=-127]")
+        "[k=3, u=0x48, v=0x0, coefficient=-256]")

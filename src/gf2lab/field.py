@@ -11,16 +11,21 @@ traces, Frobenius powers, and an exact solver for linearized equations
 (sums of terms c_j * x^(2^(e_j))), which reduces to linear algebra over
 GF(2).
 
-Bulk arithmetic (power-map tables, the proof replay) goes through one core:
-cached discrete-log / antilog tables of a fixed generator.  The scalar
-clmul path behind ``f_mul`` is kept independent of them and serves as the
-public scalar API and as the test oracle for the tables.
+Bulk arithmetic (power-map tables, the power structure of a table, the
+proof replay) goes through one core, :class:`_Arith`: the cached
+discrete-log / antilog tables of a fixed generator, with ops that take a
+Python int or a numpy array.  It is the one place that turns logs into
+elements.  The tables are built by :func:`_linear_map`, which applies
+multiplication by a constant as a GF(2)-linear map of the bits.  The
+scalar clmul path behind ``f_mul`` is kept independent of the tables and
+serves as the public scalar API and as the test oracle for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import gcd
 from typing import Iterable
 
 import numpy as np
@@ -377,18 +382,13 @@ def solve_linearized(
 # log/exp tables: the vectorized arithmetic core
 # ---------------------------------------------------------------------------
 
-def _vec_mulmod(a: np.ndarray, b, n: int, poly: int) -> np.ndarray:
-    """Elementwise carry-less product reduced modulo poly.
-
-    a is an int64 array of n-bit values and b an array of the same shape or
-    a scalar; the unreduced product has at most 2n - 1 <= 47 bits, which
-    fits comfortably in int64.
-    """
+def _linear_map(a: np.ndarray, cols) -> np.ndarray:
+    """The GF(2)-linear map whose basis vector x^i has the image cols[i],
+    applied elementwise to the int64 array a: the xor of the cols[i] over
+    the set bits i of each element."""
     acc = np.zeros_like(a)
-    for i in range(n):
-        acc ^= (a << i) * ((b >> i) & 1)
-    for j in range(2 * n - 2, n - 1, -1):
-        acc ^= (poly << (j - n)) * ((acc >> j) & 1)
+    for i, col in enumerate(cols):
+        acc ^= ((a >> i) & 1) * col
     return acc
 
 
@@ -434,7 +434,8 @@ def _log_exp_tables(n: int, poly: int) -> tuple[np.ndarray, np.ndarray]:
     gm = _generator(n, poly)
     while m < order:
         step = min(m, order - m)
-        exp[m:m + step] = _vec_mulmod(exp[:step], gm, n, poly)
+        # multiplication by g^m maps x^i to g^m * x^i
+        exp[m:m + step] = _linear_map(exp[:step], [_mul(poly, gm, 1 << i) for i in range(n)])
         gm = _mul(poly, gm, gm)
         m *= 2
     log = np.full(1 << n, -1, dtype=np.int64)
@@ -442,3 +443,76 @@ def _log_exp_tables(n: int, poly: int) -> tuple[np.ndarray, np.ndarray]:
     exp.flags.writeable = False
     log.flags.writeable = False
     return log, exp
+
+
+class _Arith:
+    """Discrete-log arithmetic of one field, on Python ints and numpy arrays alike.
+
+    The ops read the cached read-only log/exp tables and apply elementwise,
+    so one identity written with them serves a scalar check and an array
+    pass over many cases.  Zero is handled by the nonzero mask, without a
+    branch: ``mul``, ``pow`` and ``frob`` map it to 0 (so ``pow`` at d = 0
+    leaves 0^0 to the caller), and ``inv`` takes nonzero elements only.  A
+    scalar op returns a numpy integer.
+    """
+
+    def __init__(self, spec: FieldSpec):
+        self.n = spec.n
+        self.order = spec.order
+        self.log, self.exp = _log_exp_tables(spec.n, spec.poly)
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        """root[e] is the even root of x^2 + x = e, or -1 when there is none.
+
+        x and x + 1 share the image, so each image of an even x is hit once.
+        Built on first use, read-only: callers that need no quadratic root
+        (a power-map table, its spectra) never pay for it.
+        """
+        xs = np.arange(0, 1 << self.n, 2)
+        root = np.full(1 << self.n, -1, dtype=np.int64)
+        root[self.mul(xs, xs) ^ xs] = xs
+        root.flags.writeable = False
+        return root
+
+    def mul(self, a, b):
+        return self.exp[(self.log[a] + self.log[b]) % self.order] * ((a != 0) & (b != 0))
+
+    def inv(self, a):
+        return self.exp[-self.log[a] % self.order]
+
+    def pow(self, a, d: int):
+        return self.exp[self.log[a] * (d % self.order) % self.order] * (a != 0)
+
+    def frob(self, a, e: int):
+        return self.exp[(self.log[a] << e) % self.order] * (a != 0)
+
+    def sqrt(self, a):
+        return self.frob(a, self.n - 1)
+
+    def quad_roots(self, const: int) -> frozenset[int]:
+        """Roots of x^2 + x + const = 0 (either two or none)."""
+        r = int(self.root[const])
+        return frozenset() if r < 0 else frozenset((r, r ^ 1))
+
+    def subfield(self, m: int) -> tuple[int, ...]:
+        """All elements fixed by the m-fold Frobenius, in increasing order.
+
+        They form GF(2^j), j = gcd(m, n): 0 and the 2^j - 1 powers of
+        g^((2^n - 1) / (2^j - 1)), one stride of the exp table.
+        """
+        step = self.order // ((1 << gcd(m, self.n)) - 1)
+        return tuple(sorted([0] + self.exp[::step].tolist()))
+
+    def subtrace(self, a, m: int):
+        """Absolute trace of the GF(2^m) subfield, for elements lying in it."""
+        acc = x = a
+        for _ in range(m - 1):
+            x = self.mul(x, x)
+            acc = acc ^ x
+        return acc
+
+
+@lru_cache(maxsize=8)
+def _arith(n: int, poly: int) -> _Arith:
+    return _Arith(FieldSpec(n, poly))

@@ -2,12 +2,13 @@
 
 All sweeps operate on a :class:`FunctionTable` (a full lookup table of a map
 GF(2^n) -> GF(2^n)) and are exact: counts and transform coefficients are
-integers, never floats.  Power-map tables are gathered from the log/exp
-tables of :mod:`gf2lab.field`.  The Walsh sweep runs one fast
-Walsh-Hadamard transform per component b, which brings the total cost to
-about n * 2^(2n) bit operations instead of the 2^(3n) of the naive triple
-sum.  Full sweeps with n >= 16 need ``deep=True`` (``--deep``), as
-decided for every caller by :func:`require_desk_scale`; the one-row
+integers, never floats.  Power-map tables, and the power structure of
+any table, are computed through the table-backed arithmetic of
+:mod:`gf2lab.field`.  The Walsh sweep runs one fast Walsh-Hadamard
+transform per component b, which brings the total cost to about
+n * 2^(2n) bit operations instead of the 2^(3n) of the naive triple sum.
+Full sweeps with n >= 16 need ``deep=True`` (``--deep``), as decided for
+every caller by :func:`require_desk_scale`; the one-row
 :func:`power_delta` is not a full sweep and needs no ``deep``.
 
 Tables with an exponent (:attr:`FunctionTable.exponent`, read from the
@@ -37,7 +38,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .field import FieldSpec, _log_exp_tables, _mul, trace_abs
+from .field import FieldSpec, _arith, _mul, trace_abs
 
 __all__ = [
     "FunctionTable",
@@ -96,8 +97,8 @@ class FunctionTable:
         s, lut = self.spec, self.lut
         if not lut[1:].all() or (lut[0] and (lut[2:] != lut[1]).any()):
             return None
-        log, exp = _log_exp_tables(s.n, s.poly)
-        logs = log[lut[exp]]
+        A = _arith(s.n, s.poly)
+        logs = A.log[lut[A.exp]]
         e = int(logs[1] - logs[0]) % s.order
         # logs[i] = logs[0] + i*e; the wrap from g^(2^n-2) to g^0 holds
         # because (2^n - 1)*e = 0 mod 2^n - 1
@@ -161,17 +162,14 @@ class SpectrumSummary:
 def build_lut(s: FieldSpec, d: int) -> FunctionTable:
     """Materialize the power map x -> x^d as a read-only FunctionTable.
 
-    Nonzero x = g^i maps to g^(i*d), gathered from the log/exp tables.
+    Every x is raised by the table-backed ``pow`` of :mod:`gf2lab.field`.
     With the 0^0 = 1 convention, d = 0 yields the constant-1 table; any
     d > 0 maps 0 to 0.
     """
     if d < 0:
         raise ValueError("exponent must be non-negative")
-    log, exp = _log_exp_tables(s.n, s.poly)
-    lut = np.empty(s.size, dtype=np.int64)
-    lut[0] = 1 if d == 0 else 0
-    # reducing d first keeps log * d below 2^48, so int64 cannot overflow
-    lut[1:] = exp[(log[1:] * (d % s.order)) % s.order]
+    lut = _arith(s.n, s.poly).pow(np.arange(s.size), d)
+    lut[0] = d == 0
     lut.flags.writeable = False
     return FunctionTable(s, lut)
 
@@ -396,8 +394,8 @@ def power_walsh_spectrum(f: FunctionTable, *, deep: bool = False) -> WalshSpectr
     s = f.spec
     require_desk_scale(s.n, deep)
     g = gcd(d, s.order)
-    _, exp = _log_exp_tables(s.n, s.poly)
-    return _walsh_counts(f, _trace_masks(s), exp[:g], weight=s.order // g)
+    return _walsh_counts(f, _trace_masks(s), _arith(s.n, s.poly).exp[:g],
+                         weight=s.order // g)
 
 
 def walsh_row(f: FunctionTable, b: int) -> np.ndarray:

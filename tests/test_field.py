@@ -11,6 +11,8 @@ from gf2lab import (
     FieldConstructionError,
     FieldSpec,
     SubfieldTower,
+    build_lut,
+    classify,
     default_poly,
     f_add,
     f_inv,
@@ -22,7 +24,7 @@ from gf2lab import (
     trace_abs,
     trace_rel,
 )
-from gf2lab.field import _log_exp_tables
+from gf2lab.field import _arith, _log_exp_tables
 
 # Lexicographically least irreducible polynomial per degree, frozen from an
 # independent sieve over all odd encodings.
@@ -320,6 +322,29 @@ def test_log_exp_tables_against_scalar_mul(n):
     # log inverts exp on all of GF(2^n)*, so g generates the group
     assert (log[exp] == np.arange(s.order)).all()
     assert not log.flags.writeable and not exp.flags.writeable
+
+
+@pytest.mark.parametrize("n", [20, 24])
+def test_log_exp_tables_above_degree_16(n):
+    # built past the cache, so 2^n-entry tables do not outlive the test
+    s = field_make(n)
+    log, exp = _log_exp_tables.__wrapped__(n, s.poly)
+    assert int(log[0]) == -1 and (log[exp] == np.arange(s.order)).all()
+    g = int(exp[1])
+    rng = random.Random(n)
+    for i in (rng.randrange(s.order) for _ in range(1000)):
+        assert int(exp[(i + 1) % s.order]) == f_mul(s, int(exp[i]), g), i
+    assert not log.flags.writeable and not exp.flags.writeable
+
+
+def test_power_map_spectra_build_no_quadratic_root_table():
+    s = field_make(12)
+    _arith.cache_clear()
+    classify(build_lut(s, 73))
+    A = _arith(s.n, s.poly)
+    assert "root" not in vars(A)
+    # the table is built on first use
+    assert A.quad_roots(0) == {0, 1} and "root" in vars(A)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,9 +1,11 @@
-"""Package-wide guards: every export resolves, no check is an ``assert``, and
-every parameter is read.
+"""Package-wide guards: every export resolves, no check is an ``assert``,
+every parameter is read, and one module owns the discrete-log arithmetic.
 
 ``python -O`` strips ``assert`` statements, so validation in the package
 raises explicit errors instead.  A parameter that its body never reads is a
-knob that changes nothing.
+knob that changes nothing.  The log/exp tables are read through
+``field._Arith`` only, so no other module builds a second copy of its
+formulas.
 """
 
 import ast
@@ -54,3 +56,16 @@ def test_every_parameter_is_read():
             unread += [f"{path.name}:{node.lineno} {name}({p})"
                        for p in params if p not in read]
     assert not unread, f"parameters never read: {unread}"
+
+
+def test_only_field_owns_the_log_exp_arithmetic():
+    names, classes = set(), set()
+    for path in sorted(Path(gf2lab.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            # a bare name, an attribute, an import alias or a definition
+            if "_log_exp_tables" in {getattr(node, f, None) for f in ("id", "attr", "name")}:
+                names.add(path.name)
+            if isinstance(node, ast.ClassDef) and node.name == "_Arith":
+                classes.add(path.name)
+    assert names == {"field.py"}, f"modules naming _log_exp_tables: {sorted(names)}"
+    assert classes == {"field.py"}, f"modules defining _Arith: {sorted(classes)}"

@@ -463,5 +463,5 @@ def test_rejected_tables_build_no_log_exp_tables(monkeypatch, change):
     def no_tables(n, poly):
         raise AssertionError("log/exp tables built for a rejected table")
 
-    monkeypatch.setattr(spectra, "_log_exp_tables", no_tables)
+    monkeypatch.setattr(spectra, "_arith", no_tables)
     assert lut_from_values(s, lut).exponent is None

@@ -37,12 +37,10 @@ from gf2lab import (
     run_all_checks,
 )
 from gf2lab import theorems
-from gf2lab.field import _log_exp_tables
+from gf2lab.field import _Arith, _arith, _log_exp_tables
 from gf2lab.spectra import walsh_coefficient_direct
 from gf2lab.theorems import (
     DEFAULT_SEED,
-    _Arith,
-    _arith,
     _family_table,
     fiber_partition_check,
 )
@@ -741,20 +739,40 @@ def test_tallied_suite_counts_a_broken_input(monkeypatch, suite):
     assert broken.first_failure.startswith(f"{step}: ")
 
 
-@pytest.mark.parametrize("change", [lambda w: w, lambda w: replace(w, alpha=w.alpha ^ 1),
-                                    lambda w: replace(w, omega=w.omega ^ 2)],
-                         ids=["clean", "alpha+1", "omega+g"])
-@pytest.mark.parametrize("suite", [mm_decomposition_check, mm_crosscheck_all])
-@pytest.mark.parametrize("k", [1, 2, 3])
+WITNESS_CHANGES = {
+    "clean": lambda w: w,
+    "alpha+1": lambda w: replace(w, alpha=w.alpha ^ 1),
+    "omega+g": lambda w: replace(w, omega=w.omega ^ 2),
+    "fiber-member+1": lambda w: _fiber_member_plus_one(None, w),
+}
+SETTLED_SUITES = {
+    "reduction_sweep": lambda w: reduction_sweep(w.k),
+    "mm_decomposition_check": mm_decomposition_check,
+    "mm_crosscheck_all": mm_crosscheck_all,
+    "m4_sum_check": m4_sum_check,
+}
+
+
+# size-4 fibers, which the fiber-member+1 witness changes, first occur at k = 3
+@pytest.mark.parametrize("k, suite, change", [
+    pytest.param(k, suite, change, id=f"{k}-{suite}-{change}")
+    for k in (1, 2, 3)
+    for suite, changes in [
+        ("mm_decomposition_check", ["clean", "alpha+1", "omega+g"]),
+        ("mm_crosscheck_all", ["clean", "alpha+1", "omega+g"]),
+        ("reduction_sweep", ["clean"]),
+        ("m4_sum_check", ["clean", "fiber-member+1"] if k == 3 else ["clean"])]
+    for change in changes])
 def test_split_suites_equal_the_scalar_tally(monkeypatch, k, suite, change):
     clean = mm_basis(k)
-    w = change(clean)
-    settled = suite(w)
+    w = WITNESS_CHANGES[change](clean)
+    run = SETTLED_SUITES[suite]
+    settled = run(w)
     # an array pass that settles nothing sends every case to the scalar check
-    real = theorems._grid_tally
-    monkeypatch.setattr(theorems, "_grid_tally", lambda name, sub, ok, *rest:
-                        real(name, sub, np.zeros_like(ok), *rest))
-    assert settled == suite(w)
+    real = theorems._settle
+    monkeypatch.setattr(theorems, "_settle", lambda name, ok, *rest:
+                        real(name, np.zeros_like(ok), *rest))
+    assert settled == run(w)
     assert settled.ok == (w is clean)
 
 

@@ -1,9 +1,9 @@
 """Per-layer timings of the table layers under the spectra.
 
-The log/exp tables of :mod:`gf2lab.field` built from an empty cache, at
-n = 12, 16, 20 and 24 (the largest supported degree); the power-map table
-``build_lut(spec, 5)`` gathered from them, and the one DDT row a = 1 that
-:func:`gf2lab.power_delta` reads, each at n = 12 and 16.
+The log/exp tables of :mod:`gf2lab.field` built from an empty cache, and
+the power-map table ``build_lut(spec, 5)`` gathered from them, each at
+n = 12, 16, 20 and 24 (the largest supported degree); the one DDT row
+a = 1 that :func:`gf2lab.power_delta` reads, at n = 12 and 16.
 Then :func:`gf2lab.classify` of a ``lut_from_values`` copy of x^73 on
 GF(2^12): the table is made afresh every round, outside the timing, so
 nothing it learns about itself carries over from the round before.  Only
@@ -21,9 +21,10 @@ from gf2lab import build_lut, classify, field_make, lut_from_values, power_delta
 from gf2lab.field import _log_exp_tables
 
 DEGREES = pytest.mark.parametrize("n", [12, 16], ids=lambda n: f"n{n}")
+ALL_DEGREES = pytest.mark.parametrize("n", [12, 16, 20, 24], ids=lambda n: f"n{n}")
 
 
-@pytest.mark.parametrize("n", [12, 16, 20, 24], ids=lambda n: f"n{n}")
+@ALL_DEGREES
 def test_log_exp_tables(benchmark, n):
     s = field_make(n)
     log, exp = benchmark.pedantic(_log_exp_tables, (s.n, s.poly),
@@ -32,7 +33,7 @@ def test_log_exp_tables(benchmark, n):
     assert exp.size == s.order and log[1] == 0
 
 
-@DEGREES
+@ALL_DEGREES
 def test_build_lut(benchmark, n):
     s = field_make(n)
     table = benchmark.pedantic(build_lut, (s, 5), rounds=30, warmup_rounds=1)

@@ -36,9 +36,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="accepted for compatibility and ignored: every sweep runs "
                         "on one thread")
     p.add_argument("--deep", action="store_true",
-                   help="allow full sweeps over GF(2^n) with n >= 16 (analyze, "
-                        "verify --k 4), which grow as n * 4^n; on catalog, add "
-                        "the n = 10 Gold and Kasami rows")
+                   help="allow passes that fill more entries than a full sweep "
+                        "over GF(2^15): full sweeps with n >= 16 (analyze "
+                        "--ddt-csv or a table without power structure, verify "
+                        "--k 4) and the larger power-map orbit passes; on "
+                        "catalog, add the n = 10 Gold and Kasami rows")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,8 +108,10 @@ def _analyze(args) -> int:
         except (LutParseError, FieldConstructionError, ValueError) as e:
             return _fail_usage(f"{args.lut}: {e}")
         s, kind, exponent = table.spec, "lut", None
+    # the DDT dump is a full sweep whatever the map
+    orbit = None if args.ddt_csv else (args.exp if table is None else table.exponent)
     try:
-        require_desk_scale(s.n, args.deep)
+        require_desk_scale(s.n, args.deep, orbit)
     except ValueError as e:
         return _fail_usage(str(e))
     if table is None:

@@ -7,9 +7,11 @@ any table, are computed through the table-backed arithmetic of
 :mod:`gf2lab.field`.  The Walsh sweep runs one fast Walsh-Hadamard
 transform per component b, which brings the total cost to about
 n * 2^(2n) bit operations instead of the 2^(3n) of the naive triple sum.
-Full sweeps with n >= 16 need ``deep=True`` (``--deep``), as decided for
-every caller by :func:`require_desk_scale`; the one-row
-:func:`power_delta` is not a full sweep and needs no ``deep``.
+A pass that fills more entries than a full sweep over GF(2^15) needs
+``deep=True`` (``--deep``), as decided for every caller by
+:func:`require_desk_scale`: every full sweep with n >= 16, and an orbit
+Walsh pass whose gcd(e, 2^n - 1) rows are too many.  The one-row
+:func:`power_delta` stays within that budget at every degree.
 
 Tables with an exponent (:attr:`FunctionTable.exponent`, read from the
 table) go through the power-map orbit engine, :func:`power_delta` and
@@ -59,8 +61,9 @@ __all__ = [
     "require_desk_scale",
 ]
 
-# From this degree on a full sweep must be requested explicitly.
-DEEP_DEGREE = 16
+# DDT counts or Walsh coefficients a pass may fill without deep: those of a
+# full sweep over GF(2^15), the largest field a full sweep runs on by default.
+DESK_ENTRIES = ((1 << 15) - 1) << 15
 # Walsh coefficients per transform block (one column when a column is
 # larger).  An int16 block and its mask product take 512 KiB each.  Full
 # sweeps of a random table, best of 3, at 2^16 / 2^17 / 2^18 / 2^19
@@ -162,13 +165,15 @@ class SpectrumSummary:
 def build_lut(s: FieldSpec, d: int) -> FunctionTable:
     """Materialize the power map x -> x^d as a read-only FunctionTable.
 
-    Every x is raised by the table-backed ``pow`` of :mod:`gf2lab.field`.
-    With the 0^0 = 1 convention, d = 0 yields the constant-1 table; any
-    d > 0 maps 0 to 0.
+    Each x != 0 is read off the log/exp tables of :mod:`gf2lab.field` as
+    x^d = exp[log(x) * d mod 2^n - 1].  With the 0^0 = 1 convention, d = 0
+    yields the constant-1 table; any d > 0 maps 0 to 0.
     """
     if d < 0:
         raise ValueError("exponent must be non-negative")
-    lut = _arith(s.n, s.poly).pow(np.arange(s.size), d)
+    A = _arith(s.n, s.poly)
+    # log[0] = -1 lands on some element, which lut[0] then overwrites
+    lut = A.exp[A.log * (d % A.order) % A.order]
     lut[0] = d == 0
     lut.flags.writeable = False
     return FunctionTable(s, lut)
@@ -203,12 +208,23 @@ def lut_from_values(s: FieldSpec, values) -> FunctionTable:
 # difference distribution
 # ---------------------------------------------------------------------------
 
-def require_desk_scale(n: int, deep: bool) -> None:
-    """Raise ValueError for a full sweep over GF(2^n), n >= 16, unless deep."""
-    if n >= DEEP_DEGREE and not deep:
+def require_desk_scale(n: int, deep: bool, exponent: int | None = None) -> None:
+    """Raise ValueError, unless deep, for a pass over GF(2^n) past DESK_ENTRIES.
+
+    A pass fills rows * 2^n entries, DDT counts or Walsh coefficients.  A
+    full sweep has rows = 2^n - 1, so it needs deep from n = 16 on.  The
+    orbit Walsh pass of a table with the given exponent has rows =
+    gcd(exponent, 2^n - 1), one per coset of the exponent's powers (see
+    :func:`power_walsh_spectrum`).  The one row of :func:`power_delta`
+    fills 2^n entries, under the budget at every supported degree.
+    """
+    order = (1 << n) - 1
+    rows = order if exponent is None else gcd(exponent, order)
+    if rows << n > DESK_ENTRIES and not deep:
+        what = "full sweep" if rows == order else f"orbit pass of {rows} rows"
         raise ValueError(
-            f"full sweep over GF(2^{n}) needs deep=True (--deep on the command "
-            f"line), as does any degree >= {DEEP_DEGREE}; sweeps grow as n * 4^n")
+            f"{what} over GF(2^{n}) needs deep=True (--deep on the command "
+            f"line), as does any pass larger than a full sweep over GF(2^15)")
 
 
 def _ddt_row(lut: np.ndarray, idx: np.ndarray, a: int) -> np.ndarray:
@@ -371,7 +387,8 @@ def power_delta(f: FunctionTable) -> int:
 
     For f(a*y) = a^d * f(y) (d = ``f.exponent``), substituting x = a*y
     gives delta(a, b) = delta(1, b / a^d), so every row is a permutation
-    of the row a = 1.  One row costs 2^n, so no degree needs ``deep``.
+    of the row a = 1.  One row costs 2^n, under the budget of
+    :func:`require_desk_scale` at every degree, so it takes no ``deep``.
     Raises ValueError for a table without an exponent.
     """
     _require_exponent(f)
@@ -392,7 +409,7 @@ def power_walsh_spectrum(f: FunctionTable, *, deep: bool = False) -> WalshSpectr
     """
     d = _require_exponent(f)
     s = f.spec
-    require_desk_scale(s.n, deep)
+    require_desk_scale(s.n, deep, d)
     g = gcd(d, s.order)
     return _walsh_counts(f, _trace_masks(s), _arith(s.n, s.poly).exp[:g],
                          weight=s.order // g)

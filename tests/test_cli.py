@@ -127,7 +127,7 @@ def test_analyze_usage_errors(tmp_path, capsys):
 
 
 def test_analyze_refuses_large_fields_without_deep(capsys):
-    assert main(["analyze", "--exp", "3", "--n", "17"]) == 2
+    assert main(["analyze", "--exp", "0", "--n", "17"]) == 2
     err = capsys.readouterr().err
     assert "--deep" in err
 
@@ -146,6 +146,44 @@ def test_every_entry_point_refuses_degree_16_before_any_work(tmp_path, capsys):
     errs = captured.err.splitlines()
     assert len(errs) == 3
     assert all("GF(2^16)" in e and "deep=True" in e and "--deep" in e for e in errs)
+
+
+def test_analyze_orbit_pass_within_budget_needs_no_deep(tmp_path, capsys):
+    # x^273 on GF(2^16) (the family at k = 4): gcd(273, 2^16 - 1) = 3 rows
+    lut = tmp_path / "m.lut"
+    write_lut(lut, build_lut(field_make(16), 273))
+    for source in (["--exp", "273", "--n", "16"], ["--lut", str(lut)]):
+        runs = []
+        for flag in ([], ["--deep"]):
+            report = tmp_path / f"r{len(runs)}.json"
+            assert main(["analyze", *source, "--json", str(report), *flag]) == 0
+            doc = json.loads(report.read_text())
+            doc.pop("timings_ms")
+            runs.append((capsys.readouterr(), doc))
+        (plain, plain_doc), (deep, deep_doc) = runs
+        assert plain.out == deep.out and plain.err == deep.err == ""
+        assert plain_doc == deep_doc
+        assert "walsh max: 512" in plain.out
+
+
+def test_analyze_refuses_passes_past_the_budget(tmp_path, capsys):
+    # x^21845 has gcd 21845 with 2^16 - 1; a table without power structure
+    # takes the full sweeps
+    s = field_make(16)
+    lut = build_lut(s, 3).lut.copy()
+    lut[5], lut[9] = lut[9], lut[5]
+    other = tmp_path / "other.lut"
+    write_lut(other, lut_from_values(s, lut))
+    outs = [tmp_path / name for name in ("r.json", "m.lut")]
+    flags = ["--json", str(outs[0]), "--write-lut", str(outs[1])]
+    for source in (["--exp", "21845", "--n", "16"], ["--lut", str(other)]):
+        assert main(["analyze", *source, *flags]) == 2
+        assert not any(p.exists() for p in outs)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errs = captured.err.splitlines()
+        assert len(errs) == 1 and errs[0].startswith("error:")
+        assert "GF(2^16)" in errs[0] and "deep=True" in errs[0] and "--deep" in errs[0]
 
 
 def test_analyze_lut_refuses_field_flags(tmp_path, capsys):

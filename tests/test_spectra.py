@@ -305,6 +305,21 @@ def test_desk_scale_threshold_is_degree_16():
         require_desk_scale(16, False)
 
 
+def test_desk_scale_budget_reads_the_rows():
+    # rows * 2^n against (2^15 - 1) * 2^15 entries; each g divides 2^n - 1,
+    # so the orbit of exponent g has g rows
+    for n, runs, refused in ((16, 13107, 21845), (20, 1023, 1025), (24, 63, 65)):
+        require_desk_scale(n, False, runs)
+        with pytest.raises(ValueError, match=rf"GF\(2\^{n}\).*deep=True.*--deep"):
+            require_desk_scale(n, False, refused)
+        require_desk_scale(n, True, refused)
+    require_desk_scale(15, False, None)
+    require_desk_scale(15, False, 0)
+    for exponent in (None, 0):
+        with pytest.raises(ValueError, match=r"full sweep over GF\(2\^16\)"):
+            require_desk_scale(16, False, exponent)
+
+
 def test_deep_degree_gate():
     s = field_make(18)
     table = build_lut(s, 3)  # building the table itself is cheap
@@ -389,11 +404,16 @@ def test_named_sweeps_stay_full_and_orbit_needs_an_exponent(monkeypatch):
         power_delta(swapped)
     with pytest.raises(ValueError, match="homogeneous table"):
         power_walsh_spectrum(swapped)
-    # one row is no full sweep: only the Walsh engine needs deep at n = 16
+    # one row is no full sweep, and the orbit Walsh pass of x^273 (3 rows)
+    # is within the budget at n = 16; that of x^21845 (21845 rows) is not
     big = build_lut(field_make(16), 273)
     assert power_delta(big) == 4
-    with pytest.raises(ValueError, match="deep"):
-        power_walsh_spectrum(big)
+    assert power_walsh_spectrum(big).max_abs == 512
+    assert classify(big).walsh_max == 512 and nonlinearity(big) == 32512
+    wide = build_lut(field_make(16), 21845)
+    for sweep in (power_walsh_spectrum, classify, nonlinearity):
+        with pytest.raises(ValueError, match="deep"):
+            sweep(wide)
 
 
 @settings(max_examples=60, deadline=None)

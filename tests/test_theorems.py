@@ -616,12 +616,11 @@ def test_m4_extremal_coefficients_appear_in_spectrum():
 
 
 def test_paper_claims_beyond_desk_scale():
-    # delta 4 and Walsh extremum 2^(2k+1) at k = 4, 5 from the orbit engine;
-    # only its Walsh pass is gated at these degrees
+    # delta 4 and Walsh extremum 2^(2k+1) at k = 4, 5 from the orbit engine
     for k in (4, 5):
         table = build_lut(field_make(4 * k), dobbertin_exponent(k))
         assert power_delta(table) == 4
-        assert power_walsh_spectrum(table, deep=True).max_abs == 1 << (2 * k + 1)
+        assert power_walsh_spectrum(table).max_abs == 1 << (2 * k + 1)
     w = mm_basis(4)
     for suite in (quartic_check_all, m4_sum_check, mm_crosscheck_all):
         assert suite(w).ok

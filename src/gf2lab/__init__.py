@@ -7,6 +7,13 @@ differential uniformity (4) and Walsh extremum (2^(2k+1)) of the power map
 x^(2^(2k)+2^k+1) on GF(2^(4k)).
 """
 
+import os
+
+# gf2lab makes no BLAS call, yet numpy's OpenBLAS starts a worker thread at
+# import that spins until exit, about 60 ms of CPU per process.  Set before
+# the first import of numpy below; a value the caller set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .field import (FieldSpec, SubfieldTower, FieldConstructionError,
                     field_make, default_poly, f_add, f_mul, f_pow, f_inv,
                     frobenius, trace_abs, trace_rel, solve_linearized)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .field import field_make
+from .field import FieldSpec, field_make
 from .spectra import FunctionTable, lut_from_values
 
 __all__ = ["LutParseError", "read_lut", "write_lut", "lut_digest"]
@@ -24,6 +24,8 @@ __all__ = ["LutParseError", "read_lut", "write_lut", "lut_digest"]
 _HEADER = re.compile(r"^n=(\d+)\s+poly=([0-9a-f]+)\s*$")
 # int(tok, 16) alone would also take signs, a 0x prefix and underscores
 _HEX_TOKEN = re.compile(r"[0-9a-fA-F]+")
+# a line of such tokens; \s and str.split() agree on every ASCII character
+_HEX_LINE = re.compile(r"[0-9a-fA-F\s]*")
 
 
 class LutParseError(ValueError):
@@ -57,19 +59,32 @@ def read_lut(path: str | Path) -> tuple[FunctionTable, str]:
     values = []
     expected = spec.size
     for line_no, line in enumerate(lines[1:], start=2):
-        for tok in line.split():
-            if not _HEX_TOKEN.fullmatch(tok):
-                raise LutParseError(line_no, f"not a hexadecimal value: {tok!r}")
-            v = int(tok, 16)
-            if v >= spec.size:
-                raise LutParseError(line_no, f"value {tok} out of range for GF(2^{n})")
-            values.append(v)
-            if len(values) > expected:
-                raise LutParseError(line_no, f"more than {expected} values")
+        if not _HEX_LINE.fullmatch(line):
+            _reject_line(line, line_no, len(values), spec)
+        row = [int(tok, 16) for tok in line.split()]
+        if row and (max(row) >= spec.size or len(values) + len(row) > expected):
+            _reject_line(line, line_no, len(values), spec)
+        values.extend(row)
     if len(values) < expected:
         raise LutParseError(len(lines), f"expected {expected} values, found {len(values)}")
     # ints already range-checked: typed here, numpy need not infer a dtype
     return lut_from_values(spec, np.array(values, dtype=np.int64)), digest
+
+
+def _reject_line(line: str, line_no: int, count: int, spec: FieldSpec) -> None:
+    """Raise the LutParseError of the first bad token of a refused line.
+
+    count is the number of values on the lines before; the tokens are
+    checked in order, as a token-at-a-time reader would.
+    """
+    for tok in line.split():
+        if not _HEX_TOKEN.fullmatch(tok):
+            raise LutParseError(line_no, f"not a hexadecimal value: {tok!r}")
+        if int(tok, 16) >= spec.size:
+            raise LutParseError(line_no, f"value {tok} out of range for GF(2^{spec.n})")
+        count += 1
+        if count > spec.size:
+            raise LutParseError(line_no, f"more than {spec.size} values")
 
 
 def write_lut(path: str | Path, f: FunctionTable) -> None:

@@ -14,13 +14,14 @@ Walsh pass whose gcd(e, 2^n - 1) rows are too many.  The one-row
 :func:`power_delta` stays within that budget at every degree.
 
 Tables with an exponent (:attr:`FunctionTable.exponent`, read from the
-table) go through the power-map orbit engine, :func:`power_delta` and
-:func:`power_walsh_spectrum`, whose docstrings give the derivation; other
-tables go through the full sweeps.  The named sweeps
-(:func:`differential_uniformity`, :func:`ddt_rows`, :func:`walsh_spectrum`,
-:func:`walsh_row`) stay full sweeps whatever the table, and serve as the
-oracle the orbit engine is tested against.  :func:`classify` and
-``analyze`` choose between the two in one place, by the table's exponent.
+table, or from d for :func:`build_lut`'s x^d) go through the power-map
+orbit engine, :func:`power_delta` and :func:`power_walsh_spectrum`, whose
+docstrings give the derivation; other tables go through the full sweeps.
+The named sweeps (:func:`differential_uniformity`, :func:`ddt_rows`,
+:func:`walsh_spectrum`, :func:`walsh_row`) stay full sweeps whatever the
+table, and serve as the oracle the orbit engine is tested against.
+:func:`classify` and ``analyze`` choose between the two in one place, by
+the table's exponent.
 
 Every sweep runs on one thread: the Walsh sweeps transform fixed-size
 blocks of components in place and merge them into one offset histogram,
@@ -95,7 +96,8 @@ class FunctionTable:
         Tables with an image 0 off 0 (the zero map fits every e), or with
         f(0) != 0 (which forces e = 0) and not constant off 0, get None
         without the log/exp tables; the others take one pass over the logs
-        of f(g^i).  Computed once, so the lut must not change afterwards.
+        of f(g^i).  Computed once, so the lut must not change afterwards;
+        :func:`build_lut` fills it in from d without that pass.
         """
         s, lut = self.spec, self.lut
         if not lut[1:].all() or (lut[0] and (lut[2:] != lut[1]).any()):
@@ -176,7 +178,11 @@ def build_lut(s: FieldSpec, d: int) -> FunctionTable:
     lut = A.exp[A.log * (d % A.order) % A.order]
     lut[0] = d == 0
     lut.flags.writeable = False
-    return FunctionTable(s, lut)
+    f = FunctionTable(s, lut)
+    # x^d meets f(g*x) = g^e * f(x) with e = d mod 2^n - 1 (d = 0 included),
+    # so the exponent property need not rederive it from the table
+    f.__dict__["exponent"] = d % A.order
+    return f
 
 
 def lut_from_values(s: FieldSpec, values) -> FunctionTable:

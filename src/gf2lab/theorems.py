@@ -568,12 +568,13 @@ def reduction_sweep(k: int, *, samples: int | None = None) -> CheckReport:
     is the solution set of f(x+a) + f(x) = b.  Every check of
     :func:`reduction_trace` is a function of c = b/a^d + 1 and the
     normalized set S(a, b)/a alone, so on such a table the pair (a, b)
-    passes exactly when the replay of (1, c + 1) does.  The sweep checks
-    that premise on the family table once, groups the row a = 1 once (one
-    stable argsort and one bincount give every S(1, v)), and makes one
-    array pass over every c the pairs reach (all of them when exhaustive)
-    under the same four-solution bound; a pair whose c passed is settled
-    without a scan.  The scalar derivation replays only unsettled pairs:
+    passes exactly when the replay of (1, c + 1) does.  The sweep reads
+    that premise off the family table's exponent once (from d for a
+    ``build_lut`` table, from a pass over any other table), groups
+    the row a = 1 once (one stable argsort and one bincount give every
+    S(1, v)), and makes one array pass over every c the pairs reach (all
+    of them when exhaustive) under the same four-solution bound; a pair
+    whose c passed is settled without a scan.  The scalar derivation replays only unsettled pairs:
     every other pair, and every pair of a table that fails the premise,
     runs its own ``reduction_trace(k, a, b)``.  The pass settles no c whose
     scalar replay fails, so the report equals the per-pair one, first

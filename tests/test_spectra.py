@@ -14,6 +14,7 @@ from gf2lab import (
     classify,
     ddt_rows,
     differential_uniformity,
+    dobbertin_exponent,
     f_mul,
     f_pow,
     field_make,
@@ -433,6 +434,18 @@ def test_exponent_is_read_from_the_table(data):
     moved = lut_from_values(s, [v0] + values[1:]).exponent
     assert moved == (None if e else 0)
     assert lut_from_values(s, [0] * s.size).exponent is None
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_build_lut_exponent_matches_the_table(n):
+    # build_lut fills in d mod 2^n - 1; the table's own pass is the oracle
+    s = field_make(n)
+    ds = [0, s.order, 2 * s.order + 3, s.order - 1, 3]
+    if n % 4 == 0:
+        ds.append(dobbertin_exponent(n // 4))
+    for d in ds:
+        table = build_lut(s, d)
+        assert table.exponent == lut_from_values(s, table.lut).exponent, d
 
 
 def test_a_stale_label_cannot_reach_the_orbit_engine():

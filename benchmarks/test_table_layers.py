@@ -3,7 +3,8 @@
 The log/exp tables of :mod:`gf2lab.field` built from an empty cache, and
 the power-map table ``build_lut(spec, 5)`` gathered from them, each at
 n = 12, 16, 20 and 24 (the largest supported degree); the one DDT row
-a = 1 that :func:`gf2lab.power_delta` reads, at n = 12 and 16.
+a = 1 that :func:`gf2lab.power_delta` reads, at the same degrees, where
+its row and its counts are the whole cost (no solution set is grouped).
 Then :func:`gf2lab.classify` of a ``lut_from_values`` copy of x^73 on
 GF(2^12): the table is made afresh every round, outside the timing, so
 nothing it learns about itself carries over from the round before.  Last,
@@ -43,7 +44,7 @@ def test_build_lut(benchmark, n):
     assert int(table.lut[2]) == 32
 
 
-@DEGREES
+@ALL_DEGREES
 def test_power_delta_row(benchmark, n):
     table = build_lut(field_make(n), 5)
     delta = benchmark.pedantic(power_delta, (table,), rounds=30, warmup_rounds=1)

@@ -19,8 +19,8 @@ from .field import (FieldSpec, SubfieldTower, FieldConstructionError,
                     frobenius, trace_abs, trace_rel, solve_linearized)
 from .spectra import (FunctionTable, DifferenceRow, WalshSpectrum,
                       SpectrumSummary, build_lut, lut_from_values,
-                      differential_uniformity, ddt_rows, walsh_spectrum,
-                      walsh_row, power_delta, power_walsh_spectrum,
+                      differential_uniformity, ddt_rows, difference_row,
+                      walsh_spectrum, walsh_row, power_delta, power_walsh_spectrum,
                       nonlinearity, classify)
 from .catalog import (FamilySpec, CatalogEntry, PermutationCheck,
                       family_exponent, permutation_check, inverse_map,

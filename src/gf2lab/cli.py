@@ -103,8 +103,6 @@ def _analyze(args) -> int:
                                "names its field in its header")
         try:
             table, digest = read_lut(args.lut)
-        except OSError as e:
-            return _fail_usage(str(e))
         except (LutParseError, FieldConstructionError, ValueError) as e:
             return _fail_usage(f"{args.lut}: {e}")
         s, kind, exponent = table.spec, "lut", None
@@ -217,7 +215,10 @@ def _catalog(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "analyze":
-        return _analyze(args)
+        try:
+            return _analyze(args)
+        except OSError as e:  # --lut, --ddt-csv, --write-lut or --json
+            return _fail_usage(str(e))
     if args.command == "verify":
         return _verify(args)
     return _catalog(args)

@@ -10,8 +10,7 @@ n * 2^(2n) bit operations instead of the 2^(3n) of the naive triple sum.
 A pass that fills more entries than a full sweep over GF(2^15) needs
 ``deep=True`` (``--deep``), as decided for every caller by
 :func:`require_desk_scale`: every full sweep with n >= 16, and an orbit
-Walsh pass whose gcd(e, 2^n - 1) rows are too many.  The one-row
-:func:`power_delta` stays within that budget at every degree.
+Walsh pass whose gcd(e, 2^n - 1) rows are too many.
 
 Tables with an exponent (:attr:`FunctionTable.exponent`, read from the
 table, or from d for :func:`build_lut`'s x^d) go through the power-map
@@ -21,7 +20,8 @@ The named sweeps (:func:`differential_uniformity`, :func:`ddt_rows`,
 :func:`walsh_spectrum`, :func:`walsh_row`) stay full sweeps whatever the
 table, and serve as the oracle the orbit engine is tested against.
 :func:`classify` and ``analyze`` choose between the two in one place, by
-the table's exponent.
+the table's exponent.  Every difference row is a :class:`DifferenceRow`,
+and only its ``sets`` groups a row into the solution sets the replay reads.
 
 Every sweep runs on one thread: the Walsh sweeps transform fixed-size
 blocks of components in place and merge them into one offset histogram,
@@ -52,6 +52,7 @@ __all__ = [
     "lut_from_values",
     "differential_uniformity",
     "ddt_rows",
+    "difference_row",
     "walsh_spectrum",
     "walsh_row",
     "power_delta",
@@ -115,15 +116,28 @@ class FunctionTable:
 
 @dataclass(frozen=True, eq=False)
 class DifferenceRow:
-    """One row of the difference distribution table.
-
-    ``counts[b]`` is the number of x with f(x + a) + f(x) = b for the fixed
-    nonzero difference a.  Every count is even (solutions come in pairs
-    {x, x + a}) and the row sums to 2^n.
-    """
+    """The row of one difference a != 0 of the difference distribution table:
+    ``values[x]`` is the derivative D_a f(x) = f(x) + f(x + a), and
+    ``counts[b]`` the size of S(a, b) = {x : D_a f(x) = b}; every count is
+    even (solutions come in pairs {x, x + a}) and the row sums to 2^n."""
 
     a: int
     counts: np.ndarray
+    values: np.ndarray
+
+    def sets(self, bs) -> tuple[np.ndarray, np.ndarray]:
+        """``(sols, valid)``: row i of sols is S(a, bs[i]) in increasing order,
+        padded with 0 to max(4, counts.max()) slots, and valid marks the
+        filled slots.  A b outside [0, 2^n) raises ValueError."""
+        bs, counts = np.asarray(bs), self.counts
+        if np.any((bs < 0) | (bs >= counts.size)):
+            raise ValueError("b is not a field element")
+        # the one sort of a row, made only here: S(a, b) = xs[starts[b]:starts[b] + counts[b]]
+        xs = np.argsort(self.values, kind="stable")
+        starts = np.cumsum(counts) - counts
+        slots = np.arange(max(4, counts.max()))
+        valid = slots < counts[bs, None]
+        return np.where(valid, xs[np.minimum(starts[bs, None] + slots, counts.size - 1)], 0), valid
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,16 +247,24 @@ def require_desk_scale(n: int, deep: bool, exponent: int | None = None) -> None:
             f"line), as does any pass larger than a full sweep over GF(2^15)")
 
 
-def _ddt_row(lut: np.ndarray, idx: np.ndarray, a: int) -> np.ndarray:
-    """Counts of f(x) + f(x + a) = b for every b; idx is arange(2^n)."""
-    return np.bincount(lut ^ lut[idx ^ a], minlength=lut.size)
+def _ddt_row(lut: np.ndarray, idx: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(counts, values)`` of the row a of the table lut; idx is arange(2^n)."""
+    values = lut ^ lut[idx ^ a]
+    return np.bincount(values, minlength=lut.size), values
+
+
+def difference_row(f: FunctionTable, a: int) -> DifferenceRow:
+    """The row a of f's difference table; an a outside [1, 2^n) raises ValueError."""
+    if not 0 < a < f.spec.size:
+        raise ValueError("difference a must be a nonzero field element")
+    return DifferenceRow(a, *_ddt_row(f.lut, np.arange(f.spec.size), a))
 
 
 def ddt_rows(f: FunctionTable) -> Iterator[DifferenceRow]:
     """Stream the difference distribution table one row (one a != 0) at a time."""
     idx = np.arange(f.spec.size)
     for a in range(1, f.spec.size):
-        yield DifferenceRow(a, _ddt_row(f.lut, idx, a))
+        yield DifferenceRow(a, *_ddt_row(f.lut, idx, a))
 
 
 def differential_uniformity(f: FunctionTable, *, deep: bool = False) -> int:
@@ -255,7 +277,7 @@ def differential_uniformity(f: FunctionTable, *, deep: bool = False) -> int:
     s = f.spec
     require_desk_scale(s.n, deep)
     idx = np.arange(s.size)
-    return max(int(_ddt_row(f.lut, idx, a).max()) for a in range(1, s.size))
+    return max(int(_ddt_row(f.lut, idx, a)[0].max()) for a in range(1, s.size))
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +415,11 @@ def power_delta(f: FunctionTable) -> int:
 
     For f(a*y) = a^d * f(y) (d = ``f.exponent``), substituting x = a*y
     gives delta(a, b) = delta(1, b / a^d), so every row is a permutation
-    of the row a = 1.  One row costs 2^n, under the budget of
-    :func:`require_desk_scale` at every degree, so it takes no ``deep``.
+    of the row a = 1, whose 2^n entries need no ``deep`` at any degree.
     Raises ValueError for a table without an exponent.
     """
     _require_exponent(f)
-    return int(_ddt_row(f.lut, np.arange(f.spec.size), 1).max())
+    return int(difference_row(f, 1).counts.max())
 
 
 def power_walsh_spectrum(f: FunctionTable, *, deep: bool = False) -> WalshSpectrum:

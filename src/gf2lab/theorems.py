@@ -10,15 +10,10 @@ normalized solution, a four-term relative-trace constraint, a quadratic in
 the Frobenius pair-sum, and finally one or two ordinary quadratics whose
 roots are filtered back against the product identity.  Every identity is
 checked on every solution; any violation raises :class:`VerificationError`
-naming the failing step.  The pair sweep scans no pair: once the family
-table's exponent reads d (the premise stated at
-:attr:`gf2lab.spectra.FunctionTable.exponent`), the substitution x = a*y
-reduces every solution set to the row a = 1, S(a, b) = a * S(1, b/a^d),
-and a and b enter the checks only through c = b/a^d + 1 and the normalized
-set.  So one grouping of that row feeds one array pass over every c (every
-c the pairs reach, when they are sampled); the scalar derivation replays
-only unsettled pairs: those whose c failed the pass, and every pair of a
-table whose exponent is not d.
+naming the failing step.  The pair sweep scans no pair: the substitution
+x = a*y reduces every solution set to the row a = 1 (see
+:func:`reduction_sweep`), whose sets feed one array pass, and the scalar
+derivation replays only the pairs that pass does not settle.
 
 The *split-coordinate suite* checks the Maiorana-McFarland structure of the
 component g(x) = Tr(gamma^2 * x^d): a basis (gamma, alpha, omega) is
@@ -66,8 +61,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .field import FieldSpec, _Arith, _arith, field_make, solve_linearized
-from .spectra import (FunctionTable, build_lut, differential_uniformity,
-                      require_desk_scale, walsh_row)
+from .spectra import (FunctionTable, build_lut, difference_row,
+                      differential_uniformity, require_desk_scale, walsh_row)
 
 __all__ = [
     "VerificationError",
@@ -194,12 +189,9 @@ def diff_solution_count(k: int, a: int, b: int) -> tuple[int, frozenset[int]]:
     A count above four raises :class:`VerificationError`.
     """
     _check_k(k)
-    lut = _family_table(k).lut
-    if not 0 < a < lut.size:
-        raise ValueError("difference a must be a nonzero field element")
-    if not 0 <= b < lut.size:
-        raise ValueError("b out of range")
-    xs = np.flatnonzero(lut ^ lut[np.arange(lut.size) ^ a] == b)
+    table = _family_table(k)
+    _check_elements(table.spec, b, "b")
+    xs = np.flatnonzero(difference_row(table, a).values == b)
     sols = _count_bound(k, a, b, frozenset(xs.tolist()))
     return len(sols), sols
 
@@ -569,16 +561,14 @@ def reduction_sweep(k: int, *, samples: int | None = None) -> CheckReport:
     :func:`reduction_trace` is a function of c = b/a^d + 1 and the
     normalized set S(a, b)/a alone, so on such a table the pair (a, b)
     passes exactly when the replay of (1, c + 1) does.  The sweep reads
-    that premise off the family table's exponent once (from d for a
-    ``build_lut`` table, from a pass over any other table), groups
-    the row a = 1 once (one stable argsort and one bincount give every
-    S(1, v)), and makes one array pass over every c the pairs reach (all
-    of them when exhaustive) under the same four-solution bound; a pair
-    whose c passed is settled without a scan.  The scalar derivation replays only unsettled pairs:
-    every other pair, and every pair of a table that fails the premise,
-    runs its own ``reduction_trace(k, a, b)``.  The pass settles no c whose
-    scalar replay fails, so the report equals the per-pair one, first
-    failure included.
+    that premise off the family table's exponent once, lays out the sets
+    S(1, v) of every v the pairs reach with one
+    :meth:`gf2lab.spectra.DifferenceRow.sets` call, and makes one array
+    pass over their c = v + 1 under the same four-solution bound.  The
+    scalar derivation replays only the pairs that pass does not settle, and
+    every pair of a table that fails the premise.  The pass settles no c
+    whose scalar replay fails, so the report equals the per-pair one,
+    first failure included.
     """
     _check_k(k)
     _check_samples(samples)
@@ -587,24 +577,14 @@ def reduction_sweep(k: int, *, samples: int | None = None) -> CheckReport:
     d = dobbertin_exponent(k)
     settled = np.zeros(a.size, dtype=bool)
     if table.exponent == d:
-        A = _arith(table.spec.n, table.spec.poly)
         # the pair (a, b) replays as (1, v), i.e. c = v + 1
-        v = _normalized(A, d, a, b)
-        lut = table.lut
-        row = lut ^ lut[np.arange(lut.size) ^ 1]
-        # S(1, w) is xs[starts[w]:starts[w] + counts[w]]
-        xs = np.argsort(row, kind="stable")
-        counts = np.bincount(row, minlength=lut.size)
-        starts = np.cumsum(counts) - counts
-        reached = np.zeros(lut.size, dtype=bool)
-        reached[v] = True
-        ws = np.flatnonzero(reached)
-        slots = np.arange(max(4, counts.max()))
-        valid = slots < counts[ws, None]
-        sols = np.where(valid, xs[np.minimum(starts[ws, None] + slots, lut.size - 1)], 0)
-        passed = np.zeros(lut.size, dtype=bool)
-        passed[ws] = _derive_pass(k, sols, valid, ws ^ 1).passed
-        settled = passed[v]
+        v = _normalized(_arith(table.spec.n, table.spec.poly), d, a, b)
+        # ok[w] marks the reached v first, then those whose c passed
+        ok = np.zeros(table.spec.size, dtype=bool)
+        ok[v] = True
+        ws = np.flatnonzero(ok)
+        ok[ws] = _derive_pass(k, *difference_row(table, 1).sets(ws), ws ^ 1).passed
+        settled = ok[v]
     return _settle(f"reduction-replay[k={k}]", settled, lambda i: (int(a[i]), int(b[i])),
                    lambda a, b: reduction_trace(k, a, b))
 

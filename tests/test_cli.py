@@ -126,6 +126,17 @@ def test_analyze_usage_errors(tmp_path, capsys):
         assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag", ["--json", "--write-lut", "--ddt-csv"])
+def test_analyze_unwritable_output_is_a_usage_error(tmp_path, capsys, flag):
+    path = tmp_path / "missing" / "out"
+    assert main(["analyze", "--exp", "7", "--n", "6", flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert str(path) in captured.err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_analyze_refuses_large_fields_without_deep(capsys):
     assert main(["analyze", "--exp", "0", "--n", "17"]) == 2
     err = capsys.readouterr().err

@@ -1,11 +1,13 @@
 """Package-wide guards: every export resolves, no check is an ``assert``,
-every parameter is read, and one module owns the discrete-log arithmetic.
+every parameter is read, one module owns the discrete-log arithmetic, and
+one module groups difference rows.
 
 ``python -O`` strips ``assert`` statements, so validation in the package
 raises explicit errors instead.  A parameter that its body never reads is a
 knob that changes nothing.  The log/exp tables are read through
 ``field._Arith`` only, so no other module builds a second copy of its
-formulas.
+formulas.  Only ``spectra.DifferenceRow.sets`` groups a row into its
+solution sets, so no other module sorts one.
 """
 
 import ast
@@ -69,3 +71,12 @@ def test_only_field_owns_the_log_exp_arithmetic():
                 classes.add(path.name)
     assert names == {"field.py"}, f"modules naming _log_exp_tables: {sorted(names)}"
     assert classes == {"field.py"}, f"modules defining _Arith: {sorted(classes)}"
+
+
+def test_only_spectra_sorts_a_difference_row():
+    names = set()
+    for path in sorted(Path(gf2lab.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if "argsort" in {getattr(node, f, None) for f in ("id", "attr", "name")}:
+                names.add(path.name)
+    assert names == {"spectra.py"}, f"modules calling argsort: {sorted(names)}"

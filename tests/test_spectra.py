@@ -13,6 +13,7 @@ from gf2lab import (
     build_lut,
     classify,
     ddt_rows,
+    difference_row,
     differential_uniformity,
     dobbertin_exponent,
     f_mul,
@@ -156,6 +157,91 @@ def test_ddt_counts_against_direct_enumeration():
         b = rng.randrange(s.size)
         direct = sum(1 for x in range(s.size) if lut[x ^ a] ^ lut[x] == b)
         assert ddt[a - 1][b] == direct
+
+
+# power maps and seeded random tables: (kind, n, exponent or seed)
+ROW_TABLES = [("power", 4, 7), ("power", 5, 3), ("power", 8, 21), ("power", 10, 73),
+              ("random", 5, 1), ("random", 8, 2), ("random", 10, 3)]
+
+
+def _row_table(kind, n, arg):
+    s = field_make(n)
+    if kind == "power":
+        return build_lut(s, arg)
+    return lut_from_values(s, np.random.default_rng(arg).integers(0, s.size, s.size))
+
+
+def _solution_sets(lut, a):
+    """{b: [x : f(x) + f(x + a) = b]} by one pass over x, in increasing x."""
+    sets = {}
+    for x in range(len(lut)):
+        sets.setdefault(lut[x] ^ lut[x ^ a], []).append(x)
+    return sets
+
+
+@pytest.mark.parametrize("kind,n,arg", ROW_TABLES)
+def test_difference_row_holds_the_derivative_and_the_ddt_row(kind, n, arg):
+    f = _row_table(kind, n, arg)
+    lut = f.lut.tolist()
+    rows = list(ddt_rows(f))
+    for a in {1, 2, f.spec.size - 1, *random.Random(n).sample(range(1, f.spec.size), 3)}:
+        row = difference_row(f, a)
+        assert row.a == a
+        assert row.values.tolist() == [lut[x] ^ lut[x ^ a] for x in range(f.spec.size)]
+        assert np.array_equal(row.counts, rows[a - 1].counts)
+        assert np.array_equal(row.values, rows[a - 1].values)
+
+
+@pytest.mark.parametrize("kind,n,arg", ROW_TABLES)
+def test_difference_row_sets_match_brute_force(kind, n, arg):
+    f = _row_table(kind, n, arg)
+    size = f.spec.size
+    rng = random.Random(n)
+    for a in {1, size - 1, *rng.sample(range(1, size), 3)}:
+        row = difference_row(f, a)
+        direct = _solution_sets(f.lut.tolist(), a)
+        width = max(4, int(row.counts.max()))
+        # every b in field order, then a few in any order with repeats
+        for bs in (list(range(size)), [rng.randrange(size) for _ in range(7)]):
+            sols, valid = row.sets(bs)
+            assert sols.shape == valid.shape == (len(bs), width)
+            for i, b in enumerate(bs):
+                members = direct.get(b, [])
+                assert sols[i, :len(members)].tolist() == members
+                assert valid[i].tolist() == [j < len(members) for j in range(width)]
+                assert not sols[i, len(members):].any()
+
+
+def test_difference_row_sets_of_an_unreached_b_are_empty():
+    f = build_lut(field_make(6), 5)
+    row = difference_row(f, 1)
+    b = int(np.flatnonzero(row.counts == 0)[0])
+    sols, valid = row.sets([b])
+    assert sols.shape == (1, 4) and not valid.any() and not sols.any()
+
+
+def test_difference_row_sets_widen_past_four_slots():
+    # a random table has rows with more than four solutions for some b
+    f = _row_table("random", 6, 7)
+    row = max((difference_row(f, a) for a in range(1, f.spec.size)),
+              key=lambda r: int(r.counts.max()))
+    delta = int(row.counts.max())
+    assert delta > 4
+    b = int(row.counts.argmax())
+    sols, valid = row.sets([b, 0])
+    assert sols.shape == (2, delta) and valid[0].all()
+    assert sols[0].tolist() == _solution_sets(f.lut.tolist(), row.a)[b]
+
+
+def test_difference_row_refuses_elements_outside_the_field():
+    f = build_lut(field_make(5), 3)
+    for a in (0, -1, -31, 32, 1 << 40):
+        with pytest.raises(ValueError, match="nonzero field element"):
+            difference_row(f, a)
+    row = difference_row(f, 3)
+    for bs in ([-1], [32], [0, 5, 32], np.array([[1], [-2]])):
+        with pytest.raises(ValueError, match="not a field element"):
+            row.sets(bs)
 
 
 def test_walsh_against_direct_definition():

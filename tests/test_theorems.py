@@ -16,6 +16,7 @@ from gf2lab import (
     all_gammas,
     build_lut,
     diff_solution_count,
+    difference_row,
     dobbertin_exponent,
     f_mul,
     f_pow,
@@ -393,6 +394,18 @@ def test_derive_pass_equals_the_scalar_replay_at_every_c(k, samples):
         # the columns behind the branch tally of every c
         assert (cols.t_one[i], cols.obstructed[i], cols.count[i]) == (
             tr.branch == "t=1", tr.obstruction is not None, len(tr.solutions_direct)), w
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_row_one_sets_are_the_replay_layout(k):
+    # every S(1, w) from its own scan, padded with 0 to max(4, delta) slots
+    size = 1 << (4 * k)
+    sets = _row_a1(k, range(size))
+    width = max(4, max(map(len, sets)))
+    sols, valid = difference_row(_family_table(k), 1).sets(np.arange(size))
+    assert sols.shape == valid.shape == (size, width)
+    assert sols.tolist() == [m + [0] * (width - len(m)) for m in sets]
+    assert valid.tolist() == [[j < len(m) for j in range(width)] for m in sets]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

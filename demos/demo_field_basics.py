@@ -5,7 +5,6 @@
 # to bottom; every printed claim is recomputed on the spot.
 
 from gf2lab import (
-    SubfieldTower,
     default_poly,
     f_add,
     f_inv,
@@ -62,8 +61,7 @@ ones = sum(trace_abs(s, x) for x in range(s.size))
 print(f"\nelements with trace 1 in GF(2^8): {ones} of {s.size}")
 
 # The relative trace projects onto a subfield.  GF(2^8) over GF(2^4):
-tower = SubfieldTower(4, 2)
-y = trace_rel(s, tower, a)
+y = trace_rel(s, 4, a)
 print(f"relative trace of a onto GF(2^4): {y:#x}")
 print("fixed by the 4-fold Frobenius:", frobenius(s, y, 4) == y)
 

@@ -14,9 +14,9 @@ import os
 # the first import of numpy below; a value the caller set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .field import (FieldSpec, SubfieldTower, FieldConstructionError,
-                    field_make, default_poly, f_add, f_mul, f_pow, f_inv,
-                    frobenius, trace_abs, trace_rel, solve_linearized)
+from .field import (FieldSpec, FieldConstructionError, field_make,
+                    default_poly, f_add, f_mul, f_pow, f_inv, frobenius,
+                    trace_abs, trace_rel, solve_linearized)
 from .spectra import (FunctionTable, DifferenceRow, WalshSpectrum,
                       SpectrumSummary, build_lut, lut_from_values,
                       differential_uniformity, ddt_rows, difference_row,

@@ -96,7 +96,7 @@ def _analyze(args) -> int:
             s = field_make(args.n, poly)
         except (ValueError, FieldConstructionError) as e:
             return _fail_usage(str(e))
-        kind, exponent, digest = "exponent", args.exp, None
+        exponent, digest = args.exp, None
     else:
         if args.n is not None or args.poly is not None:
             return _fail_usage("--n and --poly apply to --exp only; a LUT file "
@@ -105,7 +105,7 @@ def _analyze(args) -> int:
             table, digest = read_lut(args.lut)
         except (LutParseError, FieldConstructionError, ValueError) as e:
             return _fail_usage(f"{args.lut}: {e}")
-        s, kind, exponent = table.spec, "lut", None
+        s, exponent = table.spec, None
     # the DDT dump is a full sweep whatever the map
     orbit = None if args.ddt_csv else (args.exp if table is None else table.exponent)
     try:
@@ -135,11 +135,7 @@ def _analyze(args) -> int:
     timings["walsh"] = (time.perf_counter() - t0) * 1e3
 
     summ = summarize(table, delta, ws)
-    rep = AnalysisReport(
-        field_n=s.n, poly=s.poly, map_kind=kind, exponent=exponent,
-        lut_sha256=digest, is_permutation=summ.is_permutation,
-        delta=delta, nl=summ.nl, walsh_max=summ.walsh_max, lam=summ.lam,
-        is_apn=summ.is_apn, is_ab=summ.is_ab, timings_ms=timings)
+    rep = AnalysisReport(s, exponent, digest, summ, timings)
     rep.validate()
 
     if args.write_lut:
@@ -148,7 +144,7 @@ def _analyze(args) -> int:
         with open(args.json, "w") as fh:
             fh.write(report_to_json(rep))
 
-    desc = f"x^{exponent}" if kind == "exponent" else f"lut sha256 {digest[:16]}..."
+    desc = f"lut sha256 {digest[:16]}..." if exponent is None else f"x^{exponent}"
     print(f"field GF(2^{s.n}), modulus {s.poly:#x}")
     print(f"map {desc}")
     print(f"permutation: {'yes' if summ.is_permutation else 'no'}")

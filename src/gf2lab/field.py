@@ -32,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "FieldSpec",
-    "SubfieldTower",
     "FieldConstructionError",
     "field_make",
     "default_poly",
@@ -79,18 +78,6 @@ class FieldSpec:
     def order(self) -> int:
         """Order of the multiplicative group, 2^n - 1."""
         return (1 << self.n) - 1
-
-
-@dataclass(frozen=True)
-class SubfieldTower:
-    """The extension GF(2^(r*k)) viewed over its subfield GF(2^k).
-
-    ``r * k`` must equal the degree of the ambient :class:`FieldSpec` the
-    tower is used with; :func:`trace_rel` checks this.
-    """
-
-    k: int
-    r: int
 
 
 # ---------------------------------------------------------------------------
@@ -278,26 +265,25 @@ def trace_abs(s: FieldSpec, a: int) -> int:
     return acc
 
 
-def trace_rel(s: FieldSpec, t: SubfieldTower, a: int) -> int:
-    """Relative trace from GF(2^(r*k)) onto GF(2^k).
+def trace_rel(s: FieldSpec, k: int, a: int) -> int:
+    """Relative trace from GF(2^n) onto its subfield GF(2^k).
 
-    Computes sum_{i<r} a^(2^(k*i)).  The result is fixed by the k-fold
+    Computes sum_{i<n/k} a^(2^(k*i)).  The result is fixed by the k-fold
     Frobenius, i.e. lies in the GF(2^k) subfield.
 
     Raises
     ------
     ValueError
-        If the tower does not match the ambient field (r*k != n).
+        If k is not a positive divisor of n.
     """
     _check_element(s, a)
-    if t.k <= 0 or t.r <= 0 or t.k * t.r != s.n:
-        raise ValueError(
-            f"tower {t.r}*{t.k} does not match field degree {s.n}")
+    if k <= 0 or s.n % k:
+        raise ValueError(f"GF(2^{k}) is not a subfield of GF(2^{s.n})")
     acc = 0
     x = a
-    for _ in range(t.r):
+    for _ in range(s.n // k):
         acc ^= x
-        x = frobenius(s, x, t.k)
+        x = frobenius(s, x, k)
     return acc
 
 

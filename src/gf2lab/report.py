@@ -9,8 +9,10 @@ byte-identical documents apart from the ``timings_ms`` subtree.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
+
+from .field import FieldSpec
+from .spectra import SpectrumSummary
 
 TOOL_NAME = "gf2lab"
 TOOL_VERSION = "0.1.0"
@@ -20,20 +22,13 @@ __all__ = ["AnalysisReport", "report_to_json", "TOOL_NAME", "TOOL_VERSION"]
 
 @dataclass
 class AnalysisReport:
-    """Everything one analysis run measured, plus provenance of the input map."""
+    """One analysis run: the field, the map (its exponent, or None and the
+    digest of its LUT file) and what was measured."""
 
-    field_n: int
-    poly: int
-    map_kind: str                 # "exponent" | "lut"
+    spec: FieldSpec
     exponent: int | None
     lut_sha256: str | None
-    is_permutation: bool
-    delta: int
-    nl: int
-    walsh_max: int
-    lam: Counter
-    is_apn: bool
-    is_ab: bool | None
+    summary: SpectrumSummary
     timings_ms: dict = field(default_factory=dict)
 
     def validate(self) -> None:
@@ -44,46 +39,44 @@ class AnalysisReport:
         ValueError
             Naming the identity the report breaks.
         """
-        nl = (1 << (self.field_n - 1)) - self.walsh_max // 2
-        if self.nl != nl:
+        summ, size = self.summary, self.spec.size
+        nl = (1 << (self.spec.n - 1)) - summ.walsh_max // 2
+        if summ.nl != nl:
             raise ValueError(
-                f"NL formula broken: nl={self.nl} but 2^(n-1) - walsh_max/2 = {nl}")
-        total = sum(self.lam.values())
-        size = 1 << self.field_n
+                f"NL formula broken: nl={summ.nl} but 2^(n-1) - walsh_max/2 = {nl}")
+        total = sum(summ.lam.values())
         if total != size * (size - 1):
             raise ValueError(
                 f"histogram mass broken: coefficients sum to {total}, "
                 f"not 2^n * (2^n - 1) = {size * (size - 1)}")
         # each component b carries sum over a of f^(a, b)^2 = 2^(2n)
-        energy = sum(v * v * c for v, c in self.lam.items())
+        energy = sum(v * v * c for v, c in summ.lam.items())
         if energy != size * size * (size - 1):
             raise ValueError(
                 f"Parseval identity broken: sum of v^2 * count is {energy}, "
                 f"not 2^(2n) * (2^n - 1) = {size * size * (size - 1)}")
 
 
-def report_to_dict(r: AnalysisReport) -> dict:
-    return {
+def report_to_json(r: AnalysisReport) -> str:
+    summ = r.summary
+    doc = {
         "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
-        "field": {"n": r.field_n, "poly": format(r.poly, "x")},
+        "field": {"n": r.spec.n, "poly": format(r.spec.poly, "x")},
         "map": {
-            "kind": r.map_kind,
+            "kind": "lut" if r.exponent is None else "exponent",
             "exponent": r.exponent,
             "family": None,
             "lut_sha256": r.lut_sha256,
         },
         "results": {
-            "is_permutation": r.is_permutation,
-            "delta": r.delta,
-            "nl": r.nl,
-            "walsh_max": r.walsh_max,
-            "is_apn": r.is_apn,
-            "is_ab": r.is_ab,
-            "lambda_histogram": {str(v): c for v, c in sorted(r.lam.items())},
+            "is_permutation": summ.is_permutation,
+            "delta": summ.delta,
+            "nl": summ.nl,
+            "walsh_max": summ.walsh_max,
+            "is_apn": summ.is_apn,
+            "is_ab": summ.is_ab,
+            "lambda_histogram": {str(v): c for v, c in sorted(summ.lam.items())},
         },
         "timings_ms": dict(r.timings_ms),
     }
-
-
-def report_to_json(r: AnalysisReport) -> str:
-    return json.dumps(report_to_dict(r), indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

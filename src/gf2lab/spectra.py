@@ -128,9 +128,12 @@ class DifferenceRow:
     def sets(self, bs) -> tuple[np.ndarray, np.ndarray]:
         """``(sols, valid)``: row i of sols is S(a, bs[i]) in increasing order,
         padded with 0 to max(4, counts.max()) slots, and valid marks the
-        filled slots.  A b outside [0, 2^n) raises ValueError."""
+        filled slots.  A b that is not an integer in [0, 2^n) raises
+        ValueError."""
         bs, counts = np.asarray(bs), self.counts
-        if np.any((bs < 0) | (bs >= counts.size)):
+        if bs.size == 0:  # np.asarray([]) is float64
+            bs = bs.astype(np.int64)
+        if bs.dtype.kind not in "iu" or np.any((bs < 0) | (bs >= counts.size)):
             raise ValueError("b is not a field element")
         # the one sort of a row, made only here: S(a, b) = xs[starts[b]:starts[b] + counts[b]]
         xs = np.argsort(self.values, kind="stable")

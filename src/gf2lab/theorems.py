@@ -561,14 +561,13 @@ def reduction_sweep(k: int, *, samples: int | None = None) -> CheckReport:
     :func:`reduction_trace` is a function of c = b/a^d + 1 and the
     normalized set S(a, b)/a alone, so on such a table the pair (a, b)
     passes exactly when the replay of (1, c + 1) does.  The sweep reads
-    that premise off the family table's exponent once, lays out the sets
-    S(1, v) of every v the pairs reach with one
-    :meth:`gf2lab.spectra.DifferenceRow.sets` call, and makes one array
-    pass over their c = v + 1 under the same four-solution bound.  The
-    scalar derivation replays only the pairs that pass does not settle, and
-    every pair of a table that fails the premise.  The pass settles no c
-    whose scalar replay fails, so the report equals the per-pair one,
-    first failure included.
+    that premise off the family table's exponent once, lays out every set
+    S(1, v) with one :meth:`gf2lab.spectra.DifferenceRow.sets` call, and
+    makes one array pass over every c = v + 1 under the same four-solution
+    bound.  The scalar derivation replays only the pairs that pass does not
+    settle, and every pair of a table that fails the premise.  The pass
+    settles no c whose scalar replay fails, so the report equals the
+    per-pair one, first failure included.
     """
     _check_k(k)
     _check_samples(samples)
@@ -579,12 +578,8 @@ def reduction_sweep(k: int, *, samples: int | None = None) -> CheckReport:
     if table.exponent == d:
         # the pair (a, b) replays as (1, v), i.e. c = v + 1
         v = _normalized(_arith(table.spec.n, table.spec.poly), d, a, b)
-        # ok[w] marks the reached v first, then those whose c passed
-        ok = np.zeros(table.spec.size, dtype=bool)
-        ok[v] = True
-        ws = np.flatnonzero(ok)
-        ok[ws] = _derive_pass(k, *difference_row(table, 1).sets(ws), ws ^ 1).passed
-        settled = ok[v]
+        ws = np.arange(table.spec.size)
+        settled = _derive_pass(k, *difference_row(table, 1).sets(ws), ws ^ 1).passed[v]
     return _settle(f"reduction-replay[k={k}]", settled, lambda i: (int(a[i]), int(b[i])),
                    lambda a, b: reduction_trace(k, a, b))
 
@@ -962,11 +957,21 @@ def run_all_checks(ks: Iterable[int], *, samples: int | None = None,
 
 
 def fiber_partition_check(w: MMWitness) -> CheckReport:
-    """The fibers partition GF(2^(2k)): sizes sum to 2^(2k), all in {1,2,4}."""
-    total = sum(len(m) for m in w.pi_fibers.values())
-    expected = 1 << (2 * w.k)
-    sizes = Counter(len(m) for m in w.pi_fibers.values())
-    ok = total == expected and set(sizes) <= {1, 2, 4}
-    return CheckReport(
-        f"mm-fibers[k={w.k}]", len(w.pi_fibers), 0 if ok else 1,
-        None if ok else f"partition broken: sizes {dict(sizes)}, total {total}")
+    """The fibers are those of pi on GF(2^(2k)): sizes sum to 2^(2k), all in
+    {1,2,4}, and the members are distinct elements of GF(2^(2k)) that pi
+    maps to their fiber's u."""
+    k, fibers = w.k, w.pi_fibers.items()
+    sizes = Counter(len(m) for _, m in fibers)
+    members = np.array([a for _, m in fibers for a in m], dtype=np.int64)
+    us = np.array([u for u, m in fibers for _ in m], dtype=np.int64)
+    strays = int(((pi_image(w, members) != us)
+                  | (_arith(w.spec.n, w.spec.poly).frob(members, 2 * k) != members)).sum())
+    # np.unique would load numpy.ma
+    repeats = members.size - np.count_nonzero(np.bincount(members))
+    first = None
+    if members.size != 1 << (2 * k) or not set(sizes) <= {1, 2, 4}:
+        first = f"partition broken: sizes {dict(sizes)}, total {members.size}"
+    elif repeats or strays:
+        first = (f"fibers are not those of pi: {repeats} repeated member(s), {strays} "
+                 f"outside GF(2^{2 * k}) or mapped off their fiber's u")
+    return CheckReport(f"mm-fibers[k={k}]", len(w.pi_fibers), int(first is not None), first)

@@ -46,6 +46,26 @@ def test_analyze_json_report(tmp_path, capsys):
     assert set(doc["timings_ms"]) == {"build", "ddt", "walsh"}
 
 
+def test_analyze_json_document_is_pinned(tmp_path, capsys):
+    out_json = tmp_path / "report.json"
+    assert main(["analyze", "--exp", "7", "--n", "4", "--json", str(out_json)]) == 0
+    capsys.readouterr()
+    text = out_json.read_text()
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert set(doc.pop("timings_ms")) == {"build", "ddt", "walsh"}
+    assert doc == {
+        "tool": {"name": "gf2lab", "version": "0.1.0"},
+        "field": {"n": 4, "poly": "13"},
+        "map": {"kind": "exponent", "exponent": 7, "family": None, "lut_sha256": None},
+        "results": {
+            "is_permutation": True, "delta": 4, "nl": 4, "walsh_max": 8,
+            "is_apn": False, "is_ab": None,
+            "lambda_histogram": {"-4": 60, "0": 90, "4": 60, "8": 30},
+        },
+    }
+
+
 @pytest.mark.parametrize("n,d", [(6, 13), (12, 73), (12, 2730), (8, 0)])
 def test_analyze_lut_round_trip(tmp_path, capsys, n, d):
     # both sides are power maps, so both take the orbit engine: the named

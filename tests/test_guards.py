@@ -1,6 +1,6 @@
 """Package-wide guards: every export resolves, no check is an ``assert``,
-every parameter is read, one module owns the discrete-log arithmetic, and
-one module groups difference rows.
+every parameter is read, one module owns the discrete-log arithmetic, one
+module groups difference rows, and the per-layer benchmarks still collect.
 
 ``python -O`` strips ``assert`` statements, so validation in the package
 raises explicit errors instead.  A parameter that its body never reads is a
@@ -12,8 +12,13 @@ solution sets, so no other module sorts one.
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import gf2lab
 
@@ -80,3 +85,16 @@ def test_only_spectra_sorts_a_difference_row():
             if "argsort" in {getattr(node, f, None) for f in ("id", "attr", "name")}:
                 names.add(path.name)
     assert names == {"spectra.py"}, f"modules calling argsort: {sorted(names)}"
+
+
+def test_benchmarks_still_collect():
+    # the per-layer benchmarks import private names of the package, which a
+    # rename would otherwise break unnoticed: they run outside the test suite
+    pytest.importorskip("pytest_benchmark")
+    root = Path(__file__).resolve().parents[1]
+    path = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run([sys.executable, "-m", "pytest", "benchmarks", "--collect-only",
+                          "-q", "-p", "no:cacheprovider"],
+                         cwd=root, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout + out.stderr

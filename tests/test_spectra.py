@@ -220,6 +220,22 @@ def test_difference_row_sets_of_an_unreached_b_are_empty():
     assert sols.shape == (1, 4) and not valid.any() and not sols.any()
 
 
+def test_difference_row_sets_of_no_b_are_empty():
+    # np.asarray([]) is float64, which cannot index the row
+    row = difference_row(build_lut(field_make(6), 5), 1)
+    for bs in ([], np.array([], dtype=np.int64)):
+        sols, valid = row.sets(bs)
+        assert sols.shape == valid.shape == (0, 4)
+
+
+def test_difference_row_sets_refuse_a_non_integer_b():
+    # 1.5 is not truncated to the element 1
+    row = difference_row(build_lut(field_make(5), 3), 3)
+    for bs in ([1.5], [1.0], [0, 2.5], [True]):
+        with pytest.raises(ValueError, match="not a field element"):
+            row.sets(bs)
+
+
 def test_difference_row_sets_widen_past_four_slots():
     # a random table has rows with more than four solutions for some b
     f = _row_table("random", 6, 7)

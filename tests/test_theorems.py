@@ -352,6 +352,21 @@ def test_homogeneity_check_rejects_two_swapped_entries(k):
         assert _family_variant(k, swap).exponent != d, i
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_reduction_sweep_replays_every_c_once(monkeypatch, k):
+    # k = 3 is sampled: its 1000 pairs reach only some of the c
+    real = theorems._derive_pass
+    seen = []
+
+    def recording(k, sols, valid, c):
+        seen.extend(c.tolist())
+        return real(k, sols, valid, c)
+
+    monkeypatch.setattr(theorems, "_derive_pass", recording)
+    assert reduction_sweep(k).ok
+    assert sorted(seen) == list(range(1 << (4 * k)))
+
+
 def test_reduction_sweep_at_k4_needs_no_deep():
     assert reduction_sweep(4, samples=1000) == CheckReport(
         "reduction-replay[k=4]", 1000, 0, None)
@@ -553,6 +568,47 @@ def test_fiber_partition_check():
         rep = fiber_partition_check(mm_basis(k))
         assert rep.ok
         assert rep.name == f"mm-fibers[k={k}]"
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_fiber_partition_check_passes_every_gamma(k):
+    # the members of each clean fiber are distinct and pi maps them to its u
+    for g in all_gammas(k):
+        assert fiber_partition_check(mm_basis(k, gamma=g)).ok
+
+
+def test_fiber_partition_check_refuses_a_member_of_another_fiber():
+    # m + 1 already lies in another fiber: sizes and total still add up
+    clean = fiber_partition_check(mm_basis(3))
+    rep = fiber_partition_check(_fiber_member_plus_one(None, mm_basis(3)))
+    assert (rep.name, rep.instances, rep.failures) == (clean.name, clean.instances, 1)
+    assert rep.first_failure == ("fibers are not those of pi: 1 repeated member(s), "
+                                 "1 outside GF(2^6) or mapped off their fiber's u")
+
+
+def test_fiber_partition_check_refuses_a_missing_fiber():
+    w = mm_basis(1)
+    u = min(w.pi_fibers)
+    rep = fiber_partition_check(replace(w, pi_fibers={
+        v: m for v, m in w.pi_fibers.items() if v != u}))
+    assert rep.failures == 1
+    assert rep.first_failure.startswith("partition broken: ")
+
+
+def test_fiber_partition_check_refuses_a_member_outside_the_half_field():
+    # x lies outside GF(2^2) yet pi(x) is an attained u: put it in u's fiber
+    # in place of a member, so sizes, total, distinctness and pi all hold
+    w = mm_basis(1)
+    A = _arith(w.spec.n, w.spec.poly)
+    half = set(A.subfield(2))
+    x, u = next((x, u) for x, u in enumerate(pi_image(w, np.arange(w.spec.size)).tolist())
+                if x not in half and u in w.pi_fibers)
+    fiber = w.pi_fibers[u]
+    rep = fiber_partition_check(replace(w, pi_fibers={**w.pi_fibers,
+                                                      u: fiber - {min(fiber)} | {x}}))
+    assert rep.failures == 1
+    assert rep.first_failure == ("fibers are not those of pi: 0 repeated member(s), "
+                                 "1 outside GF(2^2) or mapped off their fiber's u")
 
 
 def test_mm_decomposition_exhaustive():

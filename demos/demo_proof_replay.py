@@ -71,8 +71,9 @@ print(f"{report.name}: {report.instances} pairs, {report.failures} failures")
 #
 # For the Walsh side, the component g(x) = Tr(gamma^2 x^d) is rewritten
 # over coordinates x = y + omega*a with y, a in the half-degree subfield.
-# mm_basis constructs the witness (gamma, alpha, omega) and verifies every
-# construction invariant on the spot.
+# mm_basis constructs the witness (gamma, alpha, omega) and verifies its
+# invariants on the spot; the mm-fibers and mm-quartic rows certify the
+# fibers it groups.
 
 w = mm_basis(2)
 print(f"\nk=2 witness: gamma={w.gamma:#x}, alpha={w.alpha:#x}, omega={w.omega:#x}")

@@ -250,9 +250,9 @@ def require_desk_scale(n: int, deep: bool, exponent: int | None = None) -> None:
             f"line), as does any pass larger than a full sweep over GF(2^15)")
 
 
-def _ddt_row(lut: np.ndarray, idx: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(counts, values)`` of the row a of the table lut; idx is arange(2^n)."""
-    values = lut ^ lut[idx ^ a]
+def _ddt_row(lut: np.ndarray, shifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(counts, values)`` of the row a of the table lut, from arange(2^n) ^ a."""
+    values = lut ^ lut[shifted]
     return np.bincount(values, minlength=lut.size), values
 
 
@@ -260,14 +260,14 @@ def difference_row(f: FunctionTable, a: int) -> DifferenceRow:
     """The row a of f's difference table; an a outside [1, 2^n) raises ValueError."""
     if not 0 < a < f.spec.size:
         raise ValueError("difference a must be a nonzero field element")
-    return DifferenceRow(a, *_ddt_row(f.lut, np.arange(f.spec.size), a))
+    return DifferenceRow(a, *_ddt_row(f.lut, np.arange(f.spec.size) ^ a))
 
 
 def ddt_rows(f: FunctionTable) -> Iterator[DifferenceRow]:
     """Stream the difference distribution table one row (one a != 0) at a time."""
     idx = np.arange(f.spec.size)
     for a in range(1, f.spec.size):
-        yield DifferenceRow(a, *_ddt_row(f.lut, idx, a))
+        yield DifferenceRow(a, *_ddt_row(f.lut, idx ^ a))
 
 
 def differential_uniformity(f: FunctionTable, *, deep: bool = False) -> int:
@@ -280,7 +280,7 @@ def differential_uniformity(f: FunctionTable, *, deep: bool = False) -> int:
     s = f.spec
     require_desk_scale(s.n, deep)
     idx = np.arange(s.size)
-    return max(int(_ddt_row(f.lut, idx, a)[0].max()) for a in range(1, s.size))
+    return max(int(_ddt_row(f.lut, idx ^ a)[0].max()) for a in range(1, s.size))
 
 
 # ---------------------------------------------------------------------------

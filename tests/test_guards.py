@@ -7,7 +7,8 @@ raises explicit errors instead.  A parameter that its body never reads is a
 knob that changes nothing.  The log/exp tables are read through
 ``field._Arith`` only, so no other module builds a second copy of its
 formulas.  Only ``spectra.DifferenceRow.sets`` groups a row into its
-solution sets, so no other module sorts one.
+solution sets, so no other module sorts one.  The replay's array pass
+and its scalar chain call the same identity helpers.
 """
 
 import ast
@@ -85,6 +86,24 @@ def test_only_spectra_sorts_a_difference_row():
             if "argsort" in {getattr(node, f, None) for f in ("id", "attr", "name")}:
                 names.add(path.name)
     assert names == {"spectra.py"}, f"modules calling argsort: {sorted(names)}"
+
+
+def test_array_pass_and_chain_read_the_same_identities():
+    # an identity helper of the replay takes the arithmetic A first; only the
+    # chain calls _normalized, because the sweep maps its pairs to c with it
+    # before the pass, so a step added to one path alone shows up here
+    tree = ast.parse((Path(gf2lab.__file__).parent / "theorems.py").read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    helpers = {name for name, node in defs.items() if name.startswith("_")
+               and node.args.args and node.args.args[0].arg == "A"}
+
+    def called(name):
+        return {node.func.id for node in ast.walk(defs[name])
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)} & helpers
+
+    chain, array_pass = called("_derive"), called("_derive_pass")
+    assert "_normalized" in chain and "_product_identity" in array_pass
+    assert chain - {"_normalized"} == array_pass
 
 
 def test_benchmarks_still_collect():

@@ -474,9 +474,9 @@ def test_named_sweeps_stay_full_and_orbit_needs_an_exponent(monkeypatch):
     rows, bs = [], []
     ddt_row, walsh_block = spectra._ddt_row, spectra._walsh_block
 
-    def counting_ddt_row(lut, idx, a):
-        rows.append(a)
-        return ddt_row(lut, idx, a)
+    def counting_ddt_row(lut, shifted):
+        rows.append(int(shifted[0]))  # arange(2^n) ^ a holds a at 0
+        return ddt_row(lut, shifted)
 
     def counting_walsh_block(f, masks, block):
         bs.extend(block.tolist())
@@ -567,9 +567,9 @@ def test_a_lut_copy_of_a_power_map_takes_the_orbit_engine(monkeypatch):
     rows, bs = [], []
     ddt_row, walsh_block = spectra._ddt_row, spectra._walsh_block
 
-    def counting_ddt_row(lut, idx, a):
-        rows.append(a)
-        return ddt_row(lut, idx, a)
+    def counting_ddt_row(lut, shifted):
+        rows.append(int(shifted[0]))  # arange(2^n) ^ a holds a at 0
+        return ddt_row(lut, shifted)
 
     def counting_walsh_block(f, masks, block):
         bs.extend(block.tolist())

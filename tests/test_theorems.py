@@ -1,8 +1,10 @@
 """Derivation replays and the split-coordinate verification suite."""
 
+import ast
 import random
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,8 +118,8 @@ def test_reduction_trace_branch_t_not_one():
     for x, images in tr.aux["per_solution"].items():
         assert images["y_image"] in (p, p ^ 1)
         assert images["w_image"] in (q, q ^ 1)
-    for name in ("terminal-pair-bound", "terminal-pair-cover",
-                 "terminal-pair-match", "halving-image-membership"):
+    for name in ("terminal-pair-cover", "terminal-pair-match",
+                 "halving-image-membership"):
         assert name in tr.checks
 
 
@@ -441,6 +443,92 @@ def test_derive_pass_equals_the_scalar_replay_on_perturbed_sets(k):
     assert _derive_pass(k, ws, sets).passed.tolist() == want
 
 
+def _wrapped(name, change):
+    """A corruption that replaces the theorems helper ``name`` by
+    ``change(real, *args)``.  It keeps no state, so the array pass and the
+    scalar replay read the same broken identity."""
+    def corrupt(monkeypatch):
+        real = getattr(theorems, name)
+        monkeypatch.setattr(theorems, name, lambda *args: change(real, *args))
+    return corrupt
+
+
+def _component_plus_one(name, j):
+    # the helper ``name`` returns a tuple: flip the low bit of its item j
+    return _wrapped(name, lambda real, *args: tuple(
+        v ^ 1 if i == j else v for i, v in enumerate(real(*args))))
+
+
+def _rootless_constant(name):
+    # a constant e for which w^2 + w = e has no root in the field
+    return _wrapped(name, lambda real, A, k, c, *rest:
+                    c * 0 + int(np.flatnonzero(A.root < 0)[0]))
+
+
+_no_product_identity = _wrapped("_product_identity", lambda real, *args: real(*args) * 0)
+
+
+# step -> (the corruption that makes it fail, k, the rows a searched; None
+# for every a): one entry per step the replay can raise
+REPLAY_BREAKS = {
+    "count-bound": (lambda mp: _break_first_four(mp, 1, None, _bump), 1, None),
+    "trace-codomain": (_wrapped("_relative_trace", lambda real, A, k, x:
+                                real(A, k, x) ^ 2), 1, None),
+    "four-term-trace-identity": (_wrapped("_relative_trace", lambda real, A, k, x:
+                                          real(A, k, x) ^ (x & 1)), 1, None),
+    "normalized-product-identity": (_wrapped("_product_identity", lambda real, A, k, x, c:
+                                             real(A, k, x, c) ^ ((x & 3) == 3)), 1, None),
+    "pair-sum-quadratic": (_wrapped("_pair_sum_quadratic", lambda real, *args:
+                                    real(*args) ^ 1), 1, None),
+    "pair-gap-constant": (_component_plus_one("_gap_constants", 0), 1, None),
+    "half-gap-constant": (_component_plus_one("_gap_constants", 1), 1, None),
+    "terminal-quadratic-cover": (_component_plus_one("_gap_constants", 2), 1, None),
+    "terminal-quadratic-match": (_no_product_identity, 1, None),
+    "halving-quadratic-unsolvable": (_rootless_constant("_halving_constant"), 1, None),
+    "halving-image-constraints": (_wrapped("_halving_image_ok", lambda real, *args:
+                                           np.logical_not(real(*args))), 1, None),
+    "halving-image-membership": (_wrapped("_halving_constant", lambda real, *args:
+                                          real(*args) ^ 1), 2, (1, 3)),
+    "second-halving-unsolvable": (_rootless_constant("_second_halving_constant"), 1, None),
+    "terminal-pair-cover": (_component_plus_one("_terminal_constants", 0), 1, None),
+    "terminal-pair-match": (_no_product_identity, 1, None),
+    "second-halving-membership": (_wrapped("_second_halving_constant", lambda real, *args:
+                                           real(*args) ^ 1), 1, None),
+}
+
+
+def _raised_steps(*functions):
+    """The step names that the theorems functions ``functions`` raise."""
+    tree = ast.parse(Path(theorems.__file__).read_text())
+    return {node.args[0].value
+            for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in functions
+            for node in ast.walk(f)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None)
+            == "VerificationError"}
+
+
+def test_every_replay_step_has_a_breaking_corruption():
+    # a step added to the replay without a corruption that fires it fails here
+    assert set(REPLAY_BREAKS) == _raised_steps("_derive", "_count_bound")
+
+
+@pytest.mark.parametrize("step", REPLAY_BREAKS)
+def test_every_replay_step_fails_under_its_broken_identity(monkeypatch, step):
+    corrupt, k, rows = REPLAY_BREAKS[step]
+    corrupt(monkeypatch)
+    size = 1 << (4 * k)
+    raised = set()
+    for a in rows or range(1, size):
+        for b in range(size):
+            try:
+                reduction_trace(k, a, b)
+            except VerificationError as e:
+                raised.add(e.step)
+    assert step in raised, sorted(raised)
+    # the array pass settles no pair whose chain fails, whatever identity broke
+    assert reduction_sweep(1) == _per_pair_replay(1, None)
+
+
 def test_all_gammas_frozen():
     assert all_gammas(1) == [0x1]
     assert all_gammas(2) == [0xBC, 0xBD]
@@ -638,6 +726,53 @@ def test_quartic_check_all():
         rep = quartic_check_all(mm_basis(k))
         assert rep.ok
         assert rep.instances == len(mm_basis(k).pi_fibers)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_quartic_check_all_passes_every_gamma(k):
+    for g in all_gammas(k):
+        w = mm_basis(k, gamma=g)
+        assert quartic_check_all(w) == CheckReport(f"mm-quartic[k={k}]",
+                                                   len(w.pi_fibers), 0, None)
+
+
+def test_quartic_check_all_refuses_a_member_of_another_fiber():
+    # the least member of the broken fiber lies in an intact one, so the
+    # fiber rebuilt at it is intact: only the fiber drawn at u = 0x48 differs
+    rep = quartic_check_all(_fiber_member_plus_one(None, mm_basis(3)))
+    assert (rep.name, rep.instances, rep.failures) == ("mm-quartic[k=3]", 42, 1)
+    assert rep.first_failure.startswith("fiber-root-correspondence: ")
+    assert "u=0x48" in rep.first_failure
+
+
+def _moved_pi_member(monkeypatch, k):
+    """Patch pi so that the larger member of the least size-2 fiber maps
+    into the least size-1 fiber; sizes still sum to 2^(2k)."""
+    fibers = sorted(mm_basis(k).pi_fibers.items())
+    moved = max(next(m for _, m in fibers if len(m) == 2))
+    target = next(u for u, m in fibers if len(m) == 1)
+    real = theorems.pi_image
+
+    def pi_image(w, a):
+        u = real(w, a)
+        if isinstance(a, np.ndarray):
+            return np.where(a == moved, target, u)
+        return target if a == moved else u
+
+    monkeypatch.setattr(theorems, "pi_image", pi_image)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_fibers_of_a_broken_pi_fail_the_quartic_row(monkeypatch, k):
+    # mm_basis builds the fibers without checking them: mm-fibers finds them
+    # to be those of the broken pi, and mm-quartic refuses both changed ones
+    _moved_pi_member(monkeypatch, k)
+    w = mm_basis(k)
+    assert fiber_partition_check(w).ok
+    rep = quartic_check_all(w)
+    assert rep.failures == 2
+    assert rep.first_failure.startswith("fiber-root-correspondence: ")
+    assert not mm_decomposition_check(w).ok
 
 
 def test_mm_walsh_crosscheck_against_naive_sum():

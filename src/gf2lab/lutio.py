@@ -19,7 +19,7 @@ import numpy as np
 from .field import FieldSpec, field_make
 from .spectra import FunctionTable, lut_from_values
 
-__all__ = ["LutParseError", "read_lut", "write_lut", "lut_digest"]
+__all__ = ["LutParseError", "read_lut", "write_lut"]
 
 _HEADER = re.compile(r"^n=(\d+)\s+poly=([0-9a-f]+)\s*$")
 # int(tok, 16) alone would also take signs, a 0x prefix and underscores
@@ -95,12 +95,3 @@ def write_lut(path: str | Path, f: FunctionTable) -> None:
     for i in range(0, len(vals), 16):
         out.append(" ".join(vals[i:i + 16]))
     Path(path).write_text("\n".join(out) + "\n", encoding="ascii")
-
-
-def lut_digest(f: FunctionTable) -> str:
-    """sha256 of the canonical serialized form (stable across rewrites)."""
-    s = f.spec
-    h = hashlib.sha256()
-    h.update(f"n={s.n} poly={s.poly:x}\n".encode())
-    h.update(np.asarray(f.lut, dtype=np.int64).tobytes())
-    return h.hexdigest()

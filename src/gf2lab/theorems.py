@@ -26,17 +26,16 @@ the fiber/quartic correspondence, the fiber-sum formula against an
 independent fast-transform sweep, and the sign pattern that pins the
 extremal coefficient magnitude 2^(2k+1).  The pointwise decomposition and
 the fiber-sum cross-check each make one array pass over their whole grid
-of 2^(4k) cases, and the sign pattern one over its size-4 fibers; the
-scalar check replays only the unsettled cases.
+of 2^(4k) cases, and the sign pattern one over its size-4 fibers; each
+pass decides every case and builds its first failure from its own arrays.
 
-An array pass settles a case only where the scalar check passes, and one
-rule hands every other case to the scalar check, so every report equals the
-all-scalar one, first failure included, and the scalar checks stay the only
-source of :class:`VerificationError` text.  Both evaluate the same code:
-each identity (the product identity and the other steps of the replay, the
-inner map pi, the split offset, the decomposition, the fiber sum) is written
-once here in the arithmetic of :class:`gf2lab.field._Arith`, whose ops take
-a Python int or a numpy array and copy none of the log/exp tables.
+The replay's array pass settles a pair only where the scalar derivation
+passes, and one rule hands every other pair to that derivation, so the
+replay's report, first failure included, is the all-scalar one.  Each
+identity (the steps of the replay, the inner map pi, the split offset, the
+decomposition, the fiber sum) is written once here in the arithmetic of
+:class:`gf2lab.field._Arith`, whose ops take a Python int or a numpy array
+and copy none of the log/exp tables.
 
 Every sweep reports one :class:`CheckReport` row under one rule: each case
 (a pair, a point, a fiber) whose check raises :class:`VerificationError`
@@ -526,6 +525,15 @@ def _tally(name: str, cases: Iterable[tuple], check) -> CheckReport:
     return CheckReport(name, instances, failures, first)
 
 
+def _report(name: str, ok: np.ndarray, error) -> CheckReport:
+    """The row of an array pass that decides every cell: each False cell of
+    ``ok`` is one failure, and ``error(*index)`` builds the
+    :class:`VerificationError` of the first one, in row-major order."""
+    bad = np.argwhere(~ok)
+    first = str(error(*bad[0].tolist())) if bad.size else None
+    return CheckReport(name, ok.size, len(bad), first)
+
+
 def _settle(name: str, ok: np.ndarray, case, check) -> CheckReport:
     """The report of ``check(*case(i))`` over every cell i of ``ok`` (in
     flat order), from an array pass ``ok`` that holds only where that check
@@ -706,25 +714,16 @@ def mm_decomposition_check(w: MMWitness) -> CheckReport:
     """
     A = _arith(w.spec.n, w.spec.poly)
     k = w.k
-    d = dobbertin_exponent(k)
-    g2 = A.mul(w.gamma, w.gamma)
     sub_2k = A.subfield(2 * k)
-
-    def holds(y, a):
-        lhs = A.subtrace(A.mul(g2, A.pow(y ^ A.mul(w.omega, a), d)), A.n)
-        return lhs == A.subtrace(A.mul(y, pi_image(w, a)) ^ _split_offset(w, A, a), 2 * k)
-
-    def check(y: int, a: int) -> None:
-        if not holds(y, a):
-            raise VerificationError(
-                "split-coordinate-form",
-                "g(y + omega*a) differs from its split-coordinate form",
-                k=k, y=y, a=a)
-
     # the whole grid at once, y along rows and a along columns
-    sub = np.array(sub_2k)
-    return _settle(f"mm-decomposition[k={k}]", holds(sub[:, None], sub),
-                   lambda i: (sub_2k[i // sub.size], sub_2k[i % sub.size]), check)
+    a = np.array(sub_2k)
+    y = a[:, None]
+    g = A.subtrace(A.mul(A.mul(w.gamma, w.gamma),
+                         A.pow(y ^ A.mul(w.omega, a), dobbertin_exponent(k))), A.n)
+    ok = g == A.subtrace(A.mul(y, pi_image(w, a)) ^ _split_offset(w, A, a), 2 * k)
+    return _report(f"mm-decomposition[k={k}]", ok, lambda i, j: VerificationError(
+        "split-coordinate-form", "g(y + omega*a) differs from its split-coordinate form",
+        k=k, y=sub_2k[i], a=sub_2k[j]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -775,25 +774,24 @@ def quartic_roots(w: MMWitness, a0: int) -> QuarticRoots:
 def quartic_check_all(w: MMWitness) -> CheckReport:
     """The quartic/fiber correspondence on every fiber of the witness, which
     must be the fiber that :func:`quartic_roots` rebuilds at its least member."""
+    half = set(_arith(w.spec.n, w.spec.poly).subfield(2 * w.k))
+
     def check(u: int, members: frozenset[int]) -> None:
-        if quartic_roots(w, min(members)).fiber != members:
+        # quartic_roots refuses an a0 outside the half field with ValueError
+        a0 = min(members)
+        if a0 not in half or quartic_roots(w, a0).fiber != members:
             raise VerificationError(
                 "fiber-root-correspondence", "the fiber drawn at u is not the one "
-                "rebuilt at its least member a0", k=w.k, u=u, a0=min(members))
+                "rebuilt at its least member a0", k=w.k, u=u, a0=a0)
 
     return _tally(f"mm-quartic[k={w.k}]", sorted(w.pi_fibers.items()), check)
 
 
-@lru_cache(maxsize=8)
-def _transform_row(k: int, g2: int) -> np.ndarray:
-    """Walsh row of the family map at component b = gamma^2 (independent path)."""
-    return walsh_row(_family_table(k), g2)
-
-
 def _transform_value(w: MMWitness, A: _Arith, u, v):
-    """The transform coefficient at (lam, gamma^2), lam = u*omega + u + v:
+    """The fast-transform coefficient at (lam, gamma^2), lam = u*omega + u + v:
     the plain-coordinate twin of the split-coordinate point (u, v)."""
-    return _transform_row(w.k, int(A.mul(w.gamma, w.gamma)))[A.mul(u, w.omega) ^ u ^ v]
+    row = walsh_row(_family_table(w.k), int(A.mul(w.gamma, w.gamma)))
+    return row[A.mul(u, w.omega) ^ u ^ v]
 
 
 def _fiber_terms(w: MMWitness, A: _Arith, a, v):
@@ -802,14 +800,10 @@ def _fiber_terms(w: MMWitness, A: _Arith, a, v):
     return 1 - 2 * A.subtrace(_split_offset(w, A, a) ^ A.mul(v, a), 2 * w.k)
 
 
-def _fiber_sum(w: MMWitness, A: _Arith, u: int, v: int) -> int:
-    """2^(2k) times the sum of the terms over the fiber of u at v."""
-    return (1 << (2 * w.k)) * sum(int(_fiber_terms(w, A, a, v)) for a in pi_fiber(w, u))
-
-
-def _fiber_sum_grid(w: MMWitness, us) -> np.ndarray:
-    """:func:`_fiber_sum` at every u of ``us`` (rows) and every v of
-    GF(2^(2k)) (columns), from one array of the fibers padded into slots."""
+def _fiber_sum_grid(w: MMWitness, us, vs) -> np.ndarray:
+    """2^(2k) times the sum of the terms over the fiber of u at v, for every
+    u of ``us`` (rows) and v of ``vs`` (columns), from one array of the
+    fibers padded into slots."""
     A = _arith(w.spec.n, w.spec.poly)
     fibers = [sorted(pi_fiber(w, u)) for u in us]
     size = np.array([len(m) for m in fibers], dtype=np.int64)
@@ -817,9 +811,20 @@ def _fiber_sum_grid(w: MMWitness, us) -> np.ndarray:
     for i, members in enumerate(fibers):
         fib[i, :len(members)] = members
     in_fiber = np.arange(fib.shape[1]) < size[:, None, None]
-    v = np.array(A.subfield(2 * w.k))[:, None]
+    v = np.array(vs, dtype=np.int64)[:, None]
     terms = np.where(in_fiber, _fiber_terms(w, A, fib[:, None, :], v), 0)
     return (1 << (2 * w.k)) * terms.sum(axis=2)
+
+
+def _crosscheck(w: MMWitness, us, vs):
+    """The fiber sums at every (u, v) of ``us`` x ``vs``, where they equal
+    the transform, and the error of a cell (i, j) where they do not."""
+    A = _arith(w.spec.n, w.spec.poly)
+    coef = _fiber_sum_grid(w, us, vs)
+    direct = _transform_value(w, A, np.array(us)[:, None], np.array(vs))
+    return coef, coef == direct, lambda i, j: VerificationError(
+        "fiber-sum-equals-transform", "fiber-sum coefficient disagrees with the transform",
+        k=w.k, u=us[i], v=vs[j], fiber_sum=int(coef[i, j]), transform=int(direct[i, j]))
 
 
 def mm_walsh_crosscheck(w: MMWitness, u: int, v: int) -> int:
@@ -832,27 +837,17 @@ def mm_walsh_crosscheck(w: MMWitness, u: int, v: int) -> int:
     """
     _check_elements(w.spec, u, "u")
     _check_elements(w.spec, v, "v")
-    A = _arith(w.spec.n, w.spec.poly)
-    coef = _fiber_sum(w, A, u, v)
-    direct = int(_transform_value(w, A, u, v))
-    if coef != direct:
-        raise VerificationError(
-            "fiber-sum-equals-transform",
-            "fiber-sum coefficient disagrees with the transform",
-            k=w.k, u=u, v=v, fiber_sum=coef, transform=direct)
-    return coef
+    coef, ok, error = _crosscheck(w, [u], [v])
+    if not ok[0, 0]:
+        raise error(0, 0)
+    return int(coef[0, 0])
 
 
 def mm_crosscheck_all(w: MMWitness) -> CheckReport:
-    """Cross-check every (u, v) over the half-degree subfield grid."""
-    A = _arith(w.spec.n, w.spec.poly)
-    k = w.k
-    sub_2k = A.subfield(2 * k)
-    # the same check over the whole grid, u along rows and v along columns
-    u = np.array(sub_2k)[:, None]
-    ok = _fiber_sum_grid(w, sub_2k) == _transform_value(w, A, u, u.T)
-    return _settle(f"mm-walsh-crosscheck[k={k}]", ok,
-                   lambda i: (w, sub_2k[i // u.size], sub_2k[i % u.size]), mm_walsh_crosscheck)
+    """Cross-check every (u, v) over the half-degree subfield grid at once."""
+    sub_2k = _arith(w.spec.n, w.spec.poly).subfield(2 * w.k)
+    _, ok, error = _crosscheck(w, sub_2k, sub_2k)
+    return _report(f"mm-walsh-crosscheck[k={w.k}]", ok, error)
 
 
 def m4_sum_check(w: MMWitness) -> CheckReport:
@@ -860,41 +855,34 @@ def m4_sum_check(w: MMWitness) -> CheckReport:
 
     The stepping stones Tr(alpha*gamma) = Tr_k(gamma*(alpha + alpha^(2^k)))
     = Tr_k(gamma^2) = 1 are verified unconditionally (size-4 fibers first
-    occur at k = 3).  Then, for every u whose fiber has four members and
-    every v, the four half-field trace bits must sum to 1 mod 2, forcing a
-    3-against-1 sign split.  Four signs +-1 sum to +-2 exactly when an odd
-    number of them are -1, so the check is that the fiber sum has magnitude
-    exactly 2^(2k+1).  One pass over the fiber sums of those (u, v) settles
-    the cells that pass; the scalar check runs on the rest, in case order.
+    occur at k = 3); they are cell 0.  Then, for every u whose fiber has
+    four members and every v, the four half-field trace bits must sum to
+    1 mod 2, forcing a 3-against-1 sign split.  Four signs +-1 sum to +-2
+    exactly when an odd number of them are -1, so the check is that the
+    fiber sum has magnitude exactly 2^(2k+1), read from one pass over the
+    fiber sums of those (u, v).
     """
     A = _arith(w.spec.n, w.spec.poly)
     k = w.k
-
-    def stepping_stones() -> None:
-        traces = tuple(int(A.subtrace(x, m)) for x, m in (
-            (A.mul(w.alpha, w.gamma), 2 * k),
-            (A.mul(w.gamma, w.alpha ^ A.frob(w.alpha, k)), k),
-            (A.mul(w.gamma, w.gamma), k)))
-        if traces != (1, 1, 1):
-            raise VerificationError(
-                "trace-stepping-stones", "expected all three traces to be 1",
-                k=k, traces=traces)
-
-    def four_term_sum(u: int, v: int) -> None:
-        coef = _fiber_sum(w, A, u, v)
-        if abs(coef) != 1 << (2 * k + 1):
-            raise VerificationError(
-                "four-term-trace-sum",
-                "the four half-field trace bits do not sum to 1 mod 2",
-                k=k, u=u, v=v, coefficient=coef)
-
+    traces = tuple(int(A.subtrace(x, m)) for x, m in (
+        (A.mul(w.alpha, w.gamma), 2 * k),
+        (A.mul(w.gamma, w.alpha ^ A.frob(w.alpha, k)), k),
+        (A.mul(w.gamma, w.gamma), k)))
     sub_2k = A.subfield(2 * k)
     four = [u for u, members in sorted(w.pi_fibers.items()) if len(members) == 4]
-    cases = [(stepping_stones,)] + [(four_term_sum, u, v) for u in four for v in sub_2k]
-    # case 0, the stepping stones, is never settled
-    ok = np.append(False, np.abs(_fiber_sum_grid(w, four)).ravel() == 1 << (2 * k + 1))
-    return _settle(f"mm-extremal-sum[k={k}]", ok, cases.__getitem__,
-                   lambda step, *args: step(*args))
+    coef = _fiber_sum_grid(w, four, sub_2k).ravel()
+    ok = np.append(traces == (1, 1, 1), np.abs(coef) == 1 << (2 * k + 1))
+
+    def error(i: int) -> VerificationError:
+        if i == 0:
+            return VerificationError("trace-stepping-stones",
+                                     "expected all three traces to be 1", k=k, traces=traces)
+        u, v = divmod(i - 1, len(sub_2k))
+        return VerificationError(
+            "four-term-trace-sum", "the four half-field trace bits do not sum to 1 mod 2",
+            k=k, u=four[u], v=sub_2k[v], coefficient=int(coef[i - 1]))
+
+    return _report(f"mm-extremal-sum[k={k}]", ok, error)
 
 
 # ---------------------------------------------------------------------------

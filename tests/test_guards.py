@@ -8,7 +8,9 @@ knob that changes nothing.  The log/exp tables are read through
 ``field._Arith`` only, so no other module builds a second copy of its
 formulas.  Only ``spectra.DifferenceRow.sets`` groups a row into its
 solution sets, so no other module sorts one.  The replay's array pass
-and its scalar chain call the same identity helpers.
+and its scalar chain call the same identity helpers.  One function sums
+the fibers of pi, and only the replay hands cases its array pass leaves
+unsettled to a scalar check.
 """
 
 import ast
@@ -104,6 +106,23 @@ def test_array_pass_and_chain_read_the_same_identities():
     chain, array_pass = called("_derive"), called("_derive_pass")
     assert "_normalized" in chain and "_product_identity" in array_pass
     assert chain - {"_normalized"} == array_pass
+
+
+def test_split_rows_have_one_fiber_sum_and_no_scalar_fallback():
+    # the split rows decide every cell in their one array pass, so a second
+    # fiber-sum path or a scalar re-check of those rows shows up here
+    tree = ast.parse((Path(gf2lab.__file__).parent / "theorems.py").read_text())
+    callers = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
+                    callers.setdefault(call.func.id, set()).add(node.name)
+    assert callers["_fiber_terms"] == {"_fiber_sum_grid"}
+    assert callers["_settle"] == {"reduction_sweep"}
+    scalar = set().union(*(callers.get(name, set()) for name in
+                           ("_tally", "_settle", "mm_walsh_crosscheck")))
+    assert not scalar & {"mm_decomposition_check", "mm_crosscheck_all", "m4_sum_check"}
 
 
 def test_benchmarks_still_collect():

@@ -683,17 +683,19 @@ def test_fiber_partition_check_refuses_a_missing_fiber():
     assert rep.first_failure.startswith("partition broken: ")
 
 
-def test_fiber_partition_check_refuses_a_member_outside_the_half_field():
-    # x lies outside GF(2^2) yet pi(x) is an attained u: put it in u's fiber
-    # in place of a member, so sizes, total, distinctness and pi all hold
-    w = mm_basis(1)
-    A = _arith(w.spec.n, w.spec.poly)
-    half = set(A.subfield(2))
+def _member_outside_the_half_field(w):
+    """x lies outside GF(2^(2k)) yet pi(x) is an attained u: put it in u's
+    fiber in place of its least member, so sizes, total, distinctness and pi
+    all hold (at k = 1, x = 0x9 becomes that fiber's least member)."""
+    half = set(_arith(w.spec.n, w.spec.poly).subfield(2 * w.k))
     x, u = next((x, u) for x, u in enumerate(pi_image(w, np.arange(w.spec.size)).tolist())
                 if x not in half and u in w.pi_fibers)
     fiber = w.pi_fibers[u]
-    rep = fiber_partition_check(replace(w, pi_fibers={**w.pi_fibers,
-                                                      u: fiber - {min(fiber)} | {x}}))
+    return replace(w, pi_fibers={**w.pi_fibers, u: fiber - {min(fiber)} | {x}})
+
+
+def test_fiber_partition_check_refuses_a_member_outside_the_half_field():
+    rep = fiber_partition_check(_member_outside_the_half_field(mm_basis(1)))
     assert rep.failures == 1
     assert rep.first_failure == ("fibers are not those of pi: 0 repeated member(s), "
                                  "1 outside GF(2^2) or mapped off their fiber's u")
@@ -743,6 +745,13 @@ def test_quartic_check_all_refuses_a_member_of_another_fiber():
     assert (rep.name, rep.instances, rep.failures) == ("mm-quartic[k=3]", 42, 1)
     assert rep.first_failure.startswith("fiber-root-correspondence: ")
     assert "u=0x48" in rep.first_failure
+
+
+def test_quartic_check_all_counts_a_least_member_outside_the_half_field():
+    # quartic_roots refuses such an a0 with ValueError; the row counts it
+    assert quartic_check_all(_member_outside_the_half_field(mm_basis(1))) == CheckReport(
+        "mm-quartic[k=1]", 3, 1, "fiber-root-correspondence: the fiber drawn at u is not "
+        "the one rebuilt at its least member a0 [k=1, u=0x6, a0=0x9]")
 
 
 def _moved_pi_member(monkeypatch, k):
@@ -946,70 +955,79 @@ WITNESS_CHANGES = {
     "clean": lambda w: w,
     "alpha+1": lambda w: replace(w, alpha=w.alpha ^ 1),
     "omega+g": lambda w: replace(w, omega=w.omega ^ 2),
+    "alpha+gamma": lambda w: replace(w, alpha=w.alpha ^ w.gamma),
     "fiber-member+1": lambda w: _fiber_member_plus_one(None, w),
 }
-SETTLED_SUITES = {
-    "reduction_sweep": lambda w: reduction_sweep(w.k),
-    "mm_decomposition_check": mm_decomposition_check,
-    "mm_crosscheck_all": mm_crosscheck_all,
-    "m4_sum_check": m4_sum_check,
+SPLIT_ROWS = [
+    ("mm-decomposition", mm_decomposition_check,
+     "split-coordinate-form: g(y + omega*a) differs from its split-coordinate form"),
+    ("mm-walsh-crosscheck", mm_crosscheck_all,
+     "fiber-sum-equals-transform: fiber-sum coefficient disagrees with the transform"),
+    ("mm-extremal-sum", m4_sum_check,
+     "four-term-trace-sum: the four half-field trace bits do not sum to 1 mod 2"),
+]
+# (k, witness change) -> per split row: instances, failures and the context
+# of the first failure (cells in row-major order)
+PINNED_SPLIT_REPORTS = {
+    (1, "clean"): [(16, 0, None), (16, 0, None), (1, 0, None)],
+    (1, "alpha+1"): [(16, 8, "k=1, y=0x0, a=0x6"),
+                     (16, 8, "k=1, u=0x6, v=0x0, fiber_sum=-4, transform=4"), (1, 0, None)],
+    (1, "omega+g"): [(16, 8, "k=1, y=0x0, a=0x1"),
+                     (16, 10, "k=1, u=0x1, v=0x6, fiber_sum=0, transform=8"), (1, 0, None)],
+    (1, "alpha+gamma"): [(16, 8, "k=1, y=0x0, a=0x6"),
+                         (16, 8, "k=1, u=0x6, v=0x0, fiber_sum=-4, transform=4"), (1, 0, None)],
+    (2, "clean"): [(256, 0, None), (256, 0, None), (1, 0, None)],
+    (2, "alpha+1"): [(256, 96, "k=2, y=0x0, a=0xd"),
+                     (256, 96, "k=2, u=0xc, v=0x0, fiber_sum=32, transform=0"), (1, 0, None)],
+    (2, "omega+g"): [(256, 120, "k=2, y=0x0, a=0x1"),
+                     (256, 144, "k=2, u=0x1, v=0x0, fiber_sum=16, transform=0"), (1, 0, None)],
+    (2, "alpha+gamma"): [(256, 192, "k=2, y=0x0, a=0xc"),
+                         (256, 48, "k=2, u=0xc, v=0x50, fiber_sum=-32, transform=32"),
+                         (1, 0, None)],
+    (3, "clean"): [(4096, 0, None), (4096, 0, None), (129, 0, None)],
+    (3, "alpha+1"): [(4096, 2048, "k=3, y=0x0, a=0x48"),
+                     (4096, 1664, "k=3, u=0x20, v=0x0, fiber_sum=-64, transform=64"),
+                     (129, 0, None)],
+    (3, "omega+g"): [(4096, 2048, "k=3, y=0x0, a=0x1"),
+                     (4096, 2808, "k=3, u=0x1, v=0x0, fiber_sum=0, transform=64"),
+                     (129, 0, None)],
+    (3, "alpha+gamma"): [(4096, 2048, "k=3, y=0x0, a=0x48"),
+                         (4096, 1664, "k=3, u=0x20, v=0x0, fiber_sum=-64, transform=64"),
+                         (129, 0, None)],
+    (3, "fiber-member+1"): [(4096, 0, None),
+                            (4096, 32, "k=3, u=0x48, v=0x0, fiber_sum=-256, transform=-128"),
+                            (129, 32, "k=3, u=0x48, v=0x0, coefficient=-256")],
 }
 
 
-# size-4 fibers, which the fiber-member+1 witness changes, first occur at k = 3
-@pytest.mark.parametrize("k, suite, change", [
-    pytest.param(k, suite, change, id=f"{k}-{suite}-{change}")
-    for k in (1, 2, 3)
-    for suite, changes in [
-        ("mm_decomposition_check", ["clean", "alpha+1", "omega+g"]),
-        ("mm_crosscheck_all", ["clean", "alpha+1", "omega+g"]),
-        ("reduction_sweep", ["clean"]),
-        ("m4_sum_check", ["clean", "fiber-member+1"] if k == 3 else ["clean"])]
-    for change in changes])
-def test_split_suites_equal_the_scalar_tally(monkeypatch, k, suite, change):
-    clean = mm_basis(k)
-    w = WITNESS_CHANGES[change](clean)
-    run = SETTLED_SUITES[suite]
-    settled = run(w)
-    # an array pass that settles nothing sends every case to the scalar check
+@pytest.mark.parametrize("k, change", PINNED_SPLIT_REPORTS)
+def test_split_rows_report_every_failure_and_the_first(k, change):
+    w = WITNESS_CHANGES[change](mm_basis(k))
+    for (name, run, text), (instances, failures, context) in zip(
+            SPLIT_ROWS, PINNED_SPLIT_REPORTS[k, change]):
+        first = None if context is None else f"{text} [{context}]"
+        assert run(w) == CheckReport(f"{name}[k={k}]", instances, failures, first)
+
+
+def test_extremal_sum_reports_broken_stepping_stones():
+    # gamma = 1 has subfield trace 0 at even k, so Tr_k(gamma^2) is 0
+    assert m4_sum_check(replace(mm_basis(2), gamma=1)) == CheckReport(
+        "mm-extremal-sum[k=2]", 1, 1,
+        "trace-stepping-stones: expected all three traces to be 1 [k=2, traces=(1, 1, 0)]")
+
+
+# the split rows decide every cell in their one array pass; the replay hands
+# the pairs its pass leaves unsettled to the scalar chain
+@pytest.mark.parametrize("k", [pytest.param(k, id=f"{k}-reduction_sweep-clean")
+                               for k in (1, 2, 3)])
+def test_split_suites_equal_the_scalar_tally(monkeypatch, k):
+    settled = reduction_sweep(k)
+    # an array pass that settles nothing sends every pair to the scalar chain
     real = theorems._settle
     monkeypatch.setattr(theorems, "_settle", lambda name, ok, *rest:
                         real(name, np.zeros_like(ok), *rest))
-    assert settled == run(w)
-    assert settled.ok == (w is clean)
-
-
-@pytest.mark.parametrize("suite, scalar_cases", [(mm_decomposition_check, 0),
-                                                 (mm_crosscheck_all, 0), (m4_sum_check, 1)])
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_array_passes_settle_every_clean_case(monkeypatch, k, suite, scalar_cases):
-    # a pass that settles too little changes no report, so count the scalar
-    # cases: none on a clean witness but the extremal sum's stepping stones
-    real = theorems._tally
-    ran = []
-
-    def counting(name, cases, check):
-        cases = list(cases)
-        ran.extend(cases)
-        return real(name, cases, check)
-
-    monkeypatch.setattr(theorems, "_tally", counting)
-    assert suite(mm_basis(k)).ok
-    assert len(ran) == scalar_cases
-
-
-@pytest.mark.parametrize("change", [lambda w: w, lambda w: _fiber_member_plus_one(None, w)],
-                         ids=["clean", "fiber-member+1"])
-def test_extremal_sum_equals_the_scalar_tally(monkeypatch, change):
-    clean = mm_basis(3)
-    w = change(clean)
-    settled = m4_sum_check(w)
-    # sums off by one never have magnitude 2^(2k+1), so the pass settles
-    # nothing and every cell goes to the scalar check
-    real = theorems._fiber_sum_grid
-    monkeypatch.setattr(theorems, "_fiber_sum_grid", lambda *args: real(*args) + 1)
-    assert settled == m4_sum_check(w)
-    assert (settled.instances, settled.failures) == (129, 0 if w is clean else 32)
+    assert settled == reduction_sweep(k)
+    assert settled.ok
 
 
 def test_failed_basis_skips_its_suites_for_that_gamma_only(monkeypatch):

@@ -2,15 +2,17 @@
 
 One replay instance, ``reduction_trace(3, 1, 1)``: a = 1 and b = 1 give
 c = 0, whose equation has four solutions and runs the whole t != 1 branch
-down to the terminal quadratics.  Then the pair sweep
+down to the terminal quadratics.  Then the sampled pair draw
+``theorems._sweep_pairs(3, 20000)`` alone, and the pair sweep
 :func:`gf2lab.reduction_sweep` exhaustive at k = 2 (every c), at k = 3
 with 20000 and 5000 sampled pairs and at k = 4 with 1000, the sizes
 ``verify`` runs, and three split-coordinate suites at k = 3: the
 cross-check :func:`gf2lab.mm_crosscheck_all`, the quartic/fiber
 correspondence :func:`gf2lab.quartic_check_all` and the sign pattern
 :func:`gf2lab.m4_sum_check`; last the basis :func:`gf2lab.mm_basis` at
-k = 4.  Only public functions are called, so the file runs unchanged on any
-version of the package.  The first round builds the family table and the
+k = 4.  Apart from ``_sweep_pairs``, which has stood since the sweep took
+index arrays, only public functions are called, so the file runs unchanged
+on any version of the package since.  The first round builds the family table and the
 arithmetic tables, and is not timed.  Every case records its instance count
 as ``extra_info["instances"]``.
 
@@ -23,12 +25,19 @@ import pytest
 
 from gf2lab import (m4_sum_check, mm_basis, mm_crosscheck_all, quartic_check_all,
                     reduction_sweep, reduction_trace)
+from gf2lab.theorems import _sweep_pairs
 
 
 def test_one_replay_instance(benchmark):
     benchmark.extra_info["instances"] = 1
     tr = benchmark.pedantic(reduction_trace, (3, 1, 1), rounds=200, warmup_rounds=1)
     assert tr.obstruction is None and len(tr.solutions_direct) == 4
+
+
+def test_sweep_pairs_k3(benchmark):
+    benchmark.extra_info["instances"] = 20000
+    a, b = benchmark.pedantic(_sweep_pairs, (3, 20000), rounds=30, warmup_rounds=1)
+    assert a.size == b.size == 20000 and a.min() >= 1
 
 
 @pytest.mark.parametrize("k, samples", [(3, 20000), (3, 5000), (4, 1000)],

@@ -7,21 +7,31 @@ a = 1 that :func:`gf2lab.power_delta` reads, at the same degrees, where
 its row and its counts are the whole cost (no solution set is grouped).
 Then :func:`gf2lab.classify` of a ``lut_from_values`` copy of x^73 on
 GF(2^12): the table is made afresh every round, outside the timing, so
-nothing it learns about itself carries over from the round before.  Last,
+nothing it learns about itself carries over from the round before.  Then
 :func:`gf2lab.read_lut` of the file :func:`gf2lab.write_lut` makes of x^5,
-at n = 12 and 16.  Only
-names that have stood since the power-map orbit engine was added are
-called, so the file runs unchanged on any version of the package since.
+at n = 12 and 16.  Last, the full DDT sweep
+:func:`gf2lab.differential_uniformity` of a seeded random table at n = 12
+and 16, and ``analyze --lut --ddt-csv`` of one at n = 11 through
+:func:`gf2lab.cli.main`, which also reads the file and runs the Walsh
+sweep: its ``timings_ms.ddt`` (the rows and the CSV write) is kept as
+``extra_info["ddt_ms"]``, the median over the rounds.  Only names that
+have stood since the power-map orbit engine was added are called, so the
+file runs unchanged on any version of the package since.
 
 Not part of the test suite (``testpaths`` is ``tests``).  Run it with::
 
     PYTHONPATH=src python -m pytest benchmarks/test_table_layers.py --benchmark-json=out.json
 """
 
+import json
+import statistics
+
+import numpy as np
 import pytest
 
-from gf2lab import (build_lut, classify, field_make, lut_from_values, power_delta,
-                    read_lut, write_lut)
+from gf2lab import (build_lut, classify, ddt_rows, differential_uniformity,
+                    field_make, lut_from_values, power_delta, read_lut, write_lut)
+from gf2lab.cli import main
 from gf2lab.field import _log_exp_tables
 
 DEGREES = pytest.mark.parametrize("n", [12, 16], ids=lambda n: f"n{n}")
@@ -68,3 +78,31 @@ def test_read_lut(benchmark, tmp_path, n):
     write_lut(path, build_lut(field_make(n), 5))
     table, _ = benchmark.pedantic(read_lut, (path,), rounds=30, warmup_rounds=1)
     assert int(table.lut[2]) == 32
+
+
+def _random_table(n):
+    s = field_make(n)
+    return lut_from_values(s, np.random.default_rng(n).integers(0, s.size, s.size))
+
+
+@pytest.mark.parametrize("n, rounds", [(12, 30), (16, 3)], ids=["n12", "n16"])
+def test_differential_uniformity(benchmark, n, rounds):
+    table = _random_table(n)
+    delta = benchmark.pedantic(differential_uniformity, (table,), {"deep": True},
+                               rounds=rounds, warmup_rounds=int(n < 16))
+    assert delta == max(int(row.counts.max()) for row in ddt_rows(table))
+
+
+def test_ddt_csv_n11(benchmark, tmp_path):
+    lut, csv, report = (tmp_path / name for name in ("t.lut", "ddt.csv", "r.json"))
+    write_lut(lut, _random_table(11))
+    ddt_ms = []
+
+    def run():
+        code = main(["analyze", "--lut", str(lut), "--ddt-csv", str(csv), "--json", str(report)])
+        ddt_ms.append(json.loads(report.read_text())["timings_ms"]["ddt"])
+        return code
+
+    assert benchmark.pedantic(run, rounds=10, warmup_rounds=1) == 0
+    benchmark.extra_info["ddt_ms"] = statistics.median(ddt_ms[1:])
+    assert csv.read_bytes().count(b"\r\n") == (1 << 11) - 1

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from itertools import islice
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .catalog import catalog_table
 from .field import FieldConstructionError, field_make
 from .lutio import _HEX_TOKEN, LutParseError, read_lut, write_lut
 from .report import AnalysisReport, report_to_json
-from .spectra import (_delta, _spectrum, build_lut, ddt_rows,
+from .spectra import (FunctionTable, _delta, _spectrum, build_lut, ddt_rows,
                       require_desk_scale, summarize)
 from .theorems import run_all_checks
 
@@ -81,6 +82,40 @@ def _fail_usage(msg: str) -> int:
     return 2
 
 
+# DDT entries per block of the CSV dump
+CSV_BLOCK_ENTRIES = 1 << 16
+
+
+def _glyphs(top: int) -> np.ndarray:
+    """The text of every count 0..top, first followed by "," and then
+    (from index top + 1 on) by CRLF, NUL-padded to one width of at least 4."""
+    text = [f"{v}," for v in range(top + 1)] + [f"{v}\r\n" for v in range(top + 1)]
+    return np.array(text, dtype=f"S{max(4, len(str(top)) + 2)}")
+
+
+def _write_ddt_csv(path: str, table: FunctionTable) -> int:
+    """Write the rows of ddt_rows(table) as CSV, as csv.writer would (CRLF
+    line ends), and return their largest count.
+
+    Each block of rows is one gather from the glyph table of its largest
+    count, with the NUL padding deleted from the bytes.  A table is made
+    once per largest count.
+    """
+    delta, glyphs = 0, {}
+    rows = ddt_rows(table)
+    per = max(1, CSV_BLOCK_ENTRIES // table.spec.size)
+    with open(path, "wb") as fh:
+        while chunk := [row.counts for row in islice(rows, per)]:
+            block = np.stack(chunk)
+            top = int(block.max())
+            delta = max(delta, top)
+            if top not in glyphs:
+                glyphs[top] = _glyphs(top)
+            block[:, -1] += top + 1  # the last column ends its line
+            fh.write(glyphs[top][block].tobytes().translate(None, b"\0"))
+    return delta
+
+
 def _analyze(args) -> int:
     timings: dict[str, float] = {}
     table = None
@@ -119,13 +154,7 @@ def _analyze(args) -> int:
 
     t0 = time.perf_counter()
     if args.ddt_csv:
-        delta = 0
-        # DDT counts lie in 0..2^n: format each value once; CRLF as csv.writer
-        cells = np.array([str(v) for v in range(s.size + 1)], dtype=object)
-        with open(args.ddt_csv, "w", newline="") as fh:
-            for row in ddt_rows(table):
-                delta = max(delta, int(row.counts.max()))
-                fh.write(",".join(cells[row.counts].tolist()) + "\r\n")
+        delta = _write_ddt_csv(args.ddt_csv, table)
     else:
         delta = _delta(table, args.deep)
     timings["ddt"] = (time.perf_counter() - t0) * 1e3

@@ -28,6 +28,8 @@ extremal coefficient magnitude 2^(2k+1).  The pointwise decomposition and
 the fiber-sum cross-check each make one array pass over their whole grid
 of 2^(4k) cases, and the sign pattern one over its size-4 fibers; each
 pass decides every case and builds its first failure from its own arrays.
+The fiber/quartic correspondence decides every fiber in one array pass
+too, and takes its first failure from the scalar :func:`quartic_roots`.
 
 The replay's array pass settles a pair only where the scalar derivation
 passes, and one rule hands every other pair to that derivation, so the
@@ -543,14 +545,26 @@ def _settle(name: str, ok: np.ndarray, case, check) -> CheckReport:
 
 
 def _sweep_pairs(k: int, samples: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """The (a, b) pairs of a sweep as two index arrays, in case order."""
+    """The (a, b) pairs of a sweep as two index arrays, in case order.
+
+    A sample reads 4k-bit words, the low bits of little-endian 32-bit words
+    of raw bytes from ``random.Random(DEFAULT_SEED)``: first every b, then
+    every a, whose zero words are dropped and replaced by further draws.
+    """
     size = 1 << (4 * k)
     if samples is None and k <= 2:
         return np.divmod(np.arange(size, size * size), size)
     count = samples if samples is not None else 1000
     rng = random.Random(DEFAULT_SEED)
-    draws = [(rng.randrange(1, size), rng.randrange(size)) for _ in range(count)]
-    return tuple(np.array(draws).T)
+
+    def words(m: int) -> np.ndarray:
+        return np.frombuffer(rng.randbytes(4 * m), dtype="<u4").astype(np.int64) & (size - 1)
+
+    b, a = words(count), np.empty(0, dtype=np.int64)
+    while a.size < count:
+        drawn = words(count - a.size)
+        a = np.concatenate([a, drawn[drawn != 0]])
+    return a, b
 
 
 def reduction_sweep(k: int, *, samples: int | None = None) -> CheckReport:
@@ -773,18 +787,50 @@ def quartic_roots(w: MMWitness, a0: int) -> QuarticRoots:
 
 def quartic_check_all(w: MMWitness) -> CheckReport:
     """The quartic/fiber correspondence on every fiber of the witness, which
-    must be the fiber that :func:`quartic_roots` rebuilds at its least member."""
-    half = set(_arith(w.spec.n, w.spec.poly).subfield(2 * w.k))
+    must be the fiber that :func:`quartic_roots` rebuilds at its least member.
 
-    def check(u: int, members: frozenset[int]) -> None:
-        # quartic_roots refuses an a0 outside the half field with ValueError
+    One array pass decides every fiber from its least member a0: a0 lies in
+    GF(2^(2k)), the fiber drawn at pi(a0) is this one, and the quartic
+    vanishes at as many c of GF(2^k) as the fiber has members, with a0 + c^2
+    over those roots the members.  The pass leaves out the root product of
+    :func:`quartic_roots`, which cannot fail: three distinct nonzero roots
+    are all the roots of c^3 + (a0^(2^k)+a0)c + 1/gamma, so they multiply
+    to 1/gamma.  The first failing fiber's error comes from the scalar check.
+    """
+    A = _arith(w.spec.n, w.spec.poly)
+    k = w.k
+    items = sorted(w.pi_fibers.items())
+    half = A.subfield(2 * k)
+
+    def error(i: int) -> VerificationError:
+        u, members = items[i]
         a0 = min(members)
-        if a0 not in half or quartic_roots(w, a0).fiber != members:
-            raise VerificationError(
-                "fiber-root-correspondence", "the fiber drawn at u is not the one "
-                "rebuilt at its least member a0", k=w.k, u=u, a0=a0)
+        # quartic_roots refuses an a0 outside the half field with ValueError
+        if a0 in half:
+            try:
+                quartic_roots(w, a0)
+            except VerificationError as e:
+                return e
+        return VerificationError(
+            "fiber-root-correspondence", "the fiber drawn at u is not the one "
+            "rebuilt at its least member a0", k=k, u=u, a0=a0)
 
-    return _tally(f"mm-quartic[k={w.k}]", sorted(w.pi_fibers.items()), check)
+    us = np.array([u for u, _ in items], dtype=np.int64)
+    a0 = np.array([min(m) for _, m in items], dtype=np.int64)
+    fib, size = _pad([sorted(m) for _, m in items])
+    u0 = pi_image(w, a0)  # refuses an a0 outside the field with ValueError
+    in_half = A.frob(a0, 2 * k) == a0
+    at = np.minimum(np.searchsorted(us, u0), us.size - 1)
+    drawn = (us[at] == u0) & (size[at] == size) & (fib[at] == fib).all(axis=1)
+    # c^4 + (a0^(2^k) + a0) c^2 + c/gamma at every c of GF(2^k), a0 along rows
+    c = np.array(A.subfield(k))
+    c2 = A.mul(c, c)
+    root = (A.mul(c2, c2) ^ A.mul((A.frob(a0, k) ^ a0)[:, None], c2)
+            ^ A.mul(A.inv(w.gamma), c)) == 0
+    in_fiber = np.arange(fib.shape[1]) < size[:, None]
+    mapped = ((fib[:, :, None] == (a0[:, None] ^ c2)[:, None, :]) & root[:, None, :]).any(axis=2)
+    ok = in_half & drawn & (root.sum(axis=1) == size) & (mapped | ~in_fiber).all(axis=1)
+    return _report(f"mm-quartic[k={k}]", ok, error)
 
 
 def _transform_value(w: MMWitness, A: _Arith, u, v):
@@ -800,16 +846,21 @@ def _fiber_terms(w: MMWitness, A: _Arith, a, v):
     return 1 - 2 * A.subtrace(_split_offset(w, A, a) ^ A.mul(v, a), 2 * w.k)
 
 
+def _pad(fibers: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The fibers as rows of one array, padded with 0, and their sizes."""
+    size = np.array([len(m) for m in fibers], dtype=np.int64)
+    fib = np.zeros((len(fibers), max(size, default=0)), dtype=np.int64)
+    for i, members in enumerate(fibers):
+        fib[i, :len(members)] = members
+    return fib, size
+
+
 def _fiber_sum_grid(w: MMWitness, us, vs) -> np.ndarray:
     """2^(2k) times the sum of the terms over the fiber of u at v, for every
     u of ``us`` (rows) and v of ``vs`` (columns), from one array of the
     fibers padded into slots."""
     A = _arith(w.spec.n, w.spec.poly)
-    fibers = [sorted(pi_fiber(w, u)) for u in us]
-    size = np.array([len(m) for m in fibers], dtype=np.int64)
-    fib = np.zeros((len(fibers), max(size, default=0)), dtype=np.int64)
-    for i, members in enumerate(fibers):
-        fib[i, :len(members)] = members
+    fib, size = _pad([sorted(pi_fiber(w, u)) for u in us])
     in_fiber = np.arange(fib.shape[1]) < size[:, None, None]
     v = np.array(vs, dtype=np.int64)[:, None]
     terms = np.where(in_fiber, _fiber_terms(w, A, fib[:, None, :], v), 0)

@@ -11,6 +11,7 @@ import pytest
 
 from gf2lab import (build_lut, ddt_rows, differential_uniformity, field_make,
                     lut_from_values, read_lut, walsh_spectrum, write_lut)
+from gf2lab import cli
 from gf2lab.cli import main
 from gf2lab.theorems import CheckReport
 
@@ -118,6 +119,33 @@ def test_analyze_ddt_csv_bytes_match_csv_writer(tmp_path, capsys):
         csv.writer(fh).writerows(row.counts.tolist() for row in ddt_rows(table))
     assert csv_path.read_bytes() == ref_path.read_bytes()
     assert csv_path.read_bytes().endswith(b"\r\n")
+
+
+def _half_constant(s):
+    # the identity on the lower half and 0 above: rows whose largest count
+    # is wider than two digits next to rows whose largest is not
+    return lut_from_values(s, [x if x < s.size // 2 else 0 for x in range(s.size)])
+
+
+@pytest.mark.parametrize("make, block", [
+    (lambda s: lut_from_values(s, [5] * s.size), None),  # every row counts 256 at 0
+    (lambda s: lut_from_values(s, np.random.default_rng(3).integers(0, s.size, s.size)),
+     1 << 11),                                           # 8 rows a block, 255 = 31*8 + 7
+    (_half_constant, 1 << 10),                           # 4 rows a block, 255 = 63*4 + 3
+], ids=["constant", "random-blocks", "mixed-width-blocks"])
+def test_ddt_csv_blocks_match_csv_writer(tmp_path, capsys, monkeypatch, make, block):
+    if block is not None:
+        monkeypatch.setattr(cli, "CSV_BLOCK_ENTRIES", block)
+    table = make(field_make(8))
+    lut_path, csv_path, ref_path = (tmp_path / name for name in ("t.lut", "ddt.csv", "ref.csv"))
+    write_lut(lut_path, table)
+    assert main(["analyze", "--lut", str(lut_path), "--ddt-csv", str(csv_path)]) == 0
+    counts = [row.counts.tolist() for row in ddt_rows(table)]
+    delta = max(map(max, counts))
+    assert f"delta (differential uniformity): {delta}\n" in capsys.readouterr().out
+    with open(ref_path, "w", newline="") as fh:
+        csv.writer(fh).writerows(counts)
+    assert csv_path.read_bytes() == ref_path.read_bytes()
 
 
 def test_analyze_alternate_modulus(capsys):
@@ -322,16 +350,17 @@ def test_json_identical_across_thread_counts(tmp_path, capsys):
 
 
 def test_cli_jobs_never_load_numpy_ma():
-    # importing numpy.ma costs every process that loads it 15-17 ms
+    # importing numpy.ma costs every process that loads it 15-17 ms, and
+    # numpy.random 10-14 ms, more than drawing a whole sample of pairs
     jobs = [["verify", "--k", "1,2"], ["analyze", "--exp", "73", "--n", "12"],
-            ["catalog", "--max-n", "8"]]
+            ["catalog", "--max-n", "8"], ["verify", "--k", "3", "--samples", "50"]]
     code = ("import sys\n"
             "from gf2lab.cli import main\n"
             f"codes = [main(argv) for argv in {jobs!r}]\n"
-            "print(codes, 'numpy.ma' in sys.modules)")
+            "print(codes, 'numpy.ma' in sys.modules, 'numpy.random' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False False"
 
 
 def test_module_entry_point():

@@ -470,25 +470,82 @@ def test_orbit_engine_matches_full_sweeps(n, poly, d):
     assert orbit.histogram == full.histogram
 
 
+def _full_sweep_delta(f):
+    return max(int(row.counts.max()) for row in ddt_rows(f))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_half_pair_sweep_equals_the_full_rows(n):
+    # each x of a pair {x, x + a} counted once, then doubled: exact for any
+    # table, against the full-x rows of ddt_rows
+    s = field_make(n)
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3):
+        for values in (rng.integers(0, s.size, s.size), rng.permutation(s.size)):
+            f = lut_from_values(s, values)
+            assert differential_uniformity(f) == _full_sweep_delta(f)
+
+
+@pytest.mark.parametrize("block", [1, 1 << 16], ids=["row-blocks", "uint32-blocks"])
+def test_half_pair_sweep_does_not_depend_on_the_block(monkeypatch, block):
+    # one row a block, or blocks whose row offsets need uint32
+    monkeypatch.setattr(spectra, "DDT_BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(block)
+    for n in (3, 8, 10):
+        s = field_make(n)
+        f = lut_from_values(s, rng.integers(0, s.size, s.size))
+        assert differential_uniformity(f) == _full_sweep_delta(f)
+
+
+def _planted(s, a, pairs, rng):
+    """A random table with f(x + a) = f(x) + 1 on ``pairs`` pairs {x, x + a}."""
+    lut = rng.integers(0, s.size, s.size)
+    lows = [x for x in range(s.size) if x < x ^ a]
+    for x in rng.choice(lows, pairs, replace=False).tolist():
+        lut[x ^ a] = lut[x] ^ 1
+    return lut_from_values(s, lut)
+
+
+@pytest.mark.parametrize("j", range(8))
+def test_half_pair_sweep_finds_a_planted_row_of_each_lowest_bit(j):
+    # the unique largest count lies in a row whose lowest set bit is j; the
+    # row a also has a higher bit, so a kernel reading the wrong bit of a
+    # counts some pairs twice and others not at all
+    s = field_make(8)
+    rng = np.random.default_rng(j)
+    a = (1 << j) | (0x80 if j < 7 else 0) | (1 << ((j + 3) % 8) if j < 5 else 0)
+    f = _planted(s, a, 24, rng)
+    peaks = [int(row.counts.max()) for row in ddt_rows(f)]
+    assert peaks.count(max(peaks)) == 1 and peaks[a - 1] == max(peaks) >= 48
+    assert differential_uniformity(f) == max(peaks)
+
+
 def test_named_sweeps_stay_full_and_orbit_needs_an_exponent(monkeypatch):
     rows, bs = [], []
-    ddt_row, walsh_block = spectra._ddt_row, spectra._walsh_block
+    ddt_row, half_pair_peak = spectra._ddt_row, spectra._half_pair_peak
+    walsh_block = spectra._walsh_block
 
     def counting_ddt_row(lut, shifted):
         rows.append(int(shifted[0]))  # arange(2^n) ^ a holds a at 0
         return ddt_row(lut, shifted)
+
+    def counting_half_pair_peak(lut, xs, base, a, idx, val):
+        rows.extend(a.tolist())
+        return half_pair_peak(lut, xs, base, a, idx, val)
 
     def counting_walsh_block(f, masks, block):
         bs.extend(block.tolist())
         return walsh_block(f, masks, block)
 
     monkeypatch.setattr(spectra, "_ddt_row", counting_ddt_row)
+    monkeypatch.setattr(spectra, "_half_pair_peak", counting_half_pair_peak)
     monkeypatch.setattr(spectra, "_walsh_block", counting_walsh_block)
     n, d = 8, 21
     s = field_make(n)
     table = build_lut(s, d)
     differential_uniformity(table)
-    assert rows == list(range(1, s.size))
+    # the rows go by lowest set bit, each a once
+    assert sorted(rows) == list(range(1, s.size))
     walsh_spectrum(table)
     assert bs == list(range(1, s.size))
     rows.clear()
@@ -565,17 +622,23 @@ def test_a_stale_label_cannot_reach_the_orbit_engine():
 
 def test_a_lut_copy_of_a_power_map_takes_the_orbit_engine(monkeypatch):
     rows, bs = [], []
-    ddt_row, walsh_block = spectra._ddt_row, spectra._walsh_block
+    ddt_row, half_pair_peak = spectra._ddt_row, spectra._half_pair_peak
+    walsh_block = spectra._walsh_block
 
     def counting_ddt_row(lut, shifted):
         rows.append(int(shifted[0]))  # arange(2^n) ^ a holds a at 0
         return ddt_row(lut, shifted)
+
+    def counting_half_pair_peak(lut, xs, base, a, idx, val):
+        rows.extend(a.tolist())
+        return half_pair_peak(lut, xs, base, a, idx, val)
 
     def counting_walsh_block(f, masks, block):
         bs.extend(block.tolist())
         return walsh_block(f, masks, block)
 
     monkeypatch.setattr(spectra, "_ddt_row", counting_ddt_row)
+    monkeypatch.setattr(spectra, "_half_pair_peak", counting_half_pair_peak)
     monkeypatch.setattr(spectra, "_walsh_block", counting_walsh_block)
     n, d = 12, 2730
     s = field_make(n)

@@ -208,12 +208,42 @@ def test_reduction_sweep_sampled_determinism():
 
 
 def _sweep_cases(k, samples):
-    """The sweep's (a, b) pairs in case order, drawn here independently."""
+    """The sweep's (a, b) pairs in case order, drawn here independently:
+    4k-bit words, the low bits of little-endian 32-bit words of raw seeded
+    bytes, first every b, then every a with the zeros skipped and topped up."""
     size = 1 << (4 * k)
     if samples is None:
         return [(a, b) for a in range(1, size) for b in range(size)]
     rng = random.Random(DEFAULT_SEED)
-    return [(rng.randrange(1, size), rng.randrange(size)) for _ in range(samples)]
+
+    def words(m):
+        raw = rng.randbytes(4 * m)
+        return [int.from_bytes(raw[i : i + 4], "little") % size for i in range(0, len(raw), 4)]
+
+    bs, as_ = words(samples), []
+    while len(as_) < samples:
+        as_ += [a for a in words(samples - len(as_)) if a]
+    return list(zip(as_, bs))
+
+
+def test_sweep_pairs_draw_one_sample_of_raw_bytes():
+    a, b = theorems._sweep_pairs(3, 20000)
+    again = theorems._sweep_pairs(3, 20000)
+    assert a.size == b.size == 20000
+    assert (a == again[0]).all() and (b == again[1]).all()
+    assert 1 <= a.min() and a.max() < 1 << 12 and 0 <= b.min() and b.max() < 1 << 12
+    assert list(zip(a.tolist(), b.tolist())) == _sweep_cases(3, 20000)
+
+
+def test_sweep_pairs_top_up_the_rejected_zeros():
+    # at k = 1 one a-word in 16 is 0; the pairs past the first draw are top-ups
+    cases = _sweep_cases(1, 200)
+    a, b = theorems._sweep_pairs(1, 200)
+    assert list(zip(a.tolist(), b.tolist())) == cases
+    rng = random.Random(DEFAULT_SEED)
+    rng.randbytes(4 * 200)
+    first = [w % 16 for w in np.frombuffer(rng.randbytes(4 * 200), dtype="<u4").tolist()]
+    assert 0 in first and [w for w in first if w] == a.tolist()[:len(first) - first.count(0)]
 
 
 def _per_pair_replay(k, samples):
@@ -784,6 +814,52 @@ def test_fibers_of_a_broken_pi_fail_the_quartic_row(monkeypatch, k):
     assert not mm_decomposition_check(w).ok
 
 
+def _scalar_quartic_row(w):
+    """The mm-quartic row as one scalar check per fiber, the oracle of the
+    array pass: quartic_roots rebuilds the fiber at its least member."""
+    half = set(_arith(w.spec.n, w.spec.poly).subfield(2 * w.k))
+
+    def check(u, members):
+        a0 = min(members)
+        if a0 not in half or quartic_roots(w, a0).fiber != members:
+            raise VerificationError(
+                "fiber-root-correspondence", "the fiber drawn at u is not the one "
+                "rebuilt at its least member a0", k=w.k, u=u, a0=a0)
+
+    return theorems._tally(f"mm-quartic[k={w.k}]", sorted(w.pi_fibers.items()), check)
+
+
+def _swapped_fibers(w):
+    """The fibers of the two least u drawn at each other's u: each is a true
+    fiber of pi, rebuilt at its least member, but not the one drawn there."""
+    u1, u2 = sorted(w.pi_fibers)[:2]
+    return replace(w, pi_fibers={**w.pi_fibers, u1: w.pi_fibers[u2], u2: w.pi_fibers[u1]})
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_quartic_row_equals_the_scalar_check_for_every_gamma(k):
+    for g in all_gammas(k):
+        w = mm_basis(k, gamma=g)
+        for witness in (w, replace(w, alpha=w.alpha ^ 1), _member_outside_the_half_field(w)):
+            assert quartic_check_all(witness) == _scalar_quartic_row(witness)
+
+
+@pytest.mark.parametrize("make, k", [
+    (lambda monkeypatch, k: _fiber_member_plus_one(None, mm_basis(k)), 3),
+    (lambda monkeypatch, k: _member_outside_the_half_field(mm_basis(k)), 1),
+    (lambda monkeypatch, k: _member_outside_the_half_field(mm_basis(k)), 3),
+    (lambda monkeypatch, k: _moved_pi_member(monkeypatch, k) or mm_basis(k), 2),
+    (lambda monkeypatch, k: _moved_pi_member(monkeypatch, k) or mm_basis(k), 3),
+    (lambda monkeypatch, k: _swapped_fibers(mm_basis(k)), 2),
+], ids=["fiber-member+1-k3", "outside-half-k1", "outside-half-k3", "moved-pi-k2",
+        "moved-pi-k3", "swapped-fibers-k2"])
+def test_quartic_row_equals_the_scalar_check_on_a_broken_witness(monkeypatch, make, k):
+    w = make(monkeypatch, k)
+    report = quartic_check_all(w)
+    assert not report.ok
+    assert report == _scalar_quartic_row(w)
+
+
 def test_mm_walsh_crosscheck_against_naive_sum():
     # the fiber-sum value must match the cubic-cost direct definition
     w = mm_basis(1)
@@ -931,9 +1007,7 @@ BREAKS = {
     "reduction-replay": (lambda w: reduction_sweep(w.k), _broken_family_table,
                          "normalized-product-identity"),
     "mm-decomposition": (mm_decomposition_check, _other_alpha, "split-coordinate-form"),
-    "mm-quartic": (quartic_check_all,
-                   _patched("solve_linearized", lambda real: lambda *args: set()),
-                   "fiber-root-correspondence"),
+    "mm-quartic": (quartic_check_all, _fiber_member_plus_one, "fiber-root-correspondence"),
     "mm-walsh-crosscheck": (mm_crosscheck_all, _other_alpha, "fiber-sum-equals-transform"),
     "mm-extremal-sum": (m4_sum_check, _fiber_member_plus_one, "four-term-trace-sum"),
 }

@@ -476,11 +476,6 @@ class _Arith:
     def sqrt(self, a):
         return self.frob(a, self.n - 1)
 
-    def quad_roots(self, const: int) -> frozenset[int]:
-        """Roots of x^2 + x + const = 0 (either two or none)."""
-        r = int(self.root[const])
-        return frozenset() if r < 0 else frozenset((r, r ^ 1))
-
     def subfield(self, m: int) -> tuple[int, ...]:
         """All elements fixed by the m-fold Frobenius, in increasing order.
 

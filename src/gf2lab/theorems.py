@@ -10,10 +10,10 @@ normalized solution, a four-term relative-trace constraint, a quadratic in
 the Frobenius pair-sum, and finally one or two ordinary quadratics whose
 roots are filtered back against the product identity.  Every identity is
 checked on every solution; any violation raises :class:`VerificationError`
-naming the failing step.  The pair sweep scans no pair: the substitution
-x = a*y reduces every solution set to the row a = 1 (see
-:func:`reduction_sweep`), whose sets feed one array pass, and the scalar
-derivation replays only the pairs that pass does not settle.
+naming the failing step.  One array pass decides every step for many
+equations at once, and a failing one's error and a passing one's trace are
+read off its arrays.  The pair sweep feeds it the sets of the row a = 1
+alone, to which x = a*y reduces every pair (see :func:`reduction_sweep`).
 
 The *split-coordinate suite* checks the Maiorana-McFarland structure of the
 component g(x) = Tr(gamma^2 * x^d): a basis (gamma, alpha, omega) is
@@ -24,20 +24,15 @@ collapse to sums over the fibers of pi, whose sizes a linearized quartic
 confines to {0, 1, 2, 4}.  The suite verifies the decomposition pointwise,
 the fiber/quartic correspondence, the fiber-sum formula against an
 independent fast-transform sweep, and the sign pattern that pins the
-extremal coefficient magnitude 2^(2k+1).  The pointwise decomposition and
-the fiber-sum cross-check each make one array pass over their whole grid
-of 2^(4k) cases, and the sign pattern one over its size-4 fibers; each
-pass decides every case and builds its first failure from its own arrays.
-The fiber/quartic correspondence decides every fiber in one array pass
-too, and takes its first failure from the scalar :func:`quartic_roots`.
+extremal coefficient magnitude 2^(2k+1).  Each of the four decides every
+case (a point of the 2^(4k) grid, a fiber, a size-4 fiber against every v)
+in one array pass, and builds its first failure from that pass's arrays or,
+for the fiber/quartic correspondence, from the scalar :func:`quartic_roots`.
 
-The replay's array pass settles a pair only where the scalar derivation
-passes, and one rule hands every other pair to that derivation, so the
-replay's report, first failure included, is the all-scalar one.  Each
-identity (the steps of the replay, the inner map pi, the split offset, the
-decomposition, the fiber sum) is written once here in the arithmetic of
-:class:`gf2lab.field._Arith`, whose ops take a Python int or a numpy array
-and copy none of the log/exp tables.
+Each identity (the steps of the replay, the inner map pi, the split
+offset, the decomposition, the fiber sum) is written once here in the
+arithmetic of :class:`gf2lab.field._Arith`, whose ops take a Python int or
+a numpy array and copy none of the log/exp tables.
 
 Every sweep reports one :class:`CheckReport` row under one rule: each case
 (a pair, a point, a fiber) whose check raises :class:`VerificationError`
@@ -175,13 +170,38 @@ class ReductionTrace:
     checks: tuple[str, ...]
 
 
-def _count_bound(k: int, a: int, b: int, sols: frozenset[int]) -> frozenset[int]:
-    """The solution set of f(x+a) + f(x) = b, refused above four members."""
-    if len(sols) > 4:
-        raise VerificationError(
-            "count-bound", "difference equation has more than four solutions",
-            k=k, a=a, b=b, count=len(sols))
-    return sols
+# The steps of the derivation in chain order: what the error of each says,
+# and the context it names after k, a and b (x is the solution, in the
+# normalized coordinate, at which a loop over the solutions fails).
+_STEPS = {
+    "count-bound": ("difference equation has more than four solutions", ("count",)),
+    "trace-codomain": ("relative trace of c left the small subfield", ("t",)),
+    "normalized-product-identity": (
+        "a normalized solution fails the expanded difference equation", ("x",)),
+    "four-term-trace-identity": ("solution's relative trace does not equal t", ("x",)),
+    "pair-sum-quadratic": (
+        "u = x + x^(2^2k) fails u^2 + (t+1)u + c^(2^k) + c^(2^3k) = 0", ("x",)),
+    "pair-gap-constant": ("x + x^(2^2k) differs from r", ("x", "r")),
+    "half-gap-constant": ("x + x^(2^k) differs from s", ("x", "s")),
+    "terminal-quadratic-cover": ("a solution is not a root of x^2 + x + (r*s + s + r + c)", ()),
+    "terminal-quadratic-match": (
+        "filtered terminal roots differ from the direct solution set", ()),
+    "halving-quadratic-unsolvable": (
+        "y^2 + y = (c^(2^k)+c^(2^3k))/(t+1)^2 has no root though its trace is 0", ("cy",)),
+    "halving-image-constraints": (
+        "candidate y-value violates its subfield/trace relations yet solutions exist", ()),
+    "second-halving-unsolvable": (
+        "w^2 + w = ((t+1)^2 p^(2^k+1) + (t+1)p^(2^k) + c + c^(2^k))/(t+1)^2 "
+        "has no root though its trace is 0", ("p", "cw")),
+    "terminal-pair-cover": ("a solution is not a root of either terminal quadratic", ()),
+    "terminal-pair-match": ("filtered terminal roots differ from the direct solution set", ()),
+    "halving-image-membership": ("z + z^(2^2k) is neither p nor p+1", ("x", "y_img", "p")),
+    "second-halving-membership": ("z + z^(2^k) is neither q nor q+1", ("x", "w_img", "q")),
+}
+# the steps that decide whether a halving quadratic yields its root: a trace
+# records them in its aux and obstruction, not among its checks
+_HALVING = frozenset({"halving-quadratic-unsolvable", "halving-image-constraints",
+                      "second-halving-unsolvable"})
 
 
 def diff_solution_count(k: int, a: int, b: int) -> tuple[int, frozenset[int]]:
@@ -192,169 +212,47 @@ def diff_solution_count(k: int, a: int, b: int) -> tuple[int, frozenset[int]]:
     _check_k(k)
     table = _family_table(k)
     _check_elements(table.spec, b, "b")
-    xs = np.flatnonzero(difference_row(table, a).values == b)
-    sols = _count_bound(k, a, b, frozenset(xs.tolist()))
+    sols = frozenset(np.flatnonzero(difference_row(table, a).values == b).tolist())
+    if len(sols) > 4:
+        raise VerificationError("count-bound", _STEPS["count-bound"][0],
+                                k=k, a=a, b=b, count=len(sols))
     return len(sols), sols
 
 
 def reduction_trace(k: int, a: int, b: int) -> ReductionTrace:
     """Replay the full derivation for one difference pair (a, b).
 
-    Every identity in the chain is checked against the exhaustively
-    computed solution set; a mismatch raises :class:`VerificationError`.
+    The exhaustively computed solution set, divided by a, is one row of
+    :func:`_derive_pass`; a failing step raises :class:`VerificationError`.
     """
     _count, direct = diff_solution_count(k, a, b)
-    return _derive(k, a, b, direct)
-
-
-def _derive(k: int, a: int, b: int, direct: frozenset[int]) -> ReductionTrace:
-    """The derivation of :func:`reduction_trace` from the solution set
-    ``direct`` of f(x+a) + f(x) = b, which has at most four members.  Each
-    terminal quadratic has two roots or none, so their roots need no bound."""
     table = _family_table(k)
     A = _arith(table.spec.n, table.spec.poly)
-    d = dobbertin_exponent(k)
-    ainv = A.inv(a)
-    norm = frozenset(int(A.mul(x, ainv)) for x in direct)
-    back = lambda roots: frozenset(int(A.mul(x, a)) for x in roots)
-
-    c = int(_normalized(A, d, a, b) ^ 1)
-    t = int(_relative_trace(A, k, c))
-    checks = ["count-bound"]
-    if A.frob(t, k) != t:
-        raise VerificationError(
-            "trace-codomain", "relative trace of c left the small subfield",
-            k=k, a=a, b=b, t=t)
-    checks.append("trace-codomain")
-
-    for x in norm:
-        if _product_identity(A, k, x, c) != 0:
-            raise VerificationError(
-                "normalized-product-identity",
-                "a normalized solution fails the expanded difference equation",
-                k=k, a=a, b=b, x=x)
-        if _relative_trace(A, k, x) != t:
-            raise VerificationError(
-                "four-term-trace-identity",
-                "solution's relative trace does not equal t", k=k, a=a, b=b, x=x)
-        if _pair_sum_quadratic(A, k, x, c, t) != 0:
-            raise VerificationError(
-                "pair-sum-quadratic",
-                "u = x + x^(2^2k) fails u^2 + (t+1)u + c^(2^k) + c^(2^3k) = 0",
-                k=k, a=a, b=b, x=x)
-    checks += ["normalized-product-identity", "four-term-trace-identity",
-               "pair-sum-quadratic"]
-
-    def filtered(roots: Iterable[int]) -> frozenset[int]:
-        return frozenset(x for x in roots if _product_identity(A, k, x, c) == 0)
-
-    if t == 1:
-        r, s, e = (int(v) for v in _gap_constants(A, k, c))
-        for x in norm:
-            pair_gap, half_gap = _gaps(A, k, x)
-            if pair_gap != r:
-                raise VerificationError(
-                    "pair-gap-constant", "x + x^(2^2k) differs from r",
-                    k=k, a=a, b=b, x=x, r=r)
-            if half_gap != s:
-                raise VerificationError(
-                    "half-gap-constant", "x + x^(2^k) differs from s",
-                    k=k, a=a, b=b, x=x, s=s)
-        roots = A.quad_roots(e)
-        if not norm <= roots:
-            raise VerificationError(
-                "terminal-quadratic-cover",
-                "a solution is not a root of x^2 + x + (r*s + s + r + c)",
-                k=k, a=a, b=b)
-        via = filtered(roots)
-        if via != norm:
-            raise VerificationError(
-                "terminal-quadratic-match",
-                "filtered terminal roots differ from the direct solution set",
-                k=k, a=a, b=b)
-        checks += ["pair-gap-constant", "half-gap-constant",
-                   "terminal-quadratic-cover", "terminal-quadratic-match"]
-        return ReductionTrace(
-            k=k, a=a, b=b, c=c, t=t, branch="t=1",
-            solutions_direct=direct, solutions_normalized=norm,
-            solutions_via_quadratics=back(via),
-            aux={"r": r, "s": s}, obstruction=None, checks=tuple(checks))
-
-    # branch t != 1: substitute x = (t+1) z and halve twice
-    # Neither halving quadratic can lack roots.  s = (t+1)^(-2) lies in
-    # GF(2^k), so s*c^(2^(jk)) = (s*c)^(2^(jk)) and Tr(cy) = Tr(sc) + Tr(sc) = 0.
-    # cw is s*(c + c^(2^k)), of trace 0 the same way, plus a term of
-    # GF(2^(2k)), whose absolute trace over GF(2^(4k)) is 0.  And w^2 + w = e
-    # has two roots whenever Tr(e) = 0, so an empty root set is impossible.
-    cy = int(_halving_constant(A, k, c, t))
-    Y = A.quad_roots(cy)
-    if not Y:
-        raise VerificationError(
-            "halving-quadratic-unsolvable",
-            "y^2 + y = (c^(2^k)+c^(2^3k))/(t+1)^2 has no root though its trace is 0",
-            k=k, a=a, b=b, cy=cy)
-    p = min(Y)
-    # the candidate y-value must itself sit in the half-degree subfield and
-    # satisfy the trace relation p + p^(2^k) = t/(t+1); both are consequences
-    # of an actual solution existing, so a violation rules solutions out
-    if not _halving_image_ok(A, k, p, t):
-        if norm:
-            raise VerificationError(
-                "halving-image-constraints",
-                "candidate y-value violates its subfield/trace relations yet "
-                "solutions exist", k=k, a=a, b=b)
-        return ReductionTrace(
-            k=k, a=a, b=b, c=c, t=t, branch="t!=1",
-            solutions_direct=direct, solutions_normalized=norm,
-            solutions_via_quadratics=frozenset(), aux={"p": p, "cy": cy},
-            obstruction="halving-image-constraints", checks=tuple(checks))
-    cw = int(_second_halving_constant(A, k, c, t, p))
-    W = A.quad_roots(cw)
-    if not W:
-        raise VerificationError(
-            "second-halving-unsolvable",
-            "w^2 + w = ((t+1)^2 p^(2^k+1) + (t+1)p^(2^k) + c + c^(2^k))/(t+1)^2 "
-            "has no root though its trace is 0", k=k, a=a, b=b, p=p, cw=cw)
-    q = min(W)
-    k1, k2 = _terminal_constants(A, k, c, t, q)
-    roots = A.quad_roots(k1) | A.quad_roots(k2)
-    if not norm <= roots:
-        raise VerificationError(
-            "terminal-pair-cover",
-            "a solution is not a root of either terminal quadratic",
-            k=k, a=a, b=b)
-    via = filtered(roots)
-    if via != norm:
-        raise VerificationError(
-            "terminal-pair-match",
-            "filtered terminal roots differ from the direct solution set",
-            k=k, a=a, b=b)
-    per_solution = {}
-    t1i = A.inv(t ^ 1)
-    for x in norm:
-        z = int(A.mul(x, t1i))
-        y_img, w_img = (int(v) for v in _gaps(A, k, z))
-        if y_img not in (p, p ^ 1):
-            raise VerificationError(
-                "halving-image-membership", "z + z^(2^2k) is neither p nor p+1",
-                k=k, a=a, b=b, x=x, y_img=y_img, p=p)
-        if w_img not in (q, q ^ 1):
-            raise VerificationError(
-                "second-halving-membership", "z + z^(2^k) is neither q nor q+1",
-                k=k, a=a, b=b, x=x, w_img=w_img, q=q)
-        per_solution[x] = {"z": z, "y_image": y_img, "w_image": w_img}
-    checks += ["terminal-pair-cover", "terminal-pair-match",
-               "halving-image-membership", "second-halving-membership"]
+    norm = sorted(A.mul(np.array(list(direct), dtype=np.int64), A.inv(a)).tolist())
+    c = _normalized(A, dobbertin_exponent(k), a, b) ^ 1
+    cols = _derive_pass(k, np.array([norm + [0] * (4 - len(norm))]),
+                        (np.arange(4) < len(norm))[None], np.array([c]))
+    if not cols.passed[0]:
+        raise _replay_error(k, a, b, cols, 0)
+    v = {key: value[0].tolist() for key, value in cols.values.items()}
+    t_one, obstructed = bool(cols.t_one[0]), bool(cols.obstructed[0])
+    names = ("r", "s") if t_one else ("p", "cy") if obstructed else ("p", "q", "cy", "cw")
+    aux = {name: v[name] for name in names}
+    if not (t_one or obstructed):
+        aux["per_solution"] = {x: {"z": z, "y_image": y, "w_image": w}
+                               for x, z, y, w in zip(norm, v["z"], v["y_img"], v["w_img"])}
+    via = cols.values["roots"][0][cols.values["filtered"][0]]
     return ReductionTrace(
-        k=k, a=a, b=b, c=c, t=t, branch="t!=1",
-        solutions_direct=direct, solutions_normalized=norm,
-        solutions_via_quadratics=back(via),
-        aux={"p": p, "q": q, "cy": cy, "cw": cw, "per_solution": per_solution},
-        obstruction=None, checks=tuple(checks))
+        k=k, a=a, b=b, c=int(c), t=v["t"], branch="t=1" if t_one else "t!=1",
+        solutions_direct=direct, solutions_normalized=frozenset(norm),
+        solutions_via_quadratics=frozenset(A.mul(via, a).tolist()), aux=aux,
+        obstruction="halving-image-constraints" if obstructed else None,
+        checks=tuple(name for rows, oks in cols.stages if rows[0]
+                     for name in oks if name not in _HALVING))
 
 
-# The identities of the derivation, each written once for the scalar replay
-# above and the array pass below; x, c and t are elements or arrays.
+# The identities of the derivation, each written once for the array pass
+# below; x, c and t are elements or arrays.
 
 def _normalized(A: _Arith, d: int, a, b):
     """b/a^d for a != 0: c = b/a^d + 1 and the normalized set S(a, b)/a
@@ -402,7 +300,8 @@ def _halving_constant(A: _Arith, k: int, c, t):
 
 
 def _halving_image_ok(A: _Arith, k: int, p, t):
-    """p lies in GF(2^(2k)) and p + p^(2^k) = t/(t+1)."""
+    """p lies in GF(2^(2k)) and p + p^(2^k) = t/(t+1), as at every solution:
+    where this fails, the equation has none."""
     pair_gap, half_gap = _gaps(A, k, p)
     return (pair_gap == 0) & (half_gap == A.mul(t, A.inv(t ^ 1)))
 
@@ -428,70 +327,108 @@ class _ReplayColumns(NamedTuple):
 
     ``passed`` says whether the replay passes; on a passing row ``t_one`` is
     its branch (t = 1), ``obstructed`` whether halving-image-constraints
-    ended it, and ``count`` the size of its solution set.
+    ended it, and ``count`` the size of its solution set.  ``stages`` are the
+    chain's stages in order: the rows each reaches and an ok mask per step,
+    per row or per slot (a loop over the solutions checks each member in
+    turn).  ``values`` holds what the errors and the traces read, by name.
     """
 
     passed: np.ndarray
     t_one: np.ndarray
     obstructed: np.ndarray
     count: np.ndarray
+    stages: tuple
+    values: dict
 
 
-def _derive_pass(k: int, sols: np.ndarray, valid: np.ndarray,
+def _derive_pass(k: int, x: np.ndarray, valid: np.ndarray,
                  c: np.ndarray) -> _ReplayColumns:
-    """Every check of :func:`_derive` at a = 1, as masks over many c at once.
+    """The derivation of the reduction replay at a = 1: every step of
+    :data:`_STEPS`, in chain order, as masks over many c at once.
 
     Row i replays the pair (1, c[i] + 1), whose solution set is held by the
-    slots of ``sols[i]`` where ``valid[i]`` is set (distinct elements; the
-    width is at least four).  A row passes exactly when the four-solution
-    bound and the scalar replay pass, so a failing row is left to
-    :func:`_derive` for its error.  Two steps take a shorter form: the
+    slots of ``x[i]`` where ``valid[i]`` is set (distinct elements, sorted,
+    so an error names the least failing member).  A row passes when no step
+    fails in the stages that reach it; halving-image-constraints ends the
+    chain of a row without solutions.  Two steps take a shorter form: the
     filtered roots equal the solution set when the set is covered by the
     roots and as many roots as it has members satisfy the product identity,
-    since each member already did; and two equal terminal constants give
-    one root pair, not two.
+    since each member already did; and each terminal quadratic has two roots
+    or none, so the roots need no bound, and two equal terminal constants
+    give one root pair, not two.
     """
     table = _family_table(k)
     A = _arith(table.spec.n, table.spec.poly)
-    x = sols
     count = valid.sum(axis=1)
     col = lambda v: v[:, None]
     t = _relative_trace(A, k, c)
-    slot_ok = ((_product_identity(A, k, x, col(c)) == 0)
-               & (_relative_trace(A, k, x) == col(t))
-               & (_pair_sum_quadratic(A, k, x, col(c), col(t)) == 0))
-    ok = (count <= 4) & (A.frob(t, k) == t)
 
     # branch t = 1: one terminal quadratic, x + x^(2^2k) = r, x + x^(2^k) = s
     t_one = t == 1
     r, s, e = _gap_constants(A, k, c)
     pair_gap, half_gap = _gaps(A, k, x)
-    gaps_ok = (pair_gap == col(r)) & (half_gap == col(s))
-    r0 = A.root[e]
 
-    # branch t != 1: the halving roots p and q, then two terminal quadratics
-    p = A.root[_halving_constant(A, k, c, t)]
+    # branch t != 1: the halving roots p and q, then two terminal quadratics.
+    # Both halving quadratics w^2 + w = e have roots, as Tr(e) = 0: s =
+    # (t+1)^(-2) lies in GF(2^k), so Tr(cy) = Tr(sc) + Tr(sc) = 0, and cw is
+    # s*(c + c^(2^k)), of trace 0 the same way, plus a trace-0 term of GF(2^(2k)).
+    cy = _halving_constant(A, k, c, t)
+    p = A.root[cy]
     p_ok = (p >= 0) & _halving_image_ok(A, k, p, t)
-    q = A.root[_second_halving_constant(A, k, c, t, p)]
+    cw = _second_halving_constant(A, k, c, t, p)
+    q = A.root[cw]
     k1, k2 = _terminal_constants(A, k, c, t, q)
-    r1, r2 = A.root[k1], A.root[k2]
-    y_img, w_img = _gaps(A, k, A.mul(x, col(A.inv(t ^ 1))))
-    images_ok = ((y_img ^ col(p)) < 2) & ((w_img ^ col(q)) < 2)
+    z = A.mul(x, col(A.inv(t ^ 1)))
+    y_img, w_img = _gaps(A, k, z)
 
-    # the terminal roots of the row's branch, in pairs {r, r + 1}
-    first = np.where(t_one, r0, r1)
-    second = np.where(t_one | (k2 == k1), -1, r2)
+    # the terminal roots of the row's branch in pairs {r, r + 1}, if it reaches them
+    first = np.where(t_one, A.root[e], np.where(p_ok, A.root[k1], -1))
+    second = np.where(t_one | ~p_ok | (k2 == k1), -1, A.root[k2])
     roots = np.stack([first, first ^ 1, second, second ^ 1], axis=1)
     has = np.repeat(np.stack([first >= 0, second >= 0], axis=1), 2, axis=1)
-    covered = ((x[:, :, None] == roots[:, None, :]) & has[:, None, :]).any(axis=2)
-    matched = ((_product_identity(A, k, np.where(has, roots, 0), col(c)) == 0)
-               & has).sum(axis=1) == count
-    branch_ok = np.where(col(t_one), gaps_ok, images_ok)
-    terminal_ok = matched & ((covered & branch_ok) | ~valid).all(axis=1)
-    ok &= (slot_ok | ~valid).all(axis=1)
-    ok &= np.where(t_one, terminal_ok,
-                   (p >= 0) & np.where(p_ok, (q >= 0) & terminal_ok, count == 0))
-    return _ReplayColumns(ok, t_one, ~t_one & ~p_ok, count)
+    filtered = has & (_product_identity(A, k, np.where(has, roots, 0), col(c)) == 0)
+    covered = (((x[:, :, None] == roots[:, None, :]) & has[:, None, :]).any(axis=2)
+               | ~valid).all(axis=1)
+    matched = filtered.sum(axis=1) == count
+
+    every, terminal = np.ones_like(t_one), ~t_one & p_ok
+    stages = (  # the rows each stage reaches, and the ok mask of each of its steps
+        (every, {"count-bound": count <= 4, "trace-codomain": A.frob(t, k) == t}),
+        (every, {"normalized-product-identity": _product_identity(A, k, x, col(c)) == 0,
+                 "four-term-trace-identity": _relative_trace(A, k, x) == col(t),
+                 "pair-sum-quadratic": _pair_sum_quadratic(A, k, x, col(c), col(t)) == 0}),
+        (t_one, {"pair-gap-constant": pair_gap == col(r),
+                 "half-gap-constant": half_gap == col(s)}),
+        (t_one, {"terminal-quadratic-cover": covered, "terminal-quadratic-match": matched}),
+        (~t_one, {"halving-quadratic-unsolvable": p >= 0,
+                  "halving-image-constraints": p_ok | (count == 0)}),
+        (terminal, {"second-halving-unsolvable": q >= 0, "terminal-pair-cover": covered,
+                    "terminal-pair-match": matched}),
+        (terminal, {"halving-image-membership": (y_img ^ col(p)) < 2,
+                    "second-halving-membership": (w_img ^ col(q)) < 2}),
+    )
+    passed = np.ones_like(t_one)
+    for rows, oks in stages:
+        ok = np.logical_and.reduce(list(oks.values()))
+        passed &= ~rows | (ok if ok.ndim == 1 else (ok | ~valid).all(axis=1))
+    values = dict(count=count, t=t, x=x, r=r, s=s, cy=cy, p=p, cw=cw, q=q, z=z,
+                  y_img=y_img, w_img=w_img, roots=roots, filtered=filtered, valid=valid)
+    return _ReplayColumns(passed, t_one, ~t_one & ~p_ok, count, stages, values)
+
+
+def _replay_error(k: int, a: int, b: int, cols: _ReplayColumns, i) -> VerificationError:
+    """The error of the failing row i of a :func:`_derive_pass` that replays
+    the pair (a, b): its first failing step in chain order, and in a loop
+    over the solutions the first failing step at the least failing member."""
+    for rows, oks in cols.stages:
+        bad = ~np.array([ok[i] for ok in oks.values()]) & rows[i]
+        bad = bad & cols.values["valid"][i] if bad.ndim == 2 else bad[:, None]
+        if bad.any():
+            j = bad.any(axis=0).argmax()
+            name = list(oks)[bad[:, j].argmax()]
+            context = {key: cols.values[key][i] for key in _STEPS[name][1]}
+            return VerificationError(name, _STEPS[name][0], k=k, a=a, b=b, **{
+                key: value[j] if value.ndim else value for key, value in context.items()})
 
 
 @dataclass(frozen=True)
@@ -536,14 +473,6 @@ def _report(name: str, ok: np.ndarray, error) -> CheckReport:
     return CheckReport(name, ok.size, len(bad), first)
 
 
-def _settle(name: str, ok: np.ndarray, case, check) -> CheckReport:
-    """The report of ``check(*case(i))`` over every cell i of ``ok`` (in
-    flat order), from an array pass ``ok`` that holds only where that check
-    passes: the cells it does not settle run the check, in case order."""
-    cases = (case(i) for i in np.flatnonzero(~ok).tolist())
-    return replace(_tally(name, cases, check), instances=ok.size)
-
-
 def _sweep_pairs(k: int, samples: int | None) -> tuple[np.ndarray, np.ndarray]:
     """The (a, b) pairs of a sweep as two index arrays, in case order.
 
@@ -580,27 +509,26 @@ def reduction_sweep(k: int, *, samples: int | None = None) -> CheckReport:
     :func:`reduction_trace` is a function of c = b/a^d + 1 and the
     normalized set S(a, b)/a alone, so on such a table the pair (a, b)
     passes exactly when the replay of (1, c + 1) does.  The sweep reads
-    that premise off the family table's exponent once, lays out every set
-    S(1, v) with one :meth:`gf2lab.spectra.DifferenceRow.sets` call, and
-    makes one array pass over every c = v + 1 under the same four-solution
-    bound.  The scalar derivation replays only the pairs that pass does not
-    settle, and every pair of a table that fails the premise.  The pass
-    settles no c whose scalar replay fails, so the report equals the
-    per-pair one, first failure included.
+    that premise off the family table's exponent once and makes one
+    :func:`_derive_pass` over every c = v + 1, on the sets S(1, v) of one
+    :meth:`gf2lab.spectra.DifferenceRow.sets` call.  A pair fails with its
+    row's error, built for its own (a, b), so the report is the per-pair
+    one; a table that fails the premise is replayed pair by pair.
     """
     _check_k(k)
     _check_samples(samples)
     a, b = _sweep_pairs(k, samples)
     table = _family_table(k)
     d = dobbertin_exponent(k)
-    settled = np.zeros(a.size, dtype=bool)
-    if table.exponent == d:
-        # the pair (a, b) replays as (1, v), i.e. c = v + 1
-        v = _normalized(_arith(table.spec.n, table.spec.poly), d, a, b)
-        ws = np.arange(table.spec.size)
-        settled = _derive_pass(k, *difference_row(table, 1).sets(ws), ws ^ 1).passed[v]
-    return _settle(f"reduction-replay[k={k}]", settled, lambda i: (int(a[i]), int(b[i])),
-                   lambda a, b: reduction_trace(k, a, b))
+    name = f"reduction-replay[k={k}]"
+    if table.exponent != d:
+        return _tally(name, zip(a.tolist(), b.tolist()), lambda a, b: reduction_trace(k, a, b))
+    # the pair (a, b) replays as (1, v), i.e. c = v + 1
+    v = _normalized(_arith(table.spec.n, table.spec.poly), d, a, b)
+    ws = np.arange(table.spec.size)
+    cols = _derive_pass(k, *difference_row(table, 1).sets(ws), ws ^ 1)
+    return _report(name, cols.passed[v],
+                   lambda i: _replay_error(k, int(a[i]), int(b[i]), cols, v[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -765,23 +693,14 @@ def quartic_roots(w: MMWitness, a0: int) -> QuarticRoots:
         raise ValueError(f"a0 {a0:#x} is not in the half-degree subfield")
     u = pi_image(w, a0)
     fiber = pi_fiber(w, u)
-    gi = int(A.inv(w.gamma))
-    full = solve_linearized(w.spec, [(1, 2), (int(A.frob(a0, k) ^ a0), 1), (gi, 0)], 0)
+    full = solve_linearized(w.spec, [(1, 2), (int(A.frob(a0, k) ^ a0), 1),
+                                     (int(A.inv(w.gamma)), 0)], 0)
     sub = frozenset(c for c in full if A.frob(c, k) == c)
-    mapped = frozenset(a0 ^ A.mul(c, c) for c in sub)
-    if mapped != fiber:
+    if frozenset(a0 ^ A.mul(c, c) for c in sub) != fiber:
         raise VerificationError(
             "fiber-root-correspondence",
             "a0 + c^2 over the subfield roots does not reproduce the fiber",
             k=k, a0=a0, u=u)
-    if len(fiber) == 4:
-        nz = sorted(c for c in sub if c)
-        prod = A.mul(nz[0], A.mul(nz[1], nz[2]))
-        if prod != gi:
-            raise VerificationError(
-                "root-product-identity",
-                "product of the three nonzero subfield roots is not 1/gamma",
-                k=k, a0=a0)
     return QuarticRoots(a0, u, frozenset(full), sub, fiber)
 
 
@@ -792,10 +711,8 @@ def quartic_check_all(w: MMWitness) -> CheckReport:
     One array pass decides every fiber from its least member a0: a0 lies in
     GF(2^(2k)), the fiber drawn at pi(a0) is this one, and the quartic
     vanishes at as many c of GF(2^k) as the fiber has members, with a0 + c^2
-    over those roots the members.  The pass leaves out the root product of
-    :func:`quartic_roots`, which cannot fail: three distinct nonzero roots
-    are all the roots of c^3 + (a0^(2^k)+a0)c + 1/gamma, so they multiply
-    to 1/gamma.  The first failing fiber's error comes from the scalar check.
+    over those roots the members.  The first failing fiber's error comes
+    from the scalar check.
     """
     A = _arith(w.spec.n, w.spec.poly)
     k = w.k

@@ -342,7 +342,7 @@ def test_power_map_spectra_build_no_quadratic_root_table():
     A = _arith(s.n, s.poly)
     assert "root" not in vars(A)
     # the table is built on first use
-    assert A.quad_roots(0) == {0, 1} and "root" in vars(A)
+    assert A.root[0] == 0 and "root" in vars(A)
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,10 +7,10 @@ raises explicit errors instead.  A parameter that its body never reads is a
 knob that changes nothing.  The log/exp tables are read through
 ``field._Arith`` only, so no other module builds a second copy of its
 formulas.  Only ``spectra.DifferenceRow.sets`` groups a row into its
-solution sets, so no other module sorts one.  The replay's array pass
-and its scalar chain call the same identity helpers.  One function sums
-the fibers of pi, and only the replay hands cases its array pass leaves
-unsettled to a scalar check.
+solution sets, so no other module sorts one.  The replay's array pass is
+the only caller of its identity helpers, so the derivation is written
+once.  One function sums the fibers of pi, and no split row hands a case
+to a scalar re-check.
 """
 
 import ast
@@ -90,22 +90,22 @@ def test_only_spectra_sorts_a_difference_row():
     assert names == {"spectra.py"}, f"modules calling argsort: {sorted(names)}"
 
 
-def test_array_pass_and_chain_read_the_same_identities():
-    # an identity helper of the replay takes the arithmetic A first; only the
-    # chain calls _normalized, because the sweep maps its pairs to c with it
-    # before the pass, so a step added to one path alone shows up here
+def test_only_the_array_pass_derives_the_replay():
+    # an identity helper of the replay takes the arithmetic A first; outside
+    # the helpers only _derive_pass calls them, _normalized aside, which maps
+    # a pair to its c, so a second derivation of any step shows up here
     tree = ast.parse((Path(gf2lab.__file__).parent / "theorems.py").read_text())
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     helpers = {name for name, node in defs.items() if name.startswith("_")
                and node.args.args and node.args.args[0].arg == "A"}
-
-    def called(name):
-        return {node.func.id for node in ast.walk(defs[name])
-                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)} & helpers
-
-    chain, array_pass = called("_derive"), called("_derive_pass")
-    assert "_normalized" in chain and "_product_identity" in array_pass
-    assert chain - {"_normalized"} == array_pass
+    callers = {}
+    for name in defs.keys() - helpers:
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in helpers:
+                callers.setdefault(node.func.id, set()).add(name)
+    assert callers.pop("_normalized") == {"reduction_trace", "reduction_sweep"}
+    assert set(callers) == helpers - {"_normalized"}
+    assert all(names == {"_derive_pass"} for names in callers.values()), callers
 
 
 def test_split_rows_have_one_fiber_sum_and_no_scalar_fallback():
@@ -119,9 +119,8 @@ def test_split_rows_have_one_fiber_sum_and_no_scalar_fallback():
                 if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
                     callers.setdefault(call.func.id, set()).add(node.name)
     assert callers["_fiber_terms"] == {"_fiber_sum_grid"}
-    assert callers["_settle"] == {"reduction_sweep"}
     scalar = set().union(*(callers.get(name, set()) for name in
-                           ("_tally", "_settle", "mm_walsh_crosscheck")))
+                           ("_tally", "mm_walsh_crosscheck")))
     assert not scalar & {"mm_decomposition_check", "mm_crosscheck_all", "m4_sum_check",
                          "quartic_check_all"}
     # mm-quartic's pass evaluates the quartic on GF(2^k) itself; the solver

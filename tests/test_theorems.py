@@ -1,10 +1,8 @@
 """Derivation replays and the split-coordinate verification suite."""
 
-import ast
 import random
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +38,7 @@ from gf2lab import (
     run_all_checks,
 )
 from gf2lab import theorems
-from gf2lab.field import _Arith, _arith, _log_exp_tables
+from gf2lab.field import _arith, _log_exp_tables
 from gf2lab.spectra import walsh_coefficient_direct
 from gf2lab.theorems import (
     DEFAULT_SEED,
@@ -96,16 +94,21 @@ def test_count_never_exceeds_four_exhaustive_k1():
             assert count <= 4
 
 
+# the checks of every replay that passes; the halving steps, which decide
+# whether the roots p and q exist, show in aux and obstruction instead
+EVERY_BRANCH = ("count-bound", "trace-codomain", "normalized-product-identity",
+                "four-term-trace-identity", "pair-sum-quadratic")
+
+
 def test_reduction_trace_branch_t_equal_one():
     tr = reduction_trace(1, 1, 9)
     assert tr.branch == "t=1" and tr.t == 1
     assert tr.obstruction is None
     assert len(tr.solutions_direct) == 2
     assert tr.solutions_via_quadratics == tr.solutions_direct
-    assert {"r", "s"} <= set(tr.aux)
-    for name in ("pair-gap-constant", "half-gap-constant",
-                 "terminal-quadratic-cover", "terminal-quadratic-match"):
-        assert name in tr.checks
+    assert set(tr.aux) == {"r", "s"}
+    assert tr.checks == EVERY_BRANCH + ("pair-gap-constant", "half-gap-constant",
+                                        "terminal-quadratic-cover", "terminal-quadratic-match")
 
 
 def test_reduction_trace_branch_t_not_one():
@@ -118,9 +121,8 @@ def test_reduction_trace_branch_t_not_one():
     for x, images in tr.aux["per_solution"].items():
         assert images["y_image"] in (p, p ^ 1)
         assert images["w_image"] in (q, q ^ 1)
-    for name in ("terminal-pair-cover", "terminal-pair-match",
-                 "halving-image-membership"):
-        assert name in tr.checks
+    assert tr.checks == EVERY_BRANCH + ("terminal-pair-cover", "terminal-pair-match",
+                                        "halving-image-membership", "second-halving-membership")
 
 
 def test_reduction_trace_obstruction_case():
@@ -128,6 +130,7 @@ def test_reduction_trace_obstruction_case():
     # subfield/trace constraints, proving the equation unsolvable
     tr = reduction_trace(1, 1, 2)
     assert tr.obstruction == "halving-image-constraints"
+    assert tr.checks == EVERY_BRANCH and set(tr.aux) == {"p", "cy"}
     assert tr.solutions_direct == frozenset()
     assert tr.solutions_via_quadratics == frozenset()
 
@@ -141,40 +144,33 @@ def test_reduction_trace_empty_without_obstruction():
 
 
 def test_replay_branch_tally_over_every_c():
-    # with a = 1 and b = c + 1 every c of the field is one derivation instance;
-    # only halving-image-constraints ever ends a replay early
-    expected = {
-        1: {("t!=1", "halving-image-constraints", 0): 4, ("t!=1", None, 0): 1,
-            ("t!=1", None, 2): 2, ("t!=1", None, 4): 1,
-            ("t=1", None, 0): 4, ("t=1", None, 2): 4},
-        2: {("t!=1", "halving-image-constraints", 0): 96, ("t!=1", None, 0): 24,
-            ("t!=1", None, 2): 48, ("t!=1", None, 4): 24,
-            ("t=1", None, 0): 32, ("t=1", None, 2): 32},
-        3: {("t!=1", "halving-image-constraints", 0): 1792, ("t!=1", None, 0): 448,
-            ("t!=1", None, 2): 896, ("t!=1", None, 4): 448,
-            ("t=1", None, 0): 256, ("t=1", None, 2): 256},
-    }
-    for k, want in expected.items():
-        tally = Counter()
-        for c in range(1 << (4 * k)):
-            tr = reduction_trace(k, 1, c ^ 1)
-            tally[(tr.branch, tr.obstruction, len(tr.solutions_direct))] += 1
-        assert tally == want, k
+    # with a = 1 and b = c + 1 every c of the field is one derivation instance,
+    # and all of them pass; only halving-image-constraints ends a replay early
+    for k in (1, 2, 3, 4):
+        size = 1 << (4 * k)
+        ws = np.arange(size)
+        cols = theorems._derive_pass(k, *difference_row(_family_table(k), 1).sets(ws), ws ^ 1)
+        assert cols.passed.all()
+        assert cols.t_one.sum() == 1 << (3 * k)
+        assert cols.obstructed.sum() == (1 << (4 * k - 1)) - (1 << (3 * k - 1))
+        assert not (cols.obstructed & (cols.t_one | (cols.count > 0))).any()
+        # the counts are row a = 1 of the difference table: every x solves the
+        # equation of exactly one c
+        assert cols.count.sum() == size
+        omega4 = (1 << (3 * k - 3)) * ((1 << k) - 1)
+        omega2 = (1 << (4 * k - 1)) - 2 * omega4
+        assert Counter(cols.count.tolist()) == {4: omega4, 2: omega2,
+                                                0: size - omega4 - omega2}, k
 
 
-@pytest.mark.parametrize("call, step", [(1, "halving-quadratic-unsolvable"),
-                                        (2, "second-halving-unsolvable")])
-def test_unsolvable_halving_is_an_impossible_state(monkeypatch, call, step):
+@pytest.mark.parametrize("halving, step", [(1, "halving-quadratic-unsolvable"),
+                                           (2, "second-halving-unsolvable")])
+def test_unsolvable_halving_is_an_impossible_state(monkeypatch, halving, step):
     # b = 0 (c = 1, t = 0) reaches both halving quadratics and has no
-    # solutions, so an empty root set there could only pass as an obstruction
-    real = _Arith.quad_roots
-    calls = []
-
-    def quad_roots(self, const):
-        calls.append(const)
-        return frozenset() if len(calls) == call else real(self, const)
-
-    monkeypatch.setattr(_Arith, "quad_roots", quad_roots)
+    # solutions, so a halving quadratic without roots there could only pass
+    # as an obstruction
+    helper = ("_halving_constant", "_second_halving_constant")[halving - 1]
+    _rootless_constant(helper)(monkeypatch)
     with pytest.raises(VerificationError) as exc:
         reduction_trace(1, 1, 0)
     assert exc.value.step == step
@@ -247,8 +243,21 @@ def test_sweep_pairs_top_up_the_rejected_zeros():
 
 
 def _per_pair_replay(k, samples):
-    return theorems._tally(f"reduction-replay[k={k}]", _sweep_cases(k, samples),
-                           lambda a, b: reduction_trace(k, a, b))
+    """The replay report of every pair from its own scan of the (possibly
+    patched) family table: one array pass over the sets S(a, b)/a, sorted,
+    with c = b/a^d + 1, and the first failing row's error for its pair."""
+    cases = _sweep_cases(k, samples)
+    table = theorems._family_table(k)
+    A = _arith(table.spec.n, table.spec.poly)
+    xs = np.arange(table.spec.size)
+    rows = {a: table.lut ^ table.lut[xs ^ a] for a in {a for a, _ in cases}}
+    a, b = np.array(cases).T
+    sets = [np.flatnonzero(rows[ai] == bi) for ai, bi in cases]
+    norm = [sorted(A.mul(members, A.inv(ai)).tolist()) for ai, members in zip(a, sets)]
+    cols = _derive_pass(k, norm, A.mul(b, A.inv(A.pow(a, dobbertin_exponent(k)))) ^ 1)
+    bad = np.flatnonzero(~cols.passed)
+    first = str(theorems._replay_error(k, *cases[bad[0]], cols, bad[0])) if bad.size else None
+    return CheckReport(f"reduction-replay[k={k}]", len(cases), bad.size, first)
 
 
 @pytest.mark.parametrize("k, samples", [(1, None), (2, None), (3, 200)])
@@ -257,21 +266,13 @@ def test_reduction_sweep_equals_the_per_pair_replay(k, samples):
 
 
 def test_reduction_sweep_replays_each_c_once_on_a_clean_table(monkeypatch):
-    real = theorems._derive
-    calls = Counter()
+    def per_pair(k, a, b):
+        raise AssertionError(f"pair ({a}, {b}) was replayed on its own")
 
-    def counting(k, a, b, direct):
-        calls[(a, b)] += 1
-        return real(k, a, b, direct)
-
-    def no_scan(k, a, b):
-        raise AssertionError(f"pair ({a}, {b}) was scanned")
-
-    monkeypatch.setattr(theorems, "_derive", counting)
-    monkeypatch.setattr(theorems, "diff_solution_count", no_scan)
+    # the array pass decides every c, so no pair is scanned or traced alone
+    monkeypatch.setattr(theorems, "reduction_trace", per_pair)
+    monkeypatch.setattr(theorems, "diff_solution_count", per_pair)
     assert reduction_sweep(2).ok
-    # the array pass settles every c, so the scalar derivation never runs
-    assert calls == Counter()
 
 
 def _swap_out(lut, a, b, sols):
@@ -411,36 +412,14 @@ def _row_a1(k, ws):
     return [np.flatnonzero(row == w).tolist() for w in ws]
 
 
-def _derive_pass(k, ws, sets):
-    """The array pass over the pairs (1, w), the sets padded into slots."""
+def _derive_pass(k, sets, c):
+    """The array pass over the rows (sets[i], c[i]), the sets padded into slots."""
     width = max(4, max(map(len, sets)))
     sols = np.zeros((len(sets), width), dtype=np.int64)
     for i, members in enumerate(sets):
         sols[i, :len(members)] = members
     valid = np.arange(width) < np.array([len(m) for m in sets])[:, None]
-    return theorems._derive_pass(k, sols, valid, np.array(ws) ^ 1)
-
-
-def _scalar_replay(k, w, sols):
-    """The scalar replay of (1, w) under the four-solution bound, or None."""
-    try:
-        return theorems._derive(k, 1, w, theorems._count_bound(k, 1, w, frozenset(sols)))
-    except VerificationError:
-        return None
-
-
-@pytest.mark.parametrize("k, samples", [(1, None), (2, None), (3, None), (4, 300)])
-def test_derive_pass_equals_the_scalar_replay_at_every_c(k, samples):
-    size = 1 << (4 * k)
-    ws = range(size) if samples is None else random.Random(k).sample(range(size), samples)
-    sets = _row_a1(k, ws)
-    cols = _derive_pass(k, ws, sets)
-    for i, (w, sols) in enumerate(zip(ws, sets)):
-        tr = _scalar_replay(k, w, sols)
-        assert cols.passed[i] and tr is not None, w
-        # the columns behind the branch tally of every c
-        assert (cols.t_one[i], cols.obstructed[i], cols.count[i]) == (
-            tr.branch == "t=1", tr.obstruction is not None, len(tr.solutions_direct)), w
+    return theorems._derive_pass(k, sols, valid, np.asarray(c))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -456,21 +435,24 @@ def test_row_one_sets_are_the_replay_layout(k):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_derive_pass_equals_the_scalar_replay_on_perturbed_sets(k):
+def test_derive_pass_passes_exactly_the_true_sets_on_perturbed_sets(k):
+    # a row (set, c) passes exactly when its set is S(1, c + 1), each scanned
+    # on its own; a perturbation that puts back what it took leaves it so
     size = 1 << (4 * k)
     rng = random.Random(DEFAULT_SEED + k)
     ws = [rng.randrange(size) for _ in range(120)]
+    true_sets = _row_a1(k, ws)
     sets = []
-    for members, change in zip(_row_a1(k, ws), ["drop", "replace", "add"] * 40):
+    for members, change in zip(true_sets, ["drop", "replace", "add"] * 40):
         members = set(members)
         if change != "add" and members:
             members.discard(rng.choice(sorted(members)))
         if change != "drop":
             members.add(rng.randrange(size))
         sets.append(sorted(members))
-    want = [_scalar_replay(k, w, sols) is not None for w, sols in zip(ws, sets)]
+    want = [s == true for s, true in zip(sets, true_sets)]
     assert 0 < sum(want) < len(want)
-    assert _derive_pass(k, ws, sets).passed.tolist() == want
+    assert _derive_pass(k, sets, np.array(ws) ^ 1).passed.tolist() == want
 
 
 def _wrapped(name, change):
@@ -498,65 +480,128 @@ def _rootless_constant(name):
 _no_product_identity = _wrapped("_product_identity", lambda real, *args: real(*args) * 0)
 
 
-# step -> (the corruption that makes it fail, k, the rows a searched; None
-# for every a): one entry per step the replay can raise
+# step -> (the corruption that makes it fail, k, the rows a searched (None
+# for every a), and the text of the first error naming the step, in case
+# order): one entry per step the replay can raise
 REPLAY_BREAKS = {
-    "count-bound": (lambda mp: _break_first_four(mp, 1, None, _bump), 1, None),
-    "trace-codomain": (_wrapped("_relative_trace", lambda real, A, k, x:
-                                real(A, k, x) ^ 2), 1, None),
-    "four-term-trace-identity": (_wrapped("_relative_trace", lambda real, A, k, x:
-                                          real(A, k, x) ^ (x & 1)), 1, None),
-    "normalized-product-identity": (_wrapped("_product_identity", lambda real, A, k, x, c:
-                                             real(A, k, x, c) ^ ((x & 3) == 3)), 1, None),
-    "pair-sum-quadratic": (_wrapped("_pair_sum_quadratic", lambda real, *args:
-                                    real(*args) ^ 1), 1, None),
-    "pair-gap-constant": (_component_plus_one("_gap_constants", 0), 1, None),
-    "half-gap-constant": (_component_plus_one("_gap_constants", 1), 1, None),
-    "terminal-quadratic-cover": (_component_plus_one("_gap_constants", 2), 1, None),
-    "terminal-quadratic-match": (_no_product_identity, 1, None),
-    "halving-quadratic-unsolvable": (_rootless_constant("_halving_constant"), 1, None),
-    "halving-image-constraints": (_wrapped("_halving_image_ok", lambda real, *args:
-                                           np.logical_not(real(*args))), 1, None),
-    "halving-image-membership": (_wrapped("_halving_constant", lambda real, *args:
-                                          real(*args) ^ 1), 2, (1, 3)),
-    "second-halving-unsolvable": (_rootless_constant("_second_halving_constant"), 1, None),
-    "terminal-pair-cover": (_component_plus_one("_terminal_constants", 0), 1, None),
-    "terminal-pair-match": (_no_product_identity, 1, None),
-    "second-halving-membership": (_wrapped("_second_halving_constant", lambda real, *args:
-                                           real(*args) ^ 1), 1, None),
+    "count-bound": (
+        lambda mp: _break_first_four(mp, 1, None, _bump), 1, None,
+        "count-bound: difference equation has more than four solutions "
+        "[k=1, a=0x1, b=0x1, count=6]"),
+    "trace-codomain": (
+        _wrapped("_relative_trace", lambda real, A, k, x: real(A, k, x) ^ 2), 1, None,
+        "trace-codomain: relative trace of c left the small subfield "
+        "[k=1, a=0x1, b=0x0, t=0x2]"),
+    "four-term-trace-identity": (
+        _wrapped("_relative_trace", lambda real, A, k, x: real(A, k, x) ^ (x & 1)), 1, None,
+        "four-term-trace-identity: solution's relative trace does not equal t "
+        "[k=1, a=0x1, b=0x1, x=0x1]"),
+    "normalized-product-identity": (
+        _wrapped("_product_identity", lambda real, A, k, x, c:
+                 real(A, k, x, c) ^ ((x & 3) == 3)), 1, None,
+        "normalized-product-identity: a normalized solution fails the expanded "
+        "difference equation [k=1, a=0x1, b=0x1, x=0x7]"),
+    "pair-sum-quadratic": (
+        _wrapped("_pair_sum_quadratic", lambda real, *args: real(*args) ^ 1), 1, None,
+        "pair-sum-quadratic: u = x + x^(2^2k) fails u^2 + (t+1)u + c^(2^k) + c^(2^3k) = 0 "
+        "[k=1, a=0x1, b=0x1, x=0x0]"),
+    "pair-gap-constant": (
+        _component_plus_one("_gap_constants", 0), 1, None,
+        "pair-gap-constant: x + x^(2^2k) differs from r [k=1, a=0x1, b=0x9, x=0x8, r=0x6]"),
+    "half-gap-constant": (
+        _component_plus_one("_gap_constants", 1), 1, None,
+        "half-gap-constant: x + x^(2^k) differs from s [k=1, a=0x1, b=0x9, x=0x8, s=0x5]"),
+    "terminal-quadratic-cover": (
+        _component_plus_one("_gap_constants", 2), 1, None,
+        "terminal-quadratic-cover: a solution is not a root of x^2 + x + (r*s + s + r + c) "
+        "[k=1, a=0x1, b=0x9]"),
+    "terminal-quadratic-match": (
+        _no_product_identity, 1, None,
+        "terminal-quadratic-match: filtered terminal roots differ from the direct "
+        "solution set [k=1, a=0x1, b=0x8]"),
+    "halving-quadratic-unsolvable": (
+        _rootless_constant("_halving_constant"), 1, None,
+        "halving-quadratic-unsolvable: y^2 + y = (c^(2^k)+c^(2^3k))/(t+1)^2 has no root "
+        "though its trace is 0 [k=1, a=0x1, b=0x0, cy=0x8]"),
+    "halving-image-constraints": (
+        _wrapped("_halving_image_ok", lambda real, *args: np.logical_not(real(*args))), 1, None,
+        "halving-image-constraints: candidate y-value violates its subfield/trace "
+        "relations yet solutions exist [k=1, a=0x1, b=0x1]"),
+    "halving-image-membership": (
+        _wrapped("_halving_constant", lambda real, *args: real(*args) ^ 1), 2, (1, 3),
+        "halving-image-membership: z + z^(2^2k) is neither p nor p+1 "
+        "[k=2, a=0x1, b=0xc, x=0xae, y_img=0x1, p=0xbc]"),
+    "second-halving-unsolvable": (
+        _rootless_constant("_second_halving_constant"), 1, None,
+        "second-halving-unsolvable: w^2 + w = ((t+1)^2 p^(2^k+1) + (t+1)p^(2^k) + c + "
+        "c^(2^k))/(t+1)^2 has no root though its trace is 0 [k=1, a=0x1, b=0x0, p=0x0, "
+        "cw=0x8]"),
+    "terminal-pair-cover": (
+        _component_plus_one("_terminal_constants", 0), 1, None,
+        "terminal-pair-cover: a solution is not a root of either terminal quadratic "
+        "[k=1, a=0x1, b=0x1]"),
+    "terminal-pair-match": (
+        _no_product_identity, 1, None,
+        "terminal-pair-match: filtered terminal roots differ from the direct solution set "
+        "[k=1, a=0x1, b=0x0]"),
+    "second-halving-membership": (
+        _wrapped("_second_halving_constant", lambda real, *args: real(*args) ^ 1), 1, None,
+        "second-halving-membership: z + z^(2^k) is neither q nor q+1 "
+        "[k=1, a=0x1, b=0x6, x=0x2, w_img=0x6, q=0x0]"),
 }
 
 
-def _raised_steps(*functions):
-    """The step names that the theorems functions ``functions`` raise."""
-    tree = ast.parse(Path(theorems.__file__).read_text())
-    return {node.args[0].value
-            for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in functions
-            for node in ast.walk(f)
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None)
-            == "VerificationError"}
-
-
 def test_every_replay_step_has_a_breaking_corruption():
-    # a step added to the replay without a corruption that fires it fails here
-    assert set(REPLAY_BREAKS) == _raised_steps("_derive", "_count_bound")
+    # a step added to the replay without a corruption that fires it fails
+    # here: the pass reports its steps in the order of the step table
+    empty = np.zeros((1, 4), dtype=np.int64)
+    stages = theorems._derive_pass(1, empty, empty > 0, empty[:, 0]).stages
+    assert [name for _, oks in stages for name in oks] == list(theorems._STEPS)
+    assert set(REPLAY_BREAKS) == set(theorems._STEPS)
 
 
 @pytest.mark.parametrize("step", REPLAY_BREAKS)
 def test_every_replay_step_fails_under_its_broken_identity(monkeypatch, step):
-    corrupt, k, rows = REPLAY_BREAKS[step]
+    corrupt, k, rows, first = REPLAY_BREAKS[step]
     corrupt(monkeypatch)
     size = 1 << (4 * k)
-    raised = set()
+    raised = []
     for a in rows or range(1, size):
         for b in range(size):
             try:
                 reduction_trace(k, a, b)
             except VerificationError as e:
-                raised.add(e.step)
-    assert step in raised, sorted(raised)
-    # the array pass settles no pair whose chain fails, whatever identity broke
+                raised.append(e)
+    assert step in {e.step for e in raised}
+    assert next(str(e) for e in raised if e.step == step) == first
+    # the sweep reports what the pairs replayed from their own scans report
     assert reduction_sweep(1) == _per_pair_replay(1, None)
+
+
+def test_a_loop_over_the_solutions_names_its_least_failing_member(monkeypatch):
+    # the loop runs over S(a, b)/a in increasing order, which the division by
+    # a != 1 does not keep: here 0xc fails, and so does a member past it
+    REPLAY_BREAKS["count-bound"][0](monkeypatch)
+    with pytest.raises(VerificationError) as exc:
+        reduction_trace(1, 0xF, 0x3)
+    assert (exc.value.step, exc.value.context["x"]) == ("normalized-product-identity", 0xC)
+    monkeypatch.undo()
+    # at x = 0 only the pair-sum quadratic fails, at x = 1 the four-term trace
+    # before it: each member goes through the steps of the loop in turn
+    REPLAY_BREAKS["four-term-trace-identity"][0](monkeypatch)
+    REPLAY_BREAKS["pair-sum-quadratic"][0](monkeypatch)
+    with pytest.raises(VerificationError) as exc:
+        reduction_trace(1, 1, 1)
+    assert (exc.value.step, exc.value.context["x"]) == ("pair-sum-quadratic", 0)
+
+
+def test_an_obstructed_replay_reaches_no_terminal_root(monkeypatch):
+    # with the filter broken every terminal root would pass it, but the chain
+    # of an obstructed pair ends before the terminal quadratics
+    _no_product_identity(monkeypatch)
+    tr = reduction_trace(1, 1, 2)
+    assert tr.obstruction == "halving-image-constraints"
+    assert tr.solutions_via_quadratics == frozenset()
 
 
 def test_all_gammas_frozen():
@@ -894,14 +939,11 @@ def test_m4_sum_check_counts():
 def test_m4_extremal_coefficients_appear_in_spectrum():
     # at k = 3 the size-4 fibers must realize the extremal magnitude 2^(2k+1)
     w = mm_basis(3)
-    extreme = 1 << 7
-    seen = set()
+    four = sorted(u for u, members in w.pi_fibers.items() if len(members) == 4)
     sub = sorted(a for fib in w.pi_fibers.values() for a in fib)
-    for u, members in w.pi_fibers.items():
-        if len(members) == 4:
-            for v in sub[:8]:
-                seen.add(abs(mm_walsh_crosscheck(w, u, v)))
-    assert seen == {extreme}
+    coef, ok, _ = theorems._crosscheck(w, four, sub[:8])
+    assert coef.shape == (2, 8) and ok.all()
+    assert set(np.abs(coef).ravel().tolist()) == {1 << 7}
 
 
 def test_paper_claims_beyond_desk_scale():
@@ -1090,20 +1132,6 @@ def test_extremal_sum_reports_broken_stepping_stones():
         "trace-stepping-stones: expected all three traces to be 1 [k=2, traces=(1, 1, 0)]")
 
 
-# the split rows decide every cell in their one array pass; the replay hands
-# the pairs its pass leaves unsettled to the scalar chain
-@pytest.mark.parametrize("k", [pytest.param(k, id=f"{k}-reduction_sweep-clean")
-                               for k in (1, 2, 3)])
-def test_split_suites_equal_the_scalar_tally(monkeypatch, k):
-    settled = reduction_sweep(k)
-    # an array pass that settles nothing sends every pair to the scalar chain
-    real = theorems._settle
-    monkeypatch.setattr(theorems, "_settle", lambda name, ok, *rest:
-                        real(name, np.zeros_like(ok), *rest))
-    assert settled == reduction_sweep(k)
-    assert settled.ok
-
-
 def test_failed_basis_skips_its_suites_for_that_gamma_only(monkeypatch):
     real = theorems.mm_basis
 
@@ -1133,10 +1161,12 @@ def test_failed_basis_skips_its_suites_for_that_gamma_only(monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_quad_roots_match_brute_force(data):
+    # root[c] is the even root of x^2 + x = c, or -1 when there is none
     s = field_make(data.draw(st.integers(2, 10), label="n"))
     c = data.draw(st.integers(0, s.order), label="c")
     roots = {x for x in range(s.size) if f_mul(s, x, x) ^ x == c}
-    assert _arith(s.n, s.poly).quad_roots(c) == roots
+    r = int(_arith(s.n, s.poly).root[c])
+    assert (r, roots) == ((r, {r, r ^ 1}) if r % 2 == 0 else (-1, set()))
 
 
 def test_verification_error_carries_context():

@@ -6,15 +6,18 @@ down to the terminal quadratics.  Then the sampled pair draw
 ``theorems._sweep_pairs(3, 20000)`` alone, and the pair sweep
 :func:`gf2lab.reduction_sweep` exhaustive at k = 2 (every c), at k = 3
 with 20000 and 5000 sampled pairs and at k = 4 with 1000, the sizes
-``verify`` runs, and three split-coordinate suites at k = 3: the
-cross-check :func:`gf2lab.mm_crosscheck_all`, the quartic/fiber
+``verify`` runs, and at k = 3 with 2000 pairs on the family table with
+f(0) set to 1, which fails the homogeneity premise, so that every pair is
+replayed from its own scanned set.  Then three split-coordinate suites at
+k = 3: the cross-check :func:`gf2lab.mm_crosscheck_all`, the quartic/fiber
 correspondence :func:`gf2lab.quartic_check_all` and the sign pattern
 :func:`gf2lab.m4_sum_check`; last the basis :func:`gf2lab.mm_basis` at
 k = 4.  Apart from ``_sweep_pairs``, which has stood since the sweep took
-index arrays, only public functions are called, so the file runs unchanged
-on any version of the package since.  The first round builds the family table and the
-arithmetic tables, and is not timed.  Every case records its instance count
-as ``extra_info["instances"]``.
+index arrays, and ``theorems._family_table``, which the f(0) = 1 case
+replaces, only public functions are called, so the file runs unchanged on
+any version of the package since.  The first round builds the family
+table and the arithmetic tables, and is not timed.  Every case records its
+instance count as ``extra_info["instances"]``.
 
 Not part of the test suite (``testpaths`` is ``tests``).  Run it with::
 
@@ -23,8 +26,9 @@ Not part of the test suite (``testpaths`` is ``tests``).  Run it with::
 
 import pytest
 
-from gf2lab import (m4_sum_check, mm_basis, mm_crosscheck_all, quartic_check_all,
-                    reduction_sweep, reduction_trace)
+from gf2lab import (FunctionTable, dobbertin_exponent, m4_sum_check, mm_basis,
+                    mm_crosscheck_all, quartic_check_all, reduction_sweep, reduction_trace,
+                    theorems)
 from gf2lab.theorems import _sweep_pairs
 
 
@@ -47,6 +51,19 @@ def test_pair_sweep(benchmark, k, samples):
     report = benchmark.pedantic(reduction_sweep, (k,), {"samples": samples},
                                 rounds=5, warmup_rounds=1)
     assert report.ok and report.instances == samples
+
+
+def test_pair_sweep_nonhomogeneous_k3(benchmark, monkeypatch):
+    clean = theorems._family_table(3)
+    lut = clean.lut.copy()
+    lut[0] = 1
+    table = FunctionTable(clean.spec, lut)
+    assert table.exponent != dobbertin_exponent(3)
+    monkeypatch.setattr(theorems, "_family_table", lambda k: table)
+    benchmark.extra_info["instances"] = 2000
+    report = benchmark.pedantic(reduction_sweep, (3,), {"samples": 2000},
+                                rounds=5, warmup_rounds=1)
+    assert report.ok and report.instances == 2000
 
 
 def test_pair_sweep_exhaustive_k2(benchmark):

@@ -12,8 +12,8 @@ roots are filtered back against the product identity.  Every identity is
 checked on every solution; any violation raises :class:`VerificationError`
 naming the failing step.  One array pass decides every step for many
 equations at once, and a failing one's error and a passing one's trace are
-read off its arrays.  The pair sweep feeds it the sets of the row a = 1
-alone, to which x = a*y reduces every pair (see :func:`reduction_sweep`).
+read off its arrays.  The pair sweep feeds it every pair's normalized set,
+on a homogeneous table all from the row a = 1 (see :func:`reduction_sweep`).
 
 The *split-coordinate suite* checks the Maiorana-McFarland structure of the
 component g(x) = Tr(gamma^2 * x^d): a basis (gamma, alpha, omega) is
@@ -26,8 +26,7 @@ the fiber/quartic correspondence, the fiber-sum formula against an
 independent fast-transform sweep, and the sign pattern that pins the
 extremal coefficient magnitude 2^(2k+1).  Each of the four decides every
 case (a point of the 2^(4k) grid, a fiber, a size-4 fiber against every v)
-in one array pass, and builds its first failure from that pass's arrays or,
-for the fiber/quartic correspondence, from the scalar :func:`quartic_roots`.
+in one array pass, and builds its first failure from that pass's arrays.
 
 Each identity (the steps of the replay, the inner map pi, the split
 offset, the decomposition, the fiber sum) is written once here in the
@@ -56,7 +55,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .field import FieldSpec, _Arith, _arith, field_make, solve_linearized
+from .field import FieldSpec, _Arith, _arith, field_make
 from .spectra import (FunctionTable, build_lut, difference_row,
                       differential_uniformity, require_desk_scale, walsh_row)
 
@@ -222,18 +221,18 @@ def diff_solution_count(k: int, a: int, b: int) -> tuple[int, frozenset[int]]:
 def reduction_trace(k: int, a: int, b: int) -> ReductionTrace:
     """Replay the full derivation for one difference pair (a, b).
 
-    The exhaustively computed solution set, divided by a, is one row of
+    The pair's own scanned solution set, divided by a, is one row of
     :func:`_derive_pass`; a failing step raises :class:`VerificationError`.
     """
-    _count, direct = diff_solution_count(k, a, b)
+    _check_k(k)
     table = _family_table(k)
-    A = _arith(table.spec.n, table.spec.poly)
-    norm = sorted(A.mul(np.array(list(direct), dtype=np.int64), A.inv(a)).tolist())
-    c = _normalized(A, dobbertin_exponent(k), a, b) ^ 1
-    cols = _derive_pass(k, np.array([norm + [0] * (4 - len(norm))]),
-                        (np.arange(4) < len(norm))[None], np.array([c]))
+    _check_elements(table.spec, b, "b")
+    x, valid, c = _scanned(k, np.array([a]), np.array([b]))
+    cols = _derive_pass(k, x, valid, c)
     if not cols.passed[0]:
         raise _replay_error(k, a, b, cols, 0)
+    A = _arith(table.spec.n, table.spec.poly)
+    norm = x[0][valid[0]].tolist()
     v = {key: value[0].tolist() for key, value in cols.values.items()}
     t_one, obstructed = bool(cols.t_one[0]), bool(cols.obstructed[0])
     names = ("r", "s") if t_one else ("p", "cy") if obstructed else ("p", "q", "cy", "cw")
@@ -243,8 +242,9 @@ def reduction_trace(k: int, a: int, b: int) -> ReductionTrace:
                                for x, z, y, w in zip(norm, v["z"], v["y_img"], v["w_img"])}
     via = cols.values["roots"][0][cols.values["filtered"][0]]
     return ReductionTrace(
-        k=k, a=a, b=b, c=int(c), t=v["t"], branch="t=1" if t_one else "t!=1",
-        solutions_direct=direct, solutions_normalized=frozenset(norm),
+        k=k, a=a, b=b, c=int(c[0]), t=v["t"], branch="t=1" if t_one else "t!=1",
+        solutions_direct=frozenset(A.mul(x[0][valid[0]], a).tolist()),
+        solutions_normalized=frozenset(norm),
         solutions_via_quadratics=frozenset(A.mul(via, a).tolist()), aux=aux,
         obstruction="halving-image-constraints" if obstructed else None,
         checks=tuple(name for rows, oks in cols.stages if rows[0]
@@ -258,6 +258,25 @@ def _normalized(A: _Arith, d: int, a, b):
     """b/a^d for a != 0: c = b/a^d + 1 and the normalized set S(a, b)/a
     are all the derivation reads of (a, b)."""
     return A.mul(b, A.inv(A.pow(a, d)))
+
+
+def _scanned(k: int, a: np.ndarray, b: np.ndarray) -> tuple:
+    """The rows of :func:`_derive_pass` replaying the pairs (a[i], b[i]) from
+    their own scans: S(a, b)/a sorted and padded with 0, the mask of the
+    filled slots, and c = b/a^d + 1; one :func:`difference_row` per a."""
+    table = _family_table(k)
+    A = _arith(table.spec.n, table.spec.poly)
+    keys = []  # pair index * 2^n + x/a, for every solution x of every pair
+    for ai in dict.fromkeys(a.tolist()):
+        i = np.flatnonzero(a == ai)
+        r, xs = np.nonzero(difference_row(table, ai).values == b[i][:, None])
+        keys.append(i[r] * table.spec.size + A.mul(xs, A.inv(ai)))
+    pair, y = np.divmod(np.sort(np.concatenate(keys)), table.spec.size)
+    count = np.bincount(pair, minlength=a.size)
+    x = np.zeros((a.size, max(4, count.max())), dtype=np.int64)
+    x[pair, np.arange(pair.size) - (np.cumsum(count) - count)[pair]] = y
+    return (x, np.arange(x.shape[1]) < count[:, None],
+            _normalized(A, dobbertin_exponent(k), a, b) ^ 1)
 
 
 def _relative_trace(A: _Arith, k: int, x):
@@ -445,25 +464,6 @@ class CheckReport:
         return self.failures == 0
 
 
-def _tally(name: str, cases: Iterable[tuple], check) -> CheckReport:
-    """Run ``check(*case)`` on every case and report one row.
-
-    Each :class:`VerificationError` counts as one failure and the first one,
-    in case order, becomes ``first_failure``; other exceptions propagate.
-    """
-    instances = failures = 0
-    first = None
-    for case in cases:
-        instances += 1
-        try:
-            check(*case)
-        except VerificationError as e:
-            failures += 1
-            if first is None:
-                first = str(e)
-    return CheckReport(name, instances, failures, first)
-
-
 def _report(name: str, ok: np.ndarray, error) -> CheckReport:
     """The row of an array pass that decides every cell: each False cell of
     ``ok`` is one failure, and ``error(*index)`` builds the
@@ -511,24 +511,25 @@ def reduction_sweep(k: int, *, samples: int | None = None) -> CheckReport:
     passes exactly when the replay of (1, c + 1) does.  The sweep reads
     that premise off the family table's exponent once and makes one
     :func:`_derive_pass` over every c = v + 1, on the sets S(1, v) of one
-    :meth:`gf2lab.spectra.DifferenceRow.sets` call.  A pair fails with its
-    row's error, built for its own (a, b), so the report is the per-pair
-    one; a table that fails the premise is replayed pair by pair.
+    :meth:`gf2lab.spectra.DifferenceRow.sets` call, and on a table that
+    fails the premise over every pair's own scanned set.  A pair fails with
+    its row's error, built for its own (a, b): the report is the per-pair one.
     """
     _check_k(k)
     _check_samples(samples)
     a, b = _sweep_pairs(k, samples)
     table = _family_table(k)
     d = dobbertin_exponent(k)
-    name = f"reduction-replay[k={k}]"
-    if table.exponent != d:
-        return _tally(name, zip(a.tolist(), b.tolist()), lambda a, b: reduction_trace(k, a, b))
-    # the pair (a, b) replays as (1, v), i.e. c = v + 1
-    v = _normalized(_arith(table.spec.n, table.spec.poly), d, a, b)
-    ws = np.arange(table.spec.size)
-    cols = _derive_pass(k, *difference_row(table, 1).sets(ws), ws ^ 1)
-    return _report(name, cols.passed[v],
-                   lambda i: _replay_error(k, int(a[i]), int(b[i]), cols, v[i]))
+    if table.exponent == d:
+        # the pair (a, b) replays as (1, v), i.e. c = v + 1
+        row = _normalized(_arith(table.spec.n, table.spec.poly), d, a, b)
+        ws = np.arange(table.spec.size)
+        cols = _derive_pass(k, *difference_row(table, 1).sets(ws), ws ^ 1)
+    else:
+        row = np.arange(a.size)
+        cols = _derive_pass(k, *_scanned(k, a, b))
+    return _report(f"reduction-replay[k={k}]", cols.passed[row],
+                   lambda i: _replay_error(k, int(a[i]), int(b[i]), cols, row[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -578,10 +579,11 @@ def mm_basis(k: int, *, gamma: int | None = None) -> MMWitness:
     """Construct and validate the split-coordinate basis (gamma, alpha, omega).
 
     gamma defaults to the least qualifying element (any choice passes; a
-    sweep over :func:`all_gammas` confirms independence).  The basis
-    invariants are verified on the spot and raise :class:`VerificationError`
-    if violated; the fibers of pi are grouped unchecked, for the mm-fibers
-    and mm-quartic rows to certify.
+    sweep over :func:`all_gammas` confirms independence).  alpha and omega
+    come from the root table of w^2 + w = e.  The basis invariants are
+    verified on the spot and raise :class:`VerificationError` if violated;
+    the fibers of pi are grouped unchecked, for the mm-fibers and mm-quartic
+    rows to certify.
     """
     _check_k(k)
     table = _family_table(k)
@@ -593,9 +595,9 @@ def mm_basis(k: int, *, gamma: int | None = None) -> MMWitness:
         gamma = candidates[0]
     elif gamma not in candidates:
         raise ValueError(f"gamma {gamma:#x} is not a trace-one element of GF(2^{k})")
-    g3 = int(A.mul(A.mul(gamma, gamma), gamma))
-    # alpha: root of z^2 + gamma*z = gamma^3 inside GF(2^(2k))
-    alpha_roots = solve_linearized(spec, [(1, 1), (gamma, 0)], g3)
+    # alpha: z = gamma*w solves z^2 + gamma*z = gamma^3 where w^2 + w = gamma
+    root = int(A.root[gamma])
+    alpha_roots = [] if root < 0 else [int(A.mul(gamma, root)), int(A.mul(gamma, root ^ 1))]
     in_sub = sorted(r for r in alpha_roots if A.frob(r, 2 * k) == r)
     if len(in_sub) != 2:
         raise VerificationError(
@@ -611,13 +613,12 @@ def mm_basis(k: int, *, gamma: int | None = None) -> MMWitness:
         raise VerificationError(
             "alpha-trace-one", "half-field trace of alpha is not 1",
             k=k, alpha=alpha)
-    # omega: root of z^2 + z = alpha in the full field
-    omega_roots = solve_linearized(spec, [(1, 1), (1, 0)], alpha)
-    if len(omega_roots) != 2:
+    # omega: the even, so the lesser, root of z^2 + z = alpha in the full field
+    omega = int(A.root[alpha])
+    if omega < 0:
         raise VerificationError(
             "omega-exists", "z^2 + z + alpha has no root in the full field",
             k=k, alpha=alpha)
-    omega = min(omega_roots)
     if omega ^ A.frob(omega, 2 * k) != 1:
         raise VerificationError(
             "omega-conjugate-gap", "omega + omega^(2^2k) != 1", k=k, omega=omega)
@@ -672,36 +673,48 @@ def mm_decomposition_check(w: MMWitness) -> CheckReport:
 class QuarticRoots:
     """Roots of the fiber quartic c^4 + (a0^(2^k)+a0)c^2 + gamma^(-1)c = 0.
 
-    ``roots_full`` is the solution set over the whole field;
-    ``roots_subfield`` its restriction to GF(2^k), whose nonzero members
+    ``roots_subfield`` is its solution set in GF(2^k), whose nonzero members
     biject with the other fiber members via a0 + c^2.
     """
 
     a0: int
     u: int
-    roots_full: frozenset[int]
     roots_subfield: frozenset[int]
     fiber: frozenset[int]
 
 
-def quartic_roots(w: MMWitness, a0: int) -> QuarticRoots:
-    """Solve the fiber quartic at a0 and verify the root/fiber correspondence."""
-    _check_elements(w.spec, a0, "a0")
+def _rebuilds(w: MMWitness, a0: np.ndarray, fib: np.ndarray, size: np.ndarray) -> tuple:
+    """Where a0 + c^2, over the roots c in GF(2^k) of the fiber quartic at
+    a0[i], are the members of the fiber padded into row i of fib; also the c
+    of GF(2^k) and the roots as a mask over them, a0 along rows."""
     A = _arith(w.spec.n, w.spec.poly)
-    k = w.k
-    if A.frob(a0, 2 * k) != a0:
+    c = np.array(A.subfield(w.k))
+    c2 = A.mul(c, c)
+    root = (A.mul(c2, c2) ^ A.mul((A.frob(a0, w.k) ^ a0)[:, None], c2)
+            ^ A.mul(A.inv(w.gamma), c)) == 0
+    in_fiber = np.arange(fib.shape[1]) < size[:, None]
+    mapped = ((fib[:, :, None] == (a0[:, None] ^ c2)[:, None, :]) & root[:, None, :]).any(axis=2)
+    return (root.sum(axis=1) == size) & (mapped | ~in_fiber).all(axis=1), c, root
+
+
+def _unrebuilt(k: int, a0, u) -> VerificationError:
+    return VerificationError(
+        "fiber-root-correspondence",
+        "a0 + c^2 over the subfield roots does not reproduce the fiber", k=k, a0=a0, u=u)
+
+
+def quartic_roots(w: MMWitness, a0: int) -> QuarticRoots:
+    """The roots in GF(2^k) of the fiber quartic at a0, a one-row read of the
+    mm-quartic pass, which must rebuild the fiber drawn at u = pi(a0)."""
+    _check_elements(w.spec, a0, "a0")
+    if _arith(w.spec.n, w.spec.poly).frob(a0, 2 * w.k) != a0:
         raise ValueError(f"a0 {a0:#x} is not in the half-degree subfield")
     u = pi_image(w, a0)
     fiber = pi_fiber(w, u)
-    full = solve_linearized(w.spec, [(1, 2), (int(A.frob(a0, k) ^ a0), 1),
-                                     (int(A.inv(w.gamma)), 0)], 0)
-    sub = frozenset(c for c in full if A.frob(c, k) == c)
-    if frozenset(a0 ^ A.mul(c, c) for c in sub) != fiber:
-        raise VerificationError(
-            "fiber-root-correspondence",
-            "a0 + c^2 over the subfield roots does not reproduce the fiber",
-            k=k, a0=a0, u=u)
-    return QuarticRoots(a0, u, frozenset(full), sub, fiber)
+    ok, c, root = _rebuilds(w, np.array([a0]), *_pad([sorted(fiber)]))
+    if not ok[0]:
+        raise _unrebuilt(w.k, a0, u)
+    return QuarticRoots(a0, u, frozenset(c[root[0]].tolist()), fiber)
 
 
 def quartic_check_all(w: MMWitness) -> CheckReport:
@@ -709,45 +722,33 @@ def quartic_check_all(w: MMWitness) -> CheckReport:
     must be the fiber that :func:`quartic_roots` rebuilds at its least member.
 
     One array pass decides every fiber from its least member a0: a0 lies in
-    GF(2^(2k)), the fiber drawn at pi(a0) is this one, and the quartic
-    vanishes at as many c of GF(2^k) as the fiber has members, with a0 + c^2
-    over those roots the members.  The first failing fiber's error comes
-    from the scalar check.
+    GF(2^(2k)), the quartic at a0 rebuilds the fiber drawn at pi(a0) (the
+    roots c in GF(2^k) are as many as its members, which the a0 + c^2 are),
+    and that fiber is this one.  The first failing fiber's error is built
+    from the pass's arrays, naming u = pi(a0) where the rebuild fails.
     """
     A = _arith(w.spec.n, w.spec.poly)
     k = w.k
     items = sorted(w.pi_fibers.items())
-    half = A.subfield(2 * k)
-
-    def error(i: int) -> VerificationError:
-        u, members = items[i]
-        a0 = min(members)
-        # quartic_roots refuses an a0 outside the half field with ValueError
-        if a0 in half:
-            try:
-                quartic_roots(w, a0)
-            except VerificationError as e:
-                return e
-        return VerificationError(
-            "fiber-root-correspondence", "the fiber drawn at u is not the one "
-            "rebuilt at its least member a0", k=k, u=u, a0=a0)
-
     us = np.array([u for u, _ in items], dtype=np.int64)
     a0 = np.array([min(m) for _, m in items], dtype=np.int64)
     fib, size = _pad([sorted(m) for _, m in items])
     u0 = pi_image(w, a0)  # refuses an a0 outside the field with ValueError
     in_half = A.frob(a0, 2 * k) == a0
+    # the fiber drawn at pi(a0), empty where none is
     at = np.minimum(np.searchsorted(us, u0), us.size - 1)
-    drawn = (us[at] == u0) & (size[at] == size) & (fib[at] == fib).all(axis=1)
-    # c^4 + (a0^(2^k) + a0) c^2 + c/gamma at every c of GF(2^k), a0 along rows
-    c = np.array(A.subfield(k))
-    c2 = A.mul(c, c)
-    root = (A.mul(c2, c2) ^ A.mul((A.frob(a0, k) ^ a0)[:, None], c2)
-            ^ A.mul(A.inv(w.gamma), c)) == 0
-    in_fiber = np.arange(fib.shape[1]) < size[:, None]
-    mapped = ((fib[:, :, None] == (a0[:, None] ^ c2)[:, None, :]) & root[:, None, :]).any(axis=2)
-    ok = in_half & drawn & (root.sum(axis=1) == size) & (mapped | ~in_fiber).all(axis=1)
-    return _report(f"mm-quartic[k={k}]", ok, error)
+    found = us[at] == u0
+    rebuilt = _rebuilds(w, a0, fib[at], np.where(found, size[at], 0))[0]
+    drawn = found & (size[at] == size) & (fib[at] == fib).all(axis=1)
+
+    def error(i: int) -> VerificationError:
+        if in_half[i] and not rebuilt[i]:
+            return _unrebuilt(k, a0[i], u0[i])
+        return VerificationError(
+            "fiber-root-correspondence", "the fiber drawn at u is not the one "
+            "rebuilt at its least member a0", k=k, u=us[i], a0=a0[i])
+
+    return _report(f"mm-quartic[k={k}]", in_half & rebuilt & drawn, error)
 
 
 def _transform_value(w: MMWitness, A: _Arith, u, v):

@@ -305,7 +305,10 @@ def test_verify_reports_failures(monkeypatch, capsys):
 def test_verify_reports_a_failed_basis(monkeypatch, capsys):
     from gf2lab import theorems
 
-    monkeypatch.setattr(theorems, "solve_linearized", lambda *args: set())
+    def mm_basis(k, *, gamma=None):
+        raise theorems.VerificationError("alpha-roots-subfield", "forced", k=k, gamma=gamma)
+
+    monkeypatch.setattr(theorems, "mm_basis", mm_basis)
     assert main(["verify", "--k", "1"]) == 1
     out = capsys.readouterr().out
     rows = [line.split() for line in out.splitlines()[1:] if line.strip()]

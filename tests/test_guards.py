@@ -9,8 +9,8 @@ knob that changes nothing.  The log/exp tables are read through
 formulas.  Only ``spectra.DifferenceRow.sets`` groups a row into its
 solution sets, so no other module sorts one.  The replay's array pass is
 the only caller of its identity helpers, so the derivation is written
-once.  One function sums the fibers of pi, and no split row hands a case
-to a scalar re-check.
+once.  One function sums the fibers of pi, no split row hands a case to a
+scalar re-check, and ``theorems`` takes no scalar solver from ``field``.
 """
 
 import ast
@@ -93,7 +93,8 @@ def test_only_spectra_sorts_a_difference_row():
 def test_only_the_array_pass_derives_the_replay():
     # an identity helper of the replay takes the arithmetic A first; outside
     # the helpers only _derive_pass calls them, _normalized aside, which maps
-    # a pair to its c, so a second derivation of any step shows up here
+    # pairs to their c for the sweep and the scan of the pairs' own sets, so
+    # a second derivation of any step shows up here
     tree = ast.parse((Path(gf2lab.__file__).parent / "theorems.py").read_text())
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     helpers = {name for name, node in defs.items() if name.startswith("_")
@@ -103,7 +104,7 @@ def test_only_the_array_pass_derives_the_replay():
         for node in ast.walk(defs[name]):
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) in helpers:
                 callers.setdefault(node.func.id, set()).add(name)
-    assert callers.pop("_normalized") == {"reduction_trace", "reduction_sweep"}
+    assert callers.pop("_normalized") == {"_scanned", "reduction_sweep"}
     assert set(callers) == helpers - {"_normalized"}
     assert all(names == {"_derive_pass"} for names in callers.values()), callers
 
@@ -120,12 +121,19 @@ def test_split_rows_have_one_fiber_sum_and_no_scalar_fallback():
                     callers.setdefault(call.func.id, set()).add(node.name)
     assert callers["_fiber_terms"] == {"_fiber_sum_grid"}
     scalar = set().union(*(callers.get(name, set()) for name in
-                           ("_tally", "mm_walsh_crosscheck")))
+                           ("mm_walsh_crosscheck", "quartic_roots")))
     assert not scalar & {"mm_decomposition_check", "mm_crosscheck_all", "m4_sum_check",
                          "quartic_check_all"}
-    # mm-quartic's pass evaluates the quartic on GF(2^k) itself; the solver
-    # runs inside quartic_roots only, for the first failure's text
-    assert "quartic_check_all" not in callers["solve_linearized"]
+
+
+def test_theorems_takes_no_scalar_solver_from_field():
+    # the basis reads its quadratics off the root table and every row is one
+    # array pass, so theorems needs no solver and no per-case tally
+    tree = ast.parse((Path(gf2lab.__file__).parent / "theorems.py").read_text())
+    imported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                and node.module == "field" for alias in node.names}
+    assert imported == {"FieldSpec", "_Arith", "_arith", "field_make"}
+    assert "_tally" not in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
 def test_benchmarks_still_collect():

@@ -18,6 +18,7 @@ from gf2lab import (
     diff_solution_count,
     difference_row,
     dobbertin_exponent,
+    f_inv,
     f_mul,
     f_pow,
     field_make,
@@ -36,9 +37,10 @@ from gf2lab import (
     reduction_sweep,
     reduction_trace,
     run_all_checks,
+    solve_linearized,
 )
 from gf2lab import theorems
-from gf2lab.field import _arith, _log_exp_tables
+from gf2lab.field import _Arith, _arith, _log_exp_tables, _mul
 from gf2lab.spectra import walsh_coefficient_direct
 from gf2lab.theorems import (
     DEFAULT_SEED,
@@ -242,27 +244,53 @@ def test_sweep_pairs_top_up_the_rejected_zeros():
     assert 0 in first and [w for w in first if w] == a.tolist()[:len(first) - first.count(0)]
 
 
+def _tally(name, cases, check):
+    """One report row from ``check(*case)`` per case: each VerificationError
+    is one failure, the first in case order is kept, others propagate."""
+    failures, first = 0, None
+    for case in cases:
+        try:
+            check(*case)
+        except VerificationError as e:
+            failures += 1
+            first = first or str(e)
+    return CheckReport(name, len(cases), failures, first)
+
+
 def _per_pair_replay(k, samples):
-    """The replay report of every pair from its own scan of the (possibly
-    patched) family table: one array pass over the sets S(a, b)/a, sorted,
-    with c = b/a^d + 1, and the first failing row's error for its pair."""
-    cases = _sweep_cases(k, samples)
-    table = theorems._family_table(k)
-    A = _arith(table.spec.n, table.spec.poly)
-    xs = np.arange(table.spec.size)
-    rows = {a: table.lut ^ table.lut[xs ^ a] for a in {a for a, _ in cases}}
-    a, b = np.array(cases).T
-    sets = [np.flatnonzero(rows[ai] == bi) for ai, bi in cases]
-    norm = [sorted(A.mul(members, A.inv(ai)).tolist()) for ai, members in zip(a, sets)]
-    cols = _derive_pass(k, norm, A.mul(b, A.inv(A.pow(a, dobbertin_exponent(k)))) ^ 1)
-    bad = np.flatnonzero(~cols.passed)
-    first = str(theorems._replay_error(k, *cases[bad[0]], cols, bad[0])) if bad.size else None
-    return CheckReport(f"reduction-replay[k={k}]", len(cases), bad.size, first)
+    """The replay report of every pair, each replayed on its own by
+    reduction_trace from its own scan of the (possibly patched) family table."""
+    return _tally(f"reduction-replay[k={k}]", _sweep_cases(k, samples),
+                  lambda a, b: reduction_trace(k, a, b))
 
 
-@pytest.mark.parametrize("k, samples", [(1, None), (2, None), (3, 200)])
+@pytest.mark.parametrize("k, samples", [(1, None), (3, 200)])
 def test_reduction_sweep_equals_the_per_pair_replay(k, samples):
     assert reduction_sweep(k, samples=samples) == _per_pair_replay(k, samples)
+
+
+def test_reduction_sweep_exhaustive_k2():
+    # 65280 pairs replayed one by one would take minutes: the count is pinned
+    assert reduction_sweep(2) == CheckReport("reduction-replay[k=2]", 65280, 0, None)
+
+
+@pytest.mark.parametrize("k, samples, change", [(1, None, None), (3, 200, None),
+                                                (3, 200, "f(0)=1")])
+def test_scanned_rows_are_each_pairs_own_normalized_set(monkeypatch, k, samples, change):
+    # S(a, b)/a in increasing order, padded with 0, from a scalar scan of the table
+    if change:
+        broken = _family_variant(k, _zero_to_one)
+        monkeypatch.setattr(theorems, "_family_table", lambda kk: broken)
+    s, lut = field_make(4 * k), theorems._family_table(k).lut.tolist()
+    cases = _sweep_cases(k, samples)
+    a, b = (np.array(v) for v in zip(*cases))
+    x, valid, c = theorems._scanned(k, a, b)
+    for i, (ai, bi) in enumerate(cases):
+        ainv = f_pow(s, ai, s.size - 2)
+        norm = sorted(f_mul(s, y, ainv) for y in range(s.size) if lut[y] ^ lut[y ^ ai] == bi)
+        assert x[i].tolist() == norm + [0] * (x.shape[1] - len(norm))
+        assert valid[i].tolist() == [j < len(norm) for j in range(x.shape[1])]
+        assert c[i] == f_mul(s, bi, f_pow(s, f_pow(s, ai, dobbertin_exponent(k)), s.size - 2)) ^ 1
 
 
 def test_reduction_sweep_replays_each_c_once_on_a_clean_table(monkeypatch):
@@ -612,9 +640,18 @@ def test_all_gammas_frozen():
 
 @pytest.mark.parametrize("n", [4, 8, 12, 16])
 def test_subfields_are_one_stride_of_the_exp_table(n):
+    # x lies in GF(2^m) iff its cycle under squaring has a length dividing m;
+    # one scalar product per element walks every cycle once
     s = field_make(n)
+    cycle = [0] * s.size
+    for x in range(s.size):
+        orbit = [x]
+        while not cycle[x] and (y := _mul(s.poly, orbit[-1], orbit[-1])) != x:
+            orbit.append(y)
+        for y in orbit:
+            cycle[y] = cycle[y] or len(orbit)
     for m in (m for m in range(1, n + 1) if n % m == 0):
-        scan = tuple(x for x in range(s.size) if frobenius(s, x, m) == x)
+        scan = tuple(x for x in range(s.size) if m % cycle[x] == 0)
         assert _arith(s.n, s.poly).subfield(m) == scan, m
 
 
@@ -638,6 +675,23 @@ def test_mm_basis_alternate_gamma():
     assert mm_decomposition_check(w).ok
     with pytest.raises(ValueError):
         mm_basis(2, gamma=0x1)  # not a trace-one subfield element
+
+
+@pytest.mark.parametrize("read, first", [
+    ("gamma", "alpha-roots-subfield: z^2 + gamma*z + gamma^3 does not have both roots "
+              "in the half field [k=2, gamma=0xbc]"),
+    ("alpha", "omega-exists: z^2 + z + alpha has no root in the full field "
+              "[k=2, alpha=0xc]")])
+def test_mm_basis_refuses_a_quadratic_the_root_table_cannot_solve(monkeypatch, read, first):
+    # alpha is gamma times a root of w^2 + w = gamma, omega a root of
+    # z^2 + z = alpha: the root table answering -1 at either refuses the basis
+    w = mm_basis(2)
+    root = _arith(w.spec.n, w.spec.poly).root.copy()
+    root[getattr(w, read)] = -1
+    monkeypatch.setattr(_Arith, "root", property(lambda self: root))
+    with pytest.raises(VerificationError) as exc:
+        mm_basis(2)
+    assert str(exc.value) == first
 
 
 def test_mm_basis_invariants_recomputed():
@@ -718,7 +772,7 @@ def test_public_results_hold_python_ints(k):
     w = mm_basis(k)
     a0 = min(w.pi_fibers[min(w.pi_fibers)])
     qr = quartic_roots(w, a0)
-    values += [pi_image(w, a0), qr.a0, qr.u, qr.roots_full, qr.roots_subfield, qr.fiber,
+    values += [pi_image(w, a0), qr.a0, qr.u, qr.roots_subfield, qr.fiber,
                mm_walsh_crosscheck(w, qr.u, a0), w.k, w.gamma, w.alpha, w.omega,
                w.pi_fibers, all_gammas(k)]
     # strings are the names of the aux entries
@@ -793,7 +847,7 @@ def test_quartic_roots_structure():
         mapped = {a0 ^ f_mul(s, c, c) for c in qr.roots_subfield}
         assert mapped == qr.fiber
         assert len(qr.roots_subfield) == len(qr.fiber)
-        assert 0 in qr.roots_full  # the quartic has no constant term
+        assert 0 in qr.roots_subfield  # the quartic has no constant term
     with pytest.raises(ValueError):
         quartic_roots(w, 0x2)  # not a half-field element
 
@@ -861,17 +915,29 @@ def test_fibers_of_a_broken_pi_fail_the_quartic_row(monkeypatch, k):
 
 def _scalar_quartic_row(w):
     """The mm-quartic row as one scalar check per fiber, the oracle of the
-    array pass: quartic_roots rebuilds the fiber at its least member."""
-    half = set(_arith(w.spec.n, w.spec.poly).subfield(2 * w.k))
+    array pass: at the least member a0, the roots of the quartic that the
+    linearized solver finds in GF(2^k) rebuild the fiber drawn at pi(a0) as
+    a0 + c^2, and that fiber is the one drawn at u."""
+    s, k = w.spec, w.k
 
     def check(u, members):
         a0 = min(members)
-        if a0 not in half or quartic_roots(w, a0).fiber != members:
-            raise VerificationError(
-                "fiber-root-correspondence", "the fiber drawn at u is not the one "
-                "rebuilt at its least member a0", k=w.k, u=u, a0=a0)
+        if frobenius(s, a0, 2 * k) == a0:
+            u0 = theorems.pi_image(w, a0)  # a patched pi included
+            quartic = [(1, 2), (frobenius(s, a0, k) ^ a0, 1), (f_inv(s, w.gamma), 0)]
+            roots = {c for c in solve_linearized(s, quartic, 0) if frobenius(s, c, k) == c}
+            if {a0 ^ f_mul(s, c, c) for c in roots} != pi_fiber(w, u0):
+                raise VerificationError(
+                    "fiber-root-correspondence",
+                    "a0 + c^2 over the subfield roots does not reproduce the fiber",
+                    k=k, a0=a0, u=u0)
+            if pi_fiber(w, u0) == members:
+                return
+        raise VerificationError(
+            "fiber-root-correspondence", "the fiber drawn at u is not the one "
+            "rebuilt at its least member a0", k=k, u=u, a0=a0)
 
-    return theorems._tally(f"mm-quartic[k={w.k}]", sorted(w.pi_fibers.items()), check)
+    return _tally(f"mm-quartic[k={k}]", sorted(w.pi_fibers.items()), check)
 
 
 def _swapped_fibers(w):
@@ -879,6 +945,15 @@ def _swapped_fibers(w):
     fiber of pi, rebuilt at its least member, but not the one drawn there."""
     u1, u2 = sorted(w.pi_fibers)[:2]
     return replace(w, pi_fibers={**w.pi_fibers, u1: w.pi_fibers[u2], u2: w.pi_fibers[u1]})
+
+
+def _relabeled_fiber(w):
+    """A fiber drawn at u + 1, a value pi does not take, in place of its u:
+    pi(a0) = u draws no fiber, and the next one drawn is a0's own."""
+    u = next(u for u in sorted(w.pi_fibers) if u + 1 not in w.pi_fibers)
+    fibers = dict(w.pi_fibers)
+    fibers[u + 1] = fibers.pop(u)
+    return replace(w, pi_fibers=fibers)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -896,8 +971,9 @@ def test_quartic_row_equals_the_scalar_check_for_every_gamma(k):
     (lambda monkeypatch, k: _moved_pi_member(monkeypatch, k) or mm_basis(k), 2),
     (lambda monkeypatch, k: _moved_pi_member(monkeypatch, k) or mm_basis(k), 3),
     (lambda monkeypatch, k: _swapped_fibers(mm_basis(k)), 2),
+    (lambda monkeypatch, k: _relabeled_fiber(mm_basis(k)), 2),
 ], ids=["fiber-member+1-k3", "outside-half-k1", "outside-half-k3", "moved-pi-k2",
-        "moved-pi-k3", "swapped-fibers-k2"])
+        "moved-pi-k3", "swapped-fibers-k2", "relabeled-fiber-k2"])
 def test_quartic_row_equals_the_scalar_check_on_a_broken_witness(monkeypatch, make, k):
     w = make(monkeypatch, k)
     report = quartic_check_all(w)
@@ -1000,21 +1076,6 @@ def test_run_all_checks_deterministic():
     a = run_all_checks([3], samples=30)
     b = run_all_checks([3], samples=30)
     assert a == b
-
-
-def test_tally_counts_each_verification_error_and_keeps_the_first():
-    def check(i):
-        if i % 2:
-            raise VerificationError(f"step-{i}", "odd case", i=i)
-
-    assert theorems._tally("t", [(i,) for i in range(6)], check) == CheckReport(
-        "t", 6, 3, "step-1: odd case [i=0x1]")
-
-    def broken(i):
-        raise KeyError(i)
-
-    with pytest.raises(KeyError):
-        theorems._tally("t", [(0,)], broken)
 
 
 def _patched(target, wrapper):

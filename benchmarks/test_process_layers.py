@@ -1,17 +1,23 @@
 """Per-layer record of what one fresh gf2lab process costs.
 
-Two command lines, each spawned once per round: ``python -c "import
-gf2lab.cli"``, the import every CLI run pays, and ``python -m gf2lab
-analyze --exp 73 --n 12``, a short orbit-engine job.  Each case records in
-``extra_info`` the child's median CPU time (``ru_utime + ru_stime`` from
-``os.wait4``), its median wall time from spawn to reaping, and the largest
-OS thread count seen at its exit.  The count comes from an ``atexit`` hook
-that a ``sitecustomize`` module, in a temporary directory put first on the
-child's ``PYTHONPATH``, installs, so the command lines stay the ones a user
-types.  The child inherits the environment without
-``OPENBLAS_NUM_THREADS``, so it measures the package's own default.  Only
-the CLI is run, so the file runs unchanged on any version of the package.
-The sources are byte-compiled first, so no child pays for compiling them.
+Four command lines, each spawned once per round: ``python -c "import
+gf2lab.cli"``, the import every CLI run pays; ``python -m gf2lab analyze
+--exp 73 --n 12``, a short orbit-engine job; ``python -m gf2lab verify --k
+1,2``, the exhaustive proof replay at desk scale; and ``python -m gf2lab
+analyze --lut F`` on a seeded random table at n = 10, the one job that
+hashes a file.  Each case records in ``extra_info`` the child's median CPU
+time (``ru_utime + ru_stime`` from ``os.wait4``), its median wall time from
+spawn to reaping, its median peak resident memory, and the largest OS
+thread count seen at its exit.  The thread count and the peak (``VmHWM``
+from ``/proc/self/status``) come from an ``atexit`` hook that a
+``sitecustomize`` module, in a temporary directory put first on the child's
+``PYTHONPATH``, installs, so the command lines stay the ones a user types.
+The peak is the child's own: ``ru_maxrss`` from ``wait4`` would start from
+the resident size of this pytest process at the fork.  The child inherits
+the environment without ``OPENBLAS_NUM_THREADS``, so it measures the
+package's own default.  Only the CLI is run, so the file runs unchanged on
+any version of the package.  The sources are byte-compiled first, so no
+child pays for compiling them.
 
 Not part of the test suite (``testpaths`` is ``tests``).  Run it with::
 
@@ -20,6 +26,7 @@ Not part of the test suite (``testpaths`` is ``tests``).  Run it with::
 
 import compileall
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -32,21 +39,35 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 HOOK = """import atexit, os
 
 
-def _count_threads():
-    with open(os.path.join(os.path.dirname(__file__), "threads"), "w") as out:
-        out.write(str(len(os.listdir("/proc/self/task"))))
+def _record_exit():
+    with open("/proc/self/status") as status:
+        peak_kb = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+    with open(os.path.join(os.path.dirname(__file__), "exit"), "w") as out:
+        out.write(f"{len(os.listdir('/proc/self/task'))} {peak_kb}")
 
 
-atexit.register(_count_threads)
+atexit.register(_record_exit)
 """
 COMMANDS = {
     "import": ["-c", "import gf2lab.cli"],
     "analyze": ["-m", "gf2lab", "analyze", "--exp", "73", "--n", "12"],
+    "verify": ["-m", "gf2lab", "verify", "--k", "1,2"],
+    "lut": ["-m", "gf2lab", "analyze", "--lut", "{lut}"],
 }
+LUT_N, LUT_POLY, LUT_SEED = 10, 0x409, 28
+
+
+def _write_lut(path):
+    """A seeded random map on GF(2^10) in the LUT exchange format."""
+    rng = random.Random(LUT_SEED)
+    vals = [format(rng.randrange(1 << LUT_N), "x") for _ in range(1 << LUT_N)]
+    lines = [f"n={LUT_N} poly={LUT_POLY:x}"]
+    lines += [" ".join(vals[i:i + 16]) for i in range(0, len(vals), 16)]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _spawn(argv, hook_dir):
-    """(CPU s, wall s, OS threads at exit) of one child run to completion."""
+    """(CPU s, wall s, OS threads at exit, peak MB) of one child run to completion."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(hook_dir), str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -56,7 +77,8 @@ def _spawn(argv, hook_dir):
     wall = time.perf_counter() - t0
     proc.returncode = os.waitstatus_to_exitcode(status)
     assert proc.returncode == 0, argv
-    return usage.ru_utime + usage.ru_stime, wall, int((hook_dir / "threads").read_text())
+    threads, peak_kb = map(int, (hook_dir / "exit").read_text().split())
+    return usage.ru_utime + usage.ru_stime, wall, threads, peak_kb / 1024.0
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
@@ -64,13 +86,16 @@ def _spawn(argv, hook_dir):
 def test_one_process(benchmark, tmp_path, name):
     assert compileall.compile_dir(SRC, quiet=1)
     (tmp_path / "sitecustomize.py").write_text(HOOK)
+    _write_lut(tmp_path / "map.lut")
+    argv = [arg.format(lut=tmp_path / "map.lut") for arg in COMMANDS[name]]
     runs = []
 
     def spawn():
-        runs.append(_spawn(COMMANDS[name], tmp_path))
+        runs.append(_spawn(argv, tmp_path))
 
     benchmark.pedantic(spawn, rounds=11, warmup_rounds=1)
     timed = runs[1:]
     benchmark.extra_info["cpu_s"] = statistics.median(r[0] for r in timed)
     benchmark.extra_info["wall_s"] = statistics.median(r[1] for r in timed)
     benchmark.extra_info["threads"] = max(r[2] for r in timed)
+    benchmark.extra_info["peak_mb"] = statistics.median(r[3] for r in timed)

@@ -12,11 +12,15 @@ Three subcommands:
 
 Exit codes: 0 success, 1 verification/measurement mismatch, 2 usage or
 input errors.
+
+:func:`run` is the process entry point (``python -m gf2lab``, ``python -m
+gf2lab.cli`` and the ``gf2lab`` script); :func:`main` is the in-process one.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 from itertools import islice
@@ -249,5 +253,21 @@ def main(argv=None) -> int:
     return _catalog(args)
 
 
+def run() -> None:
+    """Run main() on the command line and exit with its code.
+
+    The objects alive before and after main() are frozen, so the cycle
+    collector never walks them again: not in the job's full collections,
+    and not at interpreter exit, where walking the ~22 000 objects that
+    importing this module leaves tracked took about 16 ms of a 200 ms
+    verify job.  The process ends right after, so nothing frozen could be
+    reclaimed; callers of main() keep a normal collector.
+    """
+    gc.freeze()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -6,11 +6,14 @@ no prefix), the i-th value being the image of the element with integer
 encoding i.  Hexadecimal keeps the files bit-exact and readable at n <= 16.
 :func:`write_lut` puts 16 values on a line; :func:`read_lut` takes any
 whitespace between them.
+
+:func:`read_lut` imports ``hashlib`` itself: loading it maps OpenSSL's
+libcrypto, about 3.8 MB of peak resident memory, which a process that
+reads no LUT file should not pay.
 """
 
 from __future__ import annotations
 
-import hashlib
 import re
 from pathlib import Path
 
@@ -45,6 +48,8 @@ def read_lut(path: str | Path) -> tuple[FunctionTable, str]:
         The validated FunctionTable and the sha256 hex digest of the raw
         file bytes (used as the map descriptor in reports).
     """
+    import hashlib
+
     raw = Path(path).read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
     lines = raw.decode("ascii", errors="replace").splitlines()

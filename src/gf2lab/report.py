@@ -4,11 +4,13 @@ The JSON layout is part of the tool's stable interface: field names are
 fixed, the coefficient histogram uses decimal strings of the signed values
 as keys, and keys are emitted sorted so that identical analyses produce
 byte-identical documents apart from the ``timings_ms`` subtree.
+
+:func:`report_to_json` imports ``json`` itself, so only a run that writes a
+report loads it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .field import FieldSpec
@@ -58,6 +60,8 @@ class AnalysisReport:
 
 
 def report_to_json(r: AnalysisReport) -> str:
+    import json
+
     summ = r.summary
     doc = {
         "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},

@@ -1,10 +1,12 @@
 """Command-line interface: outputs, file side effects, exit codes."""
 
 import csv
+import gc
 import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,7 +368,38 @@ def test_cli_jobs_never_load_numpy_ma():
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False False"
 
 
-def test_module_entry_point():
+@pytest.mark.parametrize("job, loads", [
+    (["verify", "--k", "1"], set()),
+    (["catalog", "--max-n", "6"], set()),
+    (["analyze", "--exp", "7", "--n", "4"], set()),
+    (["analyze", "--lut", "{lut}"], {"_hashlib"}),
+    (["analyze", "--exp", "7", "--n", "4", "--json", "{json}"], {"json"}),
+])
+def test_cli_jobs_load_hashlib_and_json_only_when_used(tmp_path, job, loads):
+    # _hashlib maps OpenSSL's libcrypto, 3.8 MB of peak RSS, for the digest
+    # of a LUT file; json serves only the --json report
+    lut = tmp_path / "m.lut"
+    write_lut(lut, build_lut(field_make(4), 7))
+    argv = [arg.format(lut=lut, json=tmp_path / "r.json") for arg in job]
+    dump = "print('\\n'.join(sys.modules), file=sys.stderr)"
+    bare = subprocess.run([sys.executable, "-c", f"import sys\n{dump}"],
+                          capture_output=True, text=True, check=True)
+    code = f"import sys\nfrom gf2lab.cli import main\nassert main({argv!r}) == 0\n{dump}"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    held = set(bare.stderr.split())  # whatever a site hook loads is not the job's
+    watched = {"_hashlib", "json"}
+    assert (set(proc.stderr.split()) - held) & watched == loads - held
+
+
+def test_module_entry_point(capsys):
+    assert main(["verify", "--k", "1"]) == 0
+    table = capsys.readouterr().out
+    assert gc.get_freeze_count() == 0  # only the process entry point freezes
+    for module in ("gf2lab", "gf2lab.cli"):
+        proc = subprocess.run([sys.executable, "-m", module, "verify", "--k", "1"],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, table, "")
     proc = subprocess.run(
         [sys.executable, "-m", "gf2lab", "analyze", "--exp", "7", "--n", "4"],
         capture_output=True, text=True)
@@ -376,3 +409,28 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "analyze" in proc.stdout and "verify" in proc.stdout
+    # one usage error from main's own checks, one from argparse
+    for argv in (["verify", "--k", "x"], ["analyze", "--n", "4"]):
+        proc = subprocess.run([sys.executable, "-m", "gf2lab", *argv],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert sum("error:" in line for line in proc.stderr.splitlines()) == 1
+
+
+def test_run_freezes_and_exits_with_the_code_of_main(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["gf2lab", "verify", "--k", "x"])
+    try:
+        with pytest.raises(SystemExit) as stop:
+            cli.run()
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert stop.value.code == 2
+    assert capsys.readouterr().err == "error: bad --k list: 'x'\n"
+
+
+def test_script_entry_is_run():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on; the package takes 3.10
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    doc = tomllib.loads(pyproject.read_text())
+    assert doc["project"]["scripts"] == {"gf2lab": "gf2lab.cli:run"}

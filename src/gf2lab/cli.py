@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--k", default="1,2,3",
                     help="comma-separated k values (field degree 4k); default 1,2,3")
     pv.add_argument("--samples", type=int, default=None,
-                    help="random pairs per replay sweep (default: exhaustive for k<=2, 1000 above)")
+                    help="random pairs per replay sweep, at most 2^24 "
+                         "(default: exhaustive for k<=2, 1000 above)")
     pv.add_argument("--all-gamma", action="store_true",
                     help="repeat the split-coordinate suite for every qualifying gamma")
     _add_common(pv)

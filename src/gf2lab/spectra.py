@@ -21,7 +21,8 @@ The named sweeps (:func:`differential_uniformity`, :func:`ddt_rows`,
 table, and serve as the oracle the orbit engine is tested against.
 :func:`classify` and ``analyze`` choose between the two in one place, by
 the table's exponent.  Every difference row is a :class:`DifferenceRow`,
-and only its ``sets`` groups a row into the solution sets the replay reads.
+whose ``values`` tag each x with the solution set it lies in: the replay
+reads the sets in that form, so no module sorts a row.
 
 Every sweep runs on one thread: the Walsh sweeps transform fixed-size
 blocks of components in place and merge them into one offset histogram,
@@ -125,28 +126,12 @@ class DifferenceRow:
     """The row of one difference a != 0 of the difference distribution table:
     ``values[x]`` is the derivative D_a f(x) = f(x) + f(x + a), and
     ``counts[b]`` the size of S(a, b) = {x : D_a f(x) = b}; every count is
-    even (solutions come in pairs {x, x + a}) and the row sums to 2^n."""
+    even (solutions come in pairs {x, x + a}) and the row sums to 2^n.
+    Each x lies in S(a, values[x]), so ``values`` tags every x with its set."""
 
     a: int
     counts: np.ndarray
     values: np.ndarray
-
-    def sets(self, bs) -> tuple[np.ndarray, np.ndarray]:
-        """``(sols, valid)``: row i of sols is S(a, bs[i]) in increasing order,
-        padded with 0 to max(4, counts.max()) slots, and valid marks the
-        filled slots.  A b that is not an integer in [0, 2^n) raises
-        ValueError."""
-        bs, counts = np.asarray(bs), self.counts
-        if bs.size == 0:  # np.asarray([]) is float64
-            bs = bs.astype(np.int64)
-        if bs.dtype.kind not in "iu" or np.any((bs < 0) | (bs >= counts.size)):
-            raise ValueError("b is not a field element")
-        # the one sort of a row, made only here: S(a, b) = xs[starts[b]:starts[b] + counts[b]]
-        xs = np.argsort(self.values, kind="stable")
-        starts = np.cumsum(counts) - counts
-        slots = np.arange(max(4, counts.max()))
-        valid = slots < counts[bs, None]
-        return np.where(valid, xs[np.minimum(starts[bs, None] + slots, counts.size - 1)], 0), valid
 
 
 @dataclass(frozen=True, eq=False)

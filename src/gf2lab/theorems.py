@@ -12,8 +12,9 @@ roots are filtered back against the product identity.  Every identity is
 checked on every solution; any violation raises :class:`VerificationError`
 naming the failing step.  One array pass decides every step for many
 equations at once, and a failing one's error and a passing one's trace are
-read off its arrays.  The pair sweep feeds it every pair's normalized set,
-on a homogeneous table all from the row a = 1 (see :func:`reduction_sweep`).
+read off its arrays, which hold each solution set as its members tagged by
+equation.  The pair sweep feeds it every pair's normalized set, on a
+homogeneous table all from the row a = 1 (see :func:`reduction_sweep`).
 
 The *split-coordinate suite* checks the Maiorana-McFarland structure of the
 component g(x) = Tr(gamma^2 * x^d): a basis (gamma, alpha, omega) is
@@ -84,6 +85,9 @@ __all__ = [
 
 DEFAULT_SEED = 0x1CEB00DA
 MAX_K = 4
+# pairs a sweep may sample, ~46 B each: just above the 16 773 120 pairs of the
+# exhaustive k = 3 sweep; more decide nothing the pass over every c has not
+MAX_SAMPLES = 1 << 24
 # VerificationError context keys that are counts or signed values, not elements
 _DECIMAL = frozenset({"k", "count", "size", "coefficient", "fiber_sum", "transform"})
 
@@ -135,6 +139,8 @@ def _check_k(k: int) -> None:
 def _check_samples(samples: int | None) -> None:
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if samples is not None and samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be at most 2^24 = {MAX_SAMPLES}, got {samples}")
 
 
 # ---------------------------------------------------------------------------
@@ -227,27 +233,27 @@ def reduction_trace(k: int, a: int, b: int) -> ReductionTrace:
     _check_k(k)
     table = _family_table(k)
     _check_elements(table.spec, b, "b")
-    x, valid, c = _scanned(k, np.array([a]), np.array([b]))
-    cols = _derive_pass(k, x, valid, c)
+    x, row, c = _scanned(k, np.array([a]), np.array([b]))
+    cols = _derive_pass(k, x, row, c)
     if not cols.passed[0]:
         raise _replay_error(k, a, b, cols, 0)
     A = _arith(table.spec.n, table.spec.poly)
-    norm = x[0][valid[0]].tolist()
     v = {key: value[0].tolist() for key, value in cols.values.items()}
+    m = {key: value.tolist() for key, value in cols.members.items()}
     t_one, obstructed = bool(cols.t_one[0]), bool(cols.obstructed[0])
     names = ("r", "s") if t_one else ("p", "cy") if obstructed else ("p", "q", "cy", "cw")
     aux = {name: v[name] for name in names}
     if not (t_one or obstructed):
         aux["per_solution"] = {x: {"z": z, "y_image": y, "w_image": w}
-                               for x, z, y, w in zip(norm, v["z"], v["y_img"], v["w_img"])}
+                               for x, z, y, w in zip(m["x"], m["z"], m["y_img"], m["w_img"])}
     via = cols.values["roots"][0][cols.values["filtered"][0]]
     return ReductionTrace(
         k=k, a=a, b=b, c=int(c[0]), t=v["t"], branch="t=1" if t_one else "t!=1",
-        solutions_direct=frozenset(A.mul(x[0][valid[0]], a).tolist()),
-        solutions_normalized=frozenset(norm),
+        solutions_direct=frozenset(A.mul(x, a).tolist()),
+        solutions_normalized=frozenset(m["x"]),
         solutions_via_quadratics=frozenset(A.mul(via, a).tolist()), aux=aux,
         obstruction="halving-image-constraints" if obstructed else None,
-        checks=tuple(name for rows, oks in cols.stages if rows[0]
+        checks=tuple(name for rows, _, oks in cols.stages if rows[0]
                      for name in oks if name not in _HALVING))
 
 
@@ -261,9 +267,9 @@ def _normalized(A: _Arith, d: int, a, b):
 
 
 def _scanned(k: int, a: np.ndarray, b: np.ndarray) -> tuple:
-    """The rows of :func:`_derive_pass` replaying the pairs (a[i], b[i]) from
-    their own scans: S(a, b)/a sorted and padded with 0, the mask of the
-    filled slots, and c = b/a^d + 1; one :func:`difference_row` per a."""
+    """The members of :func:`_derive_pass` replaying the pairs (a[i], b[i])
+    from their own scans: every x/a of S(a[i], b[i]) tagged by its pair i,
+    in increasing order, and c = b/a^d + 1; one :func:`difference_row` per a."""
     table = _family_table(k)
     A = _arith(table.spec.n, table.spec.poly)
     keys = []  # pair index * 2^n + x/a, for every solution x of every pair
@@ -271,12 +277,8 @@ def _scanned(k: int, a: np.ndarray, b: np.ndarray) -> tuple:
         i = np.flatnonzero(a == ai)
         r, xs = np.nonzero(difference_row(table, ai).values == b[i][:, None])
         keys.append(i[r] * table.spec.size + A.mul(xs, A.inv(ai)))
-    pair, y = np.divmod(np.sort(np.concatenate(keys)), table.spec.size)
-    count = np.bincount(pair, minlength=a.size)
-    x = np.zeros((a.size, max(4, count.max())), dtype=np.int64)
-    x[pair, np.arange(pair.size) - (np.cumsum(count) - count)[pair]] = y
-    return (x, np.arange(x.shape[1]) < count[:, None],
-            _normalized(A, dobbertin_exponent(k), a, b) ^ 1)
+    pair, x = np.divmod(np.sort(np.concatenate(keys)), table.spec.size)
+    return x, pair, _normalized(A, dobbertin_exponent(k), a, b) ^ 1
 
 
 def _relative_trace(A: _Arith, k: int, x):
@@ -347,9 +349,10 @@ class _ReplayColumns(NamedTuple):
     ``passed`` says whether the replay passes; on a passing row ``t_one`` is
     its branch (t = 1), ``obstructed`` whether halving-image-constraints
     ended it, and ``count`` the size of its solution set.  ``stages`` are the
-    chain's stages in order: the rows each reaches and an ok mask per step,
-    per row or per slot (a loop over the solutions checks each member in
-    turn).  ``values`` holds what the errors and the traces read, by name.
+    chain's stages in order: the rows each reaches, whether it loops over the
+    solutions (its ok masks are per member then, and a row fails where one of
+    its members does) and an ok mask per step.  What the errors and traces
+    read is held by name, per row in ``values``, per member in ``members``.
     """
 
     passed: np.ndarray
@@ -358,28 +361,28 @@ class _ReplayColumns(NamedTuple):
     count: np.ndarray
     stages: tuple
     values: dict
+    members: dict
 
 
-def _derive_pass(k: int, x: np.ndarray, valid: np.ndarray,
+def _derive_pass(k: int, x: np.ndarray, row: np.ndarray,
                  c: np.ndarray) -> _ReplayColumns:
     """The derivation of the reduction replay at a = 1: every step of
     :data:`_STEPS`, in chain order, as masks over many c at once.
 
-    Row i replays the pair (1, c[i] + 1), whose solution set is held by the
-    slots of ``x[i]`` where ``valid[i]`` is set (distinct elements, sorted,
-    so an error names the least failing member).  A row passes when no step
-    fails in the stages that reach it; halving-image-constraints ends the
-    chain of a row without solutions.  Two steps take a shorter form: the
-    filtered roots equal the solution set when the set is covered by the
-    roots and as many roots as it has members satisfy the product identity,
-    since each member already did; and each terminal quadratic has two roots
-    or none, so the roots need no bound, and two equal terminal constants
-    give one root pair, not two.
+    Row i replays the pair (1, c[i] + 1), whose solution set is the members
+    x[j] with row[j] == i: distinct, and increasing within a row, so an
+    error names the least failing member, though the rows may interleave.
+    A row passes when no step fails in the stages that reach it;
+    halving-image-constraints ends the chain of a row without solutions.
+    Two steps take a shorter form: the filtered roots equal the solution set
+    when no member strays from the roots and as many roots as it has members
+    satisfy the product identity, since each member already did; and each
+    terminal quadratic has two roots or none, so the roots need no bound,
+    and two equal terminal constants give one root pair, not two.
     """
     table = _family_table(k)
     A = _arith(table.spec.n, table.spec.poly)
-    count = valid.sum(axis=1)
-    col = lambda v: v[:, None]
+    count = np.bincount(row, minlength=c.size)
     t = _relative_trace(A, k, c)
 
     # branch t = 1: one terminal quadratic, x + x^(2^2k) = r, x + x^(2^k) = s
@@ -397,7 +400,7 @@ def _derive_pass(k: int, x: np.ndarray, valid: np.ndarray,
     cw = _second_halving_constant(A, k, c, t, p)
     q = A.root[cw]
     k1, k2 = _terminal_constants(A, k, c, t, q)
-    z = A.mul(x, col(A.inv(t ^ 1)))
+    z = A.mul(x, A.inv(t ^ 1)[row])
     y_img, w_img = _gaps(A, k, z)
 
     # the terminal roots of the row's branch in pairs {r, r + 1}, if it reaches them
@@ -405,49 +408,52 @@ def _derive_pass(k: int, x: np.ndarray, valid: np.ndarray,
     second = np.where(t_one | ~p_ok | (k2 == k1), -1, A.root[k2])
     roots = np.stack([first, first ^ 1, second, second ^ 1], axis=1)
     has = np.repeat(np.stack([first >= 0, second >= 0], axis=1), 2, axis=1)
-    filtered = has & (_product_identity(A, k, np.where(has, roots, 0), col(c)) == 0)
-    covered = (((x[:, :, None] == roots[:, None, :]) & has[:, None, :]).any(axis=2)
-               | ~valid).all(axis=1)
+    filtered = has & (_product_identity(A, k, np.where(has, roots, 0), c[:, None]) == 0)
+    stray = ~((x[:, None] == roots[row]) & has[row]).any(axis=1)
+    covered = np.bincount(row[stray], minlength=c.size) == 0
     matched = filtered.sum(axis=1) == count
 
     every, terminal = np.ones_like(t_one), ~t_one & p_ok
-    stages = (  # the rows each stage reaches, and the ok mask of each of its steps
-        (every, {"count-bound": count <= 4, "trace-codomain": A.frob(t, k) == t}),
-        (every, {"normalized-product-identity": _product_identity(A, k, x, col(c)) == 0,
-                 "four-term-trace-identity": _relative_trace(A, k, x) == col(t),
-                 "pair-sum-quadratic": _pair_sum_quadratic(A, k, x, col(c), col(t)) == 0}),
-        (t_one, {"pair-gap-constant": pair_gap == col(r),
-                 "half-gap-constant": half_gap == col(s)}),
-        (t_one, {"terminal-quadratic-cover": covered, "terminal-quadratic-match": matched}),
-        (~t_one, {"halving-quadratic-unsolvable": p >= 0,
-                  "halving-image-constraints": p_ok | (count == 0)}),
-        (terminal, {"second-halving-unsolvable": q >= 0, "terminal-pair-cover": covered,
-                    "terminal-pair-match": matched}),
-        (terminal, {"halving-image-membership": (y_img ^ col(p)) < 2,
-                    "second-halving-membership": (w_img ^ col(q)) < 2}),
+    cm, tm = c[row], t[row]
+    stages = (  # the rows each stage reaches, whether it loops, and each step's ok mask
+        (every, False, {"count-bound": count <= 4, "trace-codomain": A.frob(t, k) == t}),
+        (every, True, {"normalized-product-identity": _product_identity(A, k, x, cm) == 0,
+                       "four-term-trace-identity": _relative_trace(A, k, x) == tm,
+                       "pair-sum-quadratic": _pair_sum_quadratic(A, k, x, cm, tm) == 0}),
+        (t_one, True, {"pair-gap-constant": pair_gap == r[row],
+                       "half-gap-constant": half_gap == s[row]}),
+        (t_one, False, {"terminal-quadratic-cover": covered,
+                        "terminal-quadratic-match": matched}),
+        (~t_one, False, {"halving-quadratic-unsolvable": p >= 0,
+                         "halving-image-constraints": p_ok | (count == 0)}),
+        (terminal, False, {"second-halving-unsolvable": q >= 0, "terminal-pair-cover": covered,
+                           "terminal-pair-match": matched}),
+        (terminal, True, {"halving-image-membership": (y_img ^ p[row]) < 2,
+                          "second-halving-membership": (w_img ^ q[row]) < 2}),
     )
     passed = np.ones_like(t_one)
-    for rows, oks in stages:
+    for rows, loops, oks in stages:
         ok = np.logical_and.reduce(list(oks.values()))
-        passed &= ~rows | (ok if ok.ndim == 1 else (ok | ~valid).all(axis=1))
-    values = dict(count=count, t=t, x=x, r=r, s=s, cy=cy, p=p, cw=cw, q=q, z=z,
-                  y_img=y_img, w_img=w_img, roots=roots, filtered=filtered, valid=valid)
-    return _ReplayColumns(passed, t_one, ~t_one & ~p_ok, count, stages, values)
+        passed &= ~rows | (np.bincount(row[~ok], minlength=c.size) == 0 if loops else ok)
+    values = dict(count=count, t=t, r=r, s=s, cy=cy, p=p, cw=cw, q=q, roots=roots,
+                  filtered=filtered)
+    members = dict(row=row, x=x, z=z, y_img=y_img, w_img=w_img)
+    return _ReplayColumns(passed, t_one, ~t_one & ~p_ok, count, stages, values, members)
 
 
 def _replay_error(k: int, a: int, b: int, cols: _ReplayColumns, i) -> VerificationError:
     """The error of the failing row i of a :func:`_derive_pass` that replays
     the pair (a, b): its first failing step in chain order, and in a loop
     over the solutions the first failing step at the least failing member."""
-    for rows, oks in cols.stages:
-        bad = ~np.array([ok[i] for ok in oks.values()]) & rows[i]
-        bad = bad & cols.values["valid"][i] if bad.ndim == 2 else bad[:, None]
+    own = np.flatnonzero(cols.members["row"] == i)
+    for rows, loops, oks in cols.stages:
+        bad = ~np.array([ok[own] if loops else ok[i:i + 1] for ok in oks.values()]) & rows[i]
         if bad.any():
             j = bad.any(axis=0).argmax()
             name = list(oks)[bad[:, j].argmax()]
-            context = {key: cols.values[key][i] for key in _STEPS[name][1]}
             return VerificationError(name, _STEPS[name][0], k=k, a=a, b=b, **{
-                key: value[j] if value.ndim else value for key, value in context.items()})
+                key: cols.members[key][own[j]] if key in cols.members else cols.values[key][i]
+                for key in _STEPS[name][1]})
 
 
 @dataclass(frozen=True)
@@ -500,7 +506,8 @@ def reduction_sweep(k: int, *, samples: int | None = None) -> CheckReport:
     """Replay the reduction over many (a, b) pairs.
 
     Exhaustive by default for k <= 2, sampled (default 1000 pairs drawn
-    from DEFAULT_SEED) otherwise.  A samples count below 1 raises ValueError.
+    from DEFAULT_SEED) otherwise.  A samples count below 1 or above
+    MAX_SAMPLES raises ValueError.
 
     Lemma: if the table's exponent is d (f(a*x) = a^d * f(x) for every
     a != 0 and every x, see :attr:`gf2lab.spectra.FunctionTable.exponent`),
@@ -510,10 +517,10 @@ def reduction_sweep(k: int, *, samples: int | None = None) -> CheckReport:
     normalized set S(a, b)/a alone, so on such a table the pair (a, b)
     passes exactly when the replay of (1, c + 1) does.  The sweep reads
     that premise off the family table's exponent once and makes one
-    :func:`_derive_pass` over every c = v + 1, on the sets S(1, v) of one
-    :meth:`gf2lab.spectra.DifferenceRow.sets` call, and on a table that
-    fails the premise over every pair's own scanned set.  A pair fails with
-    its row's error, built for its own (a, b): the report is the per-pair one.
+    :func:`_derive_pass` over every c = v + 1, each x a member of the row
+    v = D_1 f(x), and on a table that fails the premise over every pair's
+    own scanned set.  A pair fails with its row's error, built for its own
+    (a, b): the report is the per-pair one.
     """
     _check_k(k)
     _check_samples(samples)
@@ -523,8 +530,8 @@ def reduction_sweep(k: int, *, samples: int | None = None) -> CheckReport:
     if table.exponent == d:
         # the pair (a, b) replays as (1, v), i.e. c = v + 1
         row = _normalized(_arith(table.spec.n, table.spec.poly), d, a, b)
-        ws = np.arange(table.spec.size)
-        cols = _derive_pass(k, *difference_row(table, 1).sets(ws), ws ^ 1)
+        xs = np.arange(table.spec.size)
+        cols = _derive_pass(k, xs, difference_row(table, 1).values, xs ^ 1)
     else:
         row = np.arange(a.size)
         cols = _derive_pass(k, *_scanned(k, a, b))
@@ -878,7 +885,7 @@ def run_all_checks(ks: Iterable[int], *, samples: int | None = None,
     display; failures are counted in the reports.  A basis that fails to
     construct is an ``mm-basis`` row with one failure, and the suites that
     need it are skipped for that gamma.  Every k is checked for range and
-    size, and samples for sign, before any suite runs.
+    size, and samples for range, before any suite runs.
     """
     ks = list(ks)
     _check_samples(samples)

@@ -291,6 +291,20 @@ def test_verify_usage_errors(capsys):
     assert captured.err.count("samples must be at least 1") == 2
 
 
+def test_verify_refuses_a_sample_above_2_24_pairs_before_any_draw(monkeypatch, capsys):
+    from gf2lab import theorems
+
+    def draw(*args):
+        raise AssertionError("a pair was drawn")
+
+    monkeypatch.setattr(theorems, "_sweep_pairs", draw)
+    assert main(["verify", "--k", "3", "--samples", str((1 << 24) + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: samples must be at most 2^24 = 16777216, got 16777217"]
+
+
 def test_verify_reports_failures(monkeypatch, capsys):
     import gf2lab.cli as cli_mod
 

@@ -1,15 +1,15 @@
 """Package-wide guards: every export resolves, no check is an ``assert``,
-every parameter is read, one module owns the discrete-log arithmetic, one
-module groups difference rows, and the per-layer benchmarks still collect.
+every parameter is read, one module owns the discrete-log arithmetic, no
+module sorts a difference row, and the per-layer benchmarks still collect.
 
 ``python -O`` strips ``assert`` statements, so validation in the package
 raises explicit errors instead.  A parameter that its body never reads is a
 knob that changes nothing.  The log/exp tables are read through
 ``field._Arith`` only, so no other module builds a second copy of its
-formulas.  Only ``spectra.DifferenceRow.sets`` groups a row into its
-solution sets, so no other module sorts one.  The replay's array pass is
-the only caller of its identity helpers, so the derivation is written
-once.  One function sums the fibers of pi, no split row hands a case to a
+formulas.  No module calls ``argsort``: the replay reads each solution set
+as its members tagged by row, so no set is padded into slots.  The
+replay's array pass is the only caller of its identity helpers, so the
+derivation is written once.  One function sums the fibers of pi, no split row hands a case to a
 scalar re-check, and ``theorems`` takes no scalar solver from ``field``.
 """
 
@@ -81,13 +81,13 @@ def test_only_field_owns_the_log_exp_arithmetic():
     assert classes == {"field.py"}, f"modules defining _Arith: {sorted(classes)}"
 
 
-def test_only_spectra_sorts_a_difference_row():
+def test_no_module_calls_argsort():
     names = set()
     for path in sorted(Path(gf2lab.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if "argsort" in {getattr(node, f, None) for f in ("id", "attr", "name")}:
                 names.add(path.name)
-    assert names == {"spectra.py"}, f"modules calling argsort: {sorted(names)}"
+    assert names == set(), f"modules calling argsort: {sorted(names)}"
 
 
 def test_only_the_array_pass_derives_the_replay():

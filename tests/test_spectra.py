@@ -171,14 +171,6 @@ def _row_table(kind, n, arg):
     return lut_from_values(s, np.random.default_rng(arg).integers(0, s.size, s.size))
 
 
-def _solution_sets(lut, a):
-    """{b: [x : f(x) + f(x + a) = b]} by one pass over x, in increasing x."""
-    sets = {}
-    for x in range(len(lut)):
-        sets.setdefault(lut[x] ^ lut[x ^ a], []).append(x)
-    return sets
-
-
 @pytest.mark.parametrize("kind,n,arg", ROW_TABLES)
 def test_difference_row_holds_the_derivative_and_the_ddt_row(kind, n, arg):
     f = _row_table(kind, n, arg)
@@ -192,72 +184,11 @@ def test_difference_row_holds_the_derivative_and_the_ddt_row(kind, n, arg):
         assert np.array_equal(row.values, rows[a - 1].values)
 
 
-@pytest.mark.parametrize("kind,n,arg", ROW_TABLES)
-def test_difference_row_sets_match_brute_force(kind, n, arg):
-    f = _row_table(kind, n, arg)
-    size = f.spec.size
-    rng = random.Random(n)
-    for a in {1, size - 1, *rng.sample(range(1, size), 3)}:
-        row = difference_row(f, a)
-        direct = _solution_sets(f.lut.tolist(), a)
-        width = max(4, int(row.counts.max()))
-        # every b in field order, then a few in any order with repeats
-        for bs in (list(range(size)), [rng.randrange(size) for _ in range(7)]):
-            sols, valid = row.sets(bs)
-            assert sols.shape == valid.shape == (len(bs), width)
-            for i, b in enumerate(bs):
-                members = direct.get(b, [])
-                assert sols[i, :len(members)].tolist() == members
-                assert valid[i].tolist() == [j < len(members) for j in range(width)]
-                assert not sols[i, len(members):].any()
-
-
-def test_difference_row_sets_of_an_unreached_b_are_empty():
-    f = build_lut(field_make(6), 5)
-    row = difference_row(f, 1)
-    b = int(np.flatnonzero(row.counts == 0)[0])
-    sols, valid = row.sets([b])
-    assert sols.shape == (1, 4) and not valid.any() and not sols.any()
-
-
-def test_difference_row_sets_of_no_b_are_empty():
-    # np.asarray([]) is float64, which cannot index the row
-    row = difference_row(build_lut(field_make(6), 5), 1)
-    for bs in ([], np.array([], dtype=np.int64)):
-        sols, valid = row.sets(bs)
-        assert sols.shape == valid.shape == (0, 4)
-
-
-def test_difference_row_sets_refuse_a_non_integer_b():
-    # 1.5 is not truncated to the element 1
-    row = difference_row(build_lut(field_make(5), 3), 3)
-    for bs in ([1.5], [1.0], [0, 2.5], [True]):
-        with pytest.raises(ValueError, match="not a field element"):
-            row.sets(bs)
-
-
-def test_difference_row_sets_widen_past_four_slots():
-    # a random table has rows with more than four solutions for some b
-    f = _row_table("random", 6, 7)
-    row = max((difference_row(f, a) for a in range(1, f.spec.size)),
-              key=lambda r: int(r.counts.max()))
-    delta = int(row.counts.max())
-    assert delta > 4
-    b = int(row.counts.argmax())
-    sols, valid = row.sets([b, 0])
-    assert sols.shape == (2, delta) and valid[0].all()
-    assert sols[0].tolist() == _solution_sets(f.lut.tolist(), row.a)[b]
-
-
 def test_difference_row_refuses_elements_outside_the_field():
     f = build_lut(field_make(5), 3)
     for a in (0, -1, -31, 32, 1 << 40):
         with pytest.raises(ValueError, match="nonzero field element"):
             difference_row(f, a)
-    row = difference_row(f, 3)
-    for bs in ([-1], [32], [0, 5, 32], np.array([[1], [-2]])):
-        with pytest.raises(ValueError, match="not a field element"):
-            row.sets(bs)
 
 
 def test_walsh_against_direct_definition():

@@ -150,8 +150,7 @@ def test_replay_branch_tally_over_every_c():
     # and all of them pass; only halving-image-constraints ends a replay early
     for k in (1, 2, 3, 4):
         size = 1 << (4 * k)
-        ws = np.arange(size)
-        cols = theorems._derive_pass(k, *difference_row(_family_table(k), 1).sets(ws), ws ^ 1)
+        cols = theorems._derive_pass(k, *_sweep_layout(k))
         assert cols.passed.all()
         assert cols.t_one.sum() == 1 << (3 * k)
         assert cols.obstructed.sum() == (1 << (4 * k - 1)) - (1 << (3 * k - 1))
@@ -196,6 +195,18 @@ def test_reduction_sweep_exhaustive_k1():
     report = reduction_sweep(1)
     assert report == CheckReport("reduction-replay[k=1]", 240, 0, None)
     assert report.ok
+
+
+def test_a_sample_above_2_24_pairs_is_refused_before_any_draw(monkeypatch):
+    def draw(*args):
+        raise AssertionError("a pair was drawn")
+
+    monkeypatch.setattr(theorems, "_sweep_pairs", draw)
+    theorems._check_samples(1 << 24)
+    for call in (lambda n: reduction_sweep(3, samples=n),
+                 lambda n: run_all_checks([1], samples=n)):
+        with pytest.raises(ValueError, match=r"at most 2\^24 = 16777216, got 16777217"):
+            call((1 << 24) + 1)
 
 
 def test_reduction_sweep_sampled_determinism():
@@ -277,19 +288,19 @@ def test_reduction_sweep_exhaustive_k2():
 @pytest.mark.parametrize("k, samples, change", [(1, None, None), (3, 200, None),
                                                 (3, 200, "f(0)=1")])
 def test_scanned_rows_are_each_pairs_own_normalized_set(monkeypatch, k, samples, change):
-    # S(a, b)/a in increasing order, padded with 0, from a scalar scan of the table
+    # S(a, b)/a in increasing order, tagged by the pair, from a scalar scan of the table
     if change:
         broken = _family_variant(k, _zero_to_one)
         monkeypatch.setattr(theorems, "_family_table", lambda kk: broken)
     s, lut = field_make(4 * k), theorems._family_table(k).lut.tolist()
     cases = _sweep_cases(k, samples)
     a, b = (np.array(v) for v in zip(*cases))
-    x, valid, c = theorems._scanned(k, a, b)
+    x, pair, c = theorems._scanned(k, a, b)
+    assert x.shape == pair.shape and (np.diff(pair) >= 0).all()
     for i, (ai, bi) in enumerate(cases):
         ainv = f_pow(s, ai, s.size - 2)
         norm = sorted(f_mul(s, y, ainv) for y in range(s.size) if lut[y] ^ lut[y ^ ai] == bi)
-        assert x[i].tolist() == norm + [0] * (x.shape[1] - len(norm))
-        assert valid[i].tolist() == [j < len(norm) for j in range(x.shape[1])]
+        assert x[pair == i].tolist() == norm
         assert c[i] == f_mul(s, bi, f_pow(s, f_pow(s, ai, dobbertin_exponent(k)), s.size - 2)) ^ 1
 
 
@@ -419,9 +430,9 @@ def test_reduction_sweep_replays_every_c_once(monkeypatch, k):
     real = theorems._derive_pass
     seen = []
 
-    def recording(k, sols, valid, c):
+    def recording(k, x, row, c):
         seen.extend(c.tolist())
-        return real(k, sols, valid, c)
+        return real(k, x, row, c)
 
     monkeypatch.setattr(theorems, "_derive_pass", recording)
     assert reduction_sweep(k).ok
@@ -441,25 +452,30 @@ def _row_a1(k, ws):
 
 
 def _derive_pass(k, sets, c):
-    """The array pass over the rows (sets[i], c[i]), the sets padded into slots."""
-    width = max(4, max(map(len, sets)))
-    sols = np.zeros((len(sets), width), dtype=np.int64)
-    for i, members in enumerate(sets):
-        sols[i, :len(members)] = members
-    valid = np.arange(width) < np.array([len(m) for m in sets])[:, None]
-    return theorems._derive_pass(k, sols, valid, np.asarray(c))
+    """The array pass over the rows (sets[i], c[i]): the members of every
+    set in turn, each tagged with its row, so the rows come grouped."""
+    row = np.repeat(np.arange(len(sets)), [len(m) for m in sets])
+    x = np.array([x for members in sets for x in members], dtype=np.int64)
+    return theorems._derive_pass(k, x, row, np.asarray(c))
+
+
+def _sweep_layout(k):
+    """The every-c sweep's members: each x tagged with its row D_1 f(x)."""
+    xs = np.arange(1 << (4 * k))
+    return xs, difference_row(_family_table(k), 1).values, xs ^ 1
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_row_one_sets_are_the_replay_layout(k):
-    # every S(1, w) from its own scan, padded with 0 to max(4, delta) slots
-    size = 1 << (4 * k)
-    sets = _row_a1(k, range(size))
-    width = max(4, max(map(len, sets)))
-    sols, valid = difference_row(_family_table(k), 1).sets(np.arange(size))
-    assert sols.shape == valid.shape == (size, width)
-    assert sols.tolist() == [m + [0] * (width - len(m)) for m in sets]
-    assert valid.tolist() == [[j < len(m) for j in range(width)] for m in sets]
+    # the sweep's members interleave across the rows; the pass over them
+    # decides every row as the pass over the same sets grouped by row, each
+    # S(1, w) from its own scan
+    x, row, c = _sweep_layout(k)
+    assert (np.diff(row) < 0).any()
+    sweep = theorems._derive_pass(k, x, row, c)
+    grouped = _derive_pass(k, _row_a1(k, range(x.size)), c)
+    for name in ("passed", "t_one", "obstructed", "count"):
+        assert np.array_equal(getattr(sweep, name), getattr(grouped, name)), name
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -582,10 +598,31 @@ REPLAY_BREAKS = {
 def test_every_replay_step_has_a_breaking_corruption():
     # a step added to the replay without a corruption that fires it fails
     # here: the pass reports its steps in the order of the step table
-    empty = np.zeros((1, 4), dtype=np.int64)
-    stages = theorems._derive_pass(1, empty, empty > 0, empty[:, 0]).stages
-    assert [name for _, oks in stages for name in oks] == list(theorems._STEPS)
+    empty = np.zeros(0, dtype=np.int64)
+    stages = theorems._derive_pass(1, empty, empty, np.zeros(1, dtype=np.int64)).stages
+    assert [name for _, _, oks in stages for name in oks] == list(theorems._STEPS)
     assert set(REPLAY_BREAKS) == set(theorems._STEPS)
+    # a stage loops over the solutions exactly when its errors name the member x
+    assert all(loops == ("x" in theorems._STEPS[name][1])
+               for _, loops, oks in stages for name in oks)
+
+
+@pytest.mark.parametrize("step", ["normalized-product-identity", "halving-image-membership"])
+def test_interleaved_and_grouped_members_fail_alike(monkeypatch, step):
+    # under a broken identity the rows that fail, and the first error of
+    # each (its least failing member), do not depend on the members' order
+    corrupt, k, _, _ = REPLAY_BREAKS[step]
+    corrupt(monkeypatch)
+    x, row, c = _sweep_layout(k)
+    sweep = theorems._derive_pass(k, x, row, c)
+    grouped = _derive_pass(k, _row_a1(k, range(x.size)), c)
+    assert np.array_equal(sweep.passed, grouped.passed) and not sweep.passed.all()
+    # row i replays the pair (1, c[i] + 1) = (1, i)
+    errors = [(str(theorems._replay_error(k, 1, i, sweep, i)),
+               str(theorems._replay_error(k, 1, i, grouped, i)))
+              for i in np.flatnonzero(~sweep.passed).tolist()]
+    assert all(a == b for a, b in errors)
+    assert any(f"{step}:" in a for a, _ in errors)
 
 
 @pytest.mark.parametrize("step", REPLAY_BREAKS)

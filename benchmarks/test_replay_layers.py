@@ -13,8 +13,9 @@ k = 3: the cross-check :func:`gf2lab.mm_crosscheck_all`, the quartic/fiber
 correspondence :func:`gf2lab.quartic_check_all` and the sign pattern
 :func:`gf2lab.m4_sum_check`; last the basis :func:`gf2lab.mm_basis` at
 k = 4.  Apart from ``_sweep_pairs``, which has stood since the sweep took
-index arrays, and ``theorems._family_table``, which the f(0) = 1 case
-replaces, only public functions are called, so the file runs unchanged on
+index arrays, ``theorems.fiber_partition_check``, whose row counts the
+fibers, and ``theorems._family_table``, which the f(0) = 1 case replaces,
+only public functions are called, so the file runs unchanged on
 any version of the package since.  The first round builds the family
 table and the arithmetic tables, and is not timed.  Every case records its
 instance count as ``extra_info["instances"]``.
@@ -29,7 +30,7 @@ import pytest
 from gf2lab import (FunctionTable, dobbertin_exponent, m4_sum_check, mm_basis,
                     mm_crosscheck_all, quartic_check_all, reduction_sweep, reduction_trace,
                     theorems)
-from gf2lab.theorems import _sweep_pairs
+from gf2lab.theorems import _sweep_pairs, fiber_partition_check
 
 
 def test_one_replay_instance(benchmark):
@@ -82,9 +83,10 @@ def test_mm_crosscheck_all_k3(benchmark):
 
 def test_quartic_check_all_k3(benchmark):
     w = mm_basis(3)
-    benchmark.extra_info["instances"] = len(w.pi_fibers)
+    fibers = fiber_partition_check(w).instances
+    benchmark.extra_info["instances"] = fibers
     report = benchmark.pedantic(quartic_check_all, (w,), rounds=5, warmup_rounds=1)
-    assert report.ok and report.instances == len(w.pi_fibers)
+    assert report.ok and report.instances == fibers
 
 
 def test_m4_sum_check_k3(benchmark):

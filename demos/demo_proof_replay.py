@@ -72,8 +72,9 @@ print(f"{report.name}: {report.instances} pairs, {report.failures} failures")
 # For the Walsh side, the component g(x) = Tr(gamma^2 x^d) is rewritten
 # over coordinates x = y + omega*a with y, a in the half-degree subfield.
 # mm_basis constructs the witness (gamma, alpha, omega) and verifies its
-# invariants on the spot; the mm-fibers and mm-quartic rows certify the
-# fibers it groups.
+# invariants on the spot.  It holds the half field as members, each tagged
+# by its image u under the inner map below; the mm-fibers and mm-quartic
+# rows certify the fibers those tags draw.
 
 w = mm_basis(2)
 print(f"\nk=2 witness: gamma={w.gamma:#x}, alpha={w.alpha:#x}, omega={w.omega:#x}")
@@ -81,10 +82,10 @@ print(f"\nk=2 witness: gamma={w.gamma:#x}, alpha={w.alpha:#x}, omega={w.omega:#x
 # In the new coordinates g is linear in y with inner map
 # pi(a) = gamma*a^(2^(k-1)) + gamma^2*a^(2^k+1); Walsh coefficients become
 # sums over the fibers of pi, so fiber sizes control coefficient sizes.
-sizes = Counter(len(m) for m in w.pi_fibers.values())
-print("fiber size histogram:", dict(sorted(sizes.items())))
+size = Counter(w.images.tolist())  # u -> the size of its fiber
+print("fiber size histogram:", dict(sorted(Counter(size.values()).items())))
 
-a0 = min(min(m) for m in w.pi_fibers.values() if len(m) == 2)
+a0 = min(a for a, u in zip(w.members.tolist(), w.images.tolist()) if size[u] == 2)
 u = pi_image(w, a0)
 print(f"fiber of pi({a0:#x}) = {u:#x}:", sorted(hex(x) for x in pi_fiber(w, u)))
 
@@ -104,7 +105,7 @@ print(f"coefficient at (u={u:#x}, v=0xc) both ways: {val}")
 # forcing a 3-against-1 sign split.
 w3 = mm_basis(3)
 print(f"\nk=3 fiber sizes: "
-      f"{dict(sorted(Counter(len(m) for m in w3.pi_fibers.values()).items()))}")
+      f"{dict(sorted(Counter(Counter(w3.images.tolist()).values()).items()))}")
 rep = m4_sum_check(w3)
 print(f"{rep.name}: {rep.instances} instances, {rep.failures} failures "
       f"(extremal magnitude 2^7 = {1 << 7})")

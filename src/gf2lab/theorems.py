@@ -549,8 +549,8 @@ class MMWitness:
 
     gamma generates the needed trace-one constant in GF(2^k); alpha and
     omega extend it so that x = y + omega*a splits the field over the
-    half-degree subfield.  ``pi_fibers`` maps each attained value u of the
-    inner map to its fiber {a : pi(a) = u}.
+    half-degree subfield.  The fibers {a : pi(a) = u} of the inner map are
+    two read-only arrays: ``members[j]`` lies in the fiber of ``images[j]``.
     """
 
     k: int
@@ -558,7 +558,8 @@ class MMWitness:
     gamma: int
     alpha: int
     omega: int
-    pi_fibers: dict
+    members: np.ndarray
+    images: np.ndarray
 
 
 def all_gammas(k: int) -> list[int]:
@@ -589,8 +590,8 @@ def mm_basis(k: int, *, gamma: int | None = None) -> MMWitness:
     sweep over :func:`all_gammas` confirms independence).  alpha and omega
     come from the root table of w^2 + w = e.  The basis invariants are
     verified on the spot and raise :class:`VerificationError` if violated;
-    the fibers of pi are grouped unchecked, for the mm-fibers and mm-quartic
-    rows to certify.
+    the members are the half field in increasing order, tagged by pi
+    unchecked, for the mm-fibers and mm-quartic rows to certify.
     """
     _check_k(k)
     table = _family_table(k)
@@ -636,18 +637,31 @@ def mm_basis(k: int, *, gamma: int | None = None) -> MMWitness:
         raise VerificationError(
             "split-coordinates-cover",
             "y + omega*a does not enumerate the field", k=k)
-    # fibers of the inner map
-    fibers: dict[int, set[int]] = {}
-    images = pi_image(MMWitness(k, spec, gamma, alpha, omega, {}), sub).tolist()
-    for a, u in zip(sub_2k, images):
-        fibers.setdefault(u, set()).add(a)
-    return MMWitness(k, spec, gamma, alpha, omega,
-                     {u: frozenset(members) for u, members in fibers.items()})
+    images = pi_image(MMWitness(k, spec, gamma, alpha, omega, sub, sub), sub)
+    sub.flags.writeable = images.flags.writeable = False
+    return MMWitness(k, spec, gamma, alpha, omega, sub, images)
 
 
 def pi_fiber(w: MMWitness, u: int) -> frozenset[int]:
     """The fiber {a in GF(2^(2k)) : pi(a) = u}; empty when u is not attained."""
-    return w.pi_fibers.get(u, frozenset())
+    return frozenset(w.members[w.images == u].tolist())
+
+
+def _fibers(w: MMWitness) -> tuple:
+    """The attained u in increasing order, each member's index among them and
+    the fiber sizes; a member outside the field raises ValueError."""
+    _check_elements(w.spec, w.members, "a member")
+    s = np.sort(w.images)
+    us = s[np.diff(s, prepend=s[:1] - 1) != 0]
+    tag = np.searchsorted(us, w.images)
+    return us, tag, np.bincount(tag)
+
+
+def _check_half(w: MMWitness, a, name: str) -> None:
+    """Refuse an element outside GF(2^(2k)), where no split coordinate lies."""
+    _check_elements(w.spec, a, name)
+    if _arith(w.spec.n, w.spec.poly).frob(a, 2 * w.k) != a:
+        raise ValueError(f"{name} {a:#x} is not in the half-degree subfield")
 
 
 def _split_offset(w: MMWitness, A: _Arith, a):
@@ -690,18 +704,22 @@ class QuarticRoots:
     fiber: frozenset[int]
 
 
-def _rebuilds(w: MMWitness, a0: np.ndarray, fib: np.ndarray, size: np.ndarray) -> tuple:
-    """Where a0 + c^2, over the roots c in GF(2^k) of the fiber quartic at
-    a0[i], are the members of the fiber padded into row i of fib; also the c
-    of GF(2^k) and the roots as a mask over them, a0 along rows."""
+def _rebuilds(w: MMWitness, a0: np.ndarray, x: np.ndarray, row: np.ndarray) -> tuple:
+    """Where a0[i] + c^2, over the roots c in GF(2^k) of the fiber quartic at
+    a0[i], are the members x[j] with row[j] == i; also the c of GF(2^k) and
+    the roots as a mask over them, a0 along rows.  A row passes when it has
+    as many roots as members and every member is a0 + c^2 at one of them."""
     A = _arith(w.spec.n, w.spec.poly)
     c = np.array(A.subfield(w.k))
     c2 = A.mul(c, c)
     root = (A.mul(c2, c2) ^ A.mul((A.frob(a0, w.k) ^ a0)[:, None], c2)
             ^ A.mul(A.inv(w.gamma), c)) == 0
-    in_fiber = np.arange(fib.shape[1]) < size[:, None]
-    mapped = ((fib[:, :, None] == (a0[:, None] ^ c2)[:, None, :]) & root[:, None, :]).any(axis=2)
-    return (root.sum(axis=1) == size) & (mapped | ~in_fiber).all(axis=1), c, root
+    # the one c with c^2 = x + a0, if it lies in GF(2^k)
+    cx = A.sqrt(x ^ a0[row])
+    at = np.minimum(np.searchsorted(c, cx), c.size - 1)
+    stray = ~((c[at] == cx) & root[row, at])
+    return ((root.sum(axis=1) == np.bincount(row, minlength=a0.size))
+            & (np.bincount(row[stray], minlength=a0.size) == 0)), c, root
 
 
 def _unrebuilt(k: int, a0, u) -> VerificationError:
@@ -713,49 +731,42 @@ def _unrebuilt(k: int, a0, u) -> VerificationError:
 def quartic_roots(w: MMWitness, a0: int) -> QuarticRoots:
     """The roots in GF(2^k) of the fiber quartic at a0, a one-row read of the
     mm-quartic pass, which must rebuild the fiber drawn at u = pi(a0)."""
-    _check_elements(w.spec, a0, "a0")
-    if _arith(w.spec.n, w.spec.poly).frob(a0, 2 * w.k) != a0:
-        raise ValueError(f"a0 {a0:#x} is not in the half-degree subfield")
+    _check_half(w, a0, "a0")
     u = pi_image(w, a0)
-    fiber = pi_fiber(w, u)
-    ok, c, root = _rebuilds(w, np.array([a0]), *_pad([sorted(fiber)]))
+    fiber = w.members[w.images == u]
+    ok, c, root = _rebuilds(w, np.array([a0]), fiber, np.zeros_like(fiber))
     if not ok[0]:
         raise _unrebuilt(w.k, a0, u)
-    return QuarticRoots(a0, u, frozenset(c[root[0]].tolist()), fiber)
+    return QuarticRoots(a0, u, frozenset(c[root[0]].tolist()), frozenset(fiber.tolist()))
 
 
 def quartic_check_all(w: MMWitness) -> CheckReport:
     """The quartic/fiber correspondence on every fiber of the witness, which
     must be the fiber that :func:`quartic_roots` rebuilds at its least member.
 
-    One array pass decides every fiber from its least member a0: a0 lies in
-    GF(2^(2k)), the quartic at a0 rebuilds the fiber drawn at pi(a0) (the
-    roots c in GF(2^k) are as many as its members, which the a0 + c^2 are),
-    and that fiber is this one.  The first failing fiber's error is built
-    from the pass's arrays, naming u = pi(a0) where the rebuild fails.
+    One array pass over the members tagged by u decides every fiber from its
+    least member a0: a0 lies in GF(2^(2k)), pi(a0) is the fiber's u, and the
+    quartic at a0 rebuilds the fiber (the roots c in GF(2^k) are as many as
+    its members, which the a0 + c^2 are).  The first failure's error names
+    u = pi(a0) where the quartic at a0 does not rebuild the members tagged u.
     """
-    A = _arith(w.spec.n, w.spec.poly)
     k = w.k
-    items = sorted(w.pi_fibers.items())
-    us = np.array([u for u, _ in items], dtype=np.int64)
-    a0 = np.array([min(m) for _, m in items], dtype=np.int64)
-    fib, size = _pad([sorted(m) for _, m in items])
-    u0 = pi_image(w, a0)  # refuses an a0 outside the field with ValueError
-    in_half = A.frob(a0, 2 * k) == a0
-    # the fiber drawn at pi(a0), empty where none is
-    at = np.minimum(np.searchsorted(us, u0), us.size - 1)
-    found = us[at] == u0
-    rebuilt = _rebuilds(w, a0, fib[at], np.where(found, size[at], 0))[0]
-    drawn = found & (size[at] == size) & (fib[at] == fib).all(axis=1)
+    us, tag, _ = _fibers(w)
+    a0 = np.full(us.size, np.iinfo(np.int64).max)
+    np.minimum.at(a0, tag, w.members)
+    u0 = pi_image(w, a0)
+    in_half = _arith(w.spec.n, w.spec.poly).frob(a0, 2 * k) == a0
+    rebuilt = _rebuilds(w, a0, w.members, tag)[0]
 
     def error(i: int) -> VerificationError:
-        if in_half[i] and not rebuilt[i]:
+        drawn = w.members[w.images == u0[i]]
+        if in_half[i] and not _rebuilds(w, a0[i:i + 1], drawn, np.zeros_like(drawn))[0][0]:
             return _unrebuilt(k, a0[i], u0[i])
         return VerificationError(
             "fiber-root-correspondence", "the fiber drawn at u is not the one "
             "rebuilt at its least member a0", k=k, u=us[i], a0=a0[i])
 
-    return _report(f"mm-quartic[k={k}]", in_half & rebuilt & drawn, error)
+    return _report(f"mm-quartic[k={k}]", in_half & (u0 == us) & rebuilt, error)
 
 
 def _transform_value(w: MMWitness, A: _Arith, u, v):
@@ -771,25 +782,16 @@ def _fiber_terms(w: MMWitness, A: _Arith, a, v):
     return 1 - 2 * A.subtrace(_split_offset(w, A, a) ^ A.mul(v, a), 2 * w.k)
 
 
-def _pad(fibers: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The fibers as rows of one array, padded with 0, and their sizes."""
-    size = np.array([len(m) for m in fibers], dtype=np.int64)
-    fib = np.zeros((len(fibers), max(size, default=0)), dtype=np.int64)
-    for i, members in enumerate(fibers):
-        fib[i, :len(members)] = members
-    return fib, size
-
-
 def _fiber_sum_grid(w: MMWitness, us, vs) -> np.ndarray:
     """2^(2k) times the sum of the terms over the fiber of u at v, for every
-    u of ``us`` (rows) and v of ``vs`` (columns), from one array of the
-    fibers padded into slots."""
+    u of ``us`` (rows, increasing) and v of ``vs`` (columns): each member
+    tagged by one of ``us`` adds its terms to that row; others add nothing."""
     A = _arith(w.spec.n, w.spec.poly)
-    fib, size = _pad([sorted(pi_fiber(w, u)) for u in us])
-    in_fiber = np.arange(fib.shape[1]) < size[:, None, None]
-    v = np.array(vs, dtype=np.int64)[:, None]
-    terms = np.where(in_fiber, _fiber_terms(w, A, fib[:, None, :], v), 0)
-    return (1 << (2 * w.k)) * terms.sum(axis=2)
+    at = np.searchsorted(us, w.images)
+    hit = np.append(us, -1)[at] == w.images
+    grid = np.zeros((len(us), len(vs)), dtype=np.int64)
+    np.add.at(grid, at[hit], _fiber_terms(w, A, w.members[hit, None], np.array(vs)))
+    return (1 << (2 * w.k)) * grid
 
 
 def _crosscheck(w: MMWitness, us, vs):
@@ -808,11 +810,11 @@ def mm_walsh_crosscheck(w: MMWitness, u: int, v: int) -> int:
 
     The split-coordinate point (u, v) corresponds to the plain transform
     argument lam = u*omega + u + v; the value from the fiber sum must agree
-    with the fast-transform coefficient at (lam, gamma^2).  An element
-    outside the field raises ValueError.
+    with the fast-transform coefficient at (lam, gamma^2).  A u or v
+    outside GF(2^(2k)), where the split coordinates lie, raises ValueError.
     """
-    _check_elements(w.spec, u, "u")
-    _check_elements(w.spec, v, "v")
+    _check_half(w, u, "u")
+    _check_half(w, v, "v")
     coef, ok, error = _crosscheck(w, [u], [v])
     if not ok[0, 0]:
         raise error(0, 0)
@@ -845,7 +847,8 @@ def m4_sum_check(w: MMWitness) -> CheckReport:
         (A.mul(w.gamma, w.alpha ^ A.frob(w.alpha, k)), k),
         (A.mul(w.gamma, w.gamma), k)))
     sub_2k = A.subfield(2 * k)
-    four = [u for u, members in sorted(w.pi_fibers.items()) if len(members) == 4]
+    us, _, size = _fibers(w)
+    four = us[size == 4]
     coef = _fiber_sum_grid(w, four, sub_2k).ravel()
     ok = np.append(traces == (1, 1, 1), np.abs(coef) == 1 << (2 * k + 1))
 
@@ -913,12 +916,10 @@ def run_all_checks(ks: Iterable[int], *, samples: int | None = None,
 def fiber_partition_check(w: MMWitness) -> CheckReport:
     """The fibers are those of pi on GF(2^(2k)): sizes sum to 2^(2k), all in
     {1,2,4}, and the members are distinct elements of GF(2^(2k)) that pi
-    maps to their fiber's u."""
-    k, fibers = w.k, w.pi_fibers.items()
-    sizes = Counter(len(m) for _, m in fibers)
-    members = np.array([a for _, m in fibers for a in m], dtype=np.int64)
-    us = np.array([u for u, m in fibers for _ in m], dtype=np.int64)
-    strays = int(((pi_image(w, members) != us)
+    maps to their tag u."""
+    k, members, size = w.k, w.members, _fibers(w)[2]
+    sizes = Counter(size.tolist())  # in increasing u
+    strays = int(((pi_image(w, members) != w.images)
                   | (_arith(w.spec.n, w.spec.poly).frob(members, 2 * k) != members)).sum())
     # np.unique would load numpy.ma
     repeats = members.size - np.count_nonzero(np.bincount(members))
@@ -928,4 +929,4 @@ def fiber_partition_check(w: MMWitness) -> CheckReport:
     elif repeats or strays:
         first = (f"fibers are not those of pi: {repeats} repeated member(s), {strays} "
                  f"outside GF(2^{2 * k}) or mapped off their fiber's u")
-    return CheckReport(f"mm-fibers[k={k}]", len(w.pi_fibers), int(first is not None), first)
+    return CheckReport(f"mm-fibers[k={k}]", size.size, int(first is not None), first)

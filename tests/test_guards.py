@@ -6,11 +6,13 @@ module sorts a difference row, and the per-layer benchmarks still collect.
 raises explicit errors instead.  A parameter that its body never reads is a
 knob that changes nothing.  The log/exp tables are read through
 ``field._Arith`` only, so no other module builds a second copy of its
-formulas.  No module calls ``argsort``: the replay reads each solution set
-as its members tagged by row, so no set is padded into slots.  The
+formulas.  No module calls ``argsort``, and no module pads a set into
+slots: the replay reads each solution set as its members tagged by row, and
+the split rows read the fibers of pi as their members tagged by u.  The
 replay's array pass is the only caller of its identity helpers, so the
-derivation is written once.  One function sums the fibers of pi, no split row hands a case to a
-scalar re-check, and ``theorems`` takes no scalar solver from ``field``.
+derivation is written once.  One function sums the fibers of pi, no split
+row builds a fiber one u at a time or hands a case to a scalar re-check,
+and ``theorems`` takes no scalar solver from ``field``.
 """
 
 import ast
@@ -110,8 +112,9 @@ def test_only_the_array_pass_derives_the_replay():
 
 
 def test_split_rows_have_one_fiber_sum_and_no_scalar_fallback():
-    # the split rows decide every cell in their one array pass, so a second
-    # fiber-sum path or a scalar re-check of those rows shows up here
+    # the split rows decide every cell in their one array pass over the
+    # members tagged by u, so a second fiber-sum path, a fiber built one u
+    # at a time or a scalar re-check of those rows shows up here
     tree = ast.parse((Path(gf2lab.__file__).parent / "theorems.py").read_text())
     callers = {}
     for node in tree.body:
@@ -120,10 +123,13 @@ def test_split_rows_have_one_fiber_sum_and_no_scalar_fallback():
                 if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
                     callers.setdefault(call.func.id, set()).add(node.name)
     assert callers["_fiber_terms"] == {"_fiber_sum_grid"}
+    rows = {"mm_decomposition_check", "fiber_partition_check", "quartic_check_all",
+            "mm_crosscheck_all", "m4_sum_check"}
+    assert not callers.get("pi_fiber", set()) & (rows | {"_fiber_sum_grid"})
     scalar = set().union(*(callers.get(name, set()) for name in
                            ("mm_walsh_crosscheck", "quartic_roots")))
-    assert not scalar & {"mm_decomposition_check", "mm_crosscheck_all", "m4_sum_check",
-                         "quartic_check_all"}
+    assert not scalar & rows
+    assert "_pad" not in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
 def test_theorems_takes_no_scalar_solver_from_field():

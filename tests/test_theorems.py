@@ -692,17 +692,46 @@ def test_subfields_are_one_stride_of_the_exp_table(n):
         assert _arith(s.n, s.poly).subfield(m) == scan, m
 
 
+def _fibers_of(w):
+    """The witness's fibers as a dict u -> frozenset of its members."""
+    fibers = {}
+    for a, u in zip(w.members.tolist(), w.images.tolist()):
+        fibers.setdefault(u, set()).add(a)
+    return {u: frozenset(members) for u, members in fibers.items()}
+
+
+def _with_fibers(w, fibers):
+    """w holding the fibers of a dict u -> members, as members in
+    increasing order, each tagged by its u."""
+    pairs = sorted((a, u) for u, members in fibers.items() for a in members)
+    return replace(w, members=np.array([a for a, _ in pairs], dtype=np.int64),
+                   images=np.array([u for _, u in pairs], dtype=np.int64))
+
+
+def test_mm_basis_holds_the_half_field_tagged_by_pi_read_only():
+    for k in (1, 2, 3):
+        w = mm_basis(k)
+        half = _arith(w.spec.n, w.spec.poly).subfield(2 * k)
+        assert w.members.tolist() == list(half)
+        assert w.images.tolist() == pi_image(w, w.members).tolist()
+        assert _fibers_of(_with_fibers(w, _fibers_of(w))) == _fibers_of(w)
+        # the frozensets these arrays replace were immutable too
+        for name in ("members", "images"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(w, name)[0] = 1
+
+
 def test_mm_basis_witness_k1():
     w = mm_basis(1)
     assert (w.gamma, w.alpha, w.omega) == (0x1, 0x6, 0x2)
-    sizes = Counter(len(m) for m in w.pi_fibers.values())
+    sizes = Counter(len(m) for m in _fibers_of(w).values())
     assert sizes == Counter({1: 2, 2: 1})
 
 
 def test_mm_basis_witness_k2():
     w = mm_basis(2)
     assert (w.gamma, w.alpha, w.omega) == (0xBC, 0xC, 0xAE)
-    sizes = Counter(len(m) for m in w.pi_fibers.values())
+    sizes = Counter(len(m) for m in _fibers_of(w).values())
     assert sizes == Counter({1: 4, 2: 6})
 
 
@@ -753,7 +782,7 @@ def test_pi_image_matches_scalar_formula():
         w = mm_basis(k)
         s = w.spec
         g2 = f_mul(s, w.gamma, w.gamma)
-        members = [a for fib in w.pi_fibers.values() for a in fib]
+        members = [a for fib in _fibers_of(w).values() for a in fib]
         assert len(members) == 1 << (2 * k)  # fibers partition the subfield
         for a in members:
             expect = (f_mul(s, w.gamma, frobenius(s, a, k - 1))
@@ -775,6 +804,15 @@ def test_elements_outside_the_field_are_refused(call, element):
     if call is pi_image:
         with pytest.raises(ValueError, match="not an element of GF"):
             pi_image(w, np.array([0, element]))
+
+
+@pytest.mark.parametrize("u, v", [(0x2, 0x0), (0x0, 0x2)], ids=["u", "v"])
+def test_crosscheck_refuses_a_point_off_the_split_grid(u, v):
+    # 0x2 lies in GF(2^8) but not in GF(2^4): no split coordinate names it,
+    # so its fiber sum says nothing about the transform and no error may
+    # report a falsified formula there
+    with pytest.raises(ValueError, match="0x2 is not in the half-degree subfield"):
+        mm_walsh_crosscheck(mm_basis(2), u, v)
 
 
 def _leaves(value):
@@ -807,11 +845,12 @@ def test_public_results_hold_python_ints(k):
                tr.solutions_via_quadratics, tr.aux) for tr in kinds.values()]
     assert any("per_solution" in tr.aux for tr in kinds.values())
     w = mm_basis(k)
-    a0 = min(w.pi_fibers[min(w.pi_fibers)])
+    us = sorted(set(w.images.tolist()))
+    a0 = min(pi_fiber(w, us[0]))
     qr = quartic_roots(w, a0)
     values += [pi_image(w, a0), qr.a0, qr.u, qr.roots_subfield, qr.fiber,
                mm_walsh_crosscheck(w, qr.u, a0), w.k, w.gamma, w.alpha, w.omega,
-               w.pi_fibers, all_gammas(k)]
+               [pi_fiber(w, u) for u in us], all_gammas(k)]
     # strings are the names of the aux entries
     leaked = [v for v in _leaves(values) if type(v) not in (int, str)]
     assert not leaked
@@ -842,11 +881,17 @@ def test_fiber_partition_check_refuses_a_member_of_another_fiber():
 
 def test_fiber_partition_check_refuses_a_missing_fiber():
     w = mm_basis(1)
-    u = min(w.pi_fibers)
-    rep = fiber_partition_check(replace(w, pi_fibers={
-        v: m for v, m in w.pi_fibers.items() if v != u}))
+    fibers = _fibers_of(w)
+    u = min(fibers)
+    rep = fiber_partition_check(_with_fibers(w, {v: m for v, m in fibers.items() if v != u}))
     assert rep.failures == 1
     assert rep.first_failure.startswith("partition broken: ")
+    # with every fiber gone the rows still report, and mm-fibers fails
+    empty = _with_fibers(w, {})
+    assert fiber_partition_check(empty) == CheckReport(
+        "mm-fibers[k=1]", 0, 1, "partition broken: sizes {}, total 0")
+    assert quartic_check_all(empty) == CheckReport("mm-quartic[k=1]", 0, 0, None)
+    assert m4_sum_check(empty) == CheckReport("mm-extremal-sum[k=1]", 1, 0, None)
 
 
 def _member_outside_the_half_field(w):
@@ -854,10 +899,22 @@ def _member_outside_the_half_field(w):
     fiber in place of its least member, so sizes, total, distinctness and pi
     all hold (at k = 1, x = 0x9 becomes that fiber's least member)."""
     half = set(_arith(w.spec.n, w.spec.poly).subfield(2 * w.k))
+    fibers = _fibers_of(w)
     x, u = next((x, u) for x, u in enumerate(pi_image(w, np.arange(w.spec.size)).tolist())
-                if x not in half and u in w.pi_fibers)
-    fiber = w.pi_fibers[u]
-    return replace(w, pi_fibers={**w.pi_fibers, u: fiber - {min(fiber)} | {x}})
+                if x not in half and u in fibers)
+    fiber = fibers[u]
+    return _with_fibers(w, {**fibers, u: fiber - {min(fiber)} | {x}})
+
+
+def test_split_rows_refuse_a_member_outside_the_field():
+    # a member past GF(2^n) would index the log/exp tables out of range
+    w = mm_basis(1)
+    fibers = _fibers_of(w)
+    u = max(fibers)
+    broken = _with_fibers(w, {**fibers, u: fibers[u] | {w.spec.size}})
+    for row in (fiber_partition_check, quartic_check_all, m4_sum_check):
+        with pytest.raises(ValueError, match="not an element of GF"):
+            row(broken)
 
 
 def test_fiber_partition_check_refuses_a_member_outside_the_half_field():
@@ -875,8 +932,8 @@ def test_mm_decomposition_exhaustive():
 
 def test_quartic_roots_structure():
     w = mm_basis(2)
-    for u in sorted(w.pi_fibers):
-        a0 = min(w.pi_fibers[u])
+    for u, members in sorted(_fibers_of(w).items()):
+        a0 = min(members)
         qr = quartic_roots(w, a0)
         assert qr.fiber == pi_fiber(w, u)
         # each subfield root c recovers a fiber member as a0 + c^2
@@ -893,7 +950,7 @@ def test_quartic_check_all():
     for k in (1, 2, 3):
         rep = quartic_check_all(mm_basis(k))
         assert rep.ok
-        assert rep.instances == len(mm_basis(k).pi_fibers)
+        assert rep.instances == len(_fibers_of(mm_basis(k)))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -901,7 +958,7 @@ def test_quartic_check_all_passes_every_gamma(k):
     for g in all_gammas(k):
         w = mm_basis(k, gamma=g)
         assert quartic_check_all(w) == CheckReport(f"mm-quartic[k={k}]",
-                                                   len(w.pi_fibers), 0, None)
+                                                   len(_fibers_of(w)), 0, None)
 
 
 def test_quartic_check_all_refuses_a_member_of_another_fiber():
@@ -923,7 +980,7 @@ def test_quartic_check_all_counts_a_least_member_outside_the_half_field():
 def _moved_pi_member(monkeypatch, k):
     """Patch pi so that the larger member of the least size-2 fiber maps
     into the least size-1 fiber; sizes still sum to 2^(2k)."""
-    fibers = sorted(mm_basis(k).pi_fibers.items())
+    fibers = sorted(_fibers_of(mm_basis(k)).items())
     moved = max(next(m for _, m in fibers if len(m) == 2))
     target = next(u for u, m in fibers if len(m) == 1)
     real = theorems.pi_image
@@ -954,7 +1011,7 @@ def _scalar_quartic_row(w):
     """The mm-quartic row as one scalar check per fiber, the oracle of the
     array pass: at the least member a0, the roots of the quartic that the
     linearized solver finds in GF(2^k) rebuild the fiber drawn at pi(a0) as
-    a0 + c^2, and that fiber is the one drawn at u."""
+    a0 + c^2, and pi(a0) is the fiber's own u."""
     s, k = w.spec, w.k
 
     def check(u, members):
@@ -968,29 +1025,38 @@ def _scalar_quartic_row(w):
                     "fiber-root-correspondence",
                     "a0 + c^2 over the subfield roots does not reproduce the fiber",
                     k=k, a0=a0, u=u0)
-            if pi_fiber(w, u0) == members:
+            if u0 == u:
                 return
         raise VerificationError(
             "fiber-root-correspondence", "the fiber drawn at u is not the one "
             "rebuilt at its least member a0", k=k, u=u, a0=a0)
 
-    return _tally(f"mm-quartic[k={k}]", sorted(w.pi_fibers.items()), check)
+    return _tally(f"mm-quartic[k={k}]", sorted(_fibers_of(w).items()), check)
 
 
 def _swapped_fibers(w):
     """The fibers of the two least u drawn at each other's u: each is a true
     fiber of pi, rebuilt at its least member, but not the one drawn there."""
-    u1, u2 = sorted(w.pi_fibers)[:2]
-    return replace(w, pi_fibers={**w.pi_fibers, u1: w.pi_fibers[u2], u2: w.pi_fibers[u1]})
+    fibers = _fibers_of(w)
+    u1, u2 = sorted(fibers)[:2]
+    return _with_fibers(w, {**fibers, u1: fibers[u2], u2: fibers[u1]})
+
+
+def _fiber_drawn_twice(w):
+    """The fiber of the least u drawn again at the next u in place of its own:
+    the same set at two u, so pi(a0) is not the second u."""
+    fibers = _fibers_of(w)
+    u1, u2 = sorted(fibers)[:2]
+    return _with_fibers(w, {**fibers, u2: fibers[u1]})
 
 
 def _relabeled_fiber(w):
     """A fiber drawn at u + 1, a value pi does not take, in place of its u:
     pi(a0) = u draws no fiber, and the next one drawn is a0's own."""
-    u = next(u for u in sorted(w.pi_fibers) if u + 1 not in w.pi_fibers)
-    fibers = dict(w.pi_fibers)
+    fibers = _fibers_of(w)
+    u = next(u for u in sorted(fibers) if u + 1 not in fibers)
     fibers[u + 1] = fibers.pop(u)
-    return replace(w, pi_fibers=fibers)
+    return _with_fibers(w, fibers)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -1009,8 +1075,9 @@ def test_quartic_row_equals_the_scalar_check_for_every_gamma(k):
     (lambda monkeypatch, k: _moved_pi_member(monkeypatch, k) or mm_basis(k), 3),
     (lambda monkeypatch, k: _swapped_fibers(mm_basis(k)), 2),
     (lambda monkeypatch, k: _relabeled_fiber(mm_basis(k)), 2),
+    (lambda monkeypatch, k: _fiber_drawn_twice(mm_basis(k)), 2),
 ], ids=["fiber-member+1-k3", "outside-half-k1", "outside-half-k3", "moved-pi-k2",
-        "moved-pi-k3", "swapped-fibers-k2", "relabeled-fiber-k2"])
+        "moved-pi-k3", "swapped-fibers-k2", "relabeled-fiber-k2", "fiber-drawn-twice-k2"])
 def test_quartic_row_equals_the_scalar_check_on_a_broken_witness(monkeypatch, make, k):
     w = make(monkeypatch, k)
     report = quartic_check_all(w)
@@ -1024,7 +1091,7 @@ def test_mm_walsh_crosscheck_against_naive_sum():
     s = w.spec
     table = _family_table(1)
     g2 = f_mul(s, w.gamma, w.gamma)
-    sub = [a for fib in w.pi_fibers.values() for a in fib]
+    sub = [a for fib in _fibers_of(w).values() for a in fib]
     for u in sub:
         for v in sub:
             coef = mm_walsh_crosscheck(w, u, v)
@@ -1043,7 +1110,7 @@ def test_m4_sum_check_counts():
     assert m4_sum_check(mm_basis(1)) == CheckReport("mm-extremal-sum[k=1]", 1, 0, None)
     assert m4_sum_check(mm_basis(2)) == CheckReport("mm-extremal-sum[k=2]", 1, 0, None)
     w3 = mm_basis(3)
-    four = [m for m in w3.pi_fibers.values() if len(m) == 4]
+    four = [m for m in _fibers_of(w3).values() if len(m) == 4]
     assert len(four) == 2
     rep = m4_sum_check(w3)
     assert rep == CheckReport("mm-extremal-sum[k=3]", 1 + 2 * 64, 0, None)
@@ -1052,8 +1119,9 @@ def test_m4_sum_check_counts():
 def test_m4_extremal_coefficients_appear_in_spectrum():
     # at k = 3 the size-4 fibers must realize the extremal magnitude 2^(2k+1)
     w = mm_basis(3)
-    four = sorted(u for u, members in w.pi_fibers.items() if len(members) == 4)
-    sub = sorted(a for fib in w.pi_fibers.values() for a in fib)
+    fibers = _fibers_of(w)
+    four = sorted(u for u, members in fibers.items() if len(members) == 4)
+    sub = sorted(a for fib in fibers.values() for a in fib)
     coef, ok, _ = theorems._crosscheck(w, four, sub[:8])
     assert coef.shape == (2, 8) and ok.all()
     assert set(np.abs(coef).ravel().tolist()) == {1 << 7}
@@ -1136,9 +1204,10 @@ def _other_alpha(monkeypatch, w):
 def _fiber_member_plus_one(monkeypatch, w):
     # the least size-4 fiber (u = 0x48 at k = 3) with its least member m
     # replaced by m + 1, another element of the half field
-    u = min(u for u, members in w.pi_fibers.items() if len(members) == 4)
-    m = min(w.pi_fibers[u])
-    return replace(w, pi_fibers={**w.pi_fibers, u: w.pi_fibers[u] - {m} | {m ^ 1}})
+    fibers = _fibers_of(w)
+    u = min(u for u, members in fibers.items() if len(members) == 4)
+    m = min(fibers[u])
+    return _with_fibers(w, {**fibers, u: fibers[u] - {m} | {m ^ 1}})
 
 
 # suite -> (its report from the witness, the breaker returning the witness

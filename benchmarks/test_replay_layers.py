@@ -2,8 +2,8 @@
 
 One replay instance, ``reduction_trace(3, 1, 1)``: a = 1 and b = 1 give
 c = 0, whose equation has four solutions and runs the whole t != 1 branch
-down to the terminal quadratics.  Then the sampled pair draw
-``theorems._sweep_pairs(3, 20000)`` alone, and the pair sweep
+down to the terminal quadratics.  Then the sampled pair draw of
+``verify --k 3 --samples 20000`` alone, and the pair sweep
 :func:`gf2lab.reduction_sweep` exhaustive at k = 2 (every c), at k = 3
 with 20000 and 5000 sampled pairs and at k = 4 with 1000, the sizes
 ``verify`` runs, and at k = 3 with 2000 pairs on the family table with
@@ -12,25 +12,50 @@ replayed from its own scanned set.  Then three split-coordinate suites at
 k = 3: the cross-check :func:`gf2lab.mm_crosscheck_all`, the quartic/fiber
 correspondence :func:`gf2lab.quartic_check_all` and the sign pattern
 :func:`gf2lab.m4_sum_check`; last the basis :func:`gf2lab.mm_basis` at
-k = 4.  Apart from ``_sweep_pairs``, which has stood since the sweep took
-index arrays, ``theorems.fiber_partition_check``, whose row counts the
-fibers, and ``theorems._family_table``, which the f(0) = 1 case replaces,
-only public functions are called, so the file runs unchanged on
-any version of the package since.  The first round builds the family
-table and the arithmetic tables, and is not timed.  Every case records its
-instance count as ``extra_info["instances"]``.
+k = 4.  The pair draw drains the chunk generator ``theorems._pair_chunks``
+where it exists and calls ``theorems._sweep_pairs``, which returned every
+pair at once, otherwise.  Apart from those, ``theorems.fiber_partition_check``,
+whose row counts the fibers, and ``theorems._family_table``, which the
+f(0) = 1 case replaces, only public functions are called, so the file runs
+unchanged on any version of the package since the sweep took index arrays.
+The first round builds the family table and the arithmetic tables, and is
+not timed.  Every case records its instance count as
+``extra_info["instances"]``, and each pair sweep and the pair draw their
+tracemalloc peak, from one untimed call, as ``extra_info["peak_mib"]``.
 
 Not part of the test suite (``testpaths`` is ``tests``).  Run it with::
 
     PYTHONPATH=src python -m pytest benchmarks/test_replay_layers.py --benchmark-json=out.json
 """
 
+import tracemalloc
+
 import pytest
 
 from gf2lab import (FunctionTable, dobbertin_exponent, m4_sum_check, mm_basis,
                     mm_crosscheck_all, quartic_check_all, reduction_sweep, reduction_trace,
                     theorems)
-from gf2lab.theorems import _sweep_pairs, fiber_partition_check
+from gf2lab.theorems import fiber_partition_check
+
+
+def _peak_mib(benchmark, fn, *args, **kwargs):
+    """Record the tracemalloc peak of one call of ``fn`` in ``extra_info``."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        benchmark.extra_info["peak_mib"] = round(tracemalloc.get_traced_memory()[1] / 2**20, 3)
+    finally:
+        tracemalloc.stop()
+
+
+def _draw_pairs(k, samples):
+    """The sweep's pairs as (pair count, least a), drawn the way the package
+    draws them: in chunks where it streams them, else all at once."""
+    if hasattr(theorems, "_pair_chunks"):
+        chunks = [(a.size, int(a.min())) for a, _ in theorems._pair_chunks(k, samples)]
+        return sum(n for n, _ in chunks), min(least for _, least in chunks)
+    a, _ = theorems._sweep_pairs(k, samples)
+    return a.size, int(a.min())
 
 
 def test_one_replay_instance(benchmark):
@@ -41,8 +66,9 @@ def test_one_replay_instance(benchmark):
 
 def test_sweep_pairs_k3(benchmark):
     benchmark.extra_info["instances"] = 20000
-    a, b = benchmark.pedantic(_sweep_pairs, (3, 20000), rounds=30, warmup_rounds=1)
-    assert a.size == b.size == 20000 and a.min() >= 1
+    count, least = benchmark.pedantic(_draw_pairs, (3, 20000), rounds=30, warmup_rounds=1)
+    assert count == 20000 and least >= 1
+    _peak_mib(benchmark, _draw_pairs, 3, 20000)
 
 
 @pytest.mark.parametrize("k, samples", [(3, 20000), (3, 5000), (4, 1000)],
@@ -52,6 +78,7 @@ def test_pair_sweep(benchmark, k, samples):
     report = benchmark.pedantic(reduction_sweep, (k,), {"samples": samples},
                                 rounds=5, warmup_rounds=1)
     assert report.ok and report.instances == samples
+    _peak_mib(benchmark, reduction_sweep, k, samples=samples)
 
 
 def test_pair_sweep_nonhomogeneous_k3(benchmark, monkeypatch):
@@ -65,6 +92,7 @@ def test_pair_sweep_nonhomogeneous_k3(benchmark, monkeypatch):
     report = benchmark.pedantic(reduction_sweep, (3,), {"samples": 2000},
                                 rounds=5, warmup_rounds=1)
     assert report.ok and report.instances == 2000
+    _peak_mib(benchmark, reduction_sweep, 3, samples=2000)
 
 
 def test_pair_sweep_exhaustive_k2(benchmark):
@@ -72,6 +100,7 @@ def test_pair_sweep_exhaustive_k2(benchmark):
     benchmark.extra_info["instances"] = pairs
     report = benchmark.pedantic(reduction_sweep, (2,), rounds=5, warmup_rounds=1)
     assert report.ok and report.instances == pairs
+    _peak_mib(benchmark, reduction_sweep, 2)
 
 
 def test_mm_crosscheck_all_k3(benchmark):

@@ -52,7 +52,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -85,9 +85,11 @@ __all__ = [
 
 DEFAULT_SEED = 0x1CEB00DA
 MAX_K = 4
-# pairs a sweep may sample, ~46 B each: just above the 16 773 120 pairs of the
-# exhaustive k = 3 sweep; more decide nothing the pass over every c has not
+# pairs a sweep may sample: just above the 16 773 120 pairs of the exhaustive
+# k = 3 sweep; more decide nothing the pass over every c has not.  The cap
+# bounds work, not memory: the pairs stream in chunks of _CHUNK_PAIRS
 MAX_SAMPLES = 1 << 24
+_CHUNK_PAIRS = 1 << 14
 # VerificationError context keys that are counts or signed values, not elements
 _DECIMAL = frozenset({"k", "count", "size", "coefficient", "fiber_sum", "transform"})
 
@@ -479,27 +481,38 @@ def _report(name: str, ok: np.ndarray, error) -> CheckReport:
     return CheckReport(name, ok.size, len(bad), first)
 
 
-def _sweep_pairs(k: int, samples: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """The (a, b) pairs of a sweep as two index arrays, in case order.
+def _pair_chunks(k: int, samples: int | None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (a, b) pairs of a sweep as index arrays of _CHUNK_PAIRS pairs
+    (the last may be shorter), which concatenate to the pairs in case order.
 
-    A sample reads 4k-bit words, the low bits of little-endian 32-bit words
+    Exhaustive by default for k <= 2: every a != 0 and every b, a-major.  A
+    sample reads 4k-bit words, the low bits of little-endian 32-bit words
     of raw bytes from ``random.Random(DEFAULT_SEED)``: first every b, then
     every a, whose zero words are dropped and replaced by further draws.
+    The a-words come from a second generator advanced past the b-bytes,
+    since ``randbytes`` over whole words concatenates: no chunk holds more
+    than its own pairs.
     """
     size = 1 << (4 * k)
     if samples is None and k <= 2:
-        return np.divmod(np.arange(size, size * size), size)
+        for start in range(size, size * size, _CHUNK_PAIRS):
+            yield np.divmod(np.arange(start, min(start + _CHUNK_PAIRS, size * size)), size)
+        return
     count = samples if samples is not None else 1000
-    rng = random.Random(DEFAULT_SEED)
+    b_rng, a_rng = random.Random(DEFAULT_SEED), random.Random(DEFAULT_SEED)
 
-    def words(m: int) -> np.ndarray:
+    def words(rng: random.Random, m: int) -> np.ndarray:
         return np.frombuffer(rng.randbytes(4 * m), dtype="<u4").astype(np.int64) & (size - 1)
 
-    b, a = words(count), np.empty(0, dtype=np.int64)
-    while a.size < count:
-        drawn = words(count - a.size)
-        a = np.concatenate([a, drawn[drawn != 0]])
-    return a, b
+    for start in range(0, count, _CHUNK_PAIRS):
+        a_rng.randbytes(4 * min(_CHUNK_PAIRS, count - start))
+    for start in range(0, count, _CHUNK_PAIRS):
+        b = words(b_rng, min(_CHUNK_PAIRS, count - start))
+        a = np.empty(0, dtype=np.int64)
+        while a.size < b.size:
+            drawn = words(a_rng, b.size - a.size)
+            a = np.concatenate([a, drawn[drawn != 0]])
+        yield a, b
 
 
 def reduction_sweep(k: int, *, samples: int | None = None) -> CheckReport:
@@ -518,25 +531,36 @@ def reduction_sweep(k: int, *, samples: int | None = None) -> CheckReport:
     passes exactly when the replay of (1, c + 1) does.  The sweep reads
     that premise off the family table's exponent once and makes one
     :func:`_derive_pass` over every c = v + 1, each x a member of the row
-    v = D_1 f(x), and on a table that fails the premise over every pair's
-    own scanned set.  A pair fails with its row's error, built for its own
-    (a, b): the report is the per-pair one.
+    v = D_1 f(x), before it reads the pairs; on a table that fails the
+    premise it makes one pass per chunk of pairs over their own scanned
+    sets.  The pairs stream in chunks of :func:`_pair_chunks`, of which
+    the sweep keeps only the counts and the first failure: a pair fails
+    with its row's error, built for its own (a, b), and the report is the
+    per-pair one.
     """
     _check_k(k)
     _check_samples(samples)
-    a, b = _sweep_pairs(k, samples)
     table = _family_table(k)
     d = dobbertin_exponent(k)
-    if table.exponent == d:
-        # the pair (a, b) replays as (1, v), i.e. c = v + 1
-        row = _normalized(_arith(table.spec.n, table.spec.poly), d, a, b)
+    homogeneous = table.exponent == d
+    if homogeneous:
+        A = _arith(table.spec.n, table.spec.poly)
         xs = np.arange(table.spec.size)
         cols = _derive_pass(k, xs, difference_row(table, 1).values, xs ^ 1)
-    else:
-        row = np.arange(a.size)
-        cols = _derive_pass(k, *_scanned(k, a, b))
-    return _report(f"reduction-replay[k={k}]", cols.passed[row],
-                   lambda i: _replay_error(k, int(a[i]), int(b[i]), cols, row[i]))
+    instances, failures, first = 0, 0, None
+    for a, b in _pair_chunks(k, samples):
+        if homogeneous:
+            # the pair (a, b) replays as (1, v), i.e. c = v + 1
+            row = _normalized(A, d, a, b)
+        else:
+            row = np.arange(a.size)
+            cols = _derive_pass(k, *_scanned(k, a, b))
+        bad = np.flatnonzero(~cols.passed[row])
+        if first is None and bad.size:
+            i = bad[0]
+            first = str(_replay_error(k, int(a[i]), int(b[i]), cols, row[i]))
+        instances, failures = instances + a.size, failures + bad.size
+    return CheckReport(f"reduction-replay[k={k}]", instances, failures, first)
 
 
 # ---------------------------------------------------------------------------
@@ -583,13 +607,27 @@ def pi_image(w: MMWitness, a):
     return u if isinstance(a, np.ndarray) else int(u)
 
 
+def _split_covers(spec: FieldSpec, k: int, omega):
+    """Whether y + omega*a, over y and a in GF(2^(2k)), hits every element of
+    GF(2^(4k)) once; ``omega`` may be an array, decided elementwise.
+
+    The map (y, a) -> y + omega*a is GF(2^(2k))-linear between spaces of
+    the same size, so it is onto exactly when 1 and omega are independent
+    over GF(2^(2k)): when omega lies outside GF(2^(2k)).  The
+    omega-conjugate-gap check, omega + omega^(2^2k) = 1, already forces that.
+    """
+    return _arith(spec.n, spec.poly).frob(omega, 2 * k) != omega
+
+
 def mm_basis(k: int, *, gamma: int | None = None) -> MMWitness:
     """Construct and validate the split-coordinate basis (gamma, alpha, omega).
 
     gamma defaults to the least qualifying element (any choice passes; a
     sweep over :func:`all_gammas` confirms independence).  alpha and omega
     come from the root table of w^2 + w = e.  The basis invariants are
-    verified on the spot and raise :class:`VerificationError` if violated;
+    verified on the spot and raise :class:`VerificationError` if violated.
+    The split-coordinates-cover check is one Frobenius test (see
+    :func:`_split_covers`), which omega-conjugate-gap already implies;
     the members are the half field in increasing order, tagged by pi
     unchecked, for the mm-fibers and mm-quartic rows to certify.
     """
@@ -630,13 +668,11 @@ def mm_basis(k: int, *, gamma: int | None = None) -> MMWitness:
     if omega ^ A.frob(omega, 2 * k) != 1:
         raise VerificationError(
             "omega-conjugate-gap", "omega + omega^(2^2k) != 1", k=k, omega=omega)
-    # the split coordinates must hit every element of the field once
-    sub = np.array(sub_2k)
-    cover = np.bincount((sub[:, None] ^ A.mul(omega, sub)).ravel(), minlength=spec.size)
-    if not (cover == 1).all():
+    if not _split_covers(spec, k, omega):
         raise VerificationError(
             "split-coordinates-cover",
             "y + omega*a does not enumerate the field", k=k)
+    sub = np.array(sub_2k)
     images = pi_image(MMWitness(k, spec, gamma, alpha, omega, sub, sub), sub)
     sub.flags.writeable = images.flags.writeable = False
     return MMWitness(k, spec, gamma, alpha, omega, sub, images)

@@ -297,7 +297,10 @@ def test_verify_refuses_a_sample_above_2_24_pairs_before_any_draw(monkeypatch, c
     def draw(*args):
         raise AssertionError("a pair was drawn")
 
-    monkeypatch.setattr(theorems, "_sweep_pairs", draw)
+    monkeypatch.setattr(theorems, "_pair_chunks", draw)
+    # the patch is where the sweep draws: an allowed sample reaches it
+    with pytest.raises(AssertionError, match="a pair was drawn"):
+        theorems.reduction_sweep(3, samples=1)
     assert main(["verify", "--k", "3", "--samples", str((1 << 24) + 1)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,6 +1,7 @@
 """Derivation replays and the split-coordinate verification suite."""
 
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -201,8 +202,11 @@ def test_a_sample_above_2_24_pairs_is_refused_before_any_draw(monkeypatch):
     def draw(*args):
         raise AssertionError("a pair was drawn")
 
-    monkeypatch.setattr(theorems, "_sweep_pairs", draw)
+    monkeypatch.setattr(theorems, "_pair_chunks", draw)
     theorems._check_samples(1 << 24)
+    # the patch is where the sweep draws: an allowed sample reaches it
+    with pytest.raises(AssertionError, match="a pair was drawn"):
+        reduction_sweep(3, samples=1 << 24)
     for call in (lambda n: reduction_sweep(3, samples=n),
                  lambda n: run_all_checks([1], samples=n)):
         with pytest.raises(ValueError, match=r"at most 2\^24 = 16777216, got 16777217"):
@@ -235,24 +239,62 @@ def _sweep_cases(k, samples):
     return list(zip(as_, bs))
 
 
-def test_sweep_pairs_draw_one_sample_of_raw_bytes():
-    a, b = theorems._sweep_pairs(3, 20000)
-    again = theorems._sweep_pairs(3, 20000)
+def _streamed(k, samples):
+    """The sweep's chunks of pairs, checked for their sizes, joined into
+    two arrays in case order."""
+    chunks = list(theorems._pair_chunks(k, samples))
+    sizes = [a.size for a, _ in chunks]
+    assert sizes == [b.size for _, b in chunks]
+    assert all(m == theorems._CHUNK_PAIRS for m in sizes[:-1])
+    assert 0 < sizes[-1] <= theorems._CHUNK_PAIRS
+    return np.concatenate([a for a, _ in chunks]), np.concatenate([b for _, b in chunks])
+
+
+@pytest.mark.parametrize("chunk", [None, 7], ids=["default", "chunk7"])
+@pytest.mark.parametrize("k, samples", [(3, 20000), (1, 200), (1, None), (2, None)])
+def test_pair_chunks_join_to_the_sweep_cases(monkeypatch, chunk, k, samples):
+    if chunk:
+        monkeypatch.setattr(theorems, "_CHUNK_PAIRS", chunk)
+    a, b = _streamed(k, samples)
+    assert list(zip(a.tolist(), b.tolist())) == _sweep_cases(k, samples)
+
+
+def test_pair_chunks_draw_one_sample_of_raw_bytes():
+    assert theorems._CHUNK_PAIRS == 1 << 14
+    a, b = _streamed(3, 20000)
+    again = _streamed(3, 20000)
     assert a.size == b.size == 20000
     assert (a == again[0]).all() and (b == again[1]).all()
     assert 1 <= a.min() and a.max() < 1 << 12 and 0 <= b.min() and b.max() < 1 << 12
     assert list(zip(a.tolist(), b.tolist())) == _sweep_cases(3, 20000)
 
 
-def test_sweep_pairs_top_up_the_rejected_zeros():
-    # at k = 1 one a-word in 16 is 0; the pairs past the first draw are top-ups
+@pytest.mark.parametrize("chunk", [None, 7], ids=["default", "chunk7"])
+def test_pair_chunks_top_up_the_rejected_zeros(monkeypatch, chunk):
+    # at k = 1 one a-word in 16 is 0; the pairs past the first draw are
+    # top-ups, and at 7 pairs a chunk they straddle the chunk edges
+    if chunk:
+        monkeypatch.setattr(theorems, "_CHUNK_PAIRS", chunk)
     cases = _sweep_cases(1, 200)
-    a, b = theorems._sweep_pairs(1, 200)
+    a, b = _streamed(1, 200)
     assert list(zip(a.tolist(), b.tolist())) == cases
     rng = random.Random(DEFAULT_SEED)
     rng.randbytes(4 * 200)
     first = [w % 16 for w in np.frombuffer(rng.randbytes(4 * 200), dtype="<u4").tolist()]
     assert 0 in first and [w for w in first if w] == a.tolist()[:len(first) - first.count(0)]
+
+
+def test_reduction_sweep_memory_is_flat_in_the_sample_count():
+    # the pairs stream in chunks: 2^20 pairs would take 40 MiB held at once
+    reduction_sweep(3, samples=1)  # the family and arithmetic tables
+    tracemalloc.start()
+    try:
+        report = reduction_sweep(3, samples=1 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == CheckReport("reduction-replay[k=3]", 1 << 20, 0, None)
+    assert peak < 8 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def _tally(name, cases, check):
@@ -643,6 +685,23 @@ def test_every_replay_step_fails_under_its_broken_identity(monkeypatch, step):
     assert reduction_sweep(1) == _per_pair_replay(1, None)
 
 
+@pytest.mark.parametrize("change", [None, _zero_to_one], ids=["homogeneous", "f(0)=1"])
+@pytest.mark.parametrize("step", REPLAY_BREAKS)
+def test_a_broken_sweep_reports_alike_at_every_chunk_size(monkeypatch, step, change):
+    # the failures sum over the chunks, and the first error is the first
+    # failing pair's, built from its own chunk, wherever the chunk edges fall
+    corrupt, k, _, _ = REPLAY_BREAKS[step]
+    corrupt(monkeypatch)
+    if change:  # on top of the table the corruption may have patched
+        broken = _family_variant(k, change)
+        monkeypatch.setattr(theorems, "_family_table", lambda kk: broken)
+    samples = None if k == 1 or not change else 1000
+    report = reduction_sweep(k, samples=samples)
+    monkeypatch.setattr(theorems, "_CHUNK_PAIRS", 7)
+    assert reduction_sweep(k, samples=samples) == report
+    assert report.failures > 0
+
+
 def test_a_loop_over_the_solutions_names_its_least_failing_member(monkeypatch):
     # the loop runs over S(a, b)/a in increasing order, which the division by
     # a != 1 does not keep: here 0xc fails, and so does a member past it
@@ -775,6 +834,29 @@ def test_mm_basis_invariants_recomputed():
         # omega solves z^2 + z = alpha and its 2k-conjugate gap is 1
         assert f_mul(s, w.omega, w.omega) ^ w.omega == w.alpha
         assert frobenius(s, w.omega, 2 * k) ^ w.omega == 1
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_split_cover_is_one_frobenius_test(k):
+    # y + omega*a over y, a in GF(2^(2k)) hits each element once exactly
+    # when omega lies outside GF(2^(2k)): a bincount per omega, by the
+    # scalar field API, against the one Frobenius test of every omega
+    s = field_make(4 * k)
+    half = [x for x in range(s.size) if frobenius(s, x, 2 * k) == x]
+    covers = [np.bincount([y ^ f_mul(s, omega, a) for y in half for a in half],
+                          minlength=s.size).tolist() == [1] * s.size
+              for omega in range(s.size)]
+    assert theorems._split_covers(s, k, np.arange(s.size)).tolist() == covers
+    assert covers.count(False) == len(half)
+    assert theorems._split_covers(s, k, mm_basis(k).omega)
+
+
+def test_mm_basis_refuses_a_split_that_misses_the_field(monkeypatch):
+    monkeypatch.setattr(theorems, "_split_covers", lambda spec, k, omega: False)
+    with pytest.raises(VerificationError) as exc:
+        mm_basis(2)
+    assert str(exc.value) == ("split-coordinates-cover: y + omega*a does not enumerate "
+                              "the field [k=2]")
 
 
 def test_pi_image_matches_scalar_formula():

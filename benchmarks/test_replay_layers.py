@@ -11,7 +11,9 @@ f(0) set to 1, which fails the homogeneity premise, so that every pair is
 replayed from its own scanned set.  Then three split-coordinate suites at
 k = 3: the cross-check :func:`gf2lab.mm_crosscheck_all`, the quartic/fiber
 correspondence :func:`gf2lab.quartic_check_all` and the sign pattern
-:func:`gf2lab.m4_sum_check`; last the basis :func:`gf2lab.mm_basis` at
+:func:`gf2lab.m4_sum_check`; the pointwise decomposition
+:func:`gf2lab.mm_decomposition_check` at k = 3 and 4, whose two traces run
+over the whole 2^(4k) grid; last the basis :func:`gf2lab.mm_basis` at
 k = 4.  The pair draw drains the chunk generator ``theorems._pair_chunks``
 where it exists and calls ``theorems._sweep_pairs``, which returned every
 pair at once, otherwise.  Apart from those, ``theorems.fiber_partition_check``,
@@ -33,8 +35,8 @@ import tracemalloc
 import pytest
 
 from gf2lab import (FunctionTable, dobbertin_exponent, m4_sum_check, mm_basis,
-                    mm_crosscheck_all, quartic_check_all, reduction_sweep, reduction_trace,
-                    theorems)
+                    mm_crosscheck_all, mm_decomposition_check, quartic_check_all,
+                    reduction_sweep, reduction_trace, theorems)
 from gf2lab.theorems import fiber_partition_check
 
 
@@ -124,6 +126,14 @@ def test_m4_sum_check_k3(benchmark):
     benchmark.extra_info["instances"] = 1 + 2 * 64
     report = benchmark.pedantic(m4_sum_check, (w,), rounds=5, warmup_rounds=1)
     assert report.ok and report.instances == 1 + 2 * 64
+
+
+@pytest.mark.parametrize("k", [3, 4], ids=["k3", "k4"])
+def test_mm_decomposition_check(benchmark, k):
+    w = mm_basis(k)
+    benchmark.extra_info["instances"] = 1 << (4 * k)
+    report = benchmark.pedantic(mm_decomposition_check, (w,), rounds=5, warmup_rounds=1)
+    assert report.ok and report.instances == 1 << (4 * k)
 
 
 def test_mm_basis_k4(benchmark):

@@ -18,7 +18,8 @@ Python int or a numpy array.  It is the one place that turns logs into
 elements.  The tables are built by :func:`_linear_map`, which applies
 multiplication by a constant as a GF(2)-linear map of the bits.  The
 scalar clmul path behind ``f_mul`` is kept independent of the tables and
-serves as the public scalar API and as the test oracle for them.
+serves as the public scalar API and as the test oracle for them.  Every
+trace on a fast path is a parity against the masks of :func:`_trace_basis`.
 """
 
 from __future__ import annotations
@@ -431,6 +432,29 @@ def _log_exp_tables(n: int, poly: int) -> tuple[np.ndarray, np.ndarray]:
     return log, exp
 
 
+@lru_cache(maxsize=None)
+def _trace_basis(n: int, poly: int) -> tuple[int, ...]:
+    """Row i is the mask M with parity(M & y) = Tr(x^i * y) for every y.  Bit j
+    is Tr(x^(i+j)): the rows are n-bit windows of the scalar traces of x^0 ..
+    x^(2n-2), and no log/exp table is built."""
+    s = FieldSpec(n, poly)
+    bits = sum(trace_abs(s, _polymod(1 << j, poly)) << j for j in range(2 * n - 1))
+    return tuple((bits >> i) & (s.size - 1) for i in range(n))
+
+
+@lru_cache(maxsize=None)
+def _subtrace_mask(n: int, poly: int, m: int) -> int:
+    """The mask M with parity(M & z) = Tr_m(z) for every z in the GF(2^m) subfield.
+
+    M is the mask of theta = beta / Tr_{n/m}(beta), beta the least basis bit
+    off the kernel of the (onto) relative trace: Tr(theta * z) = Tr_m(z) as
+    Tr_{n/m}(theta) = 1.  theta leans on no basis that a check certifies.
+    """
+    s = FieldSpec(n, poly)
+    t, beta = next((t, 1 << i) for i in range(n) if (t := trace_rel(s, m, 1 << i)))
+    return int(_linear_map(np.array(f_mul(s, beta, f_inv(s, t))), _trace_basis(n, poly)))
+
+
 class _Arith:
     """Discrete-log arithmetic of one field, on Python ints and numpy arrays alike.
 
@@ -444,6 +468,7 @@ class _Arith:
 
     def __init__(self, spec: FieldSpec):
         self.n = spec.n
+        self.poly = spec.poly
         self.order = spec.order
         self.log, self.exp = _log_exp_tables(spec.n, spec.poly)
 
@@ -486,12 +511,8 @@ class _Arith:
         return tuple(sorted([0] + self.exp[::step].tolist()))
 
     def subtrace(self, a, m: int):
-        """Absolute trace of the GF(2^m) subfield, for elements lying in it."""
-        acc = x = a
-        for _ in range(m - 1):
-            x = self.mul(x, x)
-            acc = acc ^ x
-        return acc
+        """Absolute trace (int64 0/1) of the GF(2^m) subfield, for elements lying in it."""
+        return (np.bitwise_count(a & _subtrace_mask(self.n, self.poly, m)) & 1).astype(np.int64)
 
 
 @lru_cache(maxsize=8)

@@ -42,7 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .field import FieldSpec, _arith, _mul, trace_abs
+from .field import FieldSpec, _arith, _mul, _trace_basis, trace_abs
 
 __all__ = [
     "FunctionTable",
@@ -308,28 +308,11 @@ def differential_uniformity(f: FunctionTable, *, deep: bool = False) -> int:
 # ---------------------------------------------------------------------------
 
 def _trace_masks(s: FieldSpec) -> np.ndarray:
-    """masks[a] = bitmask m with parity(m & y) = Tr(a*y) for all y.
-
-    Built from the trace bilinear form: bit j of masks[2^i] is
-    Tr(x^(i+j)), and masks is completed by linearity over the bits of a.
-    """
-    n = s.n
-    # Tr(x^m) for m = 0 .. 2n-2
-    tr_of_xm = []
-    xm = 1
-    for _ in range(2 * n - 1):
-        tr_of_xm.append(trace_abs(s, xm))
-        xm = _mul(s.poly, xm, 0b10)
-    basis = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        m = 0
-        for j in range(n):
-            m |= tr_of_xm[i + j] << j
-        basis[i] = m
+    """masks[a] = bitmask m with parity(m & y) = Tr(a*y) for all y: the rows
+    of ``field._trace_basis``, completed by linearity over the bits of a."""
     masks = np.zeros(s.size, dtype=np.int64)
-    for i in range(n):
-        step = 1 << i
-        masks[step : 2 * step] = masks[:step] ^ basis[i]
+    for i, row in enumerate(_trace_basis(s.n, s.poly)):
+        masks[1 << i : 2 << i] = masks[: 1 << i] ^ row
     return masks
 
 

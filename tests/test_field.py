@@ -191,6 +191,22 @@ def _subfield_trace(s, y, k):
     return acc
 
 
+@pytest.mark.parametrize("n", range(2, 17))
+def test_subtrace_against_frobenius_sum(n):
+    # the mask parity of _Arith.subtrace against the trace's definition, on
+    # every subfield: all of it up to 2^10 elements, a seeded sample above
+    s = field_make(n)
+    A = _arith(n, s.poly)
+    rng = random.Random(n)
+    for m in [m for m in range(1, n + 1) if n % m == 0]:
+        sub = list(A.subfield(m))
+        ys = sub if len(sub) <= 1 << 10 else rng.sample(sub, 512)
+        got = A.subtrace(np.array(ys), m)
+        assert got.dtype == np.int64
+        assert got.tolist() == [_subfield_trace(s, y, m) for y in ys]
+        assert all(type(A.subtrace(y, m)) is np.int64 for y in ys[:4])
+
+
 @pytest.mark.parametrize("n,k", [(6, 1), (6, 2), (6, 3), (12, 2), (12, 3),
                                  (12, 4), (12, 6), (8, 2), (8, 4)])
 def test_trace_rel_transitivity(n, k):

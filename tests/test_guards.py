@@ -12,7 +12,10 @@ the split rows read the fibers of pi as their members tagged by u.  The
 replay's array pass is the only caller of its identity helpers, so the
 derivation is written once.  One function sums the fibers of pi, no split
 row builds a fiber one u at a time or hands a case to a scalar re-check,
-and ``theorems`` takes no scalar solver from ``field``.
+and ``theorems`` takes no scalar solver from ``field``.  The GF(2) trace
+has one kernel, the masks of ``field._trace_basis``: ``spectra`` names the
+scalar trace and product only in its direct-sum oracle, and
+``_Arith.subtrace`` is one parity, with no loop.
 """
 
 import ast
@@ -140,6 +143,27 @@ def test_theorems_takes_no_scalar_solver_from_field():
                 and node.module == "field" for alias in node.names}
     assert imported == {"FieldSpec", "_Arith", "_arith", "field_make"}
     assert "_tally" not in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_one_trace_kernel():
+    # the Walsh masks read field._trace_basis, so a second build of the trace
+    # form, or a subfield trace by repeated squaring, shows up here
+    package = Path(gf2lab.__file__).parent
+    tree = ast.parse((package / "spectra.py").read_text())
+    oracle = {id(node) for fn in tree.body if isinstance(fn, ast.FunctionDef)
+              and fn.name == "walsh_coefficient_direct" for node in ast.walk(fn)}
+    assert oracle, "the direct-sum oracle is gone"
+    named = [f"spectra.py:{node.lineno} {node.id}" for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id in ("trace_abs", "_mul")
+             and id(node) not in oracle]
+    assert not named, f"scalar trace or product outside the oracle: {named}"
+    arith = next(node for node in ast.parse((package / "field.py").read_text()).body
+                 if isinstance(node, ast.ClassDef) and node.name == "_Arith")
+    subtrace = next(node for node in arith.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "subtrace")
+    loops = [node.lineno for node in ast.walk(subtrace)
+             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert not loops, f"_Arith.subtrace loops at lines {loops}"
 
 
 def test_benchmarks_still_collect():

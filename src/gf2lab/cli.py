@@ -4,7 +4,8 @@ Three subcommands:
 
 * ``analyze`` -- measure one map (an exponent or a LUT file): differential
   uniformity, nonlinearity, Walsh extremum, flags; optional JSON report and
-  CSV difference-table dump.
+  CSV difference-table dump, whose rows and delta come from the one
+  half-pair sweep behind ``differential_uniformity``.
 * ``verify`` -- run the derivation replays and split-coordinate checks and
   print a pass/fail table.
 * ``catalog`` -- measure the built-in differentially-4 families and compare
@@ -23,7 +24,6 @@ import argparse
 import gc
 import sys
 import time
-from itertools import islice
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .catalog import catalog_table
 from .field import FieldConstructionError, field_make
 from .lutio import _HEX_TOKEN, LutParseError, read_lut, write_lut
 from .report import AnalysisReport, report_to_json
-from .spectra import (FunctionTable, _delta, _spectrum, build_lut, ddt_rows,
+from .spectra import (FunctionTable, _delta, _half_rows, _spectrum, build_lut,
                       require_desk_scale, summarize)
 from .theorems import run_all_checks
 
@@ -87,10 +87,6 @@ def _fail_usage(msg: str) -> int:
     return 2
 
 
-# DDT entries per block of the CSV dump
-CSV_BLOCK_ENTRIES = 1 << 16
-
-
 def _glyphs(top: int) -> np.ndarray:
     """The text of every count 0..top, first followed by "," and then
     (from index top + 1 on) by CRLF, NUL-padded to one width of at least 4."""
@@ -99,25 +95,25 @@ def _glyphs(top: int) -> np.ndarray:
 
 
 def _write_ddt_csv(path: str, table: FunctionTable) -> int:
-    """Write the rows of ddt_rows(table) as CSV, as csv.writer would (CRLF
-    line ends), and return their largest count.
+    """Write the table's difference table as CSV, as csv.writer would write
+    the rows of ddt_rows (CRLF line ends), and return its largest count.
 
-    Each block of rows is one gather from the glyph table of its largest
-    count, with the NUL padding deleted from the bytes.  A table is made
-    once per largest count.
+    The rows come in the blocks of the half-pair sweep of
+    differential_uniformity, doubled.  Each block is one gather from the
+    glyph table of its largest count, with the NUL padding deleted from the
+    bytes.  A table is made once per largest count.
     """
     delta, glyphs = 0, {}
-    rows = ddt_rows(table)
-    per = max(1, CSV_BLOCK_ENTRIES // table.spec.size)
     with open(path, "wb") as fh:
-        while chunk := [row.counts for row in islice(rows, per)]:
-            block = np.stack(chunk)
+        for block in _half_rows(table):
+            block <<= 1  # the half counts, doubled
             top = int(block.max())
             delta = max(delta, top)
             if top not in glyphs:
                 glyphs[top] = _glyphs(top)
             block[:, -1] += top + 1  # the last column ends its line
             fh.write(glyphs[top][block].tobytes().translate(None, b"\0"))
+            del block  # free it before the next block is counted
     return delta
 
 

@@ -8,8 +8,8 @@ across threads.
 
 The module provides the four ring/field operations, absolute and relative
 traces, Frobenius powers, and an exact solver for linearized equations
-(sums of terms c_j * x^(2^(e_j))), which reduces to linear algebra over
-GF(2).
+(sums of terms c_j * x^(2^(e_j))), which reduces the images of the basis
+over GF(2).
 
 Bulk arithmetic (power-map tables, the power structure of a table, the
 proof replay) goes through one core, :class:`_Arith`: the cached
@@ -300,10 +300,13 @@ def solve_linearized(
     """Exact solution set of  sum_j c_j * x^(2^(e_j)) = rhs.
 
     Each term is given as the pair (c_j, e_j) with c_j a field element and
-    e_j the Frobenius power of the monomial.  The left side is a GF(2)-linear
-    map of x, so expressing it as an n-by-n bit matrix in the polynomial
-    basis turns the equation into an affine linear system; the solution set
-    is either empty or a coset of the kernel, hence has size a power of two.
+    e_j the Frobenius power of the monomial.  The left side L is a
+    GF(2)-linear map of x, so the solution set is either empty or a coset of
+    its kernel, hence has size a power of two.  One reduction finds both:
+    each basis image L(x^j), tagged by its preimage x^j, is reduced against
+    the images kept so far by their leading bits; a zero image puts its tag
+    in the kernel, a nonzero one is kept.  rhs reduces the same way, to a
+    particular solution, or to a nonzero remainder when there is none.
 
     Returns
     -------
@@ -311,54 +314,29 @@ def solve_linearized(
         All solutions (possibly empty).
     """
     _check_element(s, rhs, "rhs")
-    n = s.n
     terms = [(c, e) for c, e in coeffs]
     for c, _ in terms:
         _check_element(s, c, "coefficient")
-    # column j = image of basis vector x^j under the linearized map
-    cols = []
-    for j in range(n):
+    kept: dict[int, tuple[int, int]] = {}  # bit length -> (image, preimage)
+
+    def reduce(img: int, tag: int) -> tuple[int, int]:
+        while img and (hit := kept.get(img.bit_length())):
+            img, tag = img ^ hit[0], tag ^ hit[1]
+        return img, tag
+
+    kernel = []
+    for j in range(s.n):
         img = 0
         for c, e in terms:
             img ^= _mul(s.poly, c, frobenius(s, 1 << j, e))
-        cols.append(img)
-    # row i of the system: bits over unknowns j, augmented with rhs bit i
-    rows = []
-    for i in range(n):
-        mask = 0
-        for j in range(n):
-            mask |= ((cols[j] >> i) & 1) << j
-        rows.append([mask, (rhs >> i) & 1])
-    # reduced row echelon form over GF(2)
-    pivot_of_col: dict[int, int] = {}  # pivot column -> row index
-    r = 0
-    for col in range(n):
-        sel = next((i for i in range(r, n) if (rows[i][0] >> col) & 1), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        for i in range(n):
-            if i != r and (rows[i][0] >> col) & 1:
-                rows[i][0] ^= rows[r][0]
-                rows[i][1] ^= rows[r][1]
-        pivot_of_col[col] = r
-        r += 1
-    if any(mask == 0 and aug for mask, aug in rows):
-        return set()  # 0 = 1: inconsistent
-    free_cols = [j for j in range(n) if j not in pivot_of_col]
-    # particular solution: free variables zero
-    particular = 0
-    for col, ri in pivot_of_col.items():
-        if rows[ri][1]:
-            particular |= 1 << col
-    # kernel basis: one vector per free variable
-    kernel = []
-    for fc in free_cols:
-        v = 1 << fc
-        for col, ri in pivot_of_col.items():
-            if (rows[ri][0] >> fc) & 1:
-                v |= 1 << col
-        kernel.append(v)
+        img, tag = reduce(img, 1 << j)
+        if img:
+            kept[img.bit_length()] = img, tag
+        else:
+            kernel.append(tag)
+    rest, particular = reduce(rhs, 0)
+    if rest:
+        return set()
     sols = {particular}
     for kv in kernel:
         sols |= {x ^ kv for x in sols}

@@ -18,7 +18,10 @@ orbit engine, :func:`power_delta` and :func:`power_walsh_spectrum`, whose
 docstrings give the derivation; other tables go through the full sweeps.
 The named sweeps (:func:`differential_uniformity`, :func:`ddt_rows`,
 :func:`walsh_spectrum`, :func:`walsh_row`) stay full sweeps whatever the
-table, and serve as the oracle the orbit engine is tested against.
+table, and serve as the oracle the orbit engine is tested against.  Every
+full DDT pass, delta and the CLI's CSV dump alike, reads the half rows of
+:func:`_half_rows`, grouped by the highest set bit of a; :func:`ddt_rows`
+counts every x and is their oracle.
 :func:`classify` and ``analyze`` choose between the two in one place, by
 the table's exponent.  Every difference row is a :class:`DifferenceRow`,
 whose ``values`` tag each x with the solution set it lies in: the replay
@@ -76,7 +79,7 @@ WALSH_BLOCK_COEFFS = 1 << 18
 # (difference, x) entries per block of the half-pair DDT sweep: 64 KiB of
 # uint16 indices and as much of values.  Full sweeps of a random table, best
 # of 7, at 2^13 / 2^14 / 2^15 / 2^16 entries (the last in uint32): n = 10
-# took 2.6 / 2.4 / 2.3 / 4.8 ms and n = 12 40.7 / 36.7 / 34.7 / 46.0 ms
+# took 3.7 / 3.3 / 2.5 / 4.3 ms and n = 12 49.4 / 48.3 / 45.4 / 59.6 ms
 # (2-vCPU Xeon, numpy 2.4).  From n = 16 on a block is one row.
 DDT_BLOCK_ENTRIES = 1 << 15
 
@@ -261,45 +264,45 @@ def ddt_rows(f: FunctionTable) -> Iterator[DifferenceRow]:
         yield DifferenceRow(a, *_ddt_row(f.lut, idx ^ a))
 
 
-def _half_pair_peak(lut: np.ndarray, xs: np.ndarray, base: np.ndarray, a: np.ndarray,
-                    idx: np.ndarray, val: np.ndarray) -> int:
-    """The largest count of f(x) + f(x + a) over the x of xs, for every a of
-    the block at once, in the preallocated idx and val.
+def _half_rows(f: FunctionTable) -> Iterator[np.ndarray]:
+    """Half the rows of f's difference table, a block of rows at a time,
+    as (rows, 2^n) count arrays in increasing a.
 
-    Row r of base holds f(xs) + r * 2^n, so one bincount keeps the rows apart.
+    x and x + a give the same value f(x) + f(x + a), so a row counts one x
+    of each pair {x, x + a}: those whose bit t is clear, for the highest
+    set bit t of a.  Every a in [2^t, 2^(t+1)) shares those x, so the rows
+    of one t run in consecutive blocks of about DDT_BLOCK_ENTRIES entries,
+    in buffers made once per t, uint16 up to n = 16.  Row r of ``base``
+    holds f(xs) + r * 2^n, so one bincount per block keeps the rows apart.
     """
-    np.bitwise_xor(xs, a[:, None], out=idx)
-    np.take(lut, idx, out=val)
-    np.bitwise_xor(val, base, out=val)
-    return int(np.bincount(val.ravel()).max())
+    s = f.spec
+    block = max(1, DDT_BLOCK_ENTRIES // (s.size >> 1))
+    # the narrowest dtype that holds every value with its row offset
+    dtype = np.uint16 if block << s.n <= 1 << 16 else np.uint32
+    lut, x = f.lut.astype(dtype), np.arange(s.size, dtype=dtype)
+    for t in range(s.n):
+        xs = x[(x >> t) & 1 == 0]
+        rows = min(1 << t, block)
+        base = lut[xs] ^ (np.arange(rows, dtype=dtype)[:, None] << s.n)
+        idx, val = np.empty_like(base), np.empty_like(base)
+        for lo in range(1 << t, 2 << t, rows):
+            np.bitwise_xor(xs, np.arange(lo, lo + rows, dtype=dtype)[:, None], out=idx)
+            np.take(lut, idx, out=val)
+            np.bitwise_xor(val, base, out=val)
+            yield np.bincount(val.ravel(), minlength=rows << s.n).reshape(rows, s.size)
 
 
 def differential_uniformity(f: FunctionTable, *, deep: bool = False) -> int:
     """Differential uniformity: max over a != 0 and all b of |{x : f(x+a)+f(x) = b}|.
 
-    x and x + a give the same value f(x) + f(x + a), so a row counts one x
-    of each pair {x, x + a}: those whose bit j is clear, for the lowest set
-    bit j of a.  Every count is then half the DDT's, and the largest one
-    is doubled.  The rows of one j share those x and run in blocks of about
-    DDT_BLOCK_ENTRIES entries, one bincount per block, in buffers made once
-    per j, in uint16 up to n = 16; :func:`ddt_rows` streams the full rows
-    themselves.
+    Twice the largest count of :func:`_half_rows`, which counts one x of
+    each pair {x, x + a}; :func:`ddt_rows` streams the full rows themselves.
     """
-    s = f.spec
-    require_desk_scale(s.n, deep)
-    block = max(1, DDT_BLOCK_ENTRIES // (s.size >> 1))
-    # the narrowest dtype that holds every value with its row offset
-    dtype = np.uint16 if block << s.n <= 1 << 16 else np.uint32
-    lut, x = f.lut.astype(dtype), np.arange(s.size, dtype=dtype)
+    require_desk_scale(f.spec.n, deep)
     peak = 0
-    for j in range(s.n):
-        diffs = np.arange(1 << j, s.size, 2 << j, dtype=dtype)  # lowest set bit j
-        xs = x[(x >> j) & 1 == 0]
-        rows = min(diffs.size, block)
-        base = lut[xs] ^ (np.arange(rows, dtype=dtype)[:, None] << s.n)
-        idx, val = np.empty_like(base), np.empty_like(base)
-        for lo in range(0, diffs.size, rows):
-            peak = max(peak, _half_pair_peak(lut, xs, base, diffs[lo : lo + rows], idx, val))
+    for half in _half_rows(f):
+        peak = max(peak, int(half.max()))
+        del half  # free each block before the next is counted: about 10 % faster
     return 2 * peak
 
 

@@ -396,13 +396,16 @@ def _derive_pass(k: int, x: np.ndarray, row: np.ndarray,
     # Both halving quadratics w^2 + w = e have roots, as Tr(e) = 0: s =
     # (t+1)^(-2) lies in GF(2^k), so Tr(cy) = Tr(sc) + Tr(sc) = 0, and cw is
     # s*(c + c^(2^k)), of trace 0 the same way, plus a trace-0 term of GF(2^(2k)).
-    cy = _halving_constant(A, k, c, t)
+    # Rows off the branch read harmless elements, since no op may see one
+    # outside the field: t = 0 on the t = 1 rows, 0 for a missing root (-1).
+    tb = np.where(t_one, 0, t)
+    cy = _halving_constant(A, k, c, tb)
     p = A.root[cy]
-    p_ok = (p >= 0) & _halving_image_ok(A, k, p, t)
-    cw = _second_halving_constant(A, k, c, t, p)
+    p_ok = (p >= 0) & _halving_image_ok(A, k, np.maximum(p, 0), tb)
+    cw = _second_halving_constant(A, k, c, tb, np.maximum(p, 0))
     q = A.root[cw]
-    k1, k2 = _terminal_constants(A, k, c, t, q)
-    z = A.mul(x, A.inv(t ^ 1)[row])
+    k1, k2 = _terminal_constants(A, k, c, tb, np.maximum(q, 0))
+    z = A.mul(x, A.inv(tb ^ 1)[row])
     y_img, w_img = _gaps(A, k, z)
 
     # the terminal roots of the row's branch in pairs {r, r + 1}, if it reaches them

@@ -13,7 +13,7 @@ import pytest
 
 from gf2lab import (build_lut, ddt_rows, differential_uniformity, field_make,
                     lut_from_values, read_lut, walsh_spectrum, write_lut)
-from gf2lab import cli
+from gf2lab import cli, spectra
 from gf2lab.cli import main
 from gf2lab.theorems import CheckReport
 
@@ -129,15 +129,23 @@ def _half_constant(s):
     return lut_from_values(s, [x if x < s.size // 2 else 0 for x in range(s.size)])
 
 
+def _random(s):
+    return lut_from_values(s, np.random.default_rng(3).integers(0, s.size, s.size))
+
+
+# the dump writes the blocks of spectra's half-pair sweep; at n = 8 a block
+# of DDT_BLOCK_ENTRIES entries holds DDT_BLOCK_ENTRIES / 2^7 rows, fewer
+# for the highest bits t of a with fewer than that many rows
 @pytest.mark.parametrize("make, block", [
     (lambda s: lut_from_values(s, [5] * s.size), None),  # every row counts 256 at 0
-    (lambda s: lut_from_values(s, np.random.default_rng(3).integers(0, s.size, s.size)),
-     1 << 11),                                           # 8 rows a block, 255 = 31*8 + 7
-    (_half_constant, 1 << 10),                           # 4 rows a block, 255 = 63*4 + 3
-], ids=["constant", "random-blocks", "mixed-width-blocks"])
+    (_random, 1 << 10),         # 8 rows a block: 1, 2, 4 rows, then 31 blocks of 8
+    (_half_constant, 1 << 9),   # 4 rows a block: 1, 2 rows, then 63 blocks of 4
+    (_random, 1),               # one row a block
+    (_random, 1 << 16),         # every t one block, whose row offsets need uint32
+], ids=["constant", "random-blocks", "mixed-width-blocks", "row-blocks", "uint32-blocks"])
 def test_ddt_csv_blocks_match_csv_writer(tmp_path, capsys, monkeypatch, make, block):
     if block is not None:
-        monkeypatch.setattr(cli, "CSV_BLOCK_ENTRIES", block)
+        monkeypatch.setattr(spectra, "DDT_BLOCK_ENTRIES", block)
     table = make(field_make(8))
     lut_path, csv_path, ref_path = (tmp_path / name for name in ("t.lut", "ddt.csv", "ref.csv"))
     write_lut(lut_path, table)

@@ -437,46 +437,68 @@ def _planted(s, a, pairs, rng):
     return lut_from_values(s, lut)
 
 
-@pytest.mark.parametrize("j", range(8))
-def test_half_pair_sweep_finds_a_planted_row_of_each_lowest_bit(j):
-    # the unique largest count lies in a row whose lowest set bit is j; the
-    # row a also has a higher bit, so a kernel reading the wrong bit of a
-    # counts some pairs twice and others not at all
-    s = field_make(8)
-    rng = np.random.default_rng(j)
-    a = (1 << j) | (0x80 if j < 7 else 0) | (1 << ((j + 3) % 8) if j < 5 else 0)
-    f = _planted(s, a, 24, rng)
+def _finds_the_planted_row(a, rng):
+    # 24 planted pairs make a count of at least 48 in the row a at n = 8
+    f = _planted(field_make(8), a, 24, rng)
     peaks = [int(row.counts.max()) for row in ddt_rows(f)]
     assert peaks.count(max(peaks)) == 1 and peaks[a - 1] == max(peaks) >= 48
     assert differential_uniformity(f) == max(peaks)
 
 
-def test_named_sweeps_stay_full_and_orbit_needs_an_exponent(monkeypatch):
-    rows, bs = [], []
-    ddt_row, half_pair_peak = spectra._ddt_row, spectra._half_pair_peak
+@pytest.mark.parametrize("j", range(8))
+def test_half_pair_sweep_finds_a_planted_row_of_each_lowest_bit(j):
+    # the unique largest count lies in a row whose lowest set bit is j; the
+    # row a also has a higher bit, so a kernel reading the wrong bit of a
+    # counts some pairs twice and others not at all
+    a = (1 << j) | (0x80 if j < 7 else 0) | (1 << ((j + 3) % 8) if j < 5 else 0)
+    _finds_the_planted_row(a, np.random.default_rng(j))
+
+
+@pytest.mark.parametrize("t", range(1, 8))
+def test_half_pair_sweep_finds_a_planted_row_of_each_highest_bit(t):
+    # the unique largest count lies in a row whose highest set bit is t, the
+    # bit the sweep splits the pairs of its rows at (a split at a bit clear
+    # in a counts some pairs twice and others not at all); a also has a lower
+    # bit, so it is not the first row of its block
+    _finds_the_planted_row((1 << t) | (1 << (t // 2)), np.random.default_rng(100 + t))
+
+
+def _counting_sweeps(monkeypatch):
+    """Patch the row and block kernels of spectra to record what they read:
+    the a of each full row, each block of half rows, and each b transformed."""
+    rows, halves, bs = [], [], []
+    ddt_row, half_rows = spectra._ddt_row, spectra._half_rows
     walsh_block = spectra._walsh_block
 
     def counting_ddt_row(lut, shifted):
         rows.append(int(shifted[0]))  # arange(2^n) ^ a holds a at 0
         return ddt_row(lut, shifted)
 
-    def counting_half_pair_peak(lut, xs, base, a, idx, val):
-        rows.extend(a.tolist())
-        return half_pair_peak(lut, xs, base, a, idx, val)
+    def counting_half_rows(f):
+        for half in half_rows(f):
+            halves.append(half.copy())
+            yield half
 
     def counting_walsh_block(f, masks, block):
         bs.extend(block.tolist())
         return walsh_block(f, masks, block)
 
     monkeypatch.setattr(spectra, "_ddt_row", counting_ddt_row)
-    monkeypatch.setattr(spectra, "_half_pair_peak", counting_half_pair_peak)
+    monkeypatch.setattr(spectra, "_half_rows", counting_half_rows)
     monkeypatch.setattr(spectra, "_walsh_block", counting_walsh_block)
+    return rows, halves, bs
+
+
+def test_named_sweeps_stay_full_and_orbit_needs_an_exponent(monkeypatch):
     n, d = 8, 21
     s = field_make(n)
     table = build_lut(s, d)
+    full = np.array([row.counts for row in ddt_rows(table)])
+    rows, halves, bs = _counting_sweeps(monkeypatch)
     differential_uniformity(table)
-    # the rows go by lowest set bit, each a once
-    assert sorted(rows) == list(range(1, s.size))
+    # every a once, in increasing order: the doubled half rows are the DDT
+    assert np.array_equal(2 * np.concatenate(halves), full)
+    assert rows == []
     walsh_spectrum(table)
     assert bs == list(range(1, s.size))
     rows.clear()
@@ -552,30 +574,12 @@ def test_a_stale_label_cannot_reach_the_orbit_engine():
 
 
 def test_a_lut_copy_of_a_power_map_takes_the_orbit_engine(monkeypatch):
-    rows, bs = [], []
-    ddt_row, half_pair_peak = spectra._ddt_row, spectra._half_pair_peak
-    walsh_block = spectra._walsh_block
-
-    def counting_ddt_row(lut, shifted):
-        rows.append(int(shifted[0]))  # arange(2^n) ^ a holds a at 0
-        return ddt_row(lut, shifted)
-
-    def counting_half_pair_peak(lut, xs, base, a, idx, val):
-        rows.extend(a.tolist())
-        return half_pair_peak(lut, xs, base, a, idx, val)
-
-    def counting_walsh_block(f, masks, block):
-        bs.extend(block.tolist())
-        return walsh_block(f, masks, block)
-
-    monkeypatch.setattr(spectra, "_ddt_row", counting_ddt_row)
-    monkeypatch.setattr(spectra, "_half_pair_peak", counting_half_pair_peak)
-    monkeypatch.setattr(spectra, "_walsh_block", counting_walsh_block)
+    rows, halves, bs = _counting_sweeps(monkeypatch)
     n, d = 12, 2730
     s = field_make(n)
     copy = lut_from_values(s, build_lut(s, d).lut)
     summ = classify(copy)
-    assert rows == [1]
+    assert rows == [1] and halves == []
     assert bs == _log_exp_tables(n, s.poly)[1][:gcd(d, s.order)].tolist()
     assert summ.delta == power_delta(build_lut(s, d))
 

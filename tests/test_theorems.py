@@ -637,6 +637,33 @@ REPLAY_BREAKS = {
 }
 
 
+def _guard_the_core(monkeypatch):
+    """Make the ops of ``field._Arith`` raise on an input outside the field:
+    a negative element (the root table's -1 reads log[-1], a real log) and,
+    for ``inv``, 0."""
+    def guard(name, elements, nonzero=False):
+        real = getattr(_Arith, name)
+
+        def op(self, *args):
+            for v in map(np.asarray, args[:elements]):
+                if (v < 0).any() or (nonzero and (v == 0).any()):
+                    raise AssertionError(f"_Arith.{name} got {v.min()}")
+            return real(self, *args)
+        monkeypatch.setattr(_Arith, name, op)
+
+    guard("mul", 2)
+    guard("pow", 1)
+    guard("frob", 1)
+    guard("inv", 1, nonzero=True)
+
+
+def test_every_check_feeds_the_core_field_elements_only(monkeypatch):
+    clean = run_all_checks([1, 2, 3], all_gamma=True)
+    _guard_the_core(monkeypatch)
+    assert run_all_checks([1, 2, 3], all_gamma=True) == clean
+    assert all(r.ok for r in clean)
+
+
 def test_every_replay_step_has_a_breaking_corruption():
     # a step added to the replay without a corruption that fires it fails
     # here: the pass reports its steps in the order of the step table
@@ -671,6 +698,7 @@ def test_interleaved_and_grouped_members_fail_alike(monkeypatch, step):
 def test_every_replay_step_fails_under_its_broken_identity(monkeypatch, step):
     corrupt, k, rows, first = REPLAY_BREAKS[step]
     corrupt(monkeypatch)
+    _guard_the_core(monkeypatch)  # no row, on the branch or off it, leaves the field
     size = 1 << (4 * k)
     raised = []
     for a in rows or range(1, size):
@@ -692,6 +720,7 @@ def test_a_broken_sweep_reports_alike_at_every_chunk_size(monkeypatch, step, cha
     # failing pair's, built from its own chunk, wherever the chunk edges fall
     corrupt, k, _, _ = REPLAY_BREAKS[step]
     corrupt(monkeypatch)
+    _guard_the_core(monkeypatch)  # no row, on the branch or off it, leaves the field
     if change:  # on top of the table the corruption may have patched
         broken = _family_variant(k, change)
         monkeypatch.setattr(theorems, "_family_table", lambda kk: broken)

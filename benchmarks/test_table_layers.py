@@ -1,10 +1,12 @@
 """Per-layer timings of the table layers under the spectra.
 
-The log/exp tables of :mod:`gf2lab.field` built from an empty cache, and
-the power-map table ``build_lut(spec, 5)`` gathered from them, each at
-n = 12, 16, 20 and 24 (the largest supported degree); the one DDT row
-a = 1 that :func:`gf2lab.power_delta` reads, at the same degrees, where
-its row and its counts are the whole cost (no solution set is grouped).
+The log/exp tables of :mod:`gf2lab.field` built from an empty cache, the
+quadratic-root table ``field._Arith.root`` built afresh for a field whose
+tables are cached, and the power-map table ``build_lut(spec, 5)``
+gathered from them, each at n = 12, 16, 20 and 24 (the largest supported
+degree); the one DDT row a = 1 that :func:`gf2lab.power_delta` reads, at
+the same degrees, where its row and its counts are the whole cost (no
+solution set is grouped).
 Then :func:`gf2lab.classify` of a ``lut_from_values`` copy of x^73 on
 GF(2^12): the table is made afresh every round, outside the timing, so
 nothing it learns about itself carries over from the round before.  Then
@@ -16,7 +18,9 @@ and 16, and ``analyze --lut --ddt-csv`` of one at n = 11 through
 sweep: its ``timings_ms.ddt`` (the rows and the CSV write) is kept as
 ``extra_info["ddt_ms"]``, the median over the rounds.  Only names that
 have stood since the power-map orbit engine was added are called, so the
-file runs unchanged on any version of the package since.
+file runs unchanged on any version of the package since, the root table
+aside: it needs ``field._Arith``, which has stood since the discrete-log
+core moved into :mod:`gf2lab.field`.
 
 Not part of the test suite (``testpaths`` is ``tests``).  Run it with::
 
@@ -32,7 +36,7 @@ import pytest
 from gf2lab import (build_lut, classify, ddt_rows, differential_uniformity,
                     field_make, lut_from_values, power_delta, read_lut, write_lut)
 from gf2lab.cli import main
-from gf2lab.field import _log_exp_tables
+from gf2lab.field import _Arith, _log_exp_tables
 
 DEGREES = pytest.mark.parametrize("n", [12, 16], ids=lambda n: f"n{n}")
 ALL_DEGREES = pytest.mark.parametrize("n", [12, 16, 20, 24], ids=lambda n: f"n{n}")
@@ -45,6 +49,17 @@ def test_log_exp_tables(benchmark, n):
                                   setup=_log_exp_tables.cache_clear,
                                   rounds=10, warmup_rounds=1)
     assert exp.size == s.order and log[1] == 0
+
+
+@ALL_DEGREES
+def test_root_table(benchmark, n):
+    A = _Arith(field_make(n))
+
+    def fresh():
+        vars(A).pop("root", None)
+
+    root = benchmark.pedantic(lambda: A.root, setup=fresh, rounds=10, warmup_rounds=1)
+    assert int(root[0]) == 0 and (root >= 0).sum() == 1 << (n - 1)
 
 
 @ALL_DEGREES

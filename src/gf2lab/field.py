@@ -15,15 +15,16 @@ Bulk arithmetic (power-map tables, the power structure of a table, the
 proof replay) goes through one core, :class:`_Arith`: the cached
 discrete-log / antilog tables of a fixed generator, with ops that take a
 Python int or a numpy array.  It is the one place that turns logs into
-elements.  The tables are built by :func:`_linear_map`, which applies
-multiplication by a constant as a GF(2)-linear map of the bits.  The
-scalar clmul path behind ``f_mul`` is kept independent of the tables and
-serves as the public scalar API and as the test oracle for them.  Every
+elements.  Its log/exp tables, its quadratic-root table and the Walsh
+trace masks are GF(2)-linear maps of the bits, tabulated by one kernel,
+:func:`_span`.  The scalar clmul path behind ``f_mul``, the public scalar
+API, is kept independent of the tables and is their test oracle.  Every
 trace on a fast path is a parity against the masks of :func:`_trace_basis`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
@@ -180,15 +181,20 @@ def field_make(n: int, poly: int | None = None) -> FieldSpec:
     ------
     ValueError
         If n is out of the supported range.
+    TypeError
+        If poly is not an integer (``operator.index`` refuses it).
     FieldConstructionError
-        If poly is malformed (wrong degree, even constant term) or
-        reducible; the error names the degree of a nontrivial factor.
+        If poly is malformed (negative, wrong degree, even constant term)
+        or reducible; the error names the degree of a nontrivial factor.
     """
     if not MIN_DEGREE <= n <= MAX_DEGREE:
         raise ValueError(f"degree {n} outside supported range {MIN_DEGREE}..{MAX_DEGREE}")
     if poly is None:
         poly = default_poly(n)
     else:
+        poly = operator.index(poly)
+        if poly < 0:
+            raise FieldConstructionError(f"modulus {poly:#x} is negative")
         if poly.bit_length() != n + 1:
             raise FieldConstructionError(
                 f"modulus {poly:#x} does not have degree {n}")
@@ -347,13 +353,22 @@ def solve_linearized(
 # log/exp tables: the vectorized arithmetic core
 # ---------------------------------------------------------------------------
 
+def _span(cols) -> np.ndarray:
+    """out[v] is the image of v under the GF(2)-linear map x^i -> cols[i], for
+    every v < 2^len(cols): filled by doubling, as v + x^i maps to out[v] ^ cols[i]."""
+    out = np.zeros(1 << len(cols), dtype=np.int64)
+    for i, col in enumerate(cols):
+        out[1 << i : 2 << i] = out[: 1 << i] ^ col
+    return out
+
+
 def _linear_map(a: np.ndarray, cols) -> np.ndarray:
     """The GF(2)-linear map whose basis vector x^i has the image cols[i],
-    applied elementwise to the int64 array a: the xor of the cols[i] over
-    the set bits i of each element."""
+    applied elementwise to the int64 array a of elements below 2^len(cols):
+    one gather per byte of a, from the span of that byte's columns."""
     acc = np.zeros_like(a)
-    for i, col in enumerate(cols):
-        acc ^= ((a >> i) & 1) * col
+    for j in range(0, len(cols), 8):
+        acc ^= _span(cols[j:j + 8])[(a >> j) & 255]
     return acc
 
 
@@ -377,10 +392,7 @@ def _generator(n: int, poly: int) -> int:
     """Smallest multiplicative generator of GF(2^n)* for the given modulus."""
     order = (1 << n) - 1
     primes = _factorize(order)
-    for g in range(2, 1 << n):
-        if all(_pow(poly, g, order // p) != 1 for p in primes):
-            return g
-    raise RuntimeError("no generator found")  # pragma: no cover
+    return next(g for g in range(2, 1 << n) if all(_pow(poly, g, order // p) != 1 for p in primes))
 
 
 @lru_cache(maxsize=8)
@@ -392,17 +404,13 @@ def _log_exp_tables(n: int, poly: int) -> tuple[np.ndarray, np.ndarray]:
     every caller, hence frozen.
     """
     order = (1 << n) - 1
-    exp = np.empty(order, dtype=np.int64)
-    exp[0] = 1
-    # block doubling: exp[m:2m] = exp[:m] * g^m
-    m = 1
+    exp = np.ones(order, dtype=np.int64)
     gm = _generator(n, poly)
-    while m < order:
-        step = min(m, order - m)
-        # multiplication by g^m maps x^i to g^m * x^i
-        exp[m:m + step] = _linear_map(exp[:step], [_mul(poly, gm, 1 << i) for i in range(n)])
+    for t in range(n):
+        # block doubling: exp[m:2m] = exp[:m] * g^m, m = 2^t, a GF(2)-linear map of exp[:m]
+        m = 1 << t
+        exp[m:2 * m] = _linear_map(exp[:m], [_mul(poly, gm, 1 << i) for i in range(n)])[:order - m]
         gm = _mul(poly, gm, gm)
-        m *= 2
     log = np.full(1 << n, -1, dtype=np.int64)
     log[exp] = np.arange(order)
     exp.flags.writeable = False
@@ -454,13 +462,15 @@ class _Arith:
     def root(self) -> np.ndarray:
         """root[e] is the even root of x^2 + x = e, or -1 when there is none.
 
-        x and x + 1 share the image, so each image of an even x is hit once.
-        Built on first use, read-only: callers that need no quadratic root
-        (a power-map table, its spectra) never pay for it.
+        x -> x^2 + x is GF(2)-linear with kernel {0, 1}, so the span of its
+        images of x^1 .. x^(n-1) holds the image of each even x once, in the
+        order of x; no product is taken.  Built on first use, read-only:
+        callers that need no quadratic root (a power-map table, its spectra)
+        never pay for it.
         """
-        xs = np.arange(0, 1 << self.n, 2)
         root = np.full(1 << self.n, -1, dtype=np.int64)
-        root[self.mul(xs, xs) ^ xs] = xs
+        cols = [_polymod(1 << 2 * i, self.poly) ^ (1 << i) for i in range(1, self.n)]
+        root[_span(cols)] = np.arange(0, 1 << self.n, 2)
         root.flags.writeable = False
         return root
 

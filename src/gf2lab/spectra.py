@@ -6,7 +6,8 @@ integers, never floats.  Power-map tables, and the power structure of
 any table, are computed through the table-backed arithmetic of
 :mod:`gf2lab.field`.  The Walsh sweep runs one fast Walsh-Hadamard
 transform per component b, which brings the total cost to about
-n * 2^(2n) bit operations instead of the 2^(3n) of the naive triple sum.
+n * 2^(2n) bit operations instead of the 2^(3n) of the naive triple sum;
+its trace masks are the span (``field._span``) of ``field._trace_basis``.
 A pass that fills more entries than a full sweep over GF(2^15) needs
 ``deep=True`` (``--deep``), as decided for every caller by
 :func:`require_desk_scale`: every full sweep with n >= 16, and an orbit
@@ -45,7 +46,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .field import FieldSpec, _arith, _mul, _trace_basis, trace_abs
+from .field import FieldSpec, _arith, _mul, _span, _trace_basis, trace_abs
 
 __all__ = [
     "FunctionTable",
@@ -311,12 +312,9 @@ def differential_uniformity(f: FunctionTable, *, deep: bool = False) -> int:
 # ---------------------------------------------------------------------------
 
 def _trace_masks(s: FieldSpec) -> np.ndarray:
-    """masks[a] = bitmask m with parity(m & y) = Tr(a*y) for all y: the rows
-    of ``field._trace_basis``, completed by linearity over the bits of a."""
-    masks = np.zeros(s.size, dtype=np.int64)
-    for i, row in enumerate(_trace_basis(s.n, s.poly)):
-        masks[1 << i : 2 << i] = masks[: 1 << i] ^ row
-    return masks
+    """masks[a] = bitmask m with parity(m & y) = Tr(a*y) for all y: the span
+    of the rows of ``field._trace_basis``, since a -> m is GF(2)-linear."""
+    return _span(_trace_basis(s.n, s.poly))
 
 
 def _fwht_rows(mat: np.ndarray) -> np.ndarray:
@@ -487,21 +485,15 @@ def nonlinearity(f: FunctionTable, *, deep: bool = False) -> int:
 def summarize(f: FunctionTable, delta: int, ws: WalshSpectrum) -> SpectrumSummary:
     """Derive nonlinearity and the flag set from a measured delta and spectrum."""
     s = f.spec
-    nl = (1 << (s.n - 1)) - ws.max_abs // 2
-    is_perm = bool(np.bincount(f.lut, minlength=s.size).all())
-    if s.n % 2 == 1:
-        v = 1 << ((s.n + 1) // 2)
-        is_ab = set(ws.histogram) == {0, v, -v}
-    else:
-        is_ab = None
+    v = 1 << ((s.n + 1) // 2)  # at odd n, almost bent means the spectrum {0, +-v}
     return SpectrumSummary(
         delta=delta,
-        nl=nl,
+        nl=(1 << (s.n - 1)) - ws.max_abs // 2,
         walsh_max=ws.max_abs,
         lam=ws.histogram,
-        is_permutation=is_perm,
+        is_permutation=bool(np.bincount(f.lut, minlength=s.size).all()),
         is_apn=delta == 2,
-        is_ab=is_ab,
+        is_ab=set(ws.histogram) == {0, v, -v} if s.n % 2 else None,
     )
 
 

@@ -1,6 +1,7 @@
 """Field arithmetic: construction, axioms, traces, linearized solver."""
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from gf2lab import (
     trace_abs,
     trace_rel,
 )
-from gf2lab.field import _arith, _log_exp_tables
+from gf2lab.field import _Arith, _arith, _linear_map, _log_exp_tables, _span
 
 # Lexicographically least irreducible polynomial per degree, frozen from an
 # independent sieve over all odd encodings.
@@ -76,6 +77,20 @@ def test_field_make_accepts_alternate_modulus():
     # x^8 + x^4 + x^3 + x^2 + 1 is irreducible but not the default
     spec = field_make(8, 0x11D)
     assert spec.poly == 0x11D
+
+
+def test_field_make_refuses_a_negative_modulus():
+    # -0x11b has the bit length and the odd low bit of a degree-8 modulus;
+    # the irreducibility test never ended on it
+    with pytest.raises(FieldConstructionError, match="negative"):
+        field_make(8, -0x11B)
+
+
+def test_field_make_reads_the_modulus_as_an_index():
+    spec = field_make(8, np.int64(0x11B))
+    assert spec == FieldSpec(8, 0x11B) and type(spec.poly) is int
+    with pytest.raises(TypeError):
+        field_make(8, 283.0)
 
 
 def test_element_range_checks():
@@ -349,6 +364,62 @@ def test_log_exp_tables_above_degree_16(n):
     for i in (rng.randrange(s.order) for _ in range(1000)):
         assert int(exp[(i + 1) % s.order]) == f_mul(s, int(exp[i]), g), i
     assert not log.flags.writeable and not exp.flags.writeable
+
+
+def _per_bit(a, cols):
+    """The linear map x^i -> cols[i] by its definition: the xor of the
+    cols[i] over the set bits i of each element of a."""
+    acc = np.zeros_like(a)
+    for i, col in enumerate(cols):
+        acc ^= ((a >> i) & 1) * col
+    return acc
+
+
+@pytest.mark.parametrize("width", range(1, 25))
+def test_span_and_linear_map_match_the_per_bit_definition(width):
+    rng = np.random.default_rng(width)
+    cols = rng.integers(0, 1 << 24, width).tolist()
+    span = _span(cols)
+    assert span.dtype == np.int64 and span.size == 1 << width
+    vs = np.arange(1 << width) if width <= 12 else rng.integers(0, 1 << width, 4096)
+    assert (span[vs] == _per_bit(vs, cols)).all()
+    a = rng.integers(0, 1 << width, 1000)
+    assert (_linear_map(a, cols) == _per_bit(a, cols)).all()
+    # the 0-d input of field._subtrace_mask
+    v = np.array(int(a[0]))
+    assert int(_linear_map(v, tuple(cols))) == int(_per_bit(v, cols))
+
+
+def _check_root_table(s, root, es):
+    """root[e] is the even x with x^2 + x = e, and -1 exactly when Tr(e) = 1."""
+    for e in es:
+        x = int(root[e])
+        if x < 0:
+            assert trace_abs(s, e) == 1, e
+        else:
+            assert x % 2 == 0 and f_mul(s, x, x) ^ x == e and trace_abs(s, e) == 0, e
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_root_table_against_every_quadratic(n):
+    s = field_make(n)
+    root = _Arith(s).root
+    expected = np.full(s.size, -1)
+    for x in range(0, s.size, 2):
+        expected[f_mul(s, x, x) ^ x] = x
+    assert (root == expected).all() and not root.flags.writeable
+    _check_root_table(s, root, range(s.size))
+
+
+@pytest.mark.parametrize("n", [16, 20, 24])
+def test_root_table_on_a_sample_of_large_fields(n):
+    # the table reads only n and poly, so no log/exp table is built for it
+    s = field_make(n)
+    root = _Arith.root.func(SimpleNamespace(n=n, poly=s.poly))
+    es = random.Random(n).sample(range(s.size), 400)
+    _check_root_table(s, root, es)
+    assert {int(root[e]) < 0 for e in es} == {True, False}
+    assert (root >= 0).sum() == s.size // 2
 
 
 def test_power_map_spectra_build_no_quadratic_root_table():

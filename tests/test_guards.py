@@ -15,7 +15,10 @@ row builds a fiber one u at a time or hands a case to a scalar re-check,
 and ``theorems`` takes no scalar solver from ``field``.  The GF(2) trace
 has one kernel, the masks of ``field._trace_basis``: ``spectra`` names the
 scalar trace and product only in its direct-sum oracle, and
-``_Arith.subtrace`` is one parity, with no loop.
+``_Arith.subtrace`` is one parity, with no loop.  Every tabulated
+GF(2)-linear map is filled by one kernel, ``field._span``: the log/exp
+tables gather from it a byte at a time, the Walsh masks are its span of
+the trace basis, and the quadratic-root table takes no product.
 """
 
 import ast
@@ -164,6 +167,47 @@ def test_one_trace_kernel():
     loops = [node.lineno for node in ast.walk(subtrace)
              if isinstance(node, (ast.For, ast.While, ast.comprehension))]
     assert not loops, f"_Arith.subtrace loops at lines {loops}"
+
+
+def _function(tree, name, cls=None):
+    body = tree.body if cls is None else next(
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == cls).body
+    return next(node for node in body if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_one_span_kernel():
+    # a second doubling fill (x[2^i : 2^(i+1)] = x[:2^i] ^ col), a per-bit
+    # pass in _linear_map or a product in the root table shows up here
+    package = Path(gf2lab.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.rglob("*.py"))}
+    span = {id(node) for node in ast.walk(_function(trees["field.py"], "_span"))}
+    fills = [f"{name}:{node.lineno}" for name, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Assign) and isinstance(node.value, ast.BinOp)
+             and isinstance(node.value.op, ast.BitXor) and isinstance(node.value.left, ast.Subscript)
+             and isinstance(node.targets[0], ast.Subscript) and id(node) not in span
+             and ast.dump(node.value.left.value) == ast.dump(node.targets[0].value)]
+    assert not fills, f"doubling fills outside field._span: {fills}"
+
+    def loops(fn):
+        return [node for node in ast.walk(fn)
+                if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+
+    def calls(fn):
+        return {getattr(node.func, "id", getattr(node.func, "attr", None))
+                for node in ast.walk(fn) if isinstance(node, ast.Call)}
+
+    linear = _function(trees["field.py"], "_linear_map")
+    assert "_span" in calls(linear)
+    # its one loop steps over the bytes of an element
+    assert [ast.unparse(node.iter) for node in loops(linear)] == ["range(0, len(cols), 8)"]
+    masks = _function(trees["spectra.py"], "_trace_masks")
+    assert not loops(masks) and calls(masks) == {"_span", "_trace_basis"}
+    root = _function(trees["field.py"], "root", cls="_Arith")
+    assert not calls(root) & {"mul", "_mul", "pow", "_pow", "frob", "sqrt", "inv"}
+    # its one comprehension lists the columns x^(2i) + x^i of x^2 + x
+    assert [ast.unparse(node.iter) for node in loops(root)] == ["range(1, self.n)"]
+    tables = {node.attr for node in ast.walk(root) if isinstance(node, ast.Attribute)}
+    assert not tables & {"log", "exp"}, "the root table reads the log/exp tables"
 
 
 def test_benchmarks_still_collect():

@@ -30,52 +30,53 @@ def block(request):
     n = request.param
     s = field_make(n)
     f = lut_from_values(s, np.random.default_rng(n).integers(0, s.size, s.size))
-    bs = np.arange(1, max(1, spectra.WALSH_BLOCK_COEFFS >> n) + 1)
-    return f, spectra._trace_masks(s), bs, spectra._block_lut(f)
+    # the first block of the full sweep: the masks 1 .. R
+    vs = np.arange(1, max(1, spectra.WALSH_BLOCK_COEFFS >> n) + 1)
+    return f, vs, spectra._block_lut(f)
 
 
 @pytest.fixture
 def timed(benchmark, block):
-    f, _, bs, _ = block
-    benchmark.extra_info["coeffs"] = len(bs) * f.spec.size
+    f, vs, _ = block
+    benchmark.extra_info["coeffs"] = len(vs) * f.spec.size
     return benchmark
 
 
-def _untransformed(monkeypatch, lut, masks, bs):
+def _untransformed(monkeypatch, lut, vs):
     """The block as _walsh_block builds it, before the transform."""
     with monkeypatch.context() as m:
         m.setattr(spectra, "_fwht_rows", lambda mat: mat)
-        return spectra._walsh_block(lut, masks, bs)
+        return spectra._walsh_block(lut, vs)
 
 
 def test_sign_build(timed, monkeypatch, block):
-    f, masks, bs, lut = block
+    f, vs, lut = block
     monkeypatch.setattr(spectra, "_fwht_rows", lambda mat: mat)
-    signs = timed.pedantic(spectra._walsh_block, (lut, masks, bs),
+    signs = timed.pedantic(spectra._walsh_block, (lut, vs),
                            rounds=ROUNDS, warmup_rounds=1)
-    assert signs.size == len(bs) * f.spec.size
+    assert signs.size == len(vs) * f.spec.size
     assert np.isin(signs, (-1, 1)).all()
 
 
 def test_fwht_block(timed, monkeypatch, block):
-    _, masks, bs, lut = block
-    signs = _untransformed(monkeypatch, lut, masks, bs)
+    _, vs, lut = block
+    signs = _untransformed(monkeypatch, lut, vs)
     coeffs = timed.pedantic(spectra._fwht_rows, setup=lambda: ((signs.copy(),), {}),
                             rounds=ROUNDS, warmup_rounds=1)
-    assert (coeffs == spectra._walsh_block(lut, masks, bs)).all()
+    assert (coeffs == spectra._walsh_block(lut, vs)).all()
 
 
 def test_histogram_step(timed, monkeypatch, block):
-    f, masks, bs, lut = block
-    coeffs = spectra._walsh_block(lut, masks, bs)
+    f, vs, lut = block
+    coeffs = spectra._walsh_block(lut, vs)
     fresh = []
     # _walsh_counts over one block, fed a fresh copy of the transformed block
-    monkeypatch.setattr(spectra, "_walsh_block", lambda lut, masks, bs: fresh.pop())
+    monkeypatch.setattr(spectra, "_walsh_block", lambda lut, vs: fresh.pop())
 
     def setup():
         fresh.append(coeffs.copy())
-        return (f, masks, bs), {}
+        return (f, vs), {}
 
     ws = timed.pedantic(spectra._walsh_counts, setup=setup,
                         rounds=ROUNDS, warmup_rounds=1)
-    assert sum(ws.histogram.values()) == len(bs) * f.spec.size
+    assert sum(ws.histogram.values()) == len(vs) * f.spec.size

@@ -14,12 +14,13 @@ over GF(2).
 Bulk arithmetic (power-map tables, the power structure of a table, the
 proof replay) goes through one core, :class:`_Arith`: the cached
 discrete-log / antilog tables of a fixed generator, with ops that take a
-Python int or a numpy array.  It is the one place that turns logs into
-elements.  Its log/exp tables, its quadratic-root table and the Walsh
-trace masks are GF(2)-linear maps of the bits, tabulated by one kernel,
-:func:`_span`.  The scalar clmul path behind ``f_mul``, the public scalar
-API, is kept independent of the tables and is their test oracle.  Every
-trace on a fast path is a parity against the masks of :func:`_trace_basis`.
+Python int or a numpy array; ``spectra`` also indexes its tables directly
+(x^d, a table's exponent, the orbit pass's representatives).  Its log/exp
+tables, its quadratic-root table and the Walsh trace masks are GF(2)-linear
+maps of the bits, tabulated by one kernel, :func:`_span`.  The scalar clmul
+path behind ``f_mul``, the public scalar API, is kept independent of the
+tables and is their test oracle.  Every trace on a fast path is a parity
+against the masks of :func:`_trace_basis`.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ integers, never floats.  Power-map tables, and the power structure of
 any table, are computed through the table-backed arithmetic of
 :mod:`gf2lab.field`.  The Walsh sweep runs one fast Walsh-Hadamard
 transform per component b, which brings the total cost to about
-n * 2^(2n) bit operations instead of the 2^(3n) of the naive triple sum;
-its trace masks are the span (``field._span``) of ``field._trace_basis``.
+n * 2^(2n) bit operations instead of the 2^(3n) of the naive triple sum.
+It reads each component b as its trace mask v, parity(v & y) = Tr(b*y):
+the orbit pass maps only its g representatives (``field._linear_map``).
 A pass that fills more entries than a full sweep over GF(2^15) needs
 ``deep=True`` (``--deep``), as decided for every caller by
 :func:`require_desk_scale`: every full sweep with n >= 16, and an orbit
@@ -46,7 +47,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .field import FieldSpec, _arith, _mul, _span, _trace_basis, trace_abs
+from .field import FieldSpec, _arith, _linear_map, _mul, _span, _trace_basis, trace_abs
 
 __all__ = [
     "FunctionTable",
@@ -72,7 +73,7 @@ __all__ = [
 # full sweep over GF(2^15), the largest field a full sweep runs on by default.
 DESK_ENTRIES = ((1 << 15) - 1) << 15
 # Walsh coefficients per transform block (one column when a column is
-# larger).  An int16 block and its mask product take 512 KiB each.  Full
+# larger).  An int16 block takes 512 KiB.  Full
 # sweeps of a random table, best of 3, at 2^16 / 2^17 / 2^18 / 2^19
 # coefficients: n = 11 took 19.0 / 16.6 / 15.6 / 17.4 ms, n = 12 90 / 75 /
 # 67 / 68 ms, n = 13 492 / 370 / 307 / 294 ms (2-vCPU Xeon, numpy 2.4).
@@ -201,21 +202,21 @@ def lut_from_values(s: FieldSpec, values) -> FunctionTable:
     """Wrap an explicit value sequence as a FunctionTable, validating it.
 
     The values are copied, so the table can be frozen without freezing the
-    caller's array.  Values whose array dtype is not an integer kind
-    (floats, strings, booleans, objects) raise ValueError, as do Python
-    ints outside [0, 2^n), however wide.
+    caller's array.  An array of any shape but (2^n,) raises ValueError,
+    before its dtype is read; so do values whose array dtype is not an
+    integer kind (floats, strings, booleans, objects), and Python ints
+    outside [0, 2^n), however wide.
     """
     lut = np.array(values)
+    if lut.shape != (s.size,):
+        raise ValueError(f"lookup table must have shape ({s.size},), got {lut.shape}")
     if lut.dtype.kind not in "iu":
         # numpy holds Python ints beyond 64 bits (or past int64 next to
         # others) as object or float64 entries; only such input pays a pass
-        wide = lut.ndim == 1 and all(type(v) is int for v in values)
-        if wide and not all(0 <= v < s.size for v in values):
+        if all(type(v) is int for v in values) and not all(0 <= v < s.size for v in values):
             raise ValueError("lookup table entry out of range")
         raise ValueError(f"lookup table entries must be integers, got dtype {lut.dtype}")
-    if lut.shape != (s.size,):
-        raise ValueError(f"lookup table must have exactly {s.size} entries, got {lut.size}")
-    if lut.size and (lut.min() < 0 or lut.max() >= s.size):
+    if lut.min() < 0 or lut.max() >= s.size:
         raise ValueError("lookup table entry out of range")
     lut = lut.astype(np.int64, copy=False)
     lut.flags.writeable = False
@@ -245,9 +246,11 @@ def require_desk_scale(n: int, deep: bool, exponent: int | None = None) -> None:
             f"line), as does any pass larger than a full sweep over GF(2^15)")
 
 
-def _ddt_row(lut: np.ndarray, shifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(counts, values)`` of the row a of the table lut, from arange(2^n) ^ a."""
-    values = lut ^ lut[shifted]
+def _ddt_row(lut: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(counts, values)`` of the row a of lut; the gathered f(x + a) takes
+    f(x) in place, so the index arange(2^n) ^ a is freed before the count."""
+    values = lut[np.arange(lut.size) ^ a]
+    values ^= lut
     return np.bincount(values, minlength=lut.size), values
 
 
@@ -255,14 +258,13 @@ def difference_row(f: FunctionTable, a: int) -> DifferenceRow:
     """The row a of f's difference table; an a outside [1, 2^n) raises ValueError."""
     if not 0 < a < f.spec.size:
         raise ValueError("difference a must be a nonzero field element")
-    return DifferenceRow(a, *_ddt_row(f.lut, np.arange(f.spec.size) ^ a))
+    return DifferenceRow(a, *_ddt_row(f.lut, a))
 
 
 def ddt_rows(f: FunctionTable) -> Iterator[DifferenceRow]:
     """Stream the difference distribution table one row (one a != 0) at a time."""
-    idx = np.arange(f.spec.size)
     for a in range(1, f.spec.size):
-        yield DifferenceRow(a, *_ddt_row(f.lut, idx ^ a))
+        yield DifferenceRow(a, *_ddt_row(f.lut, a))
 
 
 def _half_rows(f: FunctionTable) -> Iterator[np.ndarray]:
@@ -348,36 +350,29 @@ def _block_lut(f: FunctionTable) -> np.ndarray:
     return f.lut.astype(np.int16 if f.spec.n <= 14 else np.int32)
 
 
-def _walsh_block(lut: np.ndarray, masks: np.ndarray, bs: np.ndarray) -> np.ndarray:
-    """Coefficients for the given b values, one column per b, row u = parity(u & x).
+def _walsh_block(lut: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Coefficients of the components with trace masks vs, one column per v.
 
     lut is the table from :func:`_block_lut`, and the block has its dtype.
-    Tr(a*x) = parity(masks[a] & x), so f^(a, b) sits at row masks[a] of
-    b's column.  Table values and masks are below 2^n, so the mask product
-    is taken in the same dtype.
+    Column v, the mask of b, transforms (-1)^Tr(b*f(x)) by parity(u & x),
+    so f^(a, b) sits at row u = masks[a].  Values and masks are below 2^n,
+    so their product is taken in that dtype and turned into signs in place.
     """
-    dtype = lut.dtype
-    # sign table: (-1)^Tr(b * f(x)) via the mask parity trick
-    product = lut[:, None] & masks[bs].astype(dtype)
-    signs = (np.bitwise_count(product) & 1).astype(dtype)
+    signs = lut[:, None] & vs.astype(lut.dtype)
+    np.bitwise_count(signs, out=signs)
+    signs &= 1
     signs *= -2
     signs += 1
     return _fwht_rows(signs)
 
 
-def _walsh_counts(
-    f: FunctionTable,
-    masks: np.ndarray,
-    bs: np.ndarray,
-    *,
-    weight: int = 1,
-) -> WalshSpectrum:
-    """Histogram of every coefficient f^(a, b) over all a and the b in bs.
+def _walsh_counts(f: FunctionTable, vs: np.ndarray, *, weight: int = 1) -> WalshSpectrum:
+    """Histogram of every coefficient f^(a, b) over all a and the b with trace masks vs.
 
-    One transform of size 2^n per b, in blocks of about WALSH_BLOCK_COEFFS
-    coefficients; each count is multiplied by weight.  The histogram is
-    counted over the transform index u: a -> masks[a] is a bijection, so no
-    block is reindexed.
+    One transform of size 2^n per mask, in blocks of about
+    WALSH_BLOCK_COEFFS coefficients; each count is multiplied by weight.
+    The histogram is counted over the transform index u: a -> masks[a] is a
+    bijection, so no block is reindexed.
     """
     size = f.spec.size
     half = size >> 1
@@ -386,8 +381,8 @@ def _walsh_counts(
     # counts the value v
     counts = np.zeros(size + 1, dtype=np.int64)
     lut = _block_lut(f)
-    for lo in range(0, len(bs), block):
-        coeffs = _walsh_block(lut, masks, bs[lo : lo + block])
+    for lo in range(0, len(vs), block):
+        coeffs = _walsh_block(lut, vs[lo : lo + block])
         coeffs >>= 1
         coeffs += half
         counts += np.bincount(coeffs.ravel(), minlength=size + 1)
@@ -401,13 +396,14 @@ def _walsh_counts(
 def walsh_spectrum(f: FunctionTable, *, deep: bool = False) -> WalshSpectrum:
     """Full Walsh sweep: every coefficient f^(a,b) for all a and b != 0.
 
-    The sweep transforms every component b whatever the table, so it is
-    the oracle for :func:`power_walsh_spectrum`; :func:`walsh_row` gives
-    the coefficients of one component.
+    The sweep transforms every component b whatever the table, as every
+    nonzero trace mask once (b -> masks[b] is a bijection), so it is the
+    oracle for :func:`power_walsh_spectrum`; :func:`walsh_row` gives the
+    coefficients of one component.
     """
     s = f.spec
     require_desk_scale(s.n, deep)
-    return _walsh_counts(f, _trace_masks(s), np.arange(1, s.size))
+    return _walsh_counts(f, np.arange(1, s.size))
 
 
 def _require_exponent(f: FunctionTable) -> int:
@@ -445,8 +441,8 @@ def power_walsh_spectrum(f: FunctionTable, *, deep: bool = False) -> WalshSpectr
     s = f.spec
     require_desk_scale(s.n, deep, d)
     g = gcd(d, s.order)
-    return _walsh_counts(f, _trace_masks(s), _arith(s.n, s.poly).exp[:g],
-                         weight=s.order // g)
+    vs = _linear_map(_arith(s.n, s.poly).exp[:g], _trace_basis(s.n, s.poly))
+    return _walsh_counts(f, vs, weight=s.order // g)
 
 
 def walsh_row(f: FunctionTable, b: int) -> np.ndarray:
@@ -454,7 +450,7 @@ def walsh_row(f: FunctionTable, b: int) -> np.ndarray:
     if not 0 < b < f.spec.size:
         raise ValueError("b must be a nonzero field element")
     masks = _trace_masks(f.spec)
-    row = _walsh_block(_block_lut(f), masks, np.array([b]))[masks, 0]
+    row = _walsh_block(_block_lut(f), masks[b : b + 1])[masks, 0]
     return row.astype(np.int32, copy=False)
 
 

@@ -926,14 +926,16 @@ def run_all_checks(ks: Iterable[int], *, samples: int | None = None,
     then the split-coordinate suite per gamma), suitable for tabular
     display; failures are counted in the reports.  A basis that fails to
     construct is an ``mm-basis`` row with one failure, and the suites that
-    need it are skipped for that gamma.  Every k is checked for range and
-    size, and samples for range, before any suite runs.
+    need it are skipped for that gamma.  Every k is checked for range, size
+    and repeats, and samples for range, before any suite runs.
     """
     ks = list(ks)
     _check_samples(samples)
     for k in ks:
         _check_k(k)
         require_desk_scale(4 * k, deep)
+    if len(set(ks)) < len(ks):
+        raise ValueError(f"each k may be listed once, got {ks}")
     reports: list[CheckReport] = []
     for k in ks:
         reports.append(delta_sweep(k, deep=deep))

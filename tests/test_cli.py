@@ -299,6 +299,14 @@ def test_verify_usage_errors(capsys):
     assert captured.err.count("samples must be at least 1") == 2
 
 
+def test_verify_refuses_a_repeated_k(capsys):
+    # a repeated k would replay its rows twice and still pass
+    assert main(["verify", "--k", "1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: each k may be listed once, got [1, 1]"]
+
+
 def test_verify_refuses_a_sample_above_2_24_pairs_before_any_draw(monkeypatch, capsys):
     from gf2lab import theorems
 

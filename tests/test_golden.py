@@ -47,6 +47,7 @@ CASES = dict([
      ["verify", "--k", "3", "--all-gamma", "--samples", "5000"]),
     ("verify --k 1,2,4 (refused)", ["verify", "--k", "1,2,4"]),
     ("verify --samples 0 (refused)", ["verify", "--samples", "0"]),
+    ("verify --k 1,1 (refused)", ["verify", "--k", "1,1"]),
     ("catalog --max-n 12", ["catalog", "--max-n", "12"]),
     ("catalog --max-n 12 --deep", ["catalog", "--max-n", "12", "--deep"]),
     ("catalog --max-n 17", ["catalog", "--max-n", "17"]),

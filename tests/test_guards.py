@@ -4,21 +4,24 @@ module sorts a difference row, and the per-layer benchmarks still collect.
 
 ``python -O`` strips ``assert`` statements, so validation in the package
 raises explicit errors instead.  A parameter that its body never reads is a
-knob that changes nothing.  The log/exp tables are read through
-``field._Arith`` only, so no other module builds a second copy of its
-formulas.  No module calls ``argsort``, and no module pads a set into
-slots: the replay reads each solution set as its members tagged by row, and
-the split rows read the fibers of pi as their members tagged by u.  The
-replay's array pass is the only caller of its identity helpers, so the
-derivation is written once.  One function sums the fibers of pi, no split
-row builds a fiber one u at a time or hands a case to a scalar re-check,
-and ``theorems`` takes no scalar solver from ``field``.  The GF(2) trace
-has one kernel, the masks of ``field._trace_basis``: ``spectra`` names the
-scalar trace and product only in its direct-sum oracle, and
-``_Arith.subtrace`` is one parity, with no loop.  Every tabulated
+knob that changes nothing.  The log/exp tables are built in ``field``
+only and reached through ``field._Arith``, so no other module builds a
+second copy of its formulas.  No module calls ``argsort``, and no module
+pads a set into slots: the replay reads each solution set as its members
+tagged by row, and the split rows read the fibers of pi as their members
+tagged by u.  The replay's array pass is the only caller of its identity
+helpers, so the derivation is written once, and those helpers name no
+element constant but 0 and 1, which squaring fixes.  One function sums the
+fibers of pi, no split row builds a fiber one u at a time or hands a case
+to a scalar re-check, and ``theorems`` takes no scalar solver from
+``field``.  The GF(2) trace has one kernel, the masks of
+``field._trace_basis``: ``spectra`` names the scalar trace and product only
+in its direct-sum oracle, and ``_Arith.subtrace`` is one parity, with no
+loop.  Every tabulated
 GF(2)-linear map is filled by one kernel, ``field._span``: the log/exp
-tables gather from it a byte at a time, the Walsh masks are its span of
-the trace basis, and the quadratic-root table takes no product.
+tables gather from it a byte at a time, the Walsh mask table is its span
+of the trace basis and is built by ``walsh_row`` only, and the
+quadratic-root table takes no product.
 """
 
 import ast
@@ -117,6 +120,28 @@ def test_only_the_array_pass_derives_the_replay():
     assert all(names == {"_derive_pass"} for names in callers.values()), callers
 
 
+def test_the_replay_helpers_name_no_element_but_0_and_1():
+    # squaring fixes 0 and 1 only, so while these are the helpers' only
+    # element constants, every identity commutes with squaring and row c^2
+    # of the replay passes exactly when row c does; an integer inside the
+    # exponent of A.frob or A.pow counts squarings, not an element
+    tree = ast.parse((Path(gf2lab.__file__).parent / "theorems.py").read_text())
+    helpers = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("_") and node.args.args
+               and node.args.args[0].arg == "A"]
+    assert helpers
+    exponents = {id(node) for fn in helpers for call in ast.walk(fn)
+                 if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                 and call.func.attr in ("frob", "pow") and len(call.args) == 2
+                 and getattr(call.func.value, "id", None) == "A"
+                 for node in ast.walk(call.args[1])}
+    stray = [f"{fn.name}:{node.lineno} {node.value}" for fn in helpers
+             for node in ast.walk(fn) if isinstance(node, ast.Constant)
+             and isinstance(node.value, int) and node.value not in (0, 1)
+             and id(node) not in exponents]
+    assert not stray, f"element constants other than 0 and 1: {stray}"
+
+
 def test_split_rows_have_one_fiber_sum_and_no_scalar_fallback():
     # the split rows decide every cell in their one array pass over the
     # members tagged by u, so a second fiber-sum path, a fiber built one u
@@ -202,6 +227,10 @@ def test_one_span_kernel():
     assert [ast.unparse(node.iter) for node in loops(linear)] == ["range(0, len(cols), 8)"]
     masks = _function(trees["spectra.py"], "_trace_masks")
     assert not loops(masks) and calls(masks) == {"_span", "_trace_basis"}
+    # the Walsh passes take component masks; only walsh_row reindexes by a
+    readers = {fn.name for fn in trees["spectra.py"].body if isinstance(fn, ast.FunctionDef)
+               and "_trace_masks" in calls(fn)}
+    assert readers == {"walsh_row"}, f"functions building the mask table: {readers}"
     root = _function(trees["field.py"], "root", cls="_Arith")
     assert not calls(root) & {"mul", "_mul", "pow", "_pow", "frob", "sqrt", "inv"}
     # its one comprehension lists the columns x^(2i) + x^i of x^2 + x

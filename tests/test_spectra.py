@@ -1,6 +1,7 @@
 """Difference tables, Walsh sweeps, and classification flags."""
 
 import random
+import re
 from collections import Counter
 from math import gcd
 
@@ -37,11 +38,11 @@ from gf2lab.spectra import (WALSH_BLOCK_COEFFS, require_desk_scale,
 def _walsh_table(f):
     """(masks, coeffs): coeffs[masks[a], b - 1] = f^(a, b) for every a and b != 0.
 
-    One call of the block kernel over every component; row u of column
-    b - 1 is the coefficient at the a with masks[a] = u.
+    One call of the block kernel over the masks of every component b != 0;
+    row u of column b - 1 is the coefficient at the a with masks[a] = u.
     """
     masks = spectra._trace_masks(f.spec)
-    return masks, spectra._walsh_block(spectra._block_lut(f), masks, np.arange(1, f.spec.size))
+    return masks, spectra._walsh_block(spectra._block_lut(f), masks[1:])
 
 
 def test_build_lut_matches_scalar_pow():
@@ -106,6 +107,16 @@ def test_lut_from_values_validation():
 ], ids=["floats", "one-float", "float-array", "strings", "bools", "none", "objects"])
 def test_lut_from_values_rejects_non_integers(values):
     with pytest.raises(ValueError, match="must be integers"):
+        lut_from_values(field_make(2), values)
+
+
+@pytest.mark.parametrize("values, shape", [
+    ([[0, 1], [2, 3]], "(2, 2)"),          # four entries, but not one row
+    ([], "(0,)"),                          # numpy makes an empty list float64
+    ([0, 1, 2], "(3,)"),
+], ids=["nested", "empty", "short"])
+def test_lut_from_values_names_a_wrong_shape(values, shape):
+    with pytest.raises(ValueError, match=rf"must have shape \(4,\), got {re.escape(shape)}$"):
         lut_from_values(field_make(2), values)
 
 
@@ -320,9 +331,9 @@ def test_walsh_blocks_hold_both_extremes_at_the_dtype_switch(n):
     odd = sum(trace_abs(s, int(b)) for b in bs)
     assert 0 < odd < len(bs)
     zeros = len(bs) * (size - 1)
-    zero = spectra._walsh_counts(lut_from_values(s, np.zeros(size, np.int64)), masks, bs)
+    zero = spectra._walsh_counts(lut_from_values(s, np.zeros(size, np.int64)), masks[bs])
     assert zero.histogram == Counter({size: len(bs), 0: zeros})
-    one = spectra._walsh_counts(build_lut(s, 0), masks, bs)
+    one = spectra._walsh_counts(build_lut(s, 0), masks[bs])
     assert one.histogram == Counter({size: len(bs) - odd, -size: odd, 0: zeros})
     assert zero.max_abs == one.max_abs == size
     table = lut_from_values(s, np.random.default_rng(n).integers(0, size, size))
@@ -373,6 +384,27 @@ def test_trace_mask_consistency():
             for y in range(s.size):
                 parity = bin(int(masks[a]) & y).count("1") & 1
                 assert parity == trace_abs(s, f_mul(s, a, y))
+
+
+def test_walsh_sweeps_build_no_mask_table(monkeypatch):
+    # the full sweep takes every nonzero mask and the orbit pass the masks of
+    # its g representatives; only walsh_row reindexes by the whole table
+    def no_table(s):
+        raise AssertionError("the 2^n trace-mask table was built")
+
+    monkeypatch.setattr(spectra, "_trace_masks", no_table)
+    rng = np.random.default_rng(37)
+    for n in range(8, 13):
+        s = field_make(n)
+        random_table = lut_from_values(s, rng.integers(0, s.size, s.size))
+        assert sum(walsh_spectrum(random_table).histogram.values()) == s.size * s.order
+        for d in (21, 73, 4094):
+            table = build_lut(s, d)
+            orbit = power_walsh_spectrum(table)
+            full = walsh_spectrum(table)
+            assert (orbit.max_abs, orbit.histogram) == (full.max_abs, full.histogram)
+        with pytest.raises(AssertionError, match="mask table"):
+            walsh_row(random_table, 1)
 
 
 def _orbit_cases():
@@ -465,28 +497,29 @@ def test_half_pair_sweep_finds_a_planted_row_of_each_highest_bit(t):
 
 def _counting_sweeps(monkeypatch):
     """Patch the row and block kernels of spectra to record what they read:
-    the a of each full row, each block of half rows, and each b transformed."""
-    rows, halves, bs = [], [], []
+    the a of each full row, each block of half rows, and the trace mask of
+    each component transformed."""
+    rows, halves, vs = [], [], []
     ddt_row, half_rows = spectra._ddt_row, spectra._half_rows
     walsh_block = spectra._walsh_block
 
-    def counting_ddt_row(lut, shifted):
-        rows.append(int(shifted[0]))  # arange(2^n) ^ a holds a at 0
-        return ddt_row(lut, shifted)
+    def counting_ddt_row(lut, a):
+        rows.append(a)
+        return ddt_row(lut, a)
 
     def counting_half_rows(f):
         for half in half_rows(f):
             halves.append(half.copy())
             yield half
 
-    def counting_walsh_block(f, masks, block):
-        bs.extend(block.tolist())
-        return walsh_block(f, masks, block)
+    def counting_walsh_block(lut, block):
+        vs.extend(block.tolist())
+        return walsh_block(lut, block)
 
     monkeypatch.setattr(spectra, "_ddt_row", counting_ddt_row)
     monkeypatch.setattr(spectra, "_half_rows", counting_half_rows)
     monkeypatch.setattr(spectra, "_walsh_block", counting_walsh_block)
-    return rows, halves, bs
+    return rows, halves, vs
 
 
 def test_named_sweeps_stay_full_and_orbit_needs_an_exponent(monkeypatch):
@@ -494,20 +527,20 @@ def test_named_sweeps_stay_full_and_orbit_needs_an_exponent(monkeypatch):
     s = field_make(n)
     table = build_lut(s, d)
     full = np.array([row.counts for row in ddt_rows(table)])
-    rows, halves, bs = _counting_sweeps(monkeypatch)
+    rows, halves, vs = _counting_sweeps(monkeypatch)
     differential_uniformity(table)
     # every a once, in increasing order: the doubled half rows are the DDT
     assert np.array_equal(2 * np.concatenate(halves), full)
     assert rows == []
     walsh_spectrum(table)
-    assert bs == list(range(1, s.size))
+    assert vs == list(range(1, s.size))  # every nonzero mask once
     rows.clear()
-    bs.clear()
+    vs.clear()
     power_delta(table)
     assert rows == [1]
     power_walsh_spectrum(table)
     g = gcd(d, s.order)
-    assert bs == _log_exp_tables(n, s.poly)[1][:g].tolist()
+    assert vs == spectra._trace_masks(s)[_log_exp_tables(n, s.poly)[1][:g]].tolist()
     plain = lut_from_values(s, table.lut)
     assert plain.exponent == d
     lut = table.lut.copy()
@@ -574,13 +607,14 @@ def test_a_stale_label_cannot_reach_the_orbit_engine():
 
 
 def test_a_lut_copy_of_a_power_map_takes_the_orbit_engine(monkeypatch):
-    rows, halves, bs = _counting_sweeps(monkeypatch)
+    rows, halves, vs = _counting_sweeps(monkeypatch)
     n, d = 12, 2730
     s = field_make(n)
     copy = lut_from_values(s, build_lut(s, d).lut)
     summ = classify(copy)
     assert rows == [1] and halves == []
-    assert bs == _log_exp_tables(n, s.poly)[1][:gcd(d, s.order)].tolist()
+    reps = _log_exp_tables(n, s.poly)[1][:gcd(d, s.order)]
+    assert vs == spectra._trace_masks(s)[reps].tolist()
     assert summ.delta == power_delta(build_lut(s, d))
 
 

@@ -1277,6 +1277,9 @@ def test_run_all_checks_refuses_before_any_suite(monkeypatch):
             run_all_checks([1], samples=samples)
         with pytest.raises(ValueError, match="samples"):
             reduction_sweep(1, samples=samples)
+    for ks in ([1, 1], [2, 1, 2]):
+        with pytest.raises(ValueError, match=r"each k may be listed once"):
+            run_all_checks(ks)
     assert ran == []
 
 

@@ -156,10 +156,8 @@ def default_poly(n: int) -> int:
     Candidates are ordered by their integer encoding; only odd encodings
     (constant term 1) can be irreducible for n >= 1.
     """
-    for p in range((1 << n) | 1, 1 << (n + 1), 2):
-        if _reducible_factor_degree(p, n) is None:
-            return p
-    raise FieldConstructionError(f"no irreducible polynomial of degree {n}")  # pragma: no cover
+    return next(p for p in range((1 << n) | 1, 1 << (n + 1), 2)
+                if _reducible_factor_degree(p, n) is None)
 
 
 def field_make(n: int, poly: int | None = None) -> FieldSpec:

@@ -19,15 +19,17 @@ homogeneous table all from the row a = 1 (see :func:`reduction_sweep`).
 The *split-coordinate suite* checks the Maiorana-McFarland structure of the
 component g(x) = Tr(gamma^2 * x^d): a basis (gamma, alpha, omega) is
 constructed so that {y + omega*a} with y, a ranging over the half-degree
-subfield covers the field; g then becomes linear in y with inner map
-pi(a) = gamma*a^(2^(k-1)) + gamma^2*a^(2^k+1), and the Walsh coefficients
-collapse to sums over the fibers of pi, whose sizes a linearized quartic
-confines to {0, 1, 2, 4}.  The suite verifies the decomposition pointwise,
-the fiber/quartic correspondence, the fiber-sum formula against an
-independent fast-transform sweep, and the sign pattern that pins the
-extremal coefficient magnitude 2^(2k+1).  Each of the four decides every
-case (a point of the 2^(4k) grid, a fiber, a size-4 fiber against every v)
-in one array pass, and builds its first failure from that pass's arrays.
+subfield covers the field (omega + omega^(2^2k) = 1 puts omega outside that
+subfield, which is all the cover needs); g then becomes linear in y with
+inner map pi(a) = gamma*a^(2^(k-1)) + gamma^2*a^(2^k+1), and the Walsh
+coefficients collapse to sums over the fibers of pi, whose sizes a
+linearized quartic confines to {0, 1, 2, 4}.  The suite verifies the
+decomposition pointwise, the fiber/quartic correspondence, the fiber-sum
+formula against an independent fast-transform sweep, and the sign pattern
+that pins the extremal coefficient magnitude 2^(2k+1).  Each of the four
+decides every case (a point of the 2^(4k) grid, a fiber, a size-4 fiber
+against every v) in one array pass, and builds its first failure from that
+pass's arrays.
 
 Each identity (the steps of the replay, the inner map pi, the split
 offset, the decomposition, the fiber sum) is written once here in the
@@ -43,7 +45,8 @@ the suites that need it for that gamma.
 
 The full difference-table sweep at k = 4 (degree 16) needs ``deep=True``,
 as decided by :func:`gf2lab.spectra.require_desk_scale`; the replay and the
-split-coordinate suite are not full sweeps and need none.
+split-coordinate suite are not full sweeps and need none.  A k outside
+[1, MAX_K] is refused where its family table is built.
 """
 
 from __future__ import annotations
@@ -127,15 +130,18 @@ def _check_elements(spec: FieldSpec, a, name: str) -> None:
         raise ValueError(f"{name} is not an element of GF(2^{spec.n})")
 
 
-@lru_cache(maxsize=8)
-def _family_table(k: int) -> FunctionTable:
-    spec = field_make(4 * k)
-    return build_lut(spec, dobbertin_exponent(k))
-
-
 def _check_k(k: int) -> None:
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be between 1 and {MAX_K}")
+
+
+@lru_cache(maxsize=8)
+def _family_table(k: int) -> FunctionTable:
+    """The family's table on GF(2^(4k)), the one place a k becomes a table:
+    a k outside [1, MAX_K] raises ValueError here, on every call, since the
+    cache keeps only returns."""
+    _check_k(k)
+    return build_lut(field_make(4 * k), dobbertin_exponent(k))
 
 
 def _check_samples(samples: int | None) -> None:
@@ -216,7 +222,6 @@ def diff_solution_count(k: int, a: int, b: int) -> tuple[int, frozenset[int]]:
 
     A count above four raises :class:`VerificationError`.
     """
-    _check_k(k)
     table = _family_table(k)
     _check_elements(table.spec, b, "b")
     sols = frozenset(np.flatnonzero(difference_row(table, a).values == b).tolist())
@@ -232,7 +237,6 @@ def reduction_trace(k: int, a: int, b: int) -> ReductionTrace:
     The pair's own scanned solution set, divided by a, is one row of
     :func:`_derive_pass`; a failing step raises :class:`VerificationError`.
     """
-    _check_k(k)
     table = _family_table(k)
     _check_elements(table.spec, b, "b")
     x, row, c = _scanned(k, np.array([a]), np.array([b]))
@@ -523,7 +527,8 @@ def reduction_sweep(k: int, *, samples: int | None = None) -> CheckReport:
 
     Exhaustive by default for k <= 2, sampled (default 1000 pairs drawn
     from DEFAULT_SEED) otherwise.  A samples count below 1 or above
-    MAX_SAMPLES raises ValueError.
+    MAX_SAMPLES raises ValueError, before a k outside [1, MAX_K] does, as in
+    :func:`run_all_checks`.
 
     Lemma: if the table's exponent is d (f(a*x) = a^d * f(x) for every
     a != 0 and every x, see :attr:`gf2lab.spectra.FunctionTable.exponent`),
@@ -541,7 +546,6 @@ def reduction_sweep(k: int, *, samples: int | None = None) -> CheckReport:
     with its row's error, built for its own (a, b), and the report is the
     per-pair one.
     """
-    _check_k(k)
     _check_samples(samples)
     table = _family_table(k)
     d = dobbertin_exponent(k)
@@ -591,7 +595,6 @@ class MMWitness:
 
 def all_gammas(k: int) -> list[int]:
     """All nonzero gamma in GF(2^k) whose subfield absolute trace is 1."""
-    _check_k(k)
     table = _family_table(k)
     A = _arith(table.spec.n, table.spec.poly)
     return [g for g in A.subfield(k) if g and A.subtrace(g, k) == 1]
@@ -610,18 +613,6 @@ def pi_image(w: MMWitness, a):
     return u if isinstance(a, np.ndarray) else int(u)
 
 
-def _split_covers(spec: FieldSpec, k: int, omega):
-    """Whether y + omega*a, over y and a in GF(2^(2k)), hits every element of
-    GF(2^(4k)) once; ``omega`` may be an array, decided elementwise.
-
-    The map (y, a) -> y + omega*a is GF(2^(2k))-linear between spaces of
-    the same size, so it is onto exactly when 1 and omega are independent
-    over GF(2^(2k)): when omega lies outside GF(2^(2k)).  The
-    omega-conjugate-gap check, omega + omega^(2^2k) = 1, already forces that.
-    """
-    return _arith(spec.n, spec.poly).frob(omega, 2 * k) != omega
-
-
 def mm_basis(k: int, *, gamma: int | None = None) -> MMWitness:
     """Construct and validate the split-coordinate basis (gamma, alpha, omega).
 
@@ -629,12 +620,13 @@ def mm_basis(k: int, *, gamma: int | None = None) -> MMWitness:
     sweep over :func:`all_gammas` confirms independence).  alpha and omega
     come from the root table of w^2 + w = e.  The basis invariants are
     verified on the spot and raise :class:`VerificationError` if violated.
-    The split-coordinates-cover check is one Frobenius test (see
-    :func:`_split_covers`), which omega-conjugate-gap already implies;
-    the members are the half field in increasing order, tagged by pi
-    unchecked, for the mm-fibers and mm-quartic rows to certify.
+    The omega-conjugate-gap check, omega + omega^(2^2k) = 1, also settles
+    that y + omega*a, over y and a in GF(2^(2k)), enumerates the field:
+    that GF(2^(2k))-linear map is onto exactly when omega lies outside
+    GF(2^(2k)), and omega^(2^2k) = omega + 1 is not omega.  The members
+    are the half field in increasing order, tagged by pi unchecked, for
+    the mm-fibers and mm-quartic rows to certify.
     """
-    _check_k(k)
     table = _family_table(k)
     spec = table.spec
     A = _arith(spec.n, spec.poly)
@@ -671,10 +663,6 @@ def mm_basis(k: int, *, gamma: int | None = None) -> MMWitness:
     if omega ^ A.frob(omega, 2 * k) != 1:
         raise VerificationError(
             "omega-conjugate-gap", "omega + omega^(2^2k) != 1", k=k, omega=omega)
-    if not _split_covers(spec, k, omega):
-        raise VerificationError(
-            "split-coordinates-cover",
-            "y + omega*a does not enumerate the field", k=k)
     sub = np.array(sub_2k)
     images = pi_image(MMWitness(k, spec, gamma, alpha, omega, sub, sub), sub)
     sub.flags.writeable = images.flags.writeable = False
@@ -682,7 +670,9 @@ def mm_basis(k: int, *, gamma: int | None = None) -> MMWitness:
 
 
 def pi_fiber(w: MMWitness, u: int) -> frozenset[int]:
-    """The fiber {a in GF(2^(2k)) : pi(a) = u}; empty when u is not attained."""
+    """The fiber {a in GF(2^(2k)) : pi(a) = u}; empty when u is not attained.
+    A u outside the field raises ValueError."""
+    _check_elements(w.spec, u, "u")
     return frozenset(w.members[w.images == u].tolist())
 
 
@@ -769,10 +759,12 @@ def _unrebuilt(k: int, a0, u) -> VerificationError:
 
 def quartic_roots(w: MMWitness, a0: int) -> QuarticRoots:
     """The roots in GF(2^k) of the fiber quartic at a0, a one-row read of the
-    mm-quartic pass, which must rebuild the fiber drawn at u = pi(a0)."""
+    mm-quartic pass, which must rebuild the fiber drawn at u = pi(a0); a
+    member of that fiber outside the field raises ValueError."""
     _check_half(w, a0, "a0")
     u = pi_image(w, a0)
     fiber = w.members[w.images == u]
+    _check_elements(w.spec, fiber, "a member")
     ok, c, root = _rebuilds(w, np.array([a0]), fiber, np.zeros_like(fiber))
     if not ok[0]:
         raise _unrebuilt(w.k, a0, u)
@@ -824,7 +816,9 @@ def _fiber_terms(w: MMWitness, A: _Arith, a, v):
 def _fiber_sum_grid(w: MMWitness, us, vs) -> np.ndarray:
     """2^(2k) times the sum of the terms over the fiber of u at v, for every
     u of ``us`` (rows, increasing) and v of ``vs`` (columns): each member
-    tagged by one of ``us`` adds its terms to that row; others add nothing."""
+    tagged by one of ``us`` adds its terms to that row; others add nothing.
+    A member outside the field raises ValueError."""
+    _check_elements(w.spec, w.members, "a member")
     A = _arith(w.spec.n, w.spec.poly)
     at = np.searchsorted(us, w.images)
     hit = np.append(us, -1)[at] == w.images
@@ -909,7 +903,6 @@ def m4_sum_check(w: MMWitness) -> CheckReport:
 
 def delta_sweep(k: int, *, deep: bool = False) -> CheckReport:
     """Full-DDT check that the family's differential uniformity is exactly 4."""
-    _check_k(k)
     table = _family_table(k)
     delta = differential_uniformity(table, deep=deep)
     rows = table.spec.size - 1

@@ -1,27 +1,29 @@
-"""Package-wide guards: every export resolves, no check is an ``assert``,
-every parameter is read, one module owns the discrete-log arithmetic, no
-module sorts a difference row, and the per-layer benchmarks still collect.
+"""Package-wide guards: every export resolves, no check is an ``assert``, no
+branch is excused from coverage, every parameter is read, one module owns
+the discrete-log arithmetic, no module sorts a difference row, and the
+per-layer benchmarks still collect.
 
 ``python -O`` strips ``assert`` statements, so validation in the package
-raises explicit errors instead.  A parameter that its body never reads is a
-knob that changes nothing.  The log/exp tables are built in ``field``
-only and reached through ``field._Arith``, so no other module builds a
-second copy of its formulas.  No module calls ``argsort``, and no module
-pads a set into slots: the replay reads each solution set as its members
-tagged by row, and the split rows read the fibers of pi as their members
-tagged by u.  The replay's array pass is the only caller of its identity
-helpers, so the derivation is written once, and those helpers name no
-element constant but 0 and 1, which squaring fixes.  One function sums the
-fibers of pi, no split row builds a fiber one u at a time or hands a case
-to a scalar re-check, and ``theorems`` takes no scalar solver from
-``field``.  The GF(2) trace has one kernel, the masks of
+raises explicit errors instead.  A branch that no input reaches is deleted
+rather than marked ``pragma: no cover``.  A parameter that its body never
+reads is a knob that changes nothing.  The log/exp tables are built in
+``field`` only and reached through ``field._Arith``, so no other module
+builds a second copy of its formulas.  No module calls ``argsort``, and no
+module pads a set into slots: the replay reads each solution set as its
+members tagged by row, and the split rows read the fibers of pi as their
+members tagged by u.  The replay's array pass is the only caller of its
+identity helpers, so the derivation is written once, and those helpers name
+no element constant but 0 and 1, which squaring fixes.  A k is checked
+where its family table is built, and once more by ``run_all_checks`` up
+front.  One function sums the fibers of pi, no split row builds a fiber one
+u at a time or hands a case to a scalar re-check, and ``theorems`` takes no
+scalar solver from ``field``.  The GF(2) trace has one kernel, the masks of
 ``field._trace_basis``: ``spectra`` names the scalar trace and product only
 in its direct-sum oracle, and ``_Arith.subtrace`` is one parity, with no
-loop.  Every tabulated
-GF(2)-linear map is filled by one kernel, ``field._span``: the log/exp
-tables gather from it a byte at a time, the Walsh mask table is its span
-of the trace basis and is built by ``walsh_row`` only, and the
-quadratic-root table takes no product.
+loop.  Every tabulated GF(2)-linear map is filled by one kernel,
+``field._span``: the log/exp tables gather from it a byte at a time, the
+Walsh mask table is its span of the trace basis and is built by
+``walsh_row`` only, and the quadratic-root table takes no product.
 """
 
 import ast
@@ -59,6 +61,15 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_no_branch_is_excused_from_coverage():
+    # a branch no test can reach is removed, not marked for coverage to skip
+    found = [f"{path.name}:{i}"
+             for path in sorted(Path(gf2lab.__file__).parent.rglob("*.py"))
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if "pragma: no cover" in line]
+    assert not found, f"coverage pragmas in the package: {found}"
 
 
 def test_every_parameter_is_read():
@@ -140,6 +151,16 @@ def test_the_replay_helpers_name_no_element_but_0_and_1():
              and isinstance(node.value, int) and node.value not in (0, 1)
              and id(node) not in exponents]
     assert not stray, f"element constants other than 0 and 1: {stray}"
+
+
+def test_k_is_checked_where_its_table_is_built():
+    # every row reads its k through _family_table, which checks it;
+    # run_all_checks checks every k again up front, before any row runs
+    tree = ast.parse((Path(gf2lab.__file__).parent / "theorems.py").read_text())
+    callers = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+               for call in ast.walk(node) if isinstance(call, ast.Call)
+               and getattr(call.func, "id", None) == "_check_k"}
+    assert callers == {"_family_table", "run_all_checks"}
 
 
 def test_split_rows_have_one_fiber_sum_and_no_scalar_fallback():

@@ -1,5 +1,7 @@
 """Derivation replays and the split-coordinate verification suite."""
 
+import ast
+import inspect
 import random
 import tracemalloc
 from collections import Counter
@@ -55,12 +57,12 @@ def test_dobbertin_exponent_values():
 
 
 def test_k_range_validation():
-    with pytest.raises(ValueError):
-        diff_solution_count(0, 1, 0)
-    with pytest.raises(ValueError):
-        reduction_sweep(5)
-    with pytest.raises(ValueError):
-        all_gammas(5)
+    # every entry point reads its k through the family table, which checks it
+    for call in (lambda: diff_solution_count(0, 1, 0), lambda: reduction_trace(0, 1, 0),
+                 lambda: reduction_sweep(5), lambda: all_gammas(5), lambda: mm_basis(5),
+                 lambda: theorems.delta_sweep(0)):
+        with pytest.raises(ValueError, match=r"^k must be between 1 and 4$"):
+            call()
     # the split-coordinate basis is no full sweep: k = 4 runs without deep
     assert mm_basis(4).gamma in all_gammas(4)
 
@@ -520,6 +522,19 @@ def test_row_one_sets_are_the_replay_layout(k):
         assert np.array_equal(getattr(sweep, name), getattr(grouped, name)), name
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_replay_rows_commute_with_squaring(k):
+    # every identity of the replay commutes with squaring, and c -> c^2 is
+    # v -> v^2 on the row index, as (v + 1)^2 = v^2 + 1: rows v and v^2 of
+    # the every-c pass agree, the premise of a pass over one c per orbit
+    cols = theorems._derive_pass(k, *_sweep_layout(k))
+    v = np.arange(1 << (4 * k))
+    s = _family_table(k).spec
+    v2 = _arith(s.n, s.poly).mul(v, v)
+    for name in ("passed", "t_one", "obstructed", "count"):
+        assert np.array_equal(getattr(cols, name)[v2], getattr(cols, name)), name
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_derive_pass_passes_exactly_the_true_sets_on_perturbed_sets(k):
     # a row (set, c) passes exactly when its set is S(1, c + 1), each scanned
@@ -831,18 +846,58 @@ def test_mm_basis_alternate_gamma():
         mm_basis(2, gamma=0x1)  # not a trace-one subfield element
 
 
-@pytest.mark.parametrize("read, first", [
-    ("gamma", "alpha-roots-subfield: z^2 + gamma*z + gamma^3 does not have both roots "
-              "in the half field [k=2, gamma=0xbc]"),
-    ("alpha", "omega-exists: z^2 + z + alpha has no root in the full field "
-              "[k=2, alpha=0xc]")])
-def test_mm_basis_refuses_a_quadratic_the_root_table_cannot_solve(monkeypatch, read, first):
-    # alpha is gamma times a root of w^2 + w = gamma, omega a root of
-    # z^2 + z = alpha: the root table answering -1 at either refuses the basis
-    w = mm_basis(2)
-    root = _arith(w.spec.n, w.spec.poly).root.copy()
-    root[getattr(w, read)] = -1
-    monkeypatch.setattr(_Arith, "root", property(lambda self: root))
+def _root_entry(read, value):
+    """A corruption that makes the root table answer ``value`` for
+    w^2 + w = e at e = the ``read`` element of the k = 2 basis: alpha is
+    gamma times a root at gamma, omega a root at alpha."""
+    def corrupt(monkeypatch):
+        w = mm_basis(2)
+        root = _arith(w.spec.n, w.spec.poly).root.copy()
+        root[getattr(w, read)] = value
+        monkeypatch.setattr(_Arith, "root", property(lambda self: root))
+    return corrupt
+
+
+def _half_trace_flipped(monkeypatch):
+    # the trace of GF(2^(2k)) at k = 2 only: gamma's trace over GF(2^k) holds
+    real = _Arith.subtrace
+    monkeypatch.setattr(_Arith, "subtrace", lambda self, a, m: real(self, a, m) ^ (m == 4))
+
+
+# step -> (the corruption that makes mm_basis(2) fail, and the text of its
+# error): one entry per step the basis can raise
+BASIS_BREAKS = {
+    "alpha-roots-subfield": (
+        _root_entry("gamma", -1),
+        "alpha-roots-subfield: z^2 + gamma*z + gamma^3 does not have both roots "
+        "in the half field [k=2, gamma=0xbc]"),
+    "alpha-frobenius-gap": (
+        _root_entry("gamma", 0),
+        "alpha-frobenius-gap: alpha^(2^k) + alpha != gamma [k=2, alpha=0x0, gamma=0xbc]"),
+    "alpha-trace-one": (
+        _half_trace_flipped,
+        "alpha-trace-one: half-field trace of alpha is not 1 [k=2, alpha=0xc]"),
+    "omega-exists": (
+        _root_entry("alpha", -1),
+        "omega-exists: z^2 + z + alpha has no root in the full field [k=2, alpha=0xc]"),
+    "omega-conjugate-gap": (
+        _root_entry("alpha", 0),
+        "omega-conjugate-gap: omega + omega^(2^2k) != 1 [k=2, omega=0x0]"),
+}
+
+
+def test_every_basis_step_has_a_breaking_corruption():
+    # a step added to mm_basis without a corruption that fires it fails here
+    tree = ast.parse(inspect.getsource(theorems.mm_basis))
+    steps = [call.args[0].value for call in ast.walk(tree) if isinstance(call, ast.Call)
+             and getattr(call.func, "id", None) == "VerificationError"]
+    assert sorted(BASIS_BREAKS) == sorted(steps)
+
+
+@pytest.mark.parametrize("step", BASIS_BREAKS)
+def test_every_basis_step_fails_under_its_corruption(monkeypatch, step):
+    corrupt, first = BASIS_BREAKS[step]
+    corrupt(monkeypatch)
     with pytest.raises(VerificationError) as exc:
         mm_basis(2)
     assert str(exc.value) == first
@@ -869,23 +924,18 @@ def test_mm_basis_invariants_recomputed():
 def test_split_cover_is_one_frobenius_test(k):
     # y + omega*a over y, a in GF(2^(2k)) hits each element once exactly
     # when omega lies outside GF(2^(2k)): a bincount per omega, by the
-    # scalar field API, against the one Frobenius test of every omega
+    # scalar field API.  So every omega with omega + omega^(2^2k) = 1, the
+    # basis's omega-conjugate-gap check, covers the field
     s = field_make(4 * k)
     half = [x for x in range(s.size) if frobenius(s, x, 2 * k) == x]
     covers = [np.bincount([y ^ f_mul(s, omega, a) for y in half for a in half],
                           minlength=s.size).tolist() == [1] * s.size
               for omega in range(s.size)]
-    assert theorems._split_covers(s, k, np.arange(s.size)).tolist() == covers
+    assert covers == [frobenius(s, omega, 2 * k) != omega for omega in range(s.size)]
     assert covers.count(False) == len(half)
-    assert theorems._split_covers(s, k, mm_basis(k).omega)
-
-
-def test_mm_basis_refuses_a_split_that_misses_the_field(monkeypatch):
-    monkeypatch.setattr(theorems, "_split_covers", lambda spec, k, omega: False)
-    with pytest.raises(VerificationError) as exc:
-        mm_basis(2)
-    assert str(exc.value) == ("split-coordinates-cover: y + omega*a does not enumerate "
-                              "the field [k=2]")
+    gap_one = [omega for omega in range(s.size) if frobenius(s, omega, 2 * k) ^ omega == 1]
+    assert gap_one and all(covers[omega] for omega in gap_one)
+    assert mm_basis(k).omega in gap_one
 
 
 def test_pi_image_matches_scalar_formula():
@@ -903,10 +953,11 @@ def test_pi_image_matches_scalar_formula():
 
 
 @pytest.mark.parametrize("element", [-1, 256, 1 << 20], ids=["-1", "2^n", "2^20"])
-@pytest.mark.parametrize("call", [pi_image, quartic_roots,
+@pytest.mark.parametrize("call", [pi_image, pi_fiber, quartic_roots,
                                   lambda w, e: mm_walsh_crosscheck(w, e, 0),
                                   lambda w, e: mm_walsh_crosscheck(w, 0, e)],
-                         ids=["pi_image", "quartic_roots", "crosscheck-u", "crosscheck-v"])
+                         ids=["pi_image", "pi_fiber", "quartic_roots", "crosscheck-u",
+                              "crosscheck-v"])
 def test_elements_outside_the_field_are_refused(call, element):
     # numpy indexing wraps a negative element, so each is checked up front
     w = mm_basis(2)
@@ -1018,14 +1069,18 @@ def _member_outside_the_half_field(w):
 
 
 def test_split_rows_refuse_a_member_outside_the_field():
-    # a member past GF(2^n) would index the log/exp tables out of range
+    # a member past GF(2^n) would index the log/exp tables out of range, and
+    # a negative one would wrap to a real log and falsify the fiber sum
     w = mm_basis(1)
     fibers = _fibers_of(w)
     u = max(fibers)
-    broken = _with_fibers(w, {**fibers, u: fibers[u] | {w.spec.size}})
-    for row in (fiber_partition_check, quartic_check_all, m4_sum_check):
-        with pytest.raises(ValueError, match="not an element of GF"):
-            row(broken)
+    for member in (w.spec.size, -1):
+        broken = _with_fibers(w, {**fibers, u: fibers[u] | {member}})
+        for row in (fiber_partition_check, quartic_check_all, m4_sum_check,
+                    mm_crosscheck_all, lambda w: mm_walsh_crosscheck(w, u, 0),
+                    lambda w: quartic_roots(w, min(fibers[u]))):
+            with pytest.raises(ValueError, match="not an element of GF"):
+                row(broken)
 
 
 def test_fiber_partition_check_refuses_a_member_outside_the_half_field():
@@ -1055,6 +1110,23 @@ def test_quartic_roots_structure():
         assert 0 in qr.roots_subfield  # the quartic has no constant term
     with pytest.raises(ValueError):
         quartic_roots(w, 0x2)  # not a half-field element
+
+
+def _fiber_short_of_a_member(w):
+    """w with the least size-2 fiber missing its larger member, and that u:
+    the quartic at the remaining member still has two roots."""
+    fibers = _fibers_of(w)
+    u = min(u for u, members in fibers.items() if len(members) == 2)
+    return _with_fibers(w, {**fibers, u: fibers[u] - {max(fibers[u])}}), u
+
+
+def test_quartic_roots_refuses_a_fiber_it_does_not_rebuild():
+    w, u = _fiber_short_of_a_member(mm_basis(2))
+    with pytest.raises(VerificationError) as exc:
+        quartic_roots(w, min(pi_fiber(w, u)))
+    assert str(exc.value) == ("fiber-root-correspondence: a0 + c^2 over the subfield roots "
+                              "does not reproduce the fiber [k=2, a0=0x5c, u=0xc]")
+    assert quartic_check_all(w).first_failure == str(exc.value)
 
 
 def test_quartic_check_all():
@@ -1208,6 +1280,16 @@ def test_mm_walsh_crosscheck_against_naive_sum():
             coef = mm_walsh_crosscheck(w, u, v)
             lam = f_mul(s, u, w.omega) ^ u ^ v
             assert coef == walsh_coefficient_direct(table, lam, g2)
+
+
+def test_mm_walsh_crosscheck_refuses_a_fiber_sum_off_the_transform():
+    w, u = _fiber_short_of_a_member(mm_basis(2))
+    with pytest.raises(VerificationError) as exc:
+        mm_walsh_crosscheck(w, u, 0)
+    assert str(exc.value) == ("fiber-sum-equals-transform: fiber-sum coefficient disagrees "
+                              "with the transform [k=2, u=0xc, v=0x0, fiber_sum=16, "
+                              "transform=0]")
+    assert mm_crosscheck_all(w).first_failure == str(exc.value)
 
 
 def test_mm_crosscheck_all_counts():

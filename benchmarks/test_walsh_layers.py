@@ -6,8 +6,9 @@ transform and the offset histogram.  A block holds
 ``WALSH_BLOCK_COEFFS >> n`` components at n = 12 and 13, and one component
 at n = 20.  Each step is reached through the module's own functions, never
 a copy of them, so the file measures whatever block layout the module uses.
-The sign build starts from the table already cast by ``_block_lut``, which
-a sweep does once, not once per block.
+The cast of the table by ``_block_lut``, which a sweep does once, not once
+per block, is timed as its own case; the sign build and the histogram
+start from the table already cast.
 Block sizes differ between layouts, so every case records its coefficient
 count as ``extra_info["coeffs"]``: compare time per coefficient.
 
@@ -49,6 +50,14 @@ def _untransformed(monkeypatch, lut, vs):
         return spectra._walsh_block(lut, vs)
 
 
+def test_block_cast(benchmark, block):
+    # once per sweep: its coefficient count is the table's
+    f, _, lut = block
+    benchmark.extra_info["coeffs"] = f.spec.size
+    cast = benchmark.pedantic(spectra._block_lut, (f,), rounds=ROUNDS, warmup_rounds=1)
+    assert cast.dtype == lut.dtype and (cast == f.lut).all()
+
+
 def test_sign_build(timed, monkeypatch, block):
     f, vs, lut = block
     monkeypatch.setattr(spectra, "_fwht_rows", lambda mat: mat)
@@ -71,7 +80,9 @@ def test_histogram_step(timed, monkeypatch, block):
     coeffs = spectra._walsh_block(lut, vs)
     fresh = []
     # _walsh_counts over one block, fed a fresh copy of the transformed block
+    # and the table already cast, whose cast test_block_cast times
     monkeypatch.setattr(spectra, "_walsh_block", lambda lut, vs: fresh.pop())
+    monkeypatch.setattr(spectra, "_block_lut", lambda f: lut)
 
     def setup():
         fresh.append(coeffs.copy())

@@ -1,11 +1,12 @@
 """Reading and writing lookup-table files.
 
 The exchange format is plain text: a header line ``n=<degree> poly=<hex>``
-followed by exactly 2^n whitespace-separated hexadecimal values (lowercase,
-no prefix), the i-th value being the image of the element with integer
-encoding i.  Hexadecimal keeps the files bit-exact and readable at n <= 16.
-:func:`write_lut` puts 16 values on a line; :func:`read_lut` takes any
-whitespace between them.
+followed by exactly 2^n whitespace-separated hexadecimal values (no prefix),
+the i-th value being the image of the element with integer encoding i.
+Hexadecimal keeps the files bit-exact and readable at n <= 16.
+:func:`write_lut` writes lowercase hex, 16 values on a line; :func:`read_lut`
+takes hex digits of either case, in the modulus as in the values, and any
+whitespace between values.
 
 :func:`read_lut` imports ``hashlib`` itself: loading it maps OpenSSL's
 libcrypto, about 3.8 MB of peak resident memory, which a process that
@@ -24,7 +25,7 @@ from .spectra import FunctionTable, lut_from_values
 
 __all__ = ["LutParseError", "read_lut", "write_lut"]
 
-_HEADER = re.compile(r"^n=(\d+)\s+poly=([0-9a-f]+)\s*$")
+_HEADER = re.compile(r"^n=(\d+)\s+poly=([0-9a-fA-F]+)\s*$")
 # int(tok, 16) alone would also take signs, a 0x prefix and underscores
 _HEX_TOKEN = re.compile(r"[0-9a-fA-F]+")
 # a line of such tokens; \s and str.split() agree on every ASCII character

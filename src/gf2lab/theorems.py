@@ -11,10 +11,10 @@ the Frobenius pair-sum, and finally one or two ordinary quadratics whose
 roots are filtered back against the product identity.  Every identity is
 checked on every solution; any violation raises :class:`VerificationError`
 naming the failing step.  One array pass decides every step for many
-equations at once, and a failing one's error and a passing one's trace are
-read off its arrays, which hold each solution set as its members tagged by
-equation.  The pair sweep feeds it every pair's normalized set, on a
-homogeneous table all from the row a = 1 (see :func:`reduction_sweep`).
+equations at once, each solution set held as its members tagged by equation;
+the pair sweep reads only which pass (see :func:`reduction_sweep`), and an
+equation's error, like its trace, is read off the one-row pass over its own
+solution set.
 
 The *split-coordinate suite* checks the Maiorana-McFarland structure of the
 component g(x) = Tr(gamma^2 * x^d): a basis (gamma, alpha, omega) is
@@ -242,7 +242,7 @@ def reduction_trace(k: int, a: int, b: int) -> ReductionTrace:
     x, row, c = _scanned(k, np.array([a]), np.array([b]))
     cols = _derive_pass(k, x, row, c)
     if not cols.passed[0]:
-        raise _replay_error(k, a, b, cols, 0)
+        raise _replay_error(k, a, b, cols)
     A = _arith(table.spec.n, table.spec.poly)
     v = {key: value[0].tolist() for key, value in cols.values.items()}
     m = {key: value.tolist() for key, value in cols.members.items()}
@@ -450,18 +450,16 @@ def _derive_pass(k: int, x: np.ndarray, row: np.ndarray,
     return _ReplayColumns(passed, t_one, ~t_one & ~p_ok, count, stages, values, members)
 
 
-def _replay_error(k: int, a: int, b: int, cols: _ReplayColumns, i) -> VerificationError:
-    """The error of the failing row i of a :func:`_derive_pass` that replays
-    the pair (a, b): its first failing step in chain order, and in a loop
-    over the solutions the first failing step at the least failing member."""
-    own = np.flatnonzero(cols.members["row"] == i)
-    for rows, loops, oks in cols.stages:
-        bad = ~np.array([ok[own] if loops else ok[i:i + 1] for ok in oks.values()]) & rows[i]
+def _replay_error(k: int, a: int, b: int, cols: _ReplayColumns) -> VerificationError:
+    """The error of a failing one-row :func:`_derive_pass`: its first failing step
+    in chain order, at the least failing member in a loop over the solutions."""
+    for rows, _, oks in cols.stages:
+        bad = ~np.array(list(oks.values())) & rows[0]
         if bad.any():
             j = bad.any(axis=0).argmax()
             name = list(oks)[bad[:, j].argmax()]
             return VerificationError(name, _STEPS[name][0], k=k, a=a, b=b, **{
-                key: cols.members[key][own[j]] if key in cols.members else cols.values[key][i]
+                key: cols.members[key][j] if key in cols.members else cols.values[key][0]
                 for key in _STEPS[name][1]})
 
 
@@ -541,10 +539,10 @@ def reduction_sweep(k: int, *, samples: int | None = None) -> CheckReport:
     :func:`_derive_pass` over every c = v + 1, each x a member of the row
     v = D_1 f(x), before it reads the pairs; on a table that fails the
     premise it makes one pass per chunk of pairs over their own scanned
-    sets.  The pairs stream in chunks of :func:`_pair_chunks`, of which
-    the sweep keeps only the counts and the first failure: a pair fails
-    with its row's error, built for its own (a, b), and the report is the
-    per-pair one.
+    sets.  The pairs stream in chunks of :func:`_pair_chunks`; the sweep
+    reads only which rows pass and keeps the counts, and the first failing
+    pair's error is the one :func:`reduction_trace` raises for it, from a
+    one-row pass over its own scanned set: the report is the per-pair one.
     """
     _check_samples(samples)
     table = _family_table(k)
@@ -553,7 +551,7 @@ def reduction_sweep(k: int, *, samples: int | None = None) -> CheckReport:
     if homogeneous:
         A = _arith(table.spec.n, table.spec.poly)
         xs = np.arange(table.spec.size)
-        cols = _derive_pass(k, xs, difference_row(table, 1).values, xs ^ 1)
+        passed = _derive_pass(k, xs, difference_row(table, 1).values, xs ^ 1).passed
     instances, failures, first = 0, 0, None
     for a, b in _pair_chunks(k, samples):
         if homogeneous:
@@ -561,11 +559,13 @@ def reduction_sweep(k: int, *, samples: int | None = None) -> CheckReport:
             row = _normalized(A, d, a, b)
         else:
             row = np.arange(a.size)
-            cols = _derive_pass(k, *_scanned(k, a, b))
-        bad = np.flatnonzero(~cols.passed[row])
+            passed = _derive_pass(k, *_scanned(k, a, b)).passed
+        bad = np.flatnonzero(~passed[row])
         if first is None and bad.size:
-            i = bad[0]
-            first = str(_replay_error(k, int(a[i]), int(b[i]), cols, row[i]))
+            try:
+                reduction_trace(k, int(a[bad[0]]), int(b[bad[0]]))
+            except VerificationError as e:
+                first = str(e)
         instances, failures = instances + a.size, failures + bad.size
     return CheckReport(f"reduction-replay[k={k}]", instances, failures, first)
 

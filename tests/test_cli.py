@@ -337,6 +337,18 @@ def test_verify_reports_failures(monkeypatch, capsys):
     assert "counterexample detail" in out
 
 
+def test_verify_prints_a_broken_replay_steps_pinned_error(monkeypatch, capsys):
+    # the counterexample verify prints is the sweep's first failure, which is
+    # the error reduction_trace raises for the first failing pair
+    from test_theorems import REPLAY_BREAKS
+
+    corrupt, k, _, first = REPLAY_BREAKS["pair-sum-quadratic"]
+    corrupt(monkeypatch)
+    assert main(["verify", "--k", str(k)]) == 1
+    out = capsys.readouterr().out
+    assert out.endswith(f"\nFAILED: 1 check(s); first counterexample: {first}\n")
+
+
 def test_verify_reports_a_failed_basis(monkeypatch, capsys):
     from gf2lab import theorems
 

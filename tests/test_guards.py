@@ -13,11 +13,13 @@ module pads a set into slots: the replay reads each solution set as its
 members tagged by row, and the split rows read the fibers of pi as their
 members tagged by u.  The replay's array pass is the only caller of its
 identity helpers, so the derivation is written once, and those helpers name
-no element constant but 0 and 1, which squaring fixes.  A k is checked
-where its family table is built, and once more by ``run_all_checks`` up
-front.  One function sums the fibers of pi, no split row builds a fiber one
-u at a time or hands a case to a scalar re-check, and ``theorems`` takes no
-scalar solver from ``field``.  The GF(2) trace has one kernel, the masks of
+no element constant but 0 and 1, which squaring fixes.  The pair sweep
+reads its passes only for which rows pass, and a failing pair's error is
+read off the one-row pass over its own set.  A k is checked where its
+family table is built, and once more by ``run_all_checks`` up front.  One
+function sums the fibers of pi, no split row builds a fiber one u at a time
+or hands a case to a scalar re-check, and ``theorems`` takes no scalar
+solver from ``field``.  The GF(2) trace has one kernel, the masks of
 ``field._trace_basis``: ``spectra`` names the scalar trace and product only
 in its direct-sum oracle, and ``_Arith.subtrace`` is one parity, with no
 loop.  Every tabulated GF(2)-linear map is filled by one kernel,
@@ -151,6 +153,20 @@ def test_the_replay_helpers_name_no_element_but_0_and_1():
              and isinstance(node.value, int) and node.value not in (0, 1)
              and id(node) not in exponents]
     assert not stray, f"element constants other than 0 and 1: {stray}"
+
+
+def test_a_replay_error_is_read_off_the_pairs_own_pass():
+    # _replay_error reads row 0 of a one-row pass, and the sweep reads its
+    # passes only through .passed, so a failing pair's error is built from
+    # the pass over its own scanned set, whichever pass found the failure
+    tree = ast.parse((Path(gf2lab.__file__).parent / "theorems.py").read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert [p.arg for p in defs["_replay_error"].args.args] == ["k", "a", "b", "cols"]
+    read = {id(node.value): node.attr for node in ast.walk(defs["reduction_sweep"])
+            if isinstance(node, ast.Attribute)}
+    passes = [id(node) for node in ast.walk(defs["reduction_sweep"])
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_derive_pass"]
+    assert passes and all(read.get(call) == "passed" for call in passes)
 
 
 def test_k_is_checked_where_its_table_is_built():

@@ -99,6 +99,16 @@ def test_bad_header(tmp_path):
         assert exc.value.line == 1
 
 
+def test_header_modulus_in_either_case(tmp_path):
+    # the values are read in either case, and so is the header's modulus
+    write_lut(tmp_path / "lower.lut", build_lut(field_make(8, 0x11B), 7))
+    header, body = (tmp_path / "lower.lut").read_text().split("\n", 1)
+    assert header == "n=8 poly=11b"
+    lower, _ = read_lut(tmp_path / "lower.lut")
+    upper, _ = read_lut(_write(tmp_path, f"n=8 poly=11B\n{body}"))
+    assert upper.spec == lower.spec and np.array_equal(upper.lut, lower.lut)
+
+
 @pytest.mark.parametrize("tok", ["zz", "-1", "0x1", "+1", "1_0"])
 def test_non_hex_token_reports_line(tmp_path, tok):
     # int(tok, 16) takes all but "zz"; the format allows hex digits only

@@ -4,7 +4,9 @@ Elements are plain Python integers: bit i of the integer is the coefficient
 of x^i in the polynomial-basis representation.  A field is described by a
 :class:`FieldSpec` (degree plus irreducible modulus) and every operation is a
 pure function of its arguments, so specs and elements can be shared freely
-across threads.
+across threads.  One check, :func:`_check_elements`, refuses a value outside
+[0, 2^n), an int or an array of them, for the scalar API here and for the
+replay and split-coordinate inputs of ``theorems``.
 
 The module provides the four ring/field operations, absolute and relative
 traces, Frobenius powers, and an exact solver for linearized equations
@@ -207,9 +209,15 @@ def field_make(n: int, poly: int | None = None) -> FieldSpec:
     return FieldSpec(n, poly)
 
 
-def _check_element(s: FieldSpec, a: int, name: str = "element") -> None:
-    if not 0 <= a < (1 << s.n):
-        raise ValueError(f"{name} {a:#x} out of range for GF(2^{s.n})")
+def _check_elements(s: FieldSpec, a, name: str = "value") -> None:
+    """Refuse an int, or an array holding a value, outside [0, 2^n), naming the
+    first such value: numpy indexing would wrap a negative element silently."""
+    if isinstance(a, int) and 0 <= a < 1 << s.n:
+        return  # a Python int in range costs one comparison, no numpy call
+    arr = np.asarray(a)
+    bad = arr[(arr < 0) | (arr >= 1 << s.n)]
+    if bad.size:
+        raise ValueError(f"{name} {int(bad.flat[0]):#x} is not an element of GF(2^{s.n})")
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +226,15 @@ def _check_element(s: FieldSpec, a: int, name: str = "element") -> None:
 
 def f_add(s: FieldSpec, a: int, b: int) -> int:
     """Field addition: bitwise xor of the coefficient vectors."""
-    _check_element(s, a)
-    _check_element(s, b)
+    _check_elements(s, a)
+    _check_elements(s, b)
     return a ^ b
 
 
 def f_mul(s: FieldSpec, a: int, b: int) -> int:
     """Field multiplication: polynomial product reduced modulo s.poly."""
-    _check_element(s, a)
-    _check_element(s, b)
+    _check_elements(s, a)
+    _check_elements(s, b)
     return _mul(s.poly, a, b)
 
 
@@ -236,7 +244,7 @@ def f_pow(s: FieldSpec, a: int, d: int) -> int:
     The exponent may be any non-negative integer; exponents are reduced
     implicitly by the group order through the arithmetic itself.
     """
-    _check_element(s, a)
+    _check_elements(s, a)
     if d < 0:
         raise ValueError("negative exponents are not defined; use f_inv")
     return _pow(s.poly, a, d)
@@ -244,7 +252,7 @@ def f_pow(s: FieldSpec, a: int, d: int) -> int:
 
 def f_inv(s: FieldSpec, a: int) -> int:
     """Multiplicative inverse of a nonzero element (Fermat: a^(2^n - 2))."""
-    _check_element(s, a)
+    _check_elements(s, a)
     if a == 0:
         raise ValueError("zero has no multiplicative inverse")
     return _pow(s.poly, a, s.size - 2)
@@ -252,7 +260,7 @@ def f_inv(s: FieldSpec, a: int) -> int:
 
 def frobenius(s: FieldSpec, a: int, e: int) -> int:
     """e-fold Frobenius power a^(2^e), computed by e squarings."""
-    _check_element(s, a)
+    _check_elements(s, a)
     if e < 0:
         raise ValueError("Frobenius power must be non-negative")
     for _ in range(e % s.n):
@@ -262,7 +270,7 @@ def frobenius(s: FieldSpec, a: int, e: int) -> int:
 
 def trace_abs(s: FieldSpec, a: int) -> int:
     """Absolute trace a + a^2 + a^4 + ... + a^(2^(n-1)), always 0 or 1."""
-    _check_element(s, a)
+    _check_elements(s, a)
     acc = 0
     x = a
     for _ in range(s.n):
@@ -282,7 +290,7 @@ def trace_rel(s: FieldSpec, k: int, a: int) -> int:
     ValueError
         If k is not a positive divisor of n.
     """
-    _check_element(s, a)
+    _check_elements(s, a)
     if k <= 0 or s.n % k:
         raise ValueError(f"GF(2^{k}) is not a subfield of GF(2^{s.n})")
     acc = 0
@@ -318,10 +326,10 @@ def solve_linearized(
     set of int
         All solutions (possibly empty).
     """
-    _check_element(s, rhs, "rhs")
+    _check_elements(s, rhs, "rhs")
     terms = [(c, e) for c, e in coeffs]
     for c, _ in terms:
-        _check_element(s, c, "coefficient")
+        _check_elements(s, c, "coefficient")
     kept: dict[int, tuple[int, int]] = {}  # bit length -> (image, preimage)
 
     def reduce(img: int, tag: int) -> tuple[int, int]:

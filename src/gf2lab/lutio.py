@@ -5,8 +5,10 @@ followed by exactly 2^n whitespace-separated hexadecimal values (no prefix),
 the i-th value being the image of the element with integer encoding i.
 Hexadecimal keeps the files bit-exact and readable at n <= 16.
 :func:`write_lut` writes lowercase hex, 16 values on a line; :func:`read_lut`
-takes hex digits of either case, in the modulus as in the values, and any
-whitespace between values.
+takes hex digits of either case, in the modulus as in the values.  A line
+ends at ``\n``, ``\r\n`` or ``\r``, and parse errors give its 1-based
+number; any other whitespace (``\v``, ``\f``, ``\x1c`` to ``\x1f``
+included) separates values within a line.
 
 :func:`read_lut` imports ``hashlib`` itself: loading it maps OpenSSL's
 libcrypto, about 3.8 MB of peak resident memory, which a process that
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .field import FieldSpec, field_make
+from .field import field_make
 from .spectra import FunctionTable, lut_from_values
 
 __all__ = ["LutParseError", "read_lut", "write_lut"]
@@ -28,8 +30,8 @@ __all__ = ["LutParseError", "read_lut", "write_lut"]
 _HEADER = re.compile(r"^n=(\d+)\s+poly=([0-9a-fA-F]+)\s*$")
 # int(tok, 16) alone would also take signs, a 0x prefix and underscores
 _HEX_TOKEN = re.compile(r"[0-9a-fA-F]+")
-# a line of such tokens; \s and str.split() agree on every ASCII character
-_HEX_LINE = re.compile(r"[0-9a-fA-F\s]*")
+# str.splitlines() would also break at \v, \f and \x1c-\x1e
+_LINE_END = re.compile(r"\r\n?|\n")
 
 
 class LutParseError(ValueError):
@@ -53,7 +55,9 @@ def read_lut(path: str | Path) -> tuple[FunctionTable, str]:
 
     raw = Path(path).read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
-    lines = raw.decode("ascii", errors="replace").splitlines()
+    lines = _LINE_END.split(raw.decode("ascii", errors="replace"))
+    if not lines[-1]:
+        lines.pop()  # the break that ends the last line opens none
     if not lines:
         raise LutParseError(1, "empty file, expected 'n=<degree> poly=<hex>' header")
     m = _HEADER.match(lines[0].strip())
@@ -63,34 +67,22 @@ def read_lut(path: str | Path) -> tuple[FunctionTable, str]:
     poly = int(m.group(2), 16)
     spec = field_make(n, poly)  # propagates construction errors
     values = []
-    expected = spec.size
+    size = spec.size
+    # token by token, so the first failure in file order is the one reported
     for line_no, line in enumerate(lines[1:], start=2):
-        if not _HEX_LINE.fullmatch(line):
-            _reject_line(line, line_no, len(values), spec)
-        row = [int(tok, 16) for tok in line.split()]
-        if row and (max(row) >= spec.size or len(values) + len(row) > expected):
-            _reject_line(line, line_no, len(values), spec)
-        values.extend(row)
-    if len(values) < expected:
-        raise LutParseError(len(lines), f"expected {expected} values, found {len(values)}")
+        for tok in line.split():
+            if not _HEX_TOKEN.fullmatch(tok):
+                raise LutParseError(line_no, f"not a hexadecimal value: {tok!r}")
+            value = int(tok, 16)
+            if value >= size:
+                raise LutParseError(line_no, f"value {tok} out of range for GF(2^{n})")
+            if len(values) == size:
+                raise LutParseError(line_no, f"more than {size} values")
+            values.append(value)
+    if len(values) < size:
+        raise LutParseError(len(lines), f"expected {size} values, found {len(values)}")
     # ints already range-checked: typed here, numpy need not infer a dtype
     return lut_from_values(spec, np.array(values, dtype=np.int64)), digest
-
-
-def _reject_line(line: str, line_no: int, count: int, spec: FieldSpec) -> None:
-    """Raise the LutParseError of the first bad token of a refused line.
-
-    count is the number of values on the lines before; the tokens are
-    checked in order, as a token-at-a-time reader would.
-    """
-    for tok in line.split():
-        if not _HEX_TOKEN.fullmatch(tok):
-            raise LutParseError(line_no, f"not a hexadecimal value: {tok!r}")
-        if int(tok, 16) >= spec.size:
-            raise LutParseError(line_no, f"value {tok} out of range for GF(2^{spec.n})")
-        count += 1
-        if count > spec.size:
-            raise LutParseError(line_no, f"more than {spec.size} values")
 
 
 def write_lut(path: str | Path, f: FunctionTable) -> None:

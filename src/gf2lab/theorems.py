@@ -59,7 +59,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .field import FieldSpec, _Arith, _arith, field_make
+from .field import FieldSpec, _Arith, _arith, _check_elements, field_make
 from .spectra import (FunctionTable, build_lut, difference_row,
                       differential_uniformity, require_desk_scale, walsh_row)
 
@@ -121,13 +121,6 @@ class VerificationError(RuntimeError):
 def dobbertin_exponent(k: int) -> int:
     """The exponent 2^(2k) + 2^k + 1 of the degree-4k family."""
     return (1 << (2 * k)) + (1 << k) + 1
-
-
-def _check_elements(spec: FieldSpec, a, name: str) -> None:
-    """Refuse an element, or an array holding one, outside [0, 2^n): numpy
-    indexing would wrap a negative one silently."""
-    if np.any((a < 0) | (a >= spec.size)):
-        raise ValueError(f"{name} is not an element of GF(2^{spec.n})")
 
 
 def _check_k(k: int) -> None:
@@ -582,6 +575,8 @@ class MMWitness:
     omega extend it so that x = y + omega*a splits the field over the
     half-degree subfield.  The fibers {a : pi(a) = u} of the inner map are
     two read-only arrays: ``members[j]`` lies in the fiber of ``images[j]``.
+    A member outside the field raises ValueError when the witness is made,
+    so no row indexes the log/exp tables with one.
     """
 
     k: int
@@ -591,6 +586,9 @@ class MMWitness:
     omega: int
     members: np.ndarray
     images: np.ndarray
+
+    def __post_init__(self):
+        _check_elements(self.spec, self.members, "a member")
 
 
 def all_gammas(k: int) -> list[int]:
@@ -678,8 +676,7 @@ def pi_fiber(w: MMWitness, u: int) -> frozenset[int]:
 
 def _fibers(w: MMWitness) -> tuple:
     """The attained u in increasing order, each member's index among them and
-    the fiber sizes; a member outside the field raises ValueError."""
-    _check_elements(w.spec, w.members, "a member")
+    the fiber sizes."""
     s = np.sort(w.images)
     us = s[np.diff(s, prepend=s[:1] - 1) != 0]
     tag = np.searchsorted(us, w.images)
@@ -759,12 +756,10 @@ def _unrebuilt(k: int, a0, u) -> VerificationError:
 
 def quartic_roots(w: MMWitness, a0: int) -> QuarticRoots:
     """The roots in GF(2^k) of the fiber quartic at a0, a one-row read of the
-    mm-quartic pass, which must rebuild the fiber drawn at u = pi(a0); a
-    member of that fiber outside the field raises ValueError."""
+    mm-quartic pass, which must rebuild the fiber drawn at u = pi(a0)."""
     _check_half(w, a0, "a0")
     u = pi_image(w, a0)
     fiber = w.members[w.images == u]
-    _check_elements(w.spec, fiber, "a member")
     ok, c, root = _rebuilds(w, np.array([a0]), fiber, np.zeros_like(fiber))
     if not ok[0]:
         raise _unrebuilt(w.k, a0, u)
@@ -816,9 +811,7 @@ def _fiber_terms(w: MMWitness, A: _Arith, a, v):
 def _fiber_sum_grid(w: MMWitness, us, vs) -> np.ndarray:
     """2^(2k) times the sum of the terms over the fiber of u at v, for every
     u of ``us`` (rows, increasing) and v of ``vs`` (columns): each member
-    tagged by one of ``us`` adds its terms to that row; others add nothing.
-    A member outside the field raises ValueError."""
-    _check_elements(w.spec, w.members, "a member")
+    tagged by one of ``us`` adds its terms to that row; others add nothing."""
     A = _arith(w.spec.n, w.spec.poly)
     at = np.searchsorted(us, w.images)
     hit = np.append(us, -1)[at] == w.images

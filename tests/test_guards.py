@@ -202,11 +202,12 @@ def test_split_rows_have_one_fiber_sum_and_no_scalar_fallback():
 
 def test_theorems_takes_no_scalar_solver_from_field():
     # the basis reads its quadratics off the root table and every row is one
-    # array pass, so theorems needs no solver and no per-case tally
+    # array pass, so theorems needs no solver and no per-case tally; it takes
+    # the one element check from field
     tree = ast.parse((Path(gf2lab.__file__).parent / "theorems.py").read_text())
     imported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
                 and node.module == "field" for alias in node.names}
-    assert imported == {"FieldSpec", "_Arith", "_arith", "field_make"}
+    assert imported == {"FieldSpec", "_Arith", "_arith", "_check_elements", "field_make"}
     assert "_tally" not in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
@@ -274,6 +275,20 @@ def test_one_span_kernel():
     assert [ast.unparse(node.iter) for node in loops(root)] == ["range(1, self.n)"]
     tables = {node.attr for node in ast.walk(root) if isinstance(node, ast.Attribute)}
     assert not tables & {"log", "exp"}, "the root table reads the log/exp tables"
+
+
+def test_one_element_check_and_one_token_walk():
+    # an element outside [0, 2^n) is refused by field._check_elements only,
+    # and read_lut checks each token once, with no whole-line fast path
+    package = Path(gf2lab.__file__).parent
+    checks = sorted(f"{path.name}:{node.name}" for path in sorted(package.rglob("*.py"))
+                    for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_element"))
+    assert checks == ["field.py:_check_elements"]
+    lutio = ast.parse((package / "lutio.py").read_text())
+    names = {node.id for node in ast.walk(lutio) if isinstance(node, ast.Name)}
+    names |= {node.name for node in ast.walk(lutio) if isinstance(node, ast.FunctionDef)}
+    assert not names & {"_reject_line", "_HEX_LINE"}
 
 
 def test_benchmarks_still_collect():

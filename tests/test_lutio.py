@@ -138,6 +138,54 @@ def test_too_few_values(tmp_path):
         read_lut(_write(tmp_path, text))
 
 
+@pytest.mark.parametrize("tail", ["\n", "", "\n\n"], ids=["newline", "none", "blank-line"])
+def test_too_few_values_reports_the_last_line(tmp_path, tail):
+    text = "n=4 poly=13\n1 2 3" + tail
+    with pytest.raises(LutParseError, match="expected 16 values, found 3") as exc:
+        read_lut(_write(tmp_path, text))
+    assert exc.value.line == (3 if tail == "\n\n" else 2)
+
+
+@pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f"],
+                         ids=["vt", "ff", "fs", "gs", "rs", "us"])
+def test_only_line_breaks_count_lines(tmp_path, sep):
+    # str.splitlines() would break at \v, \f and \x1c-\x1e as well, and
+    # report the bad token below one line too far down
+    text = f"n=4 poly=13\n0 1{sep}2 3\n4 5 zz 7\n"
+    with pytest.raises(LutParseError, match="not a hexadecimal value: 'zz'") as exc:
+        read_lut(_write(tmp_path, text))
+    assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_each_line_break_ends_one_line(tmp_path, brk):
+    path = tmp_path / "bad.lut"
+    path.write_bytes(brk.join(["n=4 poly=13", "0 1 2 3", "", "4 5 zz 7", ""]).encode())
+    with pytest.raises(LutParseError) as exc:
+        read_lut(path)
+    assert exc.value.line == 4
+
+
+@pytest.mark.parametrize("sep", ["\v", "\f", "\x1c"], ids=["vt", "ff", "fs"])
+def test_other_whitespace_separates_values(tmp_path, sep):
+    table = build_lut(field_make(4), 7)
+    text = "n=4 poly=13\n" + sep.join(format(int(v), "x") for v in table.lut) + "\n"
+    back, _ = read_lut(_write(tmp_path, text))
+    assert back.lut.tolist() == table.lut.tolist()
+
+
+@pytest.mark.parametrize("body, line, detail", [
+    ("0 99 zz", 2, "value 99 out of range for GF(2^4)"),
+    ("0 zz 99", 2, "not a hexadecimal value: 'zz'"),
+    (" ".join(["0"] * 16) + "\n1 zz", 3, "more than 16 values"),
+    (" ".join(["0"] * 16) + "\n99 1", 3, "value 99 out of range for GF(2^4)"),
+], ids=["range-then-token", "token-then-range", "count-own-line", "range-before-count"])
+def test_first_failure_in_file_order_wins(tmp_path, body, line, detail):
+    with pytest.raises(LutParseError) as exc:
+        read_lut(_write(tmp_path, f"n=4 poly=13\n{body}\n"))
+    assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {detail}")
+
+
 def test_reducible_modulus_rejected(tmp_path):
     text = "n=4 poly=11\n" + " ".join(["0"] * 16) + "\n"
     with pytest.raises(FieldConstructionError):

@@ -3,6 +3,7 @@
 import ast
 import inspect
 import random
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from gf2lab import (
     CheckReport,
     FunctionTable,
+    MMWitness,
     VerificationError,
     all_gammas,
     build_lut,
@@ -1075,17 +1077,30 @@ def _member_outside_the_half_field(w):
 
 def test_split_rows_refuse_a_member_outside_the_field():
     # a member past GF(2^n) would index the log/exp tables out of range, and
-    # a negative one would wrap to a real log and falsify the fiber sum
+    # a negative one would wrap to a real log and falsify the fiber sum; the
+    # witness refuses it when made, so no split row is reached with one
     w = mm_basis(1)
     fibers = _fibers_of(w)
     u = max(fibers)
     for member in (w.spec.size, -1):
-        broken = _with_fibers(w, {**fibers, u: fibers[u] | {member}})
-        for row in (fiber_partition_check, quartic_check_all, m4_sum_check,
-                    mm_crosscheck_all, lambda w: mm_walsh_crosscheck(w, u, 0),
-                    lambda w: quartic_roots(w, min(fibers[u]))):
-            with pytest.raises(ValueError, match="not an element of GF"):
-                row(broken)
+        with pytest.raises(ValueError, match="not an element of GF"):
+            _with_fibers(w, {**fibers, u: fibers[u] | {member}})
+
+
+@pytest.mark.parametrize("member", [-1, 256, 1 << 20], ids=["-1", "2^n", "2^20"])
+@pytest.mark.parametrize("made", ["directly", "replace"])
+def test_witness_refuses_a_member_outside_the_field(member, made):
+    # the check runs in __post_init__, which dataclasses.replace runs too;
+    # the error names the first member outside the field
+    w = mm_basis(2)
+    members = w.members.copy()
+    members[3], members[5] = member, 1 << 30
+    with pytest.raises(ValueError, match=re.escape(
+            f"a member {member:#x} is not an element of GF(2^8)")):
+        if made == "directly":
+            MMWitness(w.k, w.spec, w.gamma, w.alpha, w.omega, members, w.images)
+        else:
+            replace(w, members=members)
 
 
 def test_fiber_partition_check_refuses_a_member_outside_the_half_field():

@@ -123,8 +123,6 @@ def _analyze(args) -> int:
     if args.exp is not None:
         if args.n is None:
             return _fail_usage("--exp requires --n")
-        if args.exp < 0:
-            return _fail_usage("--exp must be non-negative")
         if args.poly is not None and not _HEX_TOKEN.fullmatch(args.poly):
             return _fail_usage(f"--poly must be hexadecimal digits, got {args.poly!r}")
         try:
@@ -146,12 +144,12 @@ def _analyze(args) -> int:
     orbit = None if args.ddt_csv else (args.exp if table is None else table.exponent)
     try:
         require_desk_scale(s.n, args.deep, orbit)
+        if table is None:  # build_lut refuses a negative exponent before any table
+            t0 = time.perf_counter()
+            table = build_lut(s, args.exp)
+            timings["build"] = (time.perf_counter() - t0) * 1e3
     except ValueError as e:
         return _fail_usage(str(e))
-    if table is None:
-        t0 = time.perf_counter()
-        table = build_lut(s, args.exp)
-        timings["build"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
     if args.ddt_csv:

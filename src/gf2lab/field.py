@@ -4,9 +4,10 @@ Elements are plain Python integers: bit i of the integer is the coefficient
 of x^i in the polynomial-basis representation.  A field is described by a
 :class:`FieldSpec` (degree plus irreducible modulus) and every operation is a
 pure function of its arguments, so specs and elements can be shared freely
-across threads.  One check, :func:`_check_elements`, refuses a value outside
-[0, 2^n), an int or an array of them, for the scalar API here and for the
-replay and split-coordinate inputs of ``theorems``.
+across threads.  One check, :func:`_check_elements`, states the element rules
+for the scalar API, ``theorems`` and ``spectra``: an integer (never a float or
+a string) in [0, 2^n), nonzero for ``f_inv``, ``difference_row`` and
+``walsh_row``.  An exponent's sign is ``spectra.build_lut``'s rule.
 
 The module provides the four ring/field operations, absolute and relative
 traces, Frobenius powers, and an exact solver for linearized equations
@@ -209,15 +210,21 @@ def field_make(n: int, poly: int | None = None) -> FieldSpec:
     return FieldSpec(n, poly)
 
 
-def _check_elements(s: FieldSpec, a, name: str = "value") -> None:
-    """Refuse an int, or an array holding a value, outside [0, 2^n), naming the
-    first such value: numpy indexing would wrap a negative element silently."""
-    if isinstance(a, int) and 0 <= a < 1 << s.n:
+def _check_elements(s: FieldSpec, a, name: str = "value", *, nonzero: bool = False) -> None:
+    """Refuse an int or an array holding a value that is no integer in [0, 2^n)
+    ([1, 2^n) if nonzero), naming the first: numpy would wrap a negative index
+    and truncate a float.  A list's wide ints, which numpy makes floats, stay ints."""
+    if isinstance(a, int) and nonzero <= a < 1 << s.n:
         return  # a Python int in range costs one comparison, no numpy call
-    arr = np.asarray(a)
-    bad = arr[(arr < 0) | (arr >= 1 << s.n)]
+    if (arr := np.asarray(a)).dtype.kind not in "iu":
+        arr = arr if arr is a else np.array(a, dtype=object)
+        for v in arr.flat:  # shown as a Python value: 1.0, not np.float64(1.0)
+            if not isinstance(v, (int, np.integer, np.bool_)):
+                raise ValueError(f"{name} {np.asarray(v).tolist()!r} is not an integer")
+    bad = arr[(arr < nonzero) | (arr >= 1 << s.n)]
     if bad.size:
-        raise ValueError(f"{name} {int(bad.flat[0]):#x} is not an element of GF(2^{s.n})")
+        what = "a nonzero element" if nonzero else "an element"
+        raise ValueError(f"{name} {int(bad.flat[0]):#x} is not {what} of GF(2^{s.n})")
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +258,9 @@ def f_pow(s: FieldSpec, a: int, d: int) -> int:
 
 
 def f_inv(s: FieldSpec, a: int) -> int:
-    """Multiplicative inverse of a nonzero element (Fermat: a^(2^n - 2))."""
-    _check_elements(s, a)
-    if a == 0:
-        raise ValueError("zero has no multiplicative inverse")
+    """Multiplicative inverse a^(2^n - 2) (Fermat) of an integer a in [1, 2^n);
+    any other a, 0 or a float included, raises ValueError."""
+    _check_elements(s, a, nonzero=True)
     return _pow(s.poly, a, s.size - 2)
 
 

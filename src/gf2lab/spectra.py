@@ -47,7 +47,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .field import FieldSpec, _arith, _linear_map, _mul, _span, _trace_basis, trace_abs
+from .field import (FieldSpec, _arith, _check_elements, _linear_map, _mul, _span,
+                    _trace_basis, trace_abs)
 
 __all__ = [
     "FunctionTable",
@@ -185,7 +186,7 @@ def build_lut(s: FieldSpec, d: int) -> FunctionTable:
     yields the constant-1 table; any d > 0 maps 0 to 0.
     """
     if d < 0:
-        raise ValueError("exponent must be non-negative")
+        raise ValueError(f"exponent must be non-negative, got {d}")
     A = _arith(s.n, s.poly)
     # log[0] = -1 lands on some element, which lut[0] then overwrites
     lut = A.exp[A.log * (d % A.order) % A.order]
@@ -202,22 +203,16 @@ def lut_from_values(s: FieldSpec, values) -> FunctionTable:
     """Wrap an explicit value sequence as a FunctionTable, validating it.
 
     The values are copied, so the table can be frozen without freezing the
-    caller's array.  An array of any shape but (2^n,) raises ValueError,
-    before its dtype is read; so do values whose array dtype is not an
-    integer kind (floats, strings, booleans, objects), and Python ints
-    outside [0, 2^n), however wide.
+    caller's array.  ValueError is raised for any shape but (2^n,); then by
+    ``field._check_elements`` for an entry that is no integer in [0, 2^n),
+    however wide; then for a dtype of another kind (booleans, objects).
     """
     lut = np.array(values)
     if lut.shape != (s.size,):
         raise ValueError(f"lookup table must have shape ({s.size},), got {lut.shape}")
+    _check_elements(s, values, "lookup table entry")  # numpy may hold wide ints as floats
     if lut.dtype.kind not in "iu":
-        # numpy holds Python ints beyond 64 bits (or past int64 next to
-        # others) as object or float64 entries; only such input pays a pass
-        if all(type(v) is int for v in values) and not all(0 <= v < s.size for v in values):
-            raise ValueError("lookup table entry out of range")
         raise ValueError(f"lookup table entries must be integers, got dtype {lut.dtype}")
-    if lut.min() < 0 or lut.max() >= s.size:
-        raise ValueError("lookup table entry out of range")
     lut = lut.astype(np.int64, copy=False)
     lut.flags.writeable = False
     return FunctionTable(s, lut)
@@ -255,9 +250,9 @@ def _ddt_row(lut: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def difference_row(f: FunctionTable, a: int) -> DifferenceRow:
-    """The row a of f's difference table; an a outside [1, 2^n) raises ValueError."""
-    if not 0 < a < f.spec.size:
-        raise ValueError("difference a must be a nonzero field element")
+    """The row a of f's difference table; an a that is no integer in [1, 2^n)
+    raises ValueError (``field._check_elements``)."""
+    _check_elements(f.spec, a, "difference a", nonzero=True)
     return DifferenceRow(a, *_ddt_row(f.lut, a))
 
 
@@ -446,9 +441,9 @@ def power_walsh_spectrum(f: FunctionTable, *, deep: bool = False) -> WalshSpectr
 
 
 def walsh_row(f: FunctionTable, b: int) -> np.ndarray:
-    """All coefficients f^(a, b) for one fixed b, as an int32 row indexed by a."""
-    if not 0 < b < f.spec.size:
-        raise ValueError("b must be a nonzero field element")
+    """All coefficients f^(a, b) for one fixed b, as an int32 row indexed by a;
+    a b that is no integer in [1, 2^n) raises ValueError (``field._check_elements``)."""
+    _check_elements(f.spec, b, "b", nonzero=True)
     masks = _trace_masks(f.spec)
     row = _walsh_block(_block_lut(f), masks[b : b + 1])[masks, 0]
     return row.astype(np.int32, copy=False)

@@ -166,8 +166,10 @@ def test_analyze_alternate_modulus(capsys):
 
 
 def test_analyze_usage_errors(tmp_path, capsys):
+    assert main(["analyze", "--exp", "-1", "--n", "4"]) == 2  # build_lut's rule
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: exponent must be non-negative, got -1\n"
     assert main(["analyze", "--exp", "7"]) == 2          # missing --n
-    assert main(["analyze", "--exp", "-1", "--n", "4"]) == 2
     assert main(["analyze", "--exp", "3", "--n", "4", "--poly", "11"]) == 2
     assert main(["analyze", "--exp", "3", "--n", "4", "--poly", "zz"]) == 2
     assert main(["analyze", "--lut", str(tmp_path / "missing.lut")]) == 2

@@ -1,6 +1,7 @@
 """Field arithmetic: construction, axioms, traces, linearized solver."""
 
 import random
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -103,6 +104,22 @@ def test_element_range_checks():
         trace_abs(s, 100)
 
 
+@pytest.mark.parametrize("value, shown", [
+    (1.5, "1.5"), (2.0, "2.0"), ("3", "'3'"), (np.float64(1.0), "1.0"),
+    (np.array([1.0, 2.0]), "1.0"), ([1, 2.5], "2.5"),
+], ids=["float", "integral-float", "string", "numpy-float", "float-array", "mixed-list"])
+@pytest.mark.parametrize("call", [
+    lambda s, v: f_add(s, v, 1), lambda s, v: f_mul(s, 1, v), lambda s, v: f_pow(s, v, 3),
+    lambda s, v: f_inv(s, v), lambda s, v: frobenius(s, v, 1), trace_abs,
+    lambda s, v: trace_rel(s, 2, v), lambda s, v: solve_linearized(s, [(1, 0)], v),
+], ids=["f_add", "f_mul", "f_pow", "f_inv", "frobenius", "trace_abs", "trace_rel",
+        "solve_linearized"])
+def test_scalar_api_refuses_a_non_integer(call, value, shown):
+    # any value in [0, 2^n) used to pass the element check, a float included
+    with pytest.raises(ValueError, match=rf"^\w+ {re.escape(shown)} is not an integer$"):
+        call(field_make(4), value)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_field_axioms_exhaustive(n):
     s = field_make(n)
@@ -159,8 +176,9 @@ def test_inverse():
     for a in range(1, s.size):
         inv = f_inv(s, a)
         assert f_mul(s, a, inv) == 1
-    with pytest.raises(ValueError):
-        f_inv(s, 0)
+    for a in (0, -1, 64):
+        with pytest.raises(ValueError, match=rf"^value {a:#x} is not a nonzero element of GF\(2\^6\)$"):
+            f_inv(s, a)
 
 
 def test_frobenius_is_field_automorphism():

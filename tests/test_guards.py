@@ -25,7 +25,9 @@ in its direct-sum oracle, and ``_Arith.subtrace`` is one parity, with no
 loop.  Every tabulated GF(2)-linear map is filled by one kernel,
 ``field._span``: the log/exp tables gather from it a byte at a time, the
 Walsh mask table is its span of the trace basis and is built by
-``walsh_row`` only, and the quadratic-root table takes no product.
+``walsh_row`` only, and the quadratic-root table takes no product.  The
+range, nonzero-element and integer rules for an element live in
+``field._check_elements`` alone, and the exponent's sign in ``build_lut``.
 """
 
 import ast
@@ -289,6 +291,24 @@ def test_one_element_check_and_one_token_walk():
     names = {node.id for node in ast.walk(lutio) if isinstance(node, ast.Name)}
     names |= {node.name for node in ast.walk(lutio) if isinstance(node, ast.FunctionDef)}
     assert not names & {"_reject_line", "_HEX_LINE"}
+
+
+def test_one_home_for_the_range_nonzero_and_exponent_sign_rules():
+    # field states the range and nonzero-element rules, build_lut the
+    # exponent's sign: spectra raises neither element message of its own,
+    # and cli compares no exponent with a number
+    package = Path(gf2lab.__file__).parent
+    spectra = ast.parse((package / "spectra.py").read_text())
+    messages = [node.value.lower() for raise_ in ast.walk(spectra) if isinstance(raise_, ast.Raise)
+                for node in ast.walk(raise_) if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)]
+    assert not [m for m in messages if "range" in m or "element" in m], messages
+    cli = ast.parse((package / "cli.py").read_text())
+    signs = [ast.unparse(node) for node in ast.walk(cli) if isinstance(node, ast.Compare)
+             and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)
+             and any(isinstance(side, ast.Attribute) and side.attr == "exp"
+                     for side in [node.left, *node.comparators])]
+    assert not signs, signs
 
 
 def test_benchmarks_still_collect():

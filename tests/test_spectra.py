@@ -74,7 +74,7 @@ def test_build_lut_edge_exponents():
     s = field_make(4)
     assert list(build_lut(s, 0).lut) == [1] * s.size  # 0^0 = 1 convention
     assert list(build_lut(s, 1).lut) == list(range(s.size))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^exponent must be non-negative, got -1$"):
         build_lut(s, -1)
 
 
@@ -84,29 +84,30 @@ def test_lut_from_values_validation():
     assert good.spec == s
     with pytest.raises(ValueError):
         lut_from_values(s, list(range(7)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"entry 0x8 is not an element of GF\(2\^3\)"):
         lut_from_values(s, [0] * 7 + [8])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"entry -0x1 is not an element of GF\(2\^3\)"):
         lut_from_values(s, [0] * 7 + [-1])
     # every integer dtype is taken, and stored as int64
     for dtype in (np.uint8, np.int16, np.uint32, np.uint64):
         table = lut_from_values(s, np.arange(8, dtype=dtype))
         assert table.lut.dtype == np.int64 and table.lut.tolist() == list(range(8))
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="entry 0xffffffffffffffff is not an element of GF"):
         lut_from_values(s, np.array([0] * 7 + [2**64 - 1], dtype=np.uint64))
 
 
-@pytest.mark.parametrize("values", [
-    [0.9, 1.2, 2.5, 3.99],                 # would truncate to the identity
-    [0, 1, 2, 3.0],
-    np.arange(4, dtype=np.float64),
-    ["3", "1", "0", "2"],                  # would be parsed
-    [True, False, True, False],
-    [0, 1, None, 3],
-    np.arange(4, dtype=object),
-], ids=["floats", "one-float", "float-array", "strings", "bools", "none", "objects"])
-def test_lut_from_values_rejects_non_integers(values):
-    with pytest.raises(ValueError, match="must be integers"):
+@pytest.mark.parametrize("values, message", [
+    ([0.9, 1.2, 2.5, 3.99], "entry 0.9 is not an integer"),  # would truncate to the identity
+    ([0, 1, 2, 3.0], "entry 3.0 is not an integer"),
+    (np.arange(4, dtype=np.float64), "entry 0.0 is not an integer"),
+    (["3", "1", "0", "2"], "entry '3' is not an integer"),   # would be parsed
+    ([0, 1, None, 3], "entry None is not an integer"),
+    # the entries are ints in range, but the dtype is not an integer kind
+    ([True, False, True, False], "must be integers, got dtype bool"),
+    (np.arange(4, dtype=object), "must be integers, got dtype object"),
+], ids=["floats", "one-float", "float-array", "strings", "none", "bools", "objects"])
+def test_lut_from_values_rejects_non_integers(values, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         lut_from_values(field_make(2), values)
 
 
@@ -123,8 +124,9 @@ def test_lut_from_values_names_a_wrong_shape(values, shape):
 @pytest.mark.parametrize("wide", [2**63, 2**64, 2**70, -2**70],
                          ids=["2^63", "2^64", "2^70", "-2^70"])
 def test_lut_from_values_wide_ints_are_out_of_range(wide):
-    # numpy keeps these as float64 or object entries, never as int64
-    with pytest.raises(ValueError, match="out of range"):
+    # numpy keeps these as float64 or object entries, never as int64; they
+    # are read as the ints they are, so they are refused on their range
+    with pytest.raises(ValueError, match=rf"entry {wide:#x} is not an element of GF\(2\^2\)$"):
         lut_from_values(field_make(2), [0, 1, 2, wide])
 
 
@@ -198,7 +200,8 @@ def test_difference_row_holds_the_derivative_and_the_ddt_row(kind, n, arg):
 def test_difference_row_refuses_elements_outside_the_field():
     f = build_lut(field_make(5), 3)
     for a in (0, -1, -31, 32, 1 << 40):
-        with pytest.raises(ValueError, match="nonzero field element"):
+        with pytest.raises(ValueError, match=rf"^difference a {a:#x} is not a nonzero element "
+                                             r"of GF\(2\^5\)$"):
             difference_row(f, a)
 
 
@@ -217,8 +220,9 @@ def test_walsh_against_direct_definition():
 def test_walsh_row_matches_full_table():
     # rows against the kernel's columns: test_walsh_blocks_agree_with_rows_and_histogram
     table = build_lut(field_make(6), 13)
-    with pytest.raises(ValueError):
-        walsh_row(table, 0)
+    for b in (0, -1, 64):
+        with pytest.raises(ValueError, match=rf"^b {b:#x} is not a nonzero element of GF\(2\^6\)$"):
+            walsh_row(table, b)
 
 
 @pytest.mark.parametrize("n", range(2, 11))

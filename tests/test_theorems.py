@@ -975,6 +975,23 @@ def test_elements_outside_the_field_are_refused(call, element):
             pi_image(w, np.array([0, element]))
 
 
+@pytest.mark.parametrize("call, shown", [
+    (lambda: diff_solution_count(1, 1, 1.5), "b 1.5"),  # b = 1 has four solutions
+    (lambda: diff_solution_count(1, 1.0, 1), "difference a 1.0"),
+    (lambda: reduction_trace(1, 1, 2.5), "b 2.5"),
+    (lambda: reduction_trace(1, 2.0, 1), "difference a 2.0"),
+    (lambda: pi_fiber(mm_basis(1), 0.5), "u 0.5"),
+    (lambda: pi_image(mm_basis(1), np.array([0.0, 1.0])), "a 0.0"),
+    (lambda: pi_image(mm_basis(1), "3"), "a '3'"),
+], ids=["count-b", "count-a", "trace-b", "trace-a", "pi_fiber", "pi_image-array",
+        "pi_image-string"])
+def test_a_non_integer_is_refused_not_read_as_an_empty_answer(call, shown):
+    # a float in [0, 2^n) used to pass the element check: the count read it as
+    # no solution, pi_fiber as an empty fiber, and the replay raised IndexError
+    with pytest.raises(ValueError, match=rf"^{re.escape(shown)} is not an integer$"):
+        call()
+
+
 @pytest.mark.parametrize("u, v", [(0x2, 0x0), (0x0, 0x2)], ids=["u", "v"])
 def test_crosscheck_refuses_a_point_off_the_split_grid(u, v):
     # 0x2 lies in GF(2^8) but not in GF(2^4): no split coordinate names it,

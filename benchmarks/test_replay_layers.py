@@ -14,12 +14,11 @@ correspondence :func:`gf2lab.quartic_check_all` and the sign pattern
 :func:`gf2lab.m4_sum_check`; the pointwise decomposition
 :func:`gf2lab.mm_decomposition_check` at k = 3 and 4, whose two traces run
 over the whole 2^(4k) grid; last the basis :func:`gf2lab.mm_basis` at
-k = 4.  The pair draw drains the chunk generator ``theorems._pair_chunks``
-where it exists and calls ``theorems._sweep_pairs``, which returned every
-pair at once, otherwise.  Apart from those, ``theorems.fiber_partition_check``,
-whose row counts the fibers, and ``theorems._family_table``, which the
-f(0) = 1 case replaces, only public functions are called, so the file runs
-unchanged on any version of the package since the sweep took index arrays.
+k = 4.  The pair draw drains the chunk generator ``theorems._pair_chunks``.
+Apart from it, ``theorems.fiber_partition_check``, whose row counts the
+fibers, and ``theorems._family_table``, which the f(0) = 1 case replaces,
+only public functions are called, so the file runs unchanged on any version
+of the package since the pair sweep streamed its chunks.
 The first round builds the family table and the arithmetic tables, and is
 not timed.  Every case records its instance count as
 ``extra_info["instances"]``, and each pair sweep and the pair draw their
@@ -52,12 +51,9 @@ def _peak_mib(benchmark, fn, *args, **kwargs):
 
 def _draw_pairs(k, samples):
     """The sweep's pairs as (pair count, least a), drawn the way the package
-    draws them: in chunks where it streams them, else all at once."""
-    if hasattr(theorems, "_pair_chunks"):
-        chunks = [(a.size, int(a.min())) for a, _ in theorems._pair_chunks(k, samples)]
-        return sum(n for n, _ in chunks), min(least for _, least in chunks)
-    a, _ = theorems._sweep_pairs(k, samples)
-    return a.size, int(a.min())
+    draws them: in chunks."""
+    chunks = [(a.size, int(a.min())) for a, _ in theorems._pair_chunks(k, samples)]
+    return sum(n for n, _ in chunks), min(least for _, least in chunks)
 
 
 def test_one_replay_instance(benchmark):

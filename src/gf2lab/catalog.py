@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
-from .field import FieldSpec, field_make
+from .field import FieldSpec, _check_exponent, field_make
 from .spectra import FunctionTable, SpectrumSummary, build_lut, classify
 from .theorems import dobbertin_exponent
 
@@ -98,10 +98,9 @@ def conditions_met(fs: FamilySpec) -> bool:
 
 
 def permutation_check(n: int, d: int) -> PermutationCheck:
-    """Whether x^d permutes GF(2^n): gcd(d, 2^n - 1) = 1, with the gcd witness."""
-    if d < 1:
-        raise ValueError("exponent must be >= 1")
-    g = gcd(d, (1 << n) - 1)
+    """Whether x^d permutes GF(2^n): gcd(d, 2^n - 1) = 1, with the gcd witness;
+    x^0 is constant, so d = 0 gives (2^n - 1, False)."""
+    g = gcd(_check_exponent(d), (1 << n) - 1)
     return PermutationCheck(g, g == 1)
 
 

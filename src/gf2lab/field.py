@@ -5,9 +5,9 @@ of x^i in the polynomial-basis representation.  A field is described by a
 :class:`FieldSpec` (degree plus irreducible modulus) and every operation is a
 pure function of its arguments, so specs and elements can be shared freely
 across threads.  One check, :func:`_check_elements`, states the element rules
-for the scalar API, ``theorems`` and ``spectra``: an integer (never a float or
-a string) in [0, 2^n), nonzero for ``f_inv``, ``difference_row`` and
-``walsh_row``.  An exponent's sign is ``spectra.build_lut``'s rule.
+for the scalar API, ``theorems`` and ``spectra``: an integer (never a float, a
+string or a boolean) in [0, 2^n), nonzero for ``f_inv``, ``difference_row`` and
+``walsh_row``.  :func:`_check_exponent` states the one exponent rule.
 
 The module provides the four ring/field operations, absolute and relative
 traces, Frobenius powers, and an exact solver for linearized equations
@@ -184,12 +184,12 @@ def field_make(n: int, poly: int | None = None) -> FieldSpec:
     ValueError
         If n is out of the supported range.
     TypeError
-        If poly is not an integer (``operator.index`` refuses it).
+        If n or poly is not an integer (``operator.index`` refuses it).
     FieldConstructionError
         If poly is malformed (negative, wrong degree, even constant term)
         or reducible; the error names the degree of a nontrivial factor.
     """
-    if not MIN_DEGREE <= n <= MAX_DEGREE:
+    if not MIN_DEGREE <= (n := operator.index(n)) <= MAX_DEGREE:
         raise ValueError(f"degree {n} outside supported range {MIN_DEGREE}..{MAX_DEGREE}")
     if poly is None:
         poly = default_poly(n)
@@ -212,19 +212,26 @@ def field_make(n: int, poly: int | None = None) -> FieldSpec:
 
 def _check_elements(s: FieldSpec, a, name: str = "value", *, nonzero: bool = False) -> None:
     """Refuse an int or an array holding a value that is no integer in [0, 2^n)
-    ([1, 2^n) if nonzero), naming the first: numpy would wrap a negative index
-    and truncate a float.  A list's wide ints, which numpy makes floats, stay ints."""
-    if isinstance(a, int) and nonzero <= a < 1 << s.n:
+    ([1, 2^n) if nonzero), naming the first: numpy would wrap a negative index,
+    truncate a float and take booleans for a mask.  A list's wide ints stay ints."""
+    if type(a) is int and nonzero <= a < 1 << s.n:
         return  # a Python int in range costs one comparison, no numpy call
     if (arr := np.asarray(a)).dtype.kind not in "iu":
         arr = arr if arr is a else np.array(a, dtype=object)
         for v in arr.flat:  # shown as a Python value: 1.0, not np.float64(1.0)
-            if not isinstance(v, (int, np.integer, np.bool_)):
+            if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
                 raise ValueError(f"{name} {np.asarray(v).tolist()!r} is not an integer")
     bad = arr[(arr < nonzero) | (arr >= 1 << s.n)]
     if bad.size:
         what = "a nonzero element" if nonzero else "an element"
         raise ValueError(f"{name} {int(bad.flat[0]):#x} is not {what} of GF(2^{s.n})")
+
+
+def _check_exponent(d, name: str = "exponent") -> int:
+    """d as an int (a float raises TypeError); a negative d raises ValueError."""
+    if (d := operator.index(d)) < 0:
+        raise ValueError(f"{name} must be non-negative, got {d}")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +259,7 @@ def f_pow(s: FieldSpec, a: int, d: int) -> int:
     implicitly by the group order through the arithmetic itself.
     """
     _check_elements(s, a)
-    if d < 0:
-        raise ValueError("negative exponents are not defined; use f_inv")
-    return _pow(s.poly, a, d)
+    return _pow(s.poly, a, _check_exponent(d))
 
 
 def f_inv(s: FieldSpec, a: int) -> int:
@@ -267,9 +272,7 @@ def f_inv(s: FieldSpec, a: int) -> int:
 def frobenius(s: FieldSpec, a: int, e: int) -> int:
     """e-fold Frobenius power a^(2^e), computed by e squarings."""
     _check_elements(s, a)
-    if e < 0:
-        raise ValueError("Frobenius power must be non-negative")
-    for _ in range(e % s.n):
+    for _ in range(_check_exponent(e, "Frobenius power") % s.n):
         a = _mul(s.poly, a, a)
     return a
 

@@ -47,8 +47,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .field import (FieldSpec, _arith, _check_elements, _linear_map, _mul, _span,
-                    _trace_basis, trace_abs)
+from .field import (FieldSpec, _arith, _check_elements, _check_exponent, _linear_map, _mul,
+                    _span, _trace_basis, trace_abs)
 
 __all__ = [
     "FunctionTable",
@@ -183,10 +183,9 @@ def build_lut(s: FieldSpec, d: int) -> FunctionTable:
 
     Each x != 0 is read off the log/exp tables of :mod:`gf2lab.field` as
     x^d = exp[log(x) * d mod 2^n - 1].  With the 0^0 = 1 convention, d = 0
-    yields the constant-1 table; any d > 0 maps 0 to 0.
+    yields the constant-1 table; any d > 0 maps 0 to 0; ``field._check_exponent`` checks d.
     """
-    if d < 0:
-        raise ValueError(f"exponent must be non-negative, got {d}")
+    d = _check_exponent(d)
     A = _arith(s.n, s.poly)
     # log[0] = -1 lands on some element, which lut[0] then overwrites
     lut = A.exp[A.log * (d % A.order) % A.order]
@@ -205,14 +204,12 @@ def lut_from_values(s: FieldSpec, values) -> FunctionTable:
     The values are copied, so the table can be frozen without freezing the
     caller's array.  ValueError is raised for any shape but (2^n,); then by
     ``field._check_elements`` for an entry that is no integer in [0, 2^n),
-    however wide; then for a dtype of another kind (booleans, objects).
+    however wide, a boolean included.  What passes is stored as int64.
     """
     lut = np.array(values)
     if lut.shape != (s.size,):
         raise ValueError(f"lookup table must have shape ({s.size},), got {lut.shape}")
     _check_elements(s, values, "lookup table entry")  # numpy may hold wide ints as floats
-    if lut.dtype.kind not in "iu":
-        raise ValueError(f"lookup table entries must be integers, got dtype {lut.dtype}")
     lut = lut.astype(np.int64, copy=False)
     lut.flags.writeable = False
     return FunctionTable(s, lut)

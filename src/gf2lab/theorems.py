@@ -36,12 +36,13 @@ offset, the decomposition, the fiber sum) is written once here in the
 arithmetic of :class:`gf2lab.field._Arith`, whose ops take a Python int or
 a numpy array and copy none of the log/exp tables.
 
-Every sweep reports one :class:`CheckReport` row under one rule: each case
-(a pair, a point, a fiber) whose check raises :class:`VerificationError`
-counts as one failure, the first in case order is kept as
-``first_failure``, and any other exception propagates.  A basis that fails
-to construct is a failed ``mm-basis`` row, and :func:`run_all_checks` skips
-the suites that need it for that gamma.
+Every sweep reports one :class:`CheckReport` row.  Each case (a pair, a
+point, a fiber) whose check raises :class:`VerificationError` counts as one
+failure, the first in case order is kept as ``first_failure``, and any other
+exception propagates; but ``delta-sweep`` counts 2^n - 1 rows, and
+``mm-fibers`` the fibers, with at most one failure each (the measured delta;
+a text that is no VerificationError).  A basis that fails to construct is a
+failed ``mm-basis`` row; :func:`run_all_checks` skips its gamma's suites.
 
 The full difference-table sweep at k = 4 (degree 16) needs ``deep=True``,
 as decided by :func:`gf2lab.spectra.require_desk_scale`; the replay and the
@@ -51,6 +52,7 @@ split-coordinate suite are not full sweeps and need none.  A k outside
 
 from __future__ import annotations
 
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -94,7 +96,7 @@ MAX_K = 4
 MAX_SAMPLES = 1 << 24
 _CHUNK_PAIRS = 1 << 14
 # VerificationError context keys that are counts or signed values, not elements
-_DECIMAL = frozenset({"k", "count", "size", "coefficient", "fiber_sum", "transform"})
+_DECIMAL = frozenset({"k", "count", "coefficient", "fiber_sum", "transform"})
 
 
 class VerificationError(RuntimeError):
@@ -124,7 +126,7 @@ def dobbertin_exponent(k: int) -> int:
 
 
 def _check_k(k: int) -> None:
-    if not 1 <= k <= MAX_K:
+    if not 1 <= operator.index(k) <= MAX_K:
         raise ValueError(f"k must be between 1 and {MAX_K}")
 
 
@@ -138,7 +140,7 @@ def _family_table(k: int) -> FunctionTable:
 
 
 def _check_samples(samples: int | None) -> None:
-    if samples is not None and samples < 1:
+    if samples is not None and operator.index(samples) < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if samples is not None and samples > MAX_SAMPLES:
         raise ValueError(f"samples must be at most 2^24 = {MAX_SAMPLES}, got {samples}")
@@ -915,7 +917,7 @@ def run_all_checks(ks: Iterable[int], *, samples: int | None = None,
     need it are skipped for that gamma.  Every k is checked for range, size
     and repeats, and samples for range, before any suite runs.
     """
-    ks = list(ks)
+    ks = [operator.index(k) for k in ks]
     _check_samples(samples)
     for k in ks:
         _check_k(k)

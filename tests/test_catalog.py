@@ -60,8 +60,8 @@ def test_permutation_check():
     assert permutation_check(8, 21) == (3, False)
     assert permutation_check(12, 73) == (1, True)
     assert permutation_check(6, 62) == (1, True)
-    with pytest.raises(ValueError):
-        permutation_check(6, 0)
+    # x^0 is the constant table, which permutes nothing: the gcd is 2^n - 1
+    assert permutation_check(6, 0) == (63, False)
 
 
 def test_permutation_check_matches_lut_bijectivity():

@@ -15,15 +15,24 @@ from gf2lab import (
     build_lut,
     classify,
     default_poly,
+    difference_row,
     f_add,
     f_inv,
     f_mul,
     f_pow,
     field_make,
     frobenius,
+    lut_from_values,
+    mm_basis,
+    permutation_check,
+    pi_fiber,
+    pi_image,
+    quartic_roots,
+    reduction_trace,
     solve_linearized,
     trace_abs,
     trace_rel,
+    walsh_row,
 )
 from gf2lab.field import _Arith, _arith, _linear_map, _log_exp_tables, _span
 
@@ -92,6 +101,10 @@ def test_field_make_reads_the_modulus_as_an_index():
     assert spec == FieldSpec(8, 0x11B) and type(spec.poly) is int
     with pytest.raises(TypeError):
         field_make(8, 283.0)
+    # the degree too: 8.0 used to fail inside default_poly
+    assert type(field_make(np.int64(8)).n) is int
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        field_make(8.0)
 
 
 def test_element_range_checks():
@@ -118,6 +131,42 @@ def test_scalar_api_refuses_a_non_integer(call, value, shown):
     # any value in [0, 2^n) used to pass the element check, a float included
     with pytest.raises(ValueError, match=rf"^\w+ {re.escape(shown)} is not an integer$"):
         call(field_make(4), value)
+
+
+@pytest.mark.parametrize("value", [True, np.True_, np.ones(16, dtype=bool)],
+                         ids=["bool", "numpy-bool", "bool-array"])
+@pytest.mark.parametrize("call", [
+    lambda v: f_mul(field_make(4), 1, v),
+    lambda v: difference_row(build_lut(field_make(4), 7), v),
+    lambda v: walsh_row(build_lut(field_make(4), 7), v),
+    lambda v: pi_image(mm_basis(1), v), lambda v: pi_fiber(mm_basis(1), v),
+    lambda v: quartic_roots(mm_basis(1), v), lambda v: reduction_trace(1, 1, v),
+    lambda v: lut_from_values(field_make(2), np.resize(v, 4)),
+], ids=["f_mul", "difference_row", "walsh_row", "pi_image", "pi_fiber", "quartic_roots",
+        "reduction_trace", "lut_from_values"])
+def test_every_element_entry_refuses_a_boolean(call, value):
+    # numpy reads a boolean array as a mask: pi_image of 16 Trues used to
+    # return 16 values, and f_mul took True for 1
+    with pytest.raises(ValueError, match="True is not an integer$"):
+        call(value)
+
+
+def test_one_exponent_rule():
+    s = field_make(4)
+    calls = {"exponent": [lambda d: f_pow(s, 3, d), lambda d: build_lut(s, d),
+                          lambda d: permutation_check(4, d)],
+             "Frobenius power": [lambda d: frobenius(s, 3, d)]}
+    for name, group in calls.items():
+        for call in group:
+            with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -1$"):
+                call(-1)
+            with pytest.raises(TypeError):
+                call(2.5)
+    # d = 0: x^0 is the constant 1 (0^0 = 1), which no check calls a permutation
+    table = build_lut(s, 0)
+    assert table.lut.tolist() == [f_pow(s, a, 0) for a in range(s.size)] == [1] * s.size
+    assert permutation_check(4, 0).is_permutation is classify(table).is_permutation is False
+    assert frobenius(s, 3, 0) == 3
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -27,7 +27,8 @@ loop.  Every tabulated GF(2)-linear map is filled by one kernel,
 Walsh mask table is its span of the trace basis and is built by
 ``walsh_row`` only, and the quadratic-root table takes no product.  The
 range, nonzero-element and integer rules for an element live in
-``field._check_elements`` alone, and the exponent's sign in ``build_lut``.
+``field._check_elements`` alone, and the exponent's rule in
+``field._check_exponent``.
 """
 
 import ast
@@ -293,16 +294,27 @@ def test_one_element_check_and_one_token_walk():
     assert not names & {"_reject_line", "_HEX_LINE"}
 
 
+def _raised_texts(tree) -> list[str]:
+    return [node.value.lower() for raise_ in ast.walk(tree) if isinstance(raise_, ast.Raise)
+            for node in ast.walk(raise_) if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)]
+
+
 def test_one_home_for_the_range_nonzero_and_exponent_sign_rules():
-    # field states the range and nonzero-element rules, build_lut the
-    # exponent's sign: spectra raises neither element message of its own,
-    # and cli compares no exponent with a number
+    # field states the range, nonzero-element and integer rules and, in one
+    # function, the exponent's sign: spectra raises no element or dtype
+    # message of its own, no other module raises the sign message, and cli
+    # compares no exponent with a number
     package = Path(gf2lab.__file__).parent
     spectra = ast.parse((package / "spectra.py").read_text())
-    messages = [node.value.lower() for raise_ in ast.walk(spectra) if isinstance(raise_, ast.Raise)
-                for node in ast.walk(raise_) if isinstance(node, ast.Constant)
-                and isinstance(node.value, str)]
-    assert not [m for m in messages if "range" in m or "element" in m], messages
+    messages = _raised_texts(spectra)
+    assert not [m for m in messages if "range" in m or "element" in m
+                or "must be integers" in m], messages
+    homes = sorted(f"{path.name}:{func.name}" for path in sorted(package.rglob("*.py"))
+                   for func in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(func, ast.FunctionDef)
+                   and any("non-negative" in m for m in _raised_texts(func)))
+    assert homes == ["field.py:_check_exponent"], homes
     cli = ast.parse((package / "cli.py").read_text())
     signs = [ast.unparse(node) for node in ast.walk(cli) if isinstance(node, ast.Compare)
              and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)

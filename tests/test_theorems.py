@@ -69,6 +69,16 @@ def test_k_range_validation():
     assert mm_basis(4).gamma in all_gammas(4)
 
 
+def test_verify_counts_are_read_as_integers():
+    # a float k or samples used to fail deep in default_poly or range, and a
+    # boolean k named its rows k=True
+    for call in (lambda: run_all_checks([2.0]), lambda: reduction_sweep(1, samples=2.5),
+                 lambda: run_all_checks([1], samples=2.5)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call()
+    assert run_all_checks([True])[0].name == "delta-sweep[k=1]"
+
+
 def test_diff_solution_count_validation():
     with pytest.raises(ValueError):
         diff_solution_count(1, 0, 3)

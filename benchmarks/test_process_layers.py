@@ -1,17 +1,19 @@
 """Per-layer record of what one fresh gf2lab process costs.
 
-Four command lines, each spawned once per round: ``python -c "import
-gf2lab.cli"``, the import every CLI run pays; ``python -m gf2lab analyze
---exp 73 --n 12``, a short orbit-engine job; ``python -m gf2lab verify --k
-1,2``, the exhaustive proof replay at desk scale; and ``python -m gf2lab
-analyze --lut F`` on a seeded random table at n = 10, the one job that
-hashes a file.  Each case records in ``extra_info`` the child's median CPU
-time (``ru_utime + ru_stime`` from ``os.wait4``), its median wall time from
-spawn to reaping, its median peak resident memory, and the largest OS
-thread count seen at its exit.  The thread count and the peak (``VmHWM``
-from ``/proc/self/status``) come from an ``atexit`` hook that a
-``sitecustomize`` module, in a temporary directory put first on the child's
-``PYTHONPATH``, installs, so the command lines stay the ones a user types.
+Five command lines, each spawned once per round: ``python -c "import
+gf2lab.cli"``, the import every CLI run pays, the catalog's row table
+included; ``python -m gf2lab analyze --exp 73 --n 12``, a short
+orbit-engine job; ``python -m gf2lab verify --k 1,2``, the exhaustive proof
+replay at desk scale; ``python -m gf2lab catalog --max-n 12 --deep``, every
+catalog row; and ``python -m gf2lab analyze --lut F`` on a seeded random
+table at n = 10, the one job that hashes a file.  Each case records in
+``extra_info`` the child's median CPU time (``ru_utime + ru_stime`` from
+``os.wait4``), its median wall time from spawn to reaping, its median peak
+resident memory, and the largest OS thread count seen at its exit.  The
+thread count and the peak (``VmHWM`` from ``/proc/self/status``) come from
+an ``atexit`` hook that a ``sitecustomize`` module, in a temporary
+directory put first on the child's ``PYTHONPATH``, installs, so the command
+lines stay the ones a user types.
 The peak is the child's own: ``ru_maxrss`` from ``wait4`` would start from
 the resident size of this pytest process at the fork.  The child inherits
 the environment without ``OPENBLAS_NUM_THREADS``, so it measures the
@@ -52,6 +54,7 @@ COMMANDS = {
     "import": ["-c", "import gf2lab.cli"],
     "analyze": ["-m", "gf2lab", "analyze", "--exp", "73", "--n", "12"],
     "verify": ["-m", "gf2lab", "verify", "--k", "1,2"],
+    "catalog": ["-m", "gf2lab", "catalog", "--max-n", "12", "--deep"],
     "lut": ["-m", "gf2lab", "analyze", "--lut", "{lut}"],
 }
 LUT_N, LUT_POLY, LUT_SEED = 10, 0x409, 28

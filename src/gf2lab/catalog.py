@@ -3,16 +3,18 @@
 Four families are cataloged: Gold (2^s + 1), Kasami (2^(2s) - 2^s + 1), the
 field inverse (2^n - 2, with 0 mapped to 0), and the degree-4k family
 2^(2k) + 2^k + 1.  Each entry carries its applicability conditions and, when
-measured, the exact spectrum summary computed by :mod:`gf2lab.spectra`.
+measured, the exact spectrum summary computed by :mod:`gf2lab.spectra`.  The
+rows are one table, ``_ROWS``; every parameter passes one check, ``_check_param``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
-from .field import FieldSpec, _check_exponent, field_make
+from .field import MIN_DEGREE, FieldSpec, _check_exponent, field_make
 from .spectra import FunctionTable, SpectrumSummary, build_lut, classify
 from .theorems import dobbertin_exponent
 
@@ -55,33 +57,34 @@ class PermutationCheck(NamedTuple):
     is_permutation: bool
 
 
+def _check_param(value, name: str, floor: int = 1) -> int:
+    """value as an int (a float raises TypeError); None or below floor raises ValueError."""
+    if value is None or (value := operator.index(value)) < floor:
+        raise ValueError(f"{name} must be an integer >= {floor}, got {value}")
+    return value
+
+
 def family_exponent(family: str, *, n: int | None = None,
                     s: int | None = None, k: int | None = None) -> FamilySpec:
     """Build a FamilySpec from a family tag and its parameters.
 
     gold / kasami need n and s; inverse needs n; dobbertin needs k (n = 4k).
-    Raises ValueError on missing or inconsistent parameters.
+    Each passes ``_check_param``, with n >= 2 and s, k >= 1; an unknown family
+    or a dobbertin n other than 4k raises ValueError too.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if family == "gold":
-        if n is None or s is None or s < 1:
-            raise ValueError("gold requires degree n and parameter s >= 1")
-        return FamilySpec("gold", n, (1 << s) + 1, s)
-    if family == "kasami":
-        if n is None or s is None or s < 1:
-            raise ValueError("kasami requires degree n and parameter s >= 1")
-        return FamilySpec("kasami", n, (1 << (2 * s)) - (1 << s) + 1, s)
+    if family == "dobbertin":
+        k = _check_param(k, "dobbertin parameter k")
+        if n is not None and _check_param(n, "dobbertin degree n", MIN_DEGREE) != 4 * k:
+            raise ValueError(f"dobbertin with k={k} lives on degree {4 * k}, not {n}")
+        return FamilySpec("dobbertin", 4 * k, dobbertin_exponent(k), k)
+    n = _check_param(n, f"{family} degree n", MIN_DEGREE)
     if family == "inverse":
-        if n is None or n < 2:
-            raise ValueError("inverse requires degree n >= 2")
         return FamilySpec("inverse", n, (1 << n) - 2, None)
-    # dobbertin
-    if k is None or k < 1:
-        raise ValueError("dobbertin requires parameter k >= 1")
-    if n is not None and n != 4 * k:
-        raise ValueError(f"dobbertin with k={k} lives on degree {4 * k}, not {n}")
-    return FamilySpec("dobbertin", 4 * k, dobbertin_exponent(k), k)
+    s = _check_param(s, f"{family} parameter s")
+    d = (1 << s) + 1 if family == "gold" else (1 << (2 * s)) - (1 << s) + 1
+    return FamilySpec(family, n, d, s)
 
 
 def conditions_met(fs: FamilySpec) -> bool:
@@ -100,7 +103,7 @@ def conditions_met(fs: FamilySpec) -> bool:
 def permutation_check(n: int, d: int) -> PermutationCheck:
     """Whether x^d permutes GF(2^n): gcd(d, 2^n - 1) = 1, with the gcd witness;
     x^0 is constant, so d = 0 gives (2^n - 1, False)."""
-    g = gcd(_check_exponent(d), (1 << n) - 1)
+    g = gcd(_check_exponent(d), (1 << _check_param(n, "degree n", MIN_DEGREE)) - 1)
     return PermutationCheck(g, g == 1)
 
 
@@ -109,21 +112,19 @@ def inverse_map(s: FieldSpec) -> FunctionTable:
     return build_lut(s, s.size - 2)
 
 
+# every catalog row in print order, each with whether it is shown only with deep
+_ROWS: tuple[tuple[FamilySpec, bool], ...] = (
+    (family_exponent("gold", n=6, s=2), False),
+    (family_exponent("kasami", n=6, s=2), False),
+    (family_exponent("gold", n=10, s=4), True),
+    (family_exponent("kasami", n=10, s=4), True),
+    *((family_exponent("inverse", n=n), False) for n in (4, 6, 8, 10, 12)),
+    *((family_exponent("dobbertin", k=k), False) for k in (1, 2, 3)),
+)
+
+
 def _desk_rows(max_n: int, deep: bool) -> list[FamilySpec]:
-    rows: list[FamilySpec] = []
-    if max_n >= 6:
-        rows.append(family_exponent("gold", n=6, s=2))
-        rows.append(family_exponent("kasami", n=6, s=2))
-    if deep and max_n >= 10:
-        rows.append(family_exponent("gold", n=10, s=4))
-        rows.append(family_exponent("kasami", n=10, s=4))
-    for n in (4, 6, 8, 10, 12):
-        if n <= max_n:
-            rows.append(family_exponent("inverse", n=n))
-    for k in (1, 2, 3):
-        if 4 * k <= max_n:
-            rows.append(family_exponent("dobbertin", k=k))
-    return rows
+    return [fs for fs, deep_only in _ROWS if fs.n <= max_n and (deep or not deep_only)]
 
 
 def catalog_table(max_n: int = 12, *, deep: bool = False) -> list[CatalogEntry]:
@@ -133,11 +134,11 @@ def catalog_table(max_n: int = 12, *, deep: bool = False) -> list[CatalogEntry]:
     exponent (see :attr:`gf2lab.spectra.FunctionTable.exponent`), so
     :func:`gf2lab.spectra.classify` measures it exactly through the
     power-map orbit engine, and a larger max_n yields the max_n = 12 rows.
-    deep adds the n = 10 Gold and Kasami rows.  Conditioned rows also carry
-    the predicted (delta=4, permutation) pair for comparison.  Raises
-    ValueError for a max_n below every row's degree (below 4).
+    deep adds the n = 10 Gold and Kasami rows of ``_ROWS``.  Conditioned rows
+    also carry the predicted (delta=4, permutation) pair.  A float max_n
+    raises TypeError, and one below every row's degree (4) ValueError.
     """
-    rows = _desk_rows(max_n, deep)
+    rows = _desk_rows(max_n := operator.index(max_n), deep)
     if not rows:
         raise ValueError(f"no catalog row has degree <= {max_n}; the smallest degree is 4")
     entries = []

@@ -217,7 +217,7 @@ def diff_solution_count(k: int, a: int, b: int) -> tuple[int, frozenset[int]]:
 
     A count above four raises :class:`VerificationError`.
     """
-    table = _family_table(k)
+    table = _family_table(k := operator.index(k))
     _check_elements(table.spec, b, "b")
     sols = frozenset(np.flatnonzero(difference_row(table, a).values == b).tolist())
     if len(sols) > 4:
@@ -232,7 +232,7 @@ def reduction_trace(k: int, a: int, b: int) -> ReductionTrace:
     The pair's own scanned solution set, divided by a, is one row of
     :func:`_derive_pass`; a failing step raises :class:`VerificationError`.
     """
-    table = _family_table(k)
+    table = _family_table(k := operator.index(k))
     _check_elements(table.spec, b, "b")
     x, row, c = _scanned(k, np.array([a]), np.array([b]))
     cols = _derive_pass(k, x, row, c)
@@ -540,7 +540,7 @@ def reduction_sweep(k: int, *, samples: int | None = None) -> CheckReport:
     one-row pass over its own scanned set: the report is the per-pair one.
     """
     _check_samples(samples)
-    table = _family_table(k)
+    table = _family_table(k := operator.index(k))
     d = dobbertin_exponent(k)
     homogeneous = table.exponent == d
     if homogeneous:
@@ -577,8 +577,8 @@ class MMWitness:
     omega extend it so that x = y + omega*a splits the field over the
     half-degree subfield.  The fibers {a : pi(a) = u} of the inner map are
     two read-only arrays: ``members[j]`` lies in the fiber of ``images[j]``.
-    A member outside the field raises ValueError when the witness is made,
-    so no row indexes the log/exp tables with one.
+    A basis element or member outside the field raises ValueError when the
+    witness is made, so no row indexes the log/exp tables with one.
     """
 
     k: int
@@ -590,6 +590,8 @@ class MMWitness:
     images: np.ndarray
 
     def __post_init__(self):
+        for name in ("gamma", "alpha", "omega"):
+            _check_elements(self.spec, getattr(self, name), name)
         _check_elements(self.spec, self.members, "a member")
 
 
@@ -627,14 +629,14 @@ def mm_basis(k: int, *, gamma: int | None = None) -> MMWitness:
     are the half field in increasing order, tagged by pi unchecked, for
     the mm-fibers and mm-quartic rows to certify.
     """
-    table = _family_table(k)
+    table = _family_table(k := operator.index(k))
     spec = table.spec
     A = _arith(spec.n, spec.poly)
     sub_2k = A.subfield(2 * k)
     candidates = all_gammas(k)
-    if gamma is None:
-        gamma = candidates[0]
-    elif gamma not in candidates:
+    gamma = candidates[0] if gamma is None else gamma
+    _check_elements(spec, gamma, "gamma")
+    if gamma not in candidates:
         raise ValueError(f"gamma {gamma:#x} is not a trace-one element of GF(2^{k})")
     # alpha: z = gamma*w solves z^2 + gamma*z = gamma^3 where w^2 + w = gamma
     root = int(A.root[gamma])
@@ -898,7 +900,7 @@ def m4_sum_check(w: MMWitness) -> CheckReport:
 
 def delta_sweep(k: int, *, deep: bool = False) -> CheckReport:
     """Full-DDT check that the family's differential uniformity is exactly 4."""
-    table = _family_table(k)
+    table = _family_table(k := operator.index(k))
     delta = differential_uniformity(table, deep=deep)
     rows = table.spec.size - 1
     ok = delta == 4

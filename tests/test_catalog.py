@@ -41,6 +41,43 @@ def test_family_exponent_validation():
         family_exponent("dobbertin")
     with pytest.raises(ValueError):
         family_exponent("dobbertin", k=2, n=12)  # degree must be 4k
+    with pytest.raises(TypeError):
+        family_exponent("dobbertin", k=2, n=8.0)  # the optional degree is checked too
+
+
+# each entry reads one catalog parameter v, with the least value it takes
+CATALOG_PARAMETERS = {
+    "gold-n": (lambda v: family_exponent("gold", n=v, s=2), 2),
+    "gold-s": (lambda v: family_exponent("gold", n=6, s=v), 1),
+    "kasami-n": (lambda v: family_exponent("kasami", n=v, s=2), 2),
+    "kasami-s": (lambda v: family_exponent("kasami", n=6, s=v), 1),
+    "inverse-n": (lambda v: family_exponent("inverse", n=v), 2),
+    "dobbertin-k": (lambda v: family_exponent("dobbertin", k=v), 1),
+    "permutation_check-n": (lambda v: permutation_check(v, 5), 2),
+    "catalog_table-max_n": (lambda v: catalog_table(v), 4),
+}
+
+
+@pytest.mark.parametrize("entry", CATALOG_PARAMETERS)
+def test_one_catalog_parameter_rule(entry):
+    # catalog_table(12.5) used to measure 10 rows, gold took n = 6.0 and
+    # n = -3, and a float s or k died in a shift
+    call, least = CATALOG_PARAMETERS[entry]
+    for value in (6.0, 12.5, np.float64(8.0)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call(value)
+    refused = [-3, 0, least - 1] + [None] * (entry != "catalog_table-max_n")
+    for value in refused:
+        with pytest.raises(ValueError):
+            call(value)
+    # a numpy integer is read as the int itself, so the reprs agree
+    assert repr(call(least)) == repr(call(np.int64(least)))
+    # a boolean is read as its int: True is 1, which only s and k take
+    if least == 1:
+        assert type(call(True).param) is int and call(True) == call(1)
+    else:
+        with pytest.raises(ValueError, match=r"\b1\b"):
+            call(True)
 
 
 def test_conditions_met():

@@ -2,6 +2,7 @@
 
 import random
 import re
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -142,13 +143,31 @@ def test_scalar_api_refuses_a_non_integer(call, value, shown):
     lambda v: pi_image(mm_basis(1), v), lambda v: pi_fiber(mm_basis(1), v),
     lambda v: quartic_roots(mm_basis(1), v), lambda v: reduction_trace(1, 1, v),
     lambda v: lut_from_values(field_make(2), np.resize(v, 4)),
+    lambda v: mm_basis(1, gamma=v), lambda v: replace(mm_basis(1), alpha=v),
 ], ids=["f_mul", "difference_row", "walsh_row", "pi_image", "pi_fiber", "quartic_roots",
-        "reduction_trace", "lut_from_values"])
+        "reduction_trace", "lut_from_values", "mm_basis-gamma", "witness-alpha"])
 def test_every_element_entry_refuses_a_boolean(call, value):
     # numpy reads a boolean array as a mask: pi_image of 16 Trues used to
-    # return 16 values, and f_mul took True for 1
+    # return 16 values, and f_mul took True for 1; mm_basis(1, gamma=True)
+    # died in int() and a witness with alpha=True in a broadcast
     with pytest.raises(ValueError, match="True is not an integer$"):
         call(value)
+
+
+@pytest.mark.parametrize("value, shown", [(-1, r"-0x1 is not an element of GF\(2\^\d+\)"),
+                                          (1.5, "1.5 is not an integer")],
+                         ids=["negative", "float"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_the_witness_basis_is_checked_when_made(k, value, shown):
+    # numpy read alpha = -1 as the log of element 2^n - 1: at k = 1 that
+    # element also satisfies the decomposition, so mm-decomposition reported
+    # 0 failures, and alpha = 1.5 or mm_basis(1, gamma=1.0) raised IndexError
+    w = mm_basis(k)
+    for name in ("gamma", "alpha", "omega"):
+        with pytest.raises(ValueError, match=f"^{name} {shown}$"):
+            replace(w, **{name: value})
+    with pytest.raises(ValueError, match=f"^gamma {shown}$"):
+        mm_basis(k, gamma=value)
 
 
 def test_one_exponent_rule():

@@ -28,7 +28,9 @@ Walsh mask table is its span of the trace basis and is built by
 ``walsh_row`` only, and the quadratic-root table takes no product.  The
 range, nonzero-element and integer rules for an element live in
 ``field._check_elements`` alone, and the exponent's rule in
-``field._check_exponent``.
+``field._check_exponent``.  A catalog parameter has one check,
+``catalog._check_param``, and the catalog's rows are one table, which
+``_desk_rows`` filters with no branch per family.
 """
 
 import ast
@@ -321,6 +323,27 @@ def test_one_home_for_the_range_nonzero_and_exponent_sign_rules():
              and any(isinstance(side, ast.Attribute) and side.attr == "exp"
                      for side in [node.left, *node.comparators])]
     assert not signs, signs
+
+
+def test_one_catalog_parameter_check_and_one_row_table():
+    # family_exponent used to state its missing-parameter rule once per
+    # family, and _desk_rows to build its rows in one if block per family
+    tree = ast.parse((Path(gf2lab.__file__).parent / "catalog.py").read_text())
+    homes = sorted(func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                   and any(word in m for m in _raised_texts(func)
+                           for word in ("requires", "must be", ">=")))
+    assert homes == ["_check_param"], homes
+    rows = _function(tree, "_desk_rows")
+    branches = [node.lineno for node in ast.walk(rows) if isinstance(node, (ast.If, ast.For))]
+    assert not branches, f"_desk_rows branches at lines {branches}"
+    named = {node.value for node in ast.walk(rows) if isinstance(node, ast.Constant)}
+    called = {getattr(node.func, "id", None) for node in ast.walk(rows)
+              if isinstance(node, ast.Call)}
+    assert not named & {"gold", "kasami", "inverse", "dobbertin"}
+    assert "family_exponent" not in called
+    table = [node for node in tree.body if isinstance(node, ast.AnnAssign)
+             and getattr(node.target, "id", None) == "_ROWS"]
+    assert len(table) == 1 and isinstance(table[0].value, ast.Tuple)
 
 
 def test_benchmarks_still_collect():

@@ -71,12 +71,15 @@ def test_k_range_validation():
 
 def test_verify_counts_are_read_as_integers():
     # a float k or samples used to fail deep in default_poly or range, and a
-    # boolean k named its rows k=True
+    # boolean k named its rows k=True, through run_all_checks and the rows alike
     for call in (lambda: run_all_checks([2.0]), lambda: reduction_sweep(1, samples=2.5),
                  lambda: run_all_checks([1], samples=2.5)):
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             call()
     assert run_all_checks([True])[0].name == "delta-sweep[k=1]"
+    assert theorems.delta_sweep(True).name == "delta-sweep[k=1]"
+    assert reduction_sweep(True).name == "reduction-replay[k=1]"
+    assert type(mm_basis(True).k) is type(reduction_trace(True, 1, 1).k) is int
 
 
 def test_diff_solution_count_validation():

@@ -29,9 +29,9 @@ from .theorems import (VerificationError, ReductionTrace, MMWitness,
                        CheckReport, QuarticRoots, diff_solution_count,
                        reduction_trace, reduction_sweep, dobbertin_exponent,
                        mm_basis, all_gammas, mm_decomposition_check,
-                       pi_fiber, pi_image, quartic_roots, quartic_check_all,
-                       mm_walsh_crosscheck, mm_crosscheck_all, m4_sum_check,
-                       run_all_checks)
+                       fiber_partition_check, pi_fiber, pi_image, quartic_roots,
+                       quartic_check_all, mm_walsh_crosscheck, mm_crosscheck_all,
+                       m4_sum_check, delta_sweep, run_all_checks)
 from .lutio import LutParseError, read_lut, write_lut
 from .report import AnalysisReport, report_to_json, TOOL_VERSION
 

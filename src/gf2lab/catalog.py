@@ -4,7 +4,7 @@ Four families are cataloged: Gold (2^s + 1), Kasami (2^(2s) - 2^s + 1), the
 field inverse (2^n - 2, with 0 mapped to 0), and the degree-4k family
 2^(2k) + 2^k + 1.  Each entry carries its applicability conditions and, when
 measured, the exact spectrum summary computed by :mod:`gf2lab.spectra`.  The
-rows are one table, ``_ROWS``; every parameter passes one check, ``_check_param``.
+rows are one table, ``_ROWS``; every parameter passes one check, ``field._check_int``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
-from .field import MIN_DEGREE, FieldSpec, _check_exponent, field_make
+from .field import MIN_DEGREE, FieldSpec, _check_int, field_make
 from .spectra import FunctionTable, SpectrumSummary, build_lut, classify
 from .theorems import dobbertin_exponent
 
@@ -57,32 +57,25 @@ class PermutationCheck(NamedTuple):
     is_permutation: bool
 
 
-def _check_param(value, name: str, floor: int = 1) -> int:
-    """value as an int (a float raises TypeError); None or below floor raises ValueError."""
-    if value is None or (value := operator.index(value)) < floor:
-        raise ValueError(f"{name} must be an integer >= {floor}, got {value}")
-    return value
-
-
 def family_exponent(family: str, *, n: int | None = None,
                     s: int | None = None, k: int | None = None) -> FamilySpec:
     """Build a FamilySpec from a family tag and its parameters.
 
     gold / kasami need n and s; inverse needs n; dobbertin needs k (n = 4k).
-    Each passes ``_check_param``, with n >= 2 and s, k >= 1; an unknown family
-    or a dobbertin n other than 4k raises ValueError too.
+    Each passes ``field._check_int``, with n >= 2 and s, k >= 1; an unknown
+    family or a dobbertin n other than 4k raises ValueError too.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if family == "dobbertin":
-        k = _check_param(k, "dobbertin parameter k")
-        if n is not None and _check_param(n, "dobbertin degree n", MIN_DEGREE) != 4 * k:
+        k = _check_int(k, "dobbertin parameter k", 1)
+        if n is not None and _check_int(n, "dobbertin degree n", MIN_DEGREE) != 4 * k:
             raise ValueError(f"dobbertin with k={k} lives on degree {4 * k}, not {n}")
         return FamilySpec("dobbertin", 4 * k, dobbertin_exponent(k), k)
-    n = _check_param(n, f"{family} degree n", MIN_DEGREE)
+    n = _check_int(n, f"{family} degree n", MIN_DEGREE)
     if family == "inverse":
         return FamilySpec("inverse", n, (1 << n) - 2, None)
-    s = _check_param(s, f"{family} parameter s")
+    s = _check_int(s, f"{family} parameter s", 1)
     d = (1 << s) + 1 if family == "gold" else (1 << (2 * s)) - (1 << s) + 1
     return FamilySpec(family, n, d, s)
 
@@ -103,7 +96,7 @@ def conditions_met(fs: FamilySpec) -> bool:
 def permutation_check(n: int, d: int) -> PermutationCheck:
     """Whether x^d permutes GF(2^n): gcd(d, 2^n - 1) = 1, with the gcd witness;
     x^0 is constant, so d = 0 gives (2^n - 1, False)."""
-    g = gcd(_check_exponent(d), (1 << _check_param(n, "degree n", MIN_DEGREE)) - 1)
+    g = gcd(_check_int(d, "exponent", 0), (1 << _check_int(n, "degree n", MIN_DEGREE)) - 1)
     return PermutationCheck(g, g == 1)
 
 

@@ -7,7 +7,7 @@ pure function of its arguments, so specs and elements can be shared freely
 across threads.  One check, :func:`_check_elements`, states the element rules
 for the scalar API, ``theorems`` and ``spectra``: an integer (never a float, a
 string or a boolean) in [0, 2^n), nonzero for ``f_inv``, ``difference_row`` and
-``walsh_row``.  :func:`_check_exponent` states the one exponent rule.
+``walsh_row``.  :func:`_check_int` states the one integer-parameter rule.
 
 The module provides the four ring/field operations, absolute and relative
 traces, Frobenius powers, and an exact solver for linearized equations
@@ -182,15 +182,14 @@ def field_make(n: int, poly: int | None = None) -> FieldSpec:
     Raises
     ------
     ValueError
-        If n is out of the supported range.
+        If n is None or out of the supported range (:func:`_check_int`).
     TypeError
         If n or poly is not an integer (``operator.index`` refuses it).
     FieldConstructionError
         If poly is malformed (negative, wrong degree, even constant term)
         or reducible; the error names the degree of a nontrivial factor.
     """
-    if not MIN_DEGREE <= (n := operator.index(n)) <= MAX_DEGREE:
-        raise ValueError(f"degree {n} outside supported range {MIN_DEGREE}..{MAX_DEGREE}")
+    n = _check_int(n, "degree n", MIN_DEGREE, MAX_DEGREE)
     if poly is None:
         poly = default_poly(n)
     else:
@@ -227,11 +226,12 @@ def _check_elements(s: FieldSpec, a, name: str = "value", *, nonzero: bool = Fal
         raise ValueError(f"{name} {int(bad.flat[0]):#x} is not {what} of GF(2^{s.n})")
 
 
-def _check_exponent(d, name: str = "exponent") -> int:
-    """d as an int (a float raises TypeError); a negative d raises ValueError."""
-    if (d := operator.index(d)) < 0:
-        raise ValueError(f"{name} must be non-negative, got {d}")
-    return d
+def _check_int(value, name: str, lo: int, hi: int | None = None) -> int:
+    """value as an int (a float raises TypeError); None or out of [lo, hi] raises ValueError."""
+    if value is None or (value := operator.index(value)) < lo or hi is not None and value > hi:
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +259,7 @@ def f_pow(s: FieldSpec, a: int, d: int) -> int:
     implicitly by the group order through the arithmetic itself.
     """
     _check_elements(s, a)
-    return _pow(s.poly, a, _check_exponent(d))
+    return _pow(s.poly, a, _check_int(d, "exponent", 0))
 
 
 def f_inv(s: FieldSpec, a: int) -> int:
@@ -272,7 +272,7 @@ def f_inv(s: FieldSpec, a: int) -> int:
 def frobenius(s: FieldSpec, a: int, e: int) -> int:
     """e-fold Frobenius power a^(2^e), computed by e squarings."""
     _check_elements(s, a)
-    for _ in range(_check_exponent(e, "Frobenius power") % s.n):
+    for _ in range(_check_int(e, "Frobenius power", 0) % s.n):
         a = _mul(s.poly, a, a)
     return a
 
@@ -297,10 +297,10 @@ def trace_rel(s: FieldSpec, k: int, a: int) -> int:
     Raises
     ------
     ValueError
-        If k is not a positive divisor of n.
+        If k is not a positive divisor of n (:func:`_check_int` reads k).
     """
     _check_elements(s, a)
-    if k <= 0 or s.n % k:
+    if s.n % (k := _check_int(k, "subfield degree k", 1)):
         raise ValueError(f"GF(2^{k}) is not a subfield of GF(2^{s.n})")
     acc = 0
     x = a

@@ -47,7 +47,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .field import (FieldSpec, _arith, _check_elements, _check_exponent, _linear_map, _mul,
+from .field import (FieldSpec, _arith, _check_elements, _check_int, _linear_map, _mul,
                     _span, _trace_basis, trace_abs)
 
 __all__ = [
@@ -183,9 +183,9 @@ def build_lut(s: FieldSpec, d: int) -> FunctionTable:
 
     Each x != 0 is read off the log/exp tables of :mod:`gf2lab.field` as
     x^d = exp[log(x) * d mod 2^n - 1].  With the 0^0 = 1 convention, d = 0
-    yields the constant-1 table; any d > 0 maps 0 to 0; ``field._check_exponent`` checks d.
+    yields the constant-1 table; any d > 0 maps 0 to 0; ``field._check_int`` reads d.
     """
-    d = _check_exponent(d)
+    d = _check_int(d, "exponent", 0)
     A = _arith(s.n, s.poly)
     # log[0] = -1 lands on some element, which lut[0] then overwrites
     lut = A.exp[A.log * (d % A.order) % A.order]

@@ -52,7 +52,6 @@ split-coordinate suite are not full sweeps and need none.  A k outside
 
 from __future__ import annotations
 
-import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -61,7 +60,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .field import FieldSpec, _Arith, _arith, _check_elements, field_make
+from .field import FieldSpec, _Arith, _arith, _check_elements, _check_int, field_make
 from .spectra import (FunctionTable, build_lut, difference_row,
                       differential_uniformity, require_desk_scale, walsh_row)
 
@@ -78,6 +77,7 @@ __all__ = [
     "mm_basis",
     "all_gammas",
     "mm_decomposition_check",
+    "fiber_partition_check",
     "pi_fiber",
     "pi_image",
     "quartic_roots",
@@ -85,6 +85,7 @@ __all__ = [
     "mm_walsh_crosscheck",
     "mm_crosscheck_all",
     "m4_sum_check",
+    "delta_sweep",
     "run_all_checks",
 ]
 
@@ -125,9 +126,8 @@ def dobbertin_exponent(k: int) -> int:
     return (1 << (2 * k)) + (1 << k) + 1
 
 
-def _check_k(k: int) -> None:
-    if not 1 <= operator.index(k) <= MAX_K:
-        raise ValueError(f"k must be between 1 and {MAX_K}")
+def _check_k(k: int) -> int:
+    return _check_int(k, "k", 1, MAX_K)
 
 
 @lru_cache(maxsize=8)
@@ -139,11 +139,8 @@ def _family_table(k: int) -> FunctionTable:
     return build_lut(field_make(4 * k), dobbertin_exponent(k))
 
 
-def _check_samples(samples: int | None) -> None:
-    if samples is not None and operator.index(samples) < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    if samples is not None and samples > MAX_SAMPLES:
-        raise ValueError(f"samples must be at most 2^24 = {MAX_SAMPLES}, got {samples}")
+def _check_samples(samples: int | None) -> int | None:
+    return None if samples is None else _check_int(samples, "samples", 1, MAX_SAMPLES)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +214,7 @@ def diff_solution_count(k: int, a: int, b: int) -> tuple[int, frozenset[int]]:
 
     A count above four raises :class:`VerificationError`.
     """
-    table = _family_table(k := operator.index(k))
+    table = _family_table(k := _check_k(k))
     _check_elements(table.spec, b, "b")
     sols = frozenset(np.flatnonzero(difference_row(table, a).values == b).tolist())
     if len(sols) > 4:
@@ -232,7 +229,7 @@ def reduction_trace(k: int, a: int, b: int) -> ReductionTrace:
     The pair's own scanned solution set, divided by a, is one row of
     :func:`_derive_pass`; a failing step raises :class:`VerificationError`.
     """
-    table = _family_table(k := operator.index(k))
+    table = _family_table(k := _check_k(k))
     _check_elements(table.spec, b, "b")
     x, row, c = _scanned(k, np.array([a]), np.array([b]))
     cols = _derive_pass(k, x, row, c)
@@ -539,8 +536,8 @@ def reduction_sweep(k: int, *, samples: int | None = None) -> CheckReport:
     pair's error is the one :func:`reduction_trace` raises for it, from a
     one-row pass over its own scanned set: the report is the per-pair one.
     """
-    _check_samples(samples)
-    table = _family_table(k := operator.index(k))
+    samples = _check_samples(samples)
+    table = _family_table(k := _check_k(k))
     d = dobbertin_exponent(k)
     homogeneous = table.exponent == d
     if homogeneous:
@@ -577,8 +574,9 @@ class MMWitness:
     omega extend it so that x = y + omega*a splits the field over the
     half-degree subfield.  The fibers {a : pi(a) = u} of the inner map are
     two read-only arrays: ``members[j]`` lies in the fiber of ``images[j]``.
-    A basis element or member outside the field raises ValueError when the
-    witness is made, so no row indexes the log/exp tables with one.
+    A basis element or member outside the field, or a gamma of 0, raises
+    ValueError when the witness is made, so no row indexes the log/exp
+    tables with one or inverts a zero gamma.
     """
 
     k: int
@@ -591,13 +589,13 @@ class MMWitness:
 
     def __post_init__(self):
         for name in ("gamma", "alpha", "omega"):
-            _check_elements(self.spec, getattr(self, name), name)
+            _check_elements(self.spec, getattr(self, name), name, nonzero=name == "gamma")
         _check_elements(self.spec, self.members, "a member")
 
 
 def all_gammas(k: int) -> list[int]:
     """All nonzero gamma in GF(2^k) whose subfield absolute trace is 1."""
-    table = _family_table(k)
+    table = _family_table(k := _check_k(k))
     A = _arith(table.spec.n, table.spec.poly)
     return [g for g in A.subfield(k) if g and A.subtrace(g, k) == 1]
 
@@ -629,7 +627,7 @@ def mm_basis(k: int, *, gamma: int | None = None) -> MMWitness:
     are the half field in increasing order, tagged by pi unchecked, for
     the mm-fibers and mm-quartic rows to certify.
     """
-    table = _family_table(k := operator.index(k))
+    table = _family_table(k := _check_k(k))
     spec = table.spec
     A = _arith(spec.n, spec.poly)
     sub_2k = A.subfield(2 * k)
@@ -718,6 +716,25 @@ def mm_decomposition_check(w: MMWitness) -> CheckReport:
     return _report(f"mm-decomposition[k={k}]", ok, lambda i, j: VerificationError(
         "split-coordinate-form", "g(y + omega*a) differs from its split-coordinate form",
         k=k, y=sub_2k[i], a=sub_2k[j]))
+
+
+def fiber_partition_check(w: MMWitness) -> CheckReport:
+    """The fibers are those of pi on GF(2^(2k)): sizes sum to 2^(2k), all in
+    {1,2,4}, and the members are distinct elements of GF(2^(2k)) that pi
+    maps to their tag u."""
+    k, members, size = w.k, w.members, _fibers(w)[2]
+    sizes = Counter(size.tolist())  # in increasing u
+    strays = int(((pi_image(w, members) != w.images)
+                  | (_arith(w.spec.n, w.spec.poly).frob(members, 2 * k) != members)).sum())
+    # np.unique would load numpy.ma
+    repeats = members.size - np.count_nonzero(np.bincount(members))
+    first = None
+    if members.size != 1 << (2 * k) or not set(sizes) <= {1, 2, 4}:
+        first = f"partition broken: sizes {dict(sizes)}, total {members.size}"
+    elif repeats or strays:
+        first = (f"fibers are not those of pi: {repeats} repeated member(s), {strays} "
+                 f"outside GF(2^{2 * k}) or mapped off their fiber's u")
+    return CheckReport(f"mm-fibers[k={k}]", size.size, int(first is not None), first)
 
 
 @dataclass(frozen=True, eq=False)
@@ -900,7 +917,7 @@ def m4_sum_check(w: MMWitness) -> CheckReport:
 
 def delta_sweep(k: int, *, deep: bool = False) -> CheckReport:
     """Full-DDT check that the family's differential uniformity is exactly 4."""
-    table = _family_table(k := operator.index(k))
+    table = _family_table(k := _check_k(k))
     delta = differential_uniformity(table, deep=deep)
     rows = table.spec.size - 1
     ok = delta == 4
@@ -919,10 +936,9 @@ def run_all_checks(ks: Iterable[int], *, samples: int | None = None,
     need it are skipped for that gamma.  Every k is checked for range, size
     and repeats, and samples for range, before any suite runs.
     """
-    ks = [operator.index(k) for k in ks]
-    _check_samples(samples)
+    samples = _check_samples(samples)
+    ks = [_check_k(k) for k in ks]
     for k in ks:
-        _check_k(k)
         require_desk_scale(4 * k, deep)
     if len(set(ks)) < len(ks):
         raise ValueError(f"each k may be listed once, got {ks}")
@@ -943,21 +959,3 @@ def run_all_checks(ks: Iterable[int], *, samples: int | None = None,
             reports += [replace(r, name=r.name.replace("]", f"{tag}]")) for r in rows]
     return reports
 
-
-def fiber_partition_check(w: MMWitness) -> CheckReport:
-    """The fibers are those of pi on GF(2^(2k)): sizes sum to 2^(2k), all in
-    {1,2,4}, and the members are distinct elements of GF(2^(2k)) that pi
-    maps to their tag u."""
-    k, members, size = w.k, w.members, _fibers(w)[2]
-    sizes = Counter(size.tolist())  # in increasing u
-    strays = int(((pi_image(w, members) != w.images)
-                  | (_arith(w.spec.n, w.spec.poly).frob(members, 2 * k) != members)).sum())
-    # np.unique would load numpy.ma
-    repeats = members.size - np.count_nonzero(np.bincount(members))
-    first = None
-    if members.size != 1 << (2 * k) or not set(sizes) <= {1, 2, 4}:
-        first = f"partition broken: sizes {dict(sizes)}, total {members.size}"
-    elif repeats or strays:
-        first = (f"fibers are not those of pi: {repeats} repeated member(s), {strays} "
-                 f"outside GF(2^{2 * k}) or mapped off their fiber's u")
-    return CheckReport(f"mm-fibers[k={k}]", size.size, int(first is not None), first)

@@ -168,7 +168,7 @@ def test_analyze_alternate_modulus(capsys):
 def test_analyze_usage_errors(tmp_path, capsys):
     assert main(["analyze", "--exp", "-1", "--n", "4"]) == 2  # build_lut's rule
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == "error: exponent must be non-negative, got -1\n"
+    assert captured.out == "" and captured.err == "error: exponent must be an integer >= 0, got -1\n"
     assert main(["analyze", "--exp", "7"]) == 2          # missing --n
     assert main(["analyze", "--exp", "3", "--n", "4", "--poly", "11"]) == 2
     assert main(["analyze", "--exp", "3", "--n", "4", "--poly", "zz"]) == 2
@@ -298,7 +298,10 @@ def test_verify_usage_errors(capsys):
         assert main(["verify", "--k", "1", "--samples", samples]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("samples must be at least 1") == 2
+    assert captured.err.splitlines()[-3:] == [
+        "error: k must be an integer in [1, 4], got 9",
+        "error: samples must be an integer in [1, 16777216], got 0",
+        "error: samples must be an integer in [1, 16777216], got -3"]
 
 
 def test_verify_refuses_a_repeated_k(capsys):
@@ -323,7 +326,7 @@ def test_verify_refuses_a_sample_above_2_24_pairs_before_any_draw(monkeypatch, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: samples must be at most 2^24 = 16777216, got 16777217"]
+        "error: samples must be an integer in [1, 16777216], got 16777217"]
 
 
 def test_verify_reports_failures(monkeypatch, capsys):

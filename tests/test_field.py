@@ -29,7 +29,9 @@ from gf2lab import (
     pi_fiber,
     pi_image,
     quartic_roots,
+    reduction_sweep,
     reduction_trace,
+    run_all_checks,
     solve_linearized,
     trace_abs,
     trace_rel,
@@ -154,14 +156,15 @@ def test_every_element_entry_refuses_a_boolean(call, value):
         call(value)
 
 
-@pytest.mark.parametrize("value, shown", [(-1, r"-0x1 is not an element of GF\(2\^\d+\)"),
-                                          (1.5, "1.5 is not an integer")],
-                         ids=["negative", "float"])
+@pytest.mark.parametrize("value, shown", [
+    (-1, r"-0x1 is not (an|a nonzero) element of GF\(2\^\d+\)"), (1.5, "1.5 is not an integer")],
+    ids=["negative", "float"])
 @pytest.mark.parametrize("k", [1, 2])
 def test_the_witness_basis_is_checked_when_made(k, value, shown):
     # numpy read alpha = -1 as the log of element 2^n - 1: at k = 1 that
     # element also satisfies the decomposition, so mm-decomposition reported
-    # 0 failures, and alpha = 1.5 or mm_basis(1, gamma=1.0) raised IndexError
+    # 0 failures, and alpha = 1.5 or mm_basis(1, gamma=1.0) raised IndexError;
+    # the witness's gamma must also be nonzero
     w = mm_basis(k)
     for name in ("gamma", "alpha", "omega"):
         with pytest.raises(ValueError, match=f"^{name} {shown}$"):
@@ -177,7 +180,7 @@ def test_one_exponent_rule():
              "Frobenius power": [lambda d: frobenius(s, 3, d)]}
     for name, group in calls.items():
         for call in group:
-            with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -1$"):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0, got -1$"):
                 call(-1)
             with pytest.raises(TypeError):
                 call(2.5)
@@ -186,6 +189,48 @@ def test_one_exponent_rule():
     assert table.lut.tolist() == [f_pow(s, a, 0) for a in range(s.size)] == [1] * s.size
     assert permutation_check(4, 0).is_permutation is classify(table).is_permutation is False
     assert frobenius(s, 3, 0) == 3
+
+
+# entry point -> (call, parameter name, bound, refused values); every bounded
+# integer parameter is read by field._check_int, in the module that owns it,
+# and None is refused but where it is the default, as for samples
+INT_PARAMETERS = {
+    "field_make-n": (field_make, "degree n", "in [2, 24]", [1, 25, None]),
+    "f_pow-d": (lambda v: f_pow(field_make(4), 3, v), "exponent", ">= 0", [-1, None]),
+    "frobenius-e": (lambda v: frobenius(field_make(4), 3, v), "Frobenius power", ">= 0",
+                    [-1, None]),
+    "build_lut-d": (lambda v: build_lut(field_make(4), v).lut.tolist(), "exponent", ">= 0",
+                    [-1, None]),
+    "permutation_check-n": (lambda v: permutation_check(v, 5), "degree n", ">= 2", [1, None]),
+    "reduction_sweep-k": (lambda v: reduction_sweep(v, samples=3), "k", "in [1, 4]",
+                          [0, 5, None]),
+    "reduction_sweep-samples": (lambda v: reduction_sweep(1, samples=v), "samples",
+                                "in [1, 16777216]", [0, (1 << 24) + 1]),
+    "run_all_checks-k": (lambda v: run_all_checks([v], samples=3), "k", "in [1, 4]", [9, None]),
+    "trace_rel-k": (lambda v: trace_rel(field_make(4), v, 3), "subfield degree k", ">= 1",
+                    [0, None]),
+}
+
+
+@pytest.mark.parametrize("entry", INT_PARAMETERS)
+def test_one_integer_parameter_rule(entry):
+    call, name, bound, refused = INT_PARAMETERS[entry]
+
+    def refusal(value):
+        return f"^{re.escape(name)} must be an integer {re.escape(bound)}, got {value}$"
+
+    for value in refused:
+        with pytest.raises(ValueError, match=refusal(value)):
+            call(value)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call(2.0)
+    # a boolean is read as its int: True is 1, which only field_make and
+    # permutation_check refuse, and a numpy integer as the int itself
+    if 1 in refused:
+        with pytest.raises(ValueError, match=refusal(1)):
+            call(True)
+    else:
+        assert call(True) == call(1) == call(np.int64(1))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

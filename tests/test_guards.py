@@ -15,8 +15,10 @@ members tagged by u.  The replay's array pass is the only caller of its
 identity helpers, so the derivation is written once, and those helpers name
 no element constant but 0 and 1, which squaring fixes.  The pair sweep
 reads its passes only for which rows pass, and a failing pair's error is
-read off the one-row pass over its own set.  A k is checked where its
-family table is built, and once more by ``run_all_checks`` up front.  One
+read off the one-row pass over its own set.  A k is read through
+``theorems._check_k``, the one reader of ``MAX_K``, by every entry point, by
+``run_all_checks`` up front and where its family table is built, and every row
+that ``run_all_checks`` reports is exported.  One
 function sums the fibers of pi, no split row builds a fiber one u at a time
 or hands a case to a scalar re-check, and ``theorems`` takes no scalar
 solver from ``field``.  The GF(2) trace has one kernel, the masks of
@@ -27,9 +29,11 @@ loop.  Every tabulated GF(2)-linear map is filled by one kernel,
 Walsh mask table is its span of the trace basis and is built by
 ``walsh_row`` only, and the quadratic-root table takes no product.  The
 range, nonzero-element and integer rules for an element live in
-``field._check_elements`` alone, and the exponent's rule in
-``field._check_exponent``.  A catalog parameter has one check,
-``catalog._check_param``, and the catalog's rows are one table, which
+``field._check_elements`` alone, and the rule for a bounded integer parameter
+(a degree, an exponent, k, s or a sample count) in ``field._check_int``:
+outside ``field`` only ``catalog_table``, whose ``max_n`` is a filter with no
+bound, reads an integer with ``operator.index``.  The catalog raises no
+parameter message of its own, and its rows are one table, which
 ``_desk_rows`` filters with no branch per family.
 """
 
@@ -175,13 +179,35 @@ def test_a_replay_error_is_read_off_the_pairs_own_pass():
 
 
 def test_k_is_checked_where_its_table_is_built():
-    # every row reads its k through _family_table, which checks it;
-    # run_all_checks checks every k again up front, before any row runs
+    # every entry point reads its k through _check_k, the one reader of MAX_K;
+    # run_all_checks reads every k up front, before any row runs, and
+    # _family_table checks it again where a k becomes a table
     tree = ast.parse((Path(gf2lab.__file__).parent / "theorems.py").read_text())
-    callers = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
-               for call in ast.walk(node) if isinstance(call, ast.Call)
-               and getattr(call.func, "id", None) == "_check_k"}
-    assert callers == {"_family_table", "run_all_checks"}
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    callers = {node.name for node in functions for call in ast.walk(node)
+               if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_check_k"}
+    assert callers == {"_family_table", "run_all_checks", "diff_solution_count",
+                       "reduction_trace", "reduction_sweep", "mm_basis", "delta_sweep",
+                       "all_gammas"}
+    readers = {node.name for node in functions for name in ast.walk(node)
+               if isinstance(name, ast.Name) and name.id == "MAX_K"}
+    assert readers == {"_check_k"}
+
+
+def test_every_row_of_run_all_checks_is_exported():
+    # delta_sweep and fiber_partition_check were rows of verify that neither
+    # theorems.__all__ nor the package named
+    from gf2lab import theorems
+
+    tree = ast.parse(Path(theorems.__file__).read_text())
+    public = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_")}
+    called = {call.func.id for call in ast.walk(_function(tree, "run_all_checks"))
+              if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+    rows = called & public
+    assert {"delta_sweep", "fiber_partition_check", "m4_sum_check"} <= rows
+    assert rows <= set(theorems.__all__), rows - set(theorems.__all__)
+    assert all(getattr(gf2lab, name, None) is getattr(theorems, name) for name in rows)
 
 
 def test_split_rows_have_one_fiber_sum_and_no_scalar_fallback():
@@ -208,11 +234,12 @@ def test_split_rows_have_one_fiber_sum_and_no_scalar_fallback():
 def test_theorems_takes_no_scalar_solver_from_field():
     # the basis reads its quadratics off the root table and every row is one
     # array pass, so theorems needs no solver and no per-case tally; it takes
-    # the one element check from field
+    # the one element check and the one integer-parameter check from field
     tree = ast.parse((Path(gf2lab.__file__).parent / "theorems.py").read_text())
     imported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
                 and node.module == "field" for alias in node.names}
-    assert imported == {"FieldSpec", "_Arith", "_arith", "_check_elements", "field_make"}
+    assert imported == {"FieldSpec", "_Arith", "_arith", "_check_elements", "_check_int",
+                        "field_make"}
     assert "_tally" not in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
@@ -304,19 +331,25 @@ def _raised_texts(tree) -> list[str]:
 
 def test_one_home_for_the_range_nonzero_and_exponent_sign_rules():
     # field states the range, nonzero-element and integer rules and, in one
-    # function, the exponent's sign: spectra raises no element or dtype
-    # message of its own, no other module raises the sign message, and cli
-    # compares no exponent with a number
+    # function, the bounded-integer rule of a degree, an exponent, k, s or a
+    # sample count: spectra raises no element or dtype message of its own, no
+    # other function raises a "must be" message, only catalog_table (whose
+    # max_n has no bound) reads an integer outside field, and cli compares
+    # no exponent with a number
     package = Path(gf2lab.__file__).parent
-    spectra = ast.parse((package / "spectra.py").read_text())
-    messages = _raised_texts(spectra)
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.rglob("*.py"))}
+    messages = _raised_texts(trees["spectra.py"])
     assert not [m for m in messages if "range" in m or "element" in m
                 or "must be integers" in m], messages
-    homes = sorted(f"{path.name}:{func.name}" for path in sorted(package.rglob("*.py"))
-                   for func in ast.walk(ast.parse(path.read_text()))
-                   if isinstance(func, ast.FunctionDef)
-                   and any("non-negative" in m for m in _raised_texts(func)))
-    assert homes == ["field.py:_check_exponent"], homes
+    homes = sorted(f"{name}:{func.name}" for name, tree in trees.items()
+                   for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                   and any("must be" in m or "non-negative" in m for m in _raised_texts(func)))
+    assert homes == ["field.py:_check_int"], homes
+    readers = sorted(f"{name}:{func.name}" for name, tree in trees.items() if name != "field.py"
+                     for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                     for node in ast.walk(func) if isinstance(node, ast.Attribute)
+                     and node.attr == "index" and getattr(node.value, "id", None) == "operator")
+    assert readers == ["catalog.py:catalog_table"], readers
     cli = ast.parse((package / "cli.py").read_text())
     signs = [ast.unparse(node) for node in ast.walk(cli) if isinstance(node, ast.Compare)
              and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)
@@ -327,12 +360,18 @@ def test_one_home_for_the_range_nonzero_and_exponent_sign_rules():
 
 def test_one_catalog_parameter_check_and_one_row_table():
     # family_exponent used to state its missing-parameter rule once per
-    # family, and _desk_rows to build its rows in one if block per family
+    # family, then catalog._check_param once for the module, and _desk_rows
+    # to build its rows in one if block per family; field._check_int reads
+    # every parameter now
     tree = ast.parse((Path(gf2lab.__file__).parent / "catalog.py").read_text())
     homes = sorted(func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
                    and any(word in m for m in _raised_texts(func)
                            for word in ("requires", "must be", ">=")))
-    assert homes == ["_check_param"], homes
+    assert not homes, homes
+    readers = {func.name for func in tree.body if isinstance(func, ast.FunctionDef)
+               for call in ast.walk(func) if isinstance(call, ast.Call)
+               and getattr(call.func, "id", None) == "_check_int"}
+    assert readers == {"family_exponent", "permutation_check"}
     rows = _function(tree, "_desk_rows")
     branches = [node.lineno for node in ast.walk(rows) if isinstance(node, (ast.If, ast.For))]
     assert not branches, f"_desk_rows branches at lines {branches}"

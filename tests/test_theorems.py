@@ -63,7 +63,7 @@ def test_k_range_validation():
     for call in (lambda: diff_solution_count(0, 1, 0), lambda: reduction_trace(0, 1, 0),
                  lambda: reduction_sweep(5), lambda: all_gammas(5), lambda: mm_basis(5),
                  lambda: theorems.delta_sweep(0)):
-        with pytest.raises(ValueError, match=r"^k must be between 1 and 4$"):
+        with pytest.raises(ValueError, match=r"^k must be an integer in \[1, 4\], got [05]$"):
             call()
     # the split-coordinate basis is no full sweep: k = 4 runs without deep
     assert mm_basis(4).gamma in all_gammas(4)
@@ -80,6 +80,7 @@ def test_verify_counts_are_read_as_integers():
     assert theorems.delta_sweep(True).name == "delta-sweep[k=1]"
     assert reduction_sweep(True).name == "reduction-replay[k=1]"
     assert type(mm_basis(True).k) is type(reduction_trace(True, 1, 1).k) is int
+    assert all_gammas(True) == all_gammas(1) == [1]
 
 
 def test_diff_solution_count_validation():
@@ -226,7 +227,8 @@ def test_a_sample_above_2_24_pairs_is_refused_before_any_draw(monkeypatch):
         reduction_sweep(3, samples=1 << 24)
     for call in (lambda n: reduction_sweep(3, samples=n),
                  lambda n: run_all_checks([1], samples=n)):
-        with pytest.raises(ValueError, match=r"at most 2\^24 = 16777216, got 16777217"):
+        with pytest.raises(ValueError, match=r"^samples must be an integer in \[1, 16777216\], "
+                                             r"got 16777217$"):
             call((1 << 24) + 1)
 
 
@@ -864,6 +866,16 @@ def test_mm_basis_alternate_gamma():
     assert mm_decomposition_check(w).ok
     with pytest.raises(ValueError):
         mm_basis(2, gamma=0x1)  # not a trace-one subfield element
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_the_witness_refuses_a_zero_gamma(k):
+    # a witness with gamma = 0 passed mm-decomposition, counted failures in
+    # the fiber, quartic and extremal-sum rows and died in walsh_row in the
+    # crosscheck; the quartic reads gamma^(-1), which 0 has not
+    shown = rf"^gamma 0x0 is not a nonzero element of GF\(2\^{4 * k}\)$"
+    with pytest.raises(ValueError, match=shown):
+        replace(mm_basis(k), gamma=0)
 
 
 def _root_entry(read, value):

@@ -47,7 +47,8 @@ failed ``mm-basis`` row; :func:`run_all_checks` skips its gamma's suites.
 The full difference-table sweep at k = 4 (degree 16) needs ``deep=True``,
 as decided by :func:`gf2lab.spectra.require_desk_scale`; the replay and the
 split-coordinate suite are not full sweeps and need none.  A k outside
-[1, MAX_K] is refused where its family table is built.
+[1, MAX_K] is refused by the entry point that reads it, before any table
+is built.
 """
 
 from __future__ import annotations
@@ -132,10 +133,9 @@ def _check_k(k: int) -> int:
 
 @lru_cache(maxsize=8)
 def _family_table(k: int) -> FunctionTable:
-    """The family's table on GF(2^(4k)), the one place a k becomes a table:
-    a k outside [1, MAX_K] raises ValueError here, on every call, since the
-    cache keeps only returns."""
-    _check_k(k)
+    """The family's table on GF(2^(4k)), the one place a k becomes a table;
+    every entry point reads its k through :func:`_check_k` before it gets
+    here, so a k outside [1, MAX_K] is refused before any table is built."""
     return build_lut(field_make(4 * k), dobbertin_exponent(k))
 
 

@@ -156,35 +156,42 @@ def test_every_element_entry_refuses_a_boolean(call, value):
         call(value)
 
 
-@pytest.mark.parametrize("value, shown", [
-    (-1, r"-0x1 is not (an|a nonzero) element of GF\(2\^\d+\)"), (1.5, "1.5 is not an integer")],
-    ids=["negative", "float"])
-@pytest.mark.parametrize("k", [1, 2])
-def test_the_witness_basis_is_checked_when_made(k, value, shown):
+@pytest.mark.parametrize("value", [-1, 1.5, 0], ids=["negative", "float", "zero"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_the_witness_basis_is_checked_when_made(k, value):
     # numpy read alpha = -1 as the log of element 2^n - 1: at k = 1 that
     # element also satisfies the decomposition, so mm-decomposition reported
     # 0 failures, and alpha = 1.5 or mm_basis(1, gamma=1.0) raised IndexError;
-    # the witness's gamma must also be nonzero
+    # a witness with gamma = 0 passed mm-decomposition, counted failures in
+    # the fiber, quartic and extremal-sum rows and died in walsh_row in the
+    # crosscheck, so gamma must be nonzero; alpha and omega may be 0, since
+    # omega = 0 is the pinned omega+g corruption at k = 1
     w = mm_basis(k)
-    for name in ("gamma", "alpha", "omega"):
-        with pytest.raises(ValueError, match=f"^{name} {shown}$"):
-            replace(w, **{name: value})
-    with pytest.raises(ValueError, match=f"^gamma {shown}$"):
+
+    def refusal(name, kind, n=4 * k):
+        text = "1.5 is not an integer" if value == 1.5 else \
+            f"{value:#x} is not {kind} element of GF(2^{n})"
+        return f"^{name} {re.escape(text)}$"
+
+    with pytest.raises(ValueError, match=refusal("gamma", "a nonzero")):
+        replace(w, gamma=value)
+    for name in ("alpha", "omega"):
+        if value == 0:
+            assert getattr(replace(w, **{name: 0}), name) == 0
+        else:
+            with pytest.raises(ValueError, match=refusal(name, "an")):
+                replace(w, **{name: value})
+    # mm_basis reads gamma as an element, then refuses 0 as not trace-one
+    expected = refusal("gamma", "a trace-one", k) if value == 0 else refusal("gamma", "an")
+    with pytest.raises(ValueError, match=expected):
         mm_basis(k, gamma=value)
 
 
 def test_one_exponent_rule():
+    # the refusals of a negative, float or missing exponent are rows of
+    # test_one_integer_parameter_rule; d = 0 is accepted everywhere: x^0 is
+    # the constant 1 (0^0 = 1), which no check calls a permutation
     s = field_make(4)
-    calls = {"exponent": [lambda d: f_pow(s, 3, d), lambda d: build_lut(s, d),
-                          lambda d: permutation_check(4, d)],
-             "Frobenius power": [lambda d: frobenius(s, 3, d)]}
-    for name, group in calls.items():
-        for call in group:
-            with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0, got -1$"):
-                call(-1)
-            with pytest.raises(TypeError):
-                call(2.5)
-    # d = 0: x^0 is the constant 1 (0^0 = 1), which no check calls a permutation
     table = build_lut(s, 0)
     assert table.lut.tolist() == [f_pow(s, a, 0) for a in range(s.size)] == [1] * s.size
     assert permutation_check(4, 0).is_permutation is classify(table).is_permutation is False
@@ -202,6 +209,7 @@ INT_PARAMETERS = {
     "build_lut-d": (lambda v: build_lut(field_make(4), v).lut.tolist(), "exponent", ">= 0",
                     [-1, None]),
     "permutation_check-n": (lambda v: permutation_check(v, 5), "degree n", ">= 2", [1, None]),
+    "permutation_check-d": (lambda v: permutation_check(4, v), "exponent", ">= 0", [-1, None]),
     "reduction_sweep-k": (lambda v: reduction_sweep(v, samples=3), "k", "in [1, 4]",
                           [0, 5, None]),
     "reduction_sweep-samples": (lambda v: reduction_sweep(1, samples=v), "samples",

@@ -16,8 +16,8 @@ identity helpers, so the derivation is written once, and those helpers name
 no element constant but 0 and 1, which squaring fixes.  The pair sweep
 reads its passes only for which rows pass, and a failing pair's error is
 read off the one-row pass over its own set.  A k is read through
-``theorems._check_k``, the one reader of ``MAX_K``, by every entry point, by
-``run_all_checks`` up front and where its family table is built, and every row
+``theorems._check_k``, the one reader of ``MAX_K``, by every entry point
+before its family table is built and by ``run_all_checks`` up front, and every row
 that ``run_all_checks`` reports is exported.  One
 function sums the fibers of pi, no split row builds a fiber one u at a time
 or hands a case to a scalar re-check, and ``theorems`` takes no scalar
@@ -179,14 +179,15 @@ def test_a_replay_error_is_read_off_the_pairs_own_pass():
 
 
 def test_k_is_checked_where_its_table_is_built():
-    # every entry point reads its k through _check_k, the one reader of MAX_K;
-    # run_all_checks reads every k up front, before any row runs, and
-    # _family_table checks it again where a k becomes a table
+    # every entry point reads its k through _check_k, the one reader of
+    # MAX_K, before it builds its family table, and run_all_checks reads
+    # every k up front, before any row runs; _family_table checks no k
+    # again, so a k is checked once per call
     tree = ast.parse((Path(gf2lab.__file__).parent / "theorems.py").read_text())
     functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
     callers = {node.name for node in functions for call in ast.walk(node)
                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_check_k"}
-    assert callers == {"_family_table", "run_all_checks", "diff_solution_count",
+    assert callers == {"run_all_checks", "diff_solution_count",
                        "reduction_trace", "reduction_sweep", "mm_basis", "delta_sweep",
                        "all_gammas"}
     readers = {node.name for node in functions for name in ast.walk(node)

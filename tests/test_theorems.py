@@ -868,16 +868,6 @@ def test_mm_basis_alternate_gamma():
         mm_basis(2, gamma=0x1)  # not a trace-one subfield element
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_the_witness_refuses_a_zero_gamma(k):
-    # a witness with gamma = 0 passed mm-decomposition, counted failures in
-    # the fiber, quartic and extremal-sum rows and died in walsh_row in the
-    # crosscheck; the quartic reads gamma^(-1), which 0 has not
-    shown = rf"^gamma 0x0 is not a nonzero element of GF\(2\^{4 * k}\)$"
-    with pytest.raises(ValueError, match=shown):
-        replace(mm_basis(k), gamma=0)
-
-
 def _root_entry(read, value):
     """A corruption that makes the root table answer ``value`` for
     w^2 + w = e at e = the ``read`` element of the k = 2 basis: alpha is

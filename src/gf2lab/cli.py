@@ -43,9 +43,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--deep", action="store_true",
                    help="allow passes that fill more entries than a full sweep "
                         "over GF(2^15): full sweeps with n >= 16 (analyze "
-                        "--ddt-csv or a table without power structure, verify "
-                        "--k 4) and the larger power-map orbit passes; on "
-                        "catalog, add the n = 10 Gold and Kasami rows")
+                        "--ddt-csv or a table without power structure) and the "
+                        "larger power-map orbit passes; on catalog, add the "
+                        "n = 10 Gold and Kasami rows; ignored by verify")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -196,8 +196,7 @@ def _verify(args) -> int:
     if not ks:
         return _fail_usage("empty --k list")
     try:
-        reports = run_all_checks(ks, samples=args.samples,
-                                 all_gamma=args.all_gamma, deep=args.deep)
+        reports = run_all_checks(ks, samples=args.samples, all_gamma=args.all_gamma)
     except ValueError as e:
         return _fail_usage(str(e))
     width = max(len(r.name) for r in reports)

@@ -44,11 +44,10 @@ exception propagates; but ``delta-sweep`` counts 2^n - 1 rows, and
 a text that is no VerificationError).  A basis that fails to construct is a
 failed ``mm-basis`` row; :func:`run_all_checks` skips its gamma's suites.
 
-The full difference-table sweep at k = 4 (degree 16) needs ``deep=True``,
-as decided by :func:`gf2lab.spectra.require_desk_scale`; the replay and the
-split-coordinate suite are not full sweeps and need none.  A k outside
-[1, MAX_K] is refused by the entry point that reads it, before any table
-is built.
+No row is a full sweep: ``delta-sweep`` decides the 2^n - 1 rows of the
+difference table through its row a = 1 (see :func:`delta_sweep`), so no k
+in [1, MAX_K] needs ``deep``.  A k outside [1, MAX_K] is refused by the
+entry point that reads it, before any table is built.
 """
 
 from __future__ import annotations
@@ -62,8 +61,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .field import FieldSpec, _Arith, _arith, _check_elements, _check_int, field_make
-from .spectra import (FunctionTable, build_lut, difference_row,
-                      differential_uniformity, require_desk_scale, walsh_row)
+from .spectra import FunctionTable, _delta, build_lut, difference_row, walsh_row
 
 __all__ = [
     "VerificationError",
@@ -915,36 +913,37 @@ def m4_sum_check(w: MMWitness) -> CheckReport:
 # combined driver
 # ---------------------------------------------------------------------------
 
-def delta_sweep(k: int, *, deep: bool = False) -> CheckReport:
-    """Full-DDT check that the family's differential uniformity is exactly 4."""
+def delta_sweep(k: int) -> CheckReport:
+    """Check that the family's delta is exactly 4 on all 2^n - 1 rows of its
+    difference table.  The table is x^d, so x = a*y gives delta(a, b) =
+    delta(1, b / a^d), and ``spectra._delta`` decides every row by the row
+    a = 1 (:func:`gf2lab.spectra.power_delta`); a table without an
+    exponent takes the full sweep under the ordinary size gate."""
     table = _family_table(k := _check_k(k))
-    delta = differential_uniformity(table, deep=deep)
-    rows = table.spec.size - 1
+    delta = _delta(table, deep=False)
     ok = delta == 4
-    return CheckReport(f"delta-sweep[k={k}]", rows, 0 if ok else 1,
+    return CheckReport(f"delta-sweep[k={k}]", table.spec.size - 1, 0 if ok else 1,
                        None if ok else f"measured delta {delta} != 4")
 
 
 def run_all_checks(ks: Iterable[int], *, samples: int | None = None,
-                   all_gamma: bool = False, deep: bool = False) -> list[CheckReport]:
+                   all_gamma: bool = False) -> list[CheckReport]:
     """Run every verification suite for the requested k values.
 
     Returns the reports in a fixed order (delta sweep, reduction replay,
     then the split-coordinate suite per gamma), suitable for tabular
     display; failures are counted in the reports.  A basis that fails to
     construct is an ``mm-basis`` row with one failure, and the suites that
-    need it are skipped for that gamma.  Every k is checked for range, size
-    and repeats, and samples for range, before any suite runs.
+    need it are skipped for that gamma.  Every k is checked for range and
+    repeats, and samples for range, before any suite runs.
     """
     samples = _check_samples(samples)
     ks = [_check_k(k) for k in ks]
-    for k in ks:
-        require_desk_scale(4 * k, deep)
     if len(set(ks)) < len(ks):
         raise ValueError(f"each k may be listed once, got {ks}")
     reports: list[CheckReport] = []
     for k in ks:
-        reports.append(delta_sweep(k, deep=deep))
+        reports.append(delta_sweep(k))
         reports.append(reduction_sweep(k, samples=samples))
         for g in (all_gammas(k) if all_gamma else [None]):
             try:

@@ -211,11 +211,10 @@ def test_every_entry_point_refuses_degree_16_before_any_work(tmp_path, capsys):
     for source in (["--exp", "3", "--n", "16"], ["--lut", str(lut16)]):
         assert main(["analyze", *source, *flags]) == 2
         assert not any(p.exists() for p in outs)
-    assert main(["verify", "--k", "4"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     errs = captured.err.splitlines()
-    assert len(errs) == 3
+    assert len(errs) == 2
     assert all("GF(2^16)" in e and "deep=True" in e and "--deep" in e for e in errs)
 
 
@@ -288,6 +287,17 @@ def test_verify_success(capsys):
     assert "delta-sweep[k=1]" in out
     assert "mm-extremal-sum[k=1]" in out
     assert "all checks passed" in out
+
+
+def test_verify_k4_needs_no_deep_and_ignores_it(capsys):
+    # delta-sweep reads one difference row, so no verify row is a full sweep
+    runs = []
+    for flag in ([], ["--deep"]):
+        assert main(["verify", "--k", "4", *flag]) == 0
+        runs.append(capsys.readouterr())
+    plain, deep = runs
+    assert plain.out == deep.out and plain.err == deep.err == ""
+    assert plain.out.splitlines()[1].split() == ["delta-sweep[k=4]", "65535", "0"]
 
 
 def test_verify_usage_errors(capsys):

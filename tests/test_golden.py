@@ -45,7 +45,8 @@ CASES = dict([
     ("verify --k 3 --samples 20000", ["verify", "--k", "3", "--samples", "20000"]),
     ("verify --k 3 --all-gamma --samples 5000",
      ["verify", "--k", "3", "--all-gamma", "--samples", "5000"]),
-    ("verify --k 1,2,4 (refused)", ["verify", "--k", "1,2,4"]),
+    ("verify --k 1,2,4", ["verify", "--k", "1,2,4"]),
+    ("verify --k 1,2,5 (refused)", ["verify", "--k", "1,2,5"]),
     ("verify --samples 0 (refused)", ["verify", "--samples", "0"]),
     ("verify --k 1,1 (refused)", ["verify", "--k", "1,1"]),
     ("catalog --max-n 12", ["catalog", "--max-n", "12"]),

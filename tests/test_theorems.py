@@ -22,12 +22,14 @@ from gf2lab import (
     build_lut,
     diff_solution_count,
     difference_row,
+    differential_uniformity,
     dobbertin_exponent,
     f_inv,
     f_mul,
     f_pow,
     field_make,
     frobenius,
+    lut_from_values,
     m4_sum_check,
     mm_basis,
     mm_crosscheck_all,
@@ -43,8 +45,9 @@ from gf2lab import (
     reduction_trace,
     run_all_checks,
     solve_linearized,
+    walsh_spectrum,
 )
-from gf2lab import theorems
+from gf2lab import spectra, theorems
 from gf2lab.field import _Arith, _arith, _log_exp_tables, _mul
 from gf2lab.spectra import walsh_coefficient_direct
 from gf2lab.theorems import (
@@ -1383,6 +1386,42 @@ def test_paper_claims_beyond_desk_scale():
         assert suite(w).ok
 
 
+def _walsh_law(table, k):
+    """The signed Walsh counts of the family over every a and b != 0, from
+    the first four power moments, given the support {0, +-w1, +-2*w1}
+    (w1 = 2^(2k)), omega_4 and delta(1, 1), both read off the row a = 1.
+
+    M_j counts the coefficients of magnitude j*w1, and D_j = M_j+ - M_j-:
+    Parseval and the fourth moment give M_2 = N(2^n + 8 omega_4)/12 and
+    M_1 = 2^n N - 4 M_2 (N = 2^n - 1); the first and third moments give
+    D_2 = w1 N (delta(1, 1) - 1)/6 and D_1 = w1 N - 2 D_2.  Counts of 0
+    are left out.
+    """
+    counts = difference_row(table, 1).counts
+    omega4, d11 = int((counts == 4).sum()), int(counts[1])
+    size, w1 = 1 << (4 * k), 1 << (2 * k)
+    order = size - 1
+    m2, r2 = divmod(order * (size + 8 * omega4), 12)
+    d2, r = divmod(w1 * order * (d11 - 1), 6)
+    assert r2 == r == 0
+    m1 = size * order - 4 * m2
+    d1 = w1 * order - 2 * d2
+    law = {0: size * order - m1 - m2,
+           2 * w1: (m2 + d2) // 2, -2 * w1: (m2 - d2) // 2,
+           w1: (m1 + d1) // 2, -w1: (m1 - d1) // 2}
+    return {w: c for w, c in law.items() if c}
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_walsh_histogram_follows_from_row_1(k):
+    # k = 1 has no -2^(2k+1) coefficient: there M_2+ - M_2- = M_2
+    table = build_lut(field_make(4 * k), dobbertin_exponent(k))
+    law = _walsh_law(table, k)
+    assert dict(power_walsh_spectrum(table).histogram) == law
+    if k <= 3:
+        assert dict(walsh_spectrum(table).histogram) == law
+
+
 def test_run_all_checks_order_and_success():
     reports = run_all_checks([1])
     names = [r.name for r in reports]
@@ -1401,11 +1440,9 @@ def test_run_all_checks_order_and_success():
 
 def test_run_all_checks_refuses_before_any_suite(monkeypatch):
     ran = []
-    monkeypatch.setattr(theorems, "delta_sweep", lambda k, deep: ran.append(k))
-    with pytest.raises(ValueError, match="deep"):
-        run_all_checks([1, 4])
-    with pytest.raises(ValueError):
-        run_all_checks([1, 5], deep=True)
+    monkeypatch.setattr(theorems, "delta_sweep", lambda k: ran.append(k))
+    with pytest.raises(ValueError, match=r"got 5$"):
+        run_all_checks([1, 5])
     for samples in (0, -3):
         with pytest.raises(ValueError, match="samples"):
             run_all_checks([1], samples=samples)
@@ -1429,6 +1466,28 @@ def test_run_all_checks_deterministic():
     a = run_all_checks([3], samples=30)
     b = run_all_checks([3], samples=30)
     assert a == b
+
+
+def test_delta_sweep_reports_a_delta_other_than_4(monkeypatch):
+    # a table with an exponent is decided by its row a = 1, one without by
+    # the full sweep; either way the row counts 2^n - 1 rows and one failure
+    full = []
+    monkeypatch.setattr(spectra, "differential_uniformity",
+                        lambda f, deep: full.append(f) or differential_uniformity(f))
+    s = field_make(8)
+    monkeypatch.setattr(theorems, "_family_table", lambda k: build_lut(s, 3))
+    assert theorems.delta_sweep(2) == CheckReport(
+        "delta-sweep[k=2]", 255, 1, "measured delta 2 != 4")
+    assert full == []
+    rng = random.Random(2009)
+    perm = lut_from_values(s, rng.sample(range(s.size), s.size))
+    assert perm.exponent is None
+    delta = differential_uniformity(perm)
+    assert delta != 4
+    monkeypatch.setattr(theorems, "_family_table", lambda k: perm)
+    assert theorems.delta_sweep(2) == CheckReport(
+        "delta-sweep[k=2]", 255, 1, f"measured delta {delta} != 4")
+    assert len(full) == 1 and full[0] is perm
 
 
 def _patched(target, wrapper):

@@ -28,8 +28,8 @@ import time
 import numpy as np
 
 from .catalog import catalog_table
-from .field import FieldConstructionError, field_make
-from .lutio import _HEX_TOKEN, LutParseError, read_lut, write_lut
+from .field import field_make
+from .lutio import _HEX_TOKEN, read_lut, write_lut
 from .report import AnalysisReport, report_to_json
 from .spectra import (FunctionTable, _delta, _half_rows, _spectrum, build_lut,
                       require_desk_scale, summarize)
@@ -128,7 +128,7 @@ def _analyze(args) -> int:
         try:
             poly = None if args.poly is None else int(args.poly, 16)
             s = field_make(args.n, poly)
-        except (ValueError, FieldConstructionError) as e:
+        except ValueError as e:
             return _fail_usage(str(e))
         exponent, digest = args.exp, None
     else:
@@ -137,7 +137,7 @@ def _analyze(args) -> int:
                                "names its field in its header")
         try:
             table, digest = read_lut(args.lut)
-        except (LutParseError, FieldConstructionError, ValueError) as e:
+        except ValueError as e:
             return _fail_usage(f"{args.lut}: {e}")
         s, exponent = table.spec, None
     # the DDT dump is a full sweep whatever the map

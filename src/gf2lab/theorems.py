@@ -55,7 +55,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -574,7 +574,8 @@ class MMWitness:
     two read-only arrays: ``members[j]`` lies in the fiber of ``images[j]``.
     A basis element or member outside the field, or a gamma of 0, raises
     ValueError when the witness is made, so no row indexes the log/exp
-    tables with one or inverts a zero gamma.
+    tables with one or inverts a zero gamma.  ``arith``, ``half`` and
+    ``fibers`` are derived on first read, so a replaced witness derives its own.
     """
 
     k: int
@@ -589,6 +590,25 @@ class MMWitness:
         for name in ("gamma", "alpha", "omega"):
             _check_elements(self.spec, getattr(self, name), name, nonzero=name == "gamma")
         _check_elements(self.spec, self.members, "a member")
+
+    @cached_property
+    def arith(self) -> _Arith:
+        return _arith(self.spec.n, self.spec.poly)
+
+    @cached_property
+    def half(self) -> tuple[int, ...]:
+        """GF(2^(2k)) in increasing order, where the split coordinates lie."""
+        return self.arith.subfield(2 * self.k)
+
+    @cached_property
+    def fibers(self) -> tuple:
+        """The attained u (increasing), each member's index among them and the fiber sizes."""
+        s = np.sort(self.images)
+        us = s[np.diff(s, prepend=s[:1] - 1) != 0]
+        tag = np.searchsorted(us, self.images)
+        size = np.bincount(tag)
+        us.flags.writeable = tag.flags.writeable = size.flags.writeable = False
+        return us, tag, size
 
 
 def all_gammas(k: int) -> list[int]:
@@ -605,7 +625,7 @@ def pi_image(w: MMWitness, a):
     element outside the field raises ValueError.
     """
     _check_elements(w.spec, a, "a")
-    A = _arith(w.spec.n, w.spec.poly)
+    A = w.arith
     u = (A.mul(w.gamma, A.frob(a, w.k - 1))
          ^ A.mul(A.mul(w.gamma, w.gamma), A.mul(A.frob(a, w.k), a)))
     return u if isinstance(a, np.ndarray) else int(u)
@@ -625,10 +645,8 @@ def mm_basis(k: int, *, gamma: int | None = None) -> MMWitness:
     are the half field in increasing order, tagged by pi unchecked, for
     the mm-fibers and mm-quartic rows to certify.
     """
-    table = _family_table(k := _check_k(k))
-    spec = table.spec
+    spec = _family_table(k := _check_k(k)).spec
     A = _arith(spec.n, spec.poly)
-    sub_2k = A.subfield(2 * k)
     candidates = all_gammas(k)
     gamma = candidates[0] if gamma is None else gamma
     _check_elements(spec, gamma, "gamma")
@@ -661,7 +679,7 @@ def mm_basis(k: int, *, gamma: int | None = None) -> MMWitness:
     if omega ^ A.frob(omega, 2 * k) != 1:
         raise VerificationError(
             "omega-conjugate-gap", "omega + omega^(2^2k) != 1", k=k, omega=omega)
-    sub = np.array(sub_2k)
+    sub = np.array(A.subfield(2 * k))
     images = pi_image(MMWitness(k, spec, gamma, alpha, omega, sub, sub), sub)
     sub.flags.writeable = images.flags.writeable = False
     return MMWitness(k, spec, gamma, alpha, omega, sub, images)
@@ -674,26 +692,17 @@ def pi_fiber(w: MMWitness, u: int) -> frozenset[int]:
     return frozenset(w.members[w.images == u].tolist())
 
 
-def _fibers(w: MMWitness) -> tuple:
-    """The attained u in increasing order, each member's index among them and
-    the fiber sizes."""
-    s = np.sort(w.images)
-    us = s[np.diff(s, prepend=s[:1] - 1) != 0]
-    tag = np.searchsorted(us, w.images)
-    return us, tag, np.bincount(tag)
-
-
 def _check_half(w: MMWitness, a, name: str) -> None:
     """Refuse an element outside GF(2^(2k)), where no split coordinate lies."""
     _check_elements(w.spec, a, name)
-    if _arith(w.spec.n, w.spec.poly).frob(a, 2 * w.k) != a:
+    if w.arith.frob(a, 2 * w.k) != a:
         raise ValueError(f"{name} {a:#x} is not in the half-degree subfield")
 
 
-def _split_offset(w: MMWitness, A: _Arith, a):
+def _split_offset(w: MMWitness, a):
     """The y-free term alpha*gamma^2*a^(2^k+2) of the split-coordinate form."""
-    ag2 = A.mul(w.alpha, A.mul(w.gamma, w.gamma))
-    return A.mul(ag2, A.pow(a, (1 << w.k) + 2))
+    A = w.arith
+    return A.mul(A.mul(w.alpha, A.mul(w.gamma, w.gamma)), A.pow(a, (1 << w.k) + 2))
 
 
 def mm_decomposition_check(w: MMWitness) -> CheckReport:
@@ -702,28 +711,25 @@ def mm_decomposition_check(w: MMWitness) -> CheckReport:
     The split form is the half-field trace of y*pi(a) + alpha*gamma^2*
     a^(2^k+2); it is linear in y, which is what the fiber analysis uses.
     """
-    A = _arith(w.spec.n, w.spec.poly)
-    k = w.k
-    sub_2k = A.subfield(2 * k)
+    A, k, a = w.arith, w.k, np.array(w.half)
     # the whole grid at once, y along rows and a along columns
-    a = np.array(sub_2k)
     y = a[:, None]
     g = A.subtrace(A.mul(A.mul(w.gamma, w.gamma),
                          A.pow(y ^ A.mul(w.omega, a), dobbertin_exponent(k))), A.n)
-    ok = g == A.subtrace(A.mul(y, pi_image(w, a)) ^ _split_offset(w, A, a), 2 * k)
+    ok = g == A.subtrace(A.mul(y, pi_image(w, a)) ^ _split_offset(w, a), 2 * k)
     return _report(f"mm-decomposition[k={k}]", ok, lambda i, j: VerificationError(
         "split-coordinate-form", "g(y + omega*a) differs from its split-coordinate form",
-        k=k, y=sub_2k[i], a=sub_2k[j]))
+        k=k, y=a[i], a=a[j]))
 
 
 def fiber_partition_check(w: MMWitness) -> CheckReport:
     """The fibers are those of pi on GF(2^(2k)): sizes sum to 2^(2k), all in
     {1,2,4}, and the members are distinct elements of GF(2^(2k)) that pi
     maps to their tag u."""
-    k, members, size = w.k, w.members, _fibers(w)[2]
+    k, members, size = w.k, w.members, w.fibers[2]
     sizes = Counter(size.tolist())  # in increasing u
     strays = int(((pi_image(w, members) != w.images)
-                  | (_arith(w.spec.n, w.spec.poly).frob(members, 2 * k) != members)).sum())
+                  | (w.arith.frob(members, 2 * k) != members)).sum())
     # np.unique would load numpy.ma
     repeats = members.size - np.count_nonzero(np.bincount(members))
     first = None
@@ -754,7 +760,7 @@ def _rebuilds(w: MMWitness, a0: np.ndarray, x: np.ndarray, row: np.ndarray) -> t
     a0[i], are the members x[j] with row[j] == i; also the c of GF(2^k) and
     the roots as a mask over them, a0 along rows.  A row passes when it has
     as many roots as members and every member is a0 + c^2 at one of them."""
-    A = _arith(w.spec.n, w.spec.poly)
+    A = w.arith
     c = np.array(A.subfield(w.k))
     c2 = A.mul(c, c)
     root = (A.mul(c2, c2) ^ A.mul((A.frob(a0, w.k) ^ a0)[:, None], c2)
@@ -796,11 +802,11 @@ def quartic_check_all(w: MMWitness) -> CheckReport:
     u = pi(a0) where the quartic at a0 does not rebuild the members tagged u.
     """
     k = w.k
-    us, tag, _ = _fibers(w)
+    us, tag, _ = w.fibers
     a0 = np.full(us.size, np.iinfo(np.int64).max)
     np.minimum.at(a0, tag, w.members)
     u0 = pi_image(w, a0)
-    in_half = _arith(w.spec.n, w.spec.poly).frob(a0, 2 * k) == a0
+    in_half = w.arith.frob(a0, 2 * k) == a0
     rebuilt = _rebuilds(w, a0, w.members, tag)[0]
 
     def error(i: int) -> VerificationError:
@@ -814,37 +820,35 @@ def quartic_check_all(w: MMWitness) -> CheckReport:
     return _report(f"mm-quartic[k={k}]", in_half & (u0 == us) & rebuilt, error)
 
 
-def _transform_value(w: MMWitness, A: _Arith, u, v):
+def _transform_value(w: MMWitness, u, v):
     """The fast-transform coefficient at (lam, gamma^2), lam = u*omega + u + v:
     the plain-coordinate twin of the split-coordinate point (u, v)."""
-    row = walsh_row(_family_table(w.k), int(A.mul(w.gamma, w.gamma)))
-    return row[A.mul(u, w.omega) ^ u ^ v]
+    row = walsh_row(_family_table(w.k), int(w.arith.mul(w.gamma, w.gamma)))
+    return row[w.arith.mul(u, w.omega) ^ u ^ v]
 
 
-def _fiber_terms(w: MMWitness, A: _Arith, a, v):
+def _fiber_terms(w: MMWitness, a, v):
     """(-1)^Tr(alpha*gamma^2*a^(2^k+2) + v*a), the half-field trace: the
     term of a fiber member a in the fiber sum at v."""
-    return 1 - 2 * A.subtrace(_split_offset(w, A, a) ^ A.mul(v, a), 2 * w.k)
+    return 1 - 2 * w.arith.subtrace(_split_offset(w, a) ^ w.arith.mul(v, a), 2 * w.k)
 
 
 def _fiber_sum_grid(w: MMWitness, us, vs) -> np.ndarray:
     """2^(2k) times the sum of the terms over the fiber of u at v, for every
     u of ``us`` (rows, increasing) and v of ``vs`` (columns): each member
     tagged by one of ``us`` adds its terms to that row; others add nothing."""
-    A = _arith(w.spec.n, w.spec.poly)
     at = np.searchsorted(us, w.images)
     hit = np.append(us, -1)[at] == w.images
     grid = np.zeros((len(us), len(vs)), dtype=np.int64)
-    np.add.at(grid, at[hit], _fiber_terms(w, A, w.members[hit, None], np.array(vs)))
+    np.add.at(grid, at[hit], _fiber_terms(w, w.members[hit, None], np.array(vs)))
     return (1 << (2 * w.k)) * grid
 
 
 def _crosscheck(w: MMWitness, us, vs):
     """The fiber sums at every (u, v) of ``us`` x ``vs``, where they equal
     the transform, and the error of a cell (i, j) where they do not."""
-    A = _arith(w.spec.n, w.spec.poly)
     coef = _fiber_sum_grid(w, us, vs)
-    direct = _transform_value(w, A, np.array(us)[:, None], np.array(vs))
+    direct = _transform_value(w, np.array(us)[:, None], np.array(vs))
     return coef, coef == direct, lambda i, j: VerificationError(
         "fiber-sum-equals-transform", "fiber-sum coefficient disagrees with the transform",
         k=w.k, u=us[i], v=vs[j], fiber_sum=int(coef[i, j]), transform=int(direct[i, j]))
@@ -868,8 +872,7 @@ def mm_walsh_crosscheck(w: MMWitness, u: int, v: int) -> int:
 
 def mm_crosscheck_all(w: MMWitness) -> CheckReport:
     """Cross-check every (u, v) over the half-degree subfield grid at once."""
-    sub_2k = _arith(w.spec.n, w.spec.poly).subfield(2 * w.k)
-    _, ok, error = _crosscheck(w, sub_2k, sub_2k)
+    _, ok, error = _crosscheck(w, w.half, w.half)
     return _report(f"mm-walsh-crosscheck[k={w.k}]", ok, error)
 
 
@@ -885,15 +888,12 @@ def m4_sum_check(w: MMWitness) -> CheckReport:
     fiber sum has magnitude exactly 2^(2k+1), read from one pass over the
     fiber sums of those (u, v).
     """
-    A = _arith(w.spec.n, w.spec.poly)
-    k = w.k
+    A, k, sub_2k = w.arith, w.k, w.half
     traces = tuple(int(A.subtrace(x, m)) for x, m in (
         (A.mul(w.alpha, w.gamma), 2 * k),
         (A.mul(w.gamma, w.alpha ^ A.frob(w.alpha, k)), k),
         (A.mul(w.gamma, w.gamma), k)))
-    sub_2k = A.subfield(2 * k)
-    us, _, size = _fibers(w)
-    four = us[size == 4]
+    four = w.fibers[0][w.fibers[2] == 4]  # the u of the size-4 fibers
     coef = _fiber_sum_grid(w, four, sub_2k).ravel()
     ok = np.append(traces == (1, 1, 1), np.abs(coef) == 1 << (2 * k + 1))
 

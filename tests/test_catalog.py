@@ -1,11 +1,14 @@
 """Family catalog: exponents, side conditions, measured rows."""
 
+from math import gcd
+
 import numpy as np
 import pytest
 
 from gf2lab import (
     build_lut,
     catalog_table,
+    dobbertin_exponent,
     f_mul,
     family_exponent,
     field_make,
@@ -175,3 +178,26 @@ def test_catalog_table_refuses_a_max_n_without_rows():
         with pytest.raises(ValueError, match=f"no catalog row has degree <= {max_n}"):
             catalog_table(max_n)
     assert {e.family.n for e in catalog_table(4)} == {4}
+
+
+def _poly_mul(p, q):
+    """Product in Z[q] of coefficient lists, constant term first."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def test_the_family_permutation_claim_has_an_integer_certificate():
+    # with q = 2^k, (q^3 + q^2 - 2q + 1)(q^2 + q + 1) - (q + 2)(q^4 - 1) = 3,
+    # so gcd(d, 2^(4k) - 1) divides 3; 3 divides 2^(4k) - 1 always, and it
+    # divides d = q^2 + q + 1 iff q = 2^k is 1 mod 3, that is iff k is even
+    lhs = _poly_mul([1, -2, 1, 1], [1, 1, 1])
+    rhs = _poly_mul([2, 1], [-1, 0, 0, 0, 1])
+    assert [a - b for a, b in zip(lhs, rhs)] == [3, 0, 0, 0, 0, 0]
+    for k in range(1, 13):
+        d = dobbertin_exponent(k)
+        assert gcd(d, (1 << (4 * k)) - 1) == (3 if k % 2 == 0 else 1), k
+        if 4 * k <= 24:
+            assert permutation_check(4 * k, d) == (3 if k % 2 == 0 else 1, k % 2 == 1)

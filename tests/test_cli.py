@@ -428,6 +428,18 @@ def test_cli_jobs_never_load_numpy_ma():
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False False"
 
 
+def test_import_leaves_the_collector_as_it_found_it():
+    # the package turns the cycle collector off while its layers load; one
+    # fresh process per setting, both running at once
+    procs = {on: subprocess.Popen(
+        [sys.executable, "-c", f"import gc\ngc.{'enable' if on else 'disable'}()\n"
+         "import gf2lab\nprint(gc.isenabled())"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) for on in (True, False)}
+    for on, proc in procs.items():
+        out, err = proc.communicate()
+        assert (proc.returncode, out) == (0, f"{on}\n"), err
+
+
 @pytest.mark.parametrize("job, loads", [
     (["verify", "--k", "1"], set()),
     (["catalog", "--max-n", "6"], set()),

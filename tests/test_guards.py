@@ -20,7 +20,8 @@ read off the one-row pass over its own set.  A k is read through
 before its family table is built and by ``run_all_checks`` up front, and every row
 that ``run_all_checks`` reports is exported.  One
 function sums the fibers of pi, no split row builds a fiber one u at a time
-or hands a case to a scalar re-check, and ``theorems`` takes no scalar
+or hands a case to a scalar re-check, the split witness alone derives its
+arithmetic, half field and fibers, and ``theorems`` takes no scalar
 solver from ``field``.  The GF(2) trace has one kernel, the masks of
 ``field._trace_basis``: ``spectra`` names the scalar trace and product only
 in its direct-sum oracle, and ``_Arith.subtrace`` is one parity, with no
@@ -230,6 +231,25 @@ def test_split_rows_have_one_fiber_sum_and_no_scalar_fallback():
                            ("mm_walsh_crosscheck", "quartic_roots")))
     assert not scalar & rows
     assert "_pad" not in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_the_split_witness_derives_its_arithmetic_half_field_and_fibers():
+    # MMWitness reads the field's arithmetic, GF(2^(2k)) and the fibers of pi
+    # off its fields, so outside mm_basis no function of theorems builds them
+    # from a witness again, and the split helpers take no arithmetic argument
+    tree = ast.parse((Path(gf2lab.__file__).parent / "theorems.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_fibers" not in functions
+    for name in ("_split_offset", "_fiber_terms", "_transform_value"):
+        assert "A" not in [arg.arg for arg in functions[name].args.args], name
+    rederived = [f"{name}: {ast.unparse(call)}" for name, node in functions.items()
+                 if name != "mm_basis" for call in ast.walk(node) if isinstance(call, ast.Call)
+                 and (getattr(call.func, "id", None) == "_arith" and "w." in ast.unparse(call)
+                      or getattr(call.func, "attr", None) == "subfield"
+                      and "2 *" in ast.unparse(call.args[0]))]
+    assert not rederived, rederived
+    for name in ("arith", "half", "fibers"):
+        assert _function(tree, name, "MMWitness").decorator_list[0].id == "cached_property"
 
 
 def test_theorems_takes_no_scalar_solver_from_field():

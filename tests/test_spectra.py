@@ -17,9 +17,11 @@ from gf2lab import (
     difference_row,
     differential_uniformity,
     dobbertin_exponent,
+    f_inv,
     f_mul,
     f_pow,
     field_make,
+    inverse_map,
     lut_from_values,
     nonlinearity,
     power_delta,
@@ -30,7 +32,7 @@ from gf2lab import (
 )
 from gf2lab import spectra
 from gf2lab.catalog import _desk_rows
-from gf2lab.field import _log_exp_tables
+from gf2lab.field import _arith, _log_exp_tables
 from gf2lab.spectra import (WALSH_BLOCK_COEFFS, require_desk_scale,
                             walsh_coefficient_direct)
 
@@ -636,3 +638,65 @@ def test_rejected_tables_build_no_log_exp_tables(monkeypatch, change):
 
     monkeypatch.setattr(spectra, "_arith", no_tables)
     assert lut_from_values(s, lut).exponent is None
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_every_power_permutation_of_even_degree_has_delta_at_least_4(n):
+    # 3 divides 2^n - 1 at even n, so a permutation exponent d is 1 or 2
+    # mod 3 and x^d is x or the Frobenius x^2 on GF(4): f is linear there,
+    # and D_1 f(x) = f(1) = 1 at all four elements of GF(4)
+    s = field_make(n)
+    gf4 = _arith(s.n, s.poly).subfield(2)
+    exponents = [d for d in range(s.size - 1) if gcd(d, s.size - 1) == 1]
+    assert len(exponents) == {4: 8, 6: 36, 8: 128}[n]
+    for d in exponents:
+        f = build_lut(s, d)
+        assert differential_uniformity(f) >= 4, d
+        assert all(difference_row(f, 1).values[x] == 1 for x in gf4), d
+
+
+@pytest.mark.parametrize("n", [5, 8, 9, 12])
+def test_inverse_row_1_law(n):
+    # x not in {0, 1} solves 1/(x+1) + 1/x = b exactly when x^2 + x = 1/b,
+    # which has two roots iff Tr(1/b) = 0; b = 1 also takes {0, 1}, and its
+    # roots GF(4) \ {0, 1} lie in GF(2^n) iff n is even
+    s = field_make(n)
+    counts = difference_row(inverse_map(s), 1).counts
+    assert counts[0] == 0
+    assert counts[1] == (4 if n % 2 == 0 else 2)
+    law = [2 * (trace_abs(s, f_inv(s, b)) == 0) for b in range(2, s.size)]
+    assert counts[2:].tolist() == law
+
+
+def _fourth_moment_sides(f, walsh, delta_squares):
+    """(sum over a and b != 0 of W^4, 2^(2n) times the sum over a != 0 and b
+    of delta^2), each in Python ints."""
+    w4 = sum(w ** 4 * c for w, c in walsh.histogram.items())
+    return w4, (1 << (2 * f.spec.n)) * delta_squares
+
+
+@pytest.mark.parametrize("case", ["x^127 n=8", "x^3 n=10", "random n=9"])
+def test_fourth_moment_ties_the_walsh_sweep_to_the_ddt(case):
+    if case == "random n=9":
+        s = field_make(9)
+        f = lut_from_values(s, [random.Random(9).randrange(s.size) for _ in range(s.size)])
+    else:
+        d, n = {"x^127 n=8": (127, 8), "x^3 n=10": (3, 10)}[case]
+        f = build_lut(field_make(n), d)
+    squares = sum(int((row.counts.astype(object) ** 2).sum()) for row in ddt_rows(f))
+    w4, rhs = _fourth_moment_sides(f, walsh_spectrum(f), squares)
+    assert w4 == rhs
+
+
+@pytest.mark.parametrize("d", [73, 4094])
+def test_power_moments_follow_from_row_1(d):
+    # delta(a, b) = delta(1, b/a^d) makes the difference table 2^n - 1
+    # permutations of row 1; f(x) + f(x*t) = f(x + x*t) reads D_1 f(t) = 1,
+    # so the third moment is 2^(2n) (2^n - 1) delta(1, 1)
+    f = build_lut(field_make(12), d)
+    counts = difference_row(f, 1).counts.tolist()
+    walsh = power_walsh_spectrum(f)
+    w4, rhs = _fourth_moment_sides(f, walsh, (f.spec.size - 1) * sum(c * c for c in counts))
+    assert w4 == rhs
+    w3 = sum(w ** 3 * c for w, c in walsh.histogram.items())
+    assert w3 == (1 << 24) * (f.spec.size - 1) * counts[1]

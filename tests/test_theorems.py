@@ -6,7 +6,7 @@ import random
 import re
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -834,6 +834,29 @@ def _with_fibers(w, fibers):
     pairs = sorted((a, u) for u, members in fibers.items() for a in members)
     return replace(w, members=np.array([a for a, _ in pairs], dtype=np.int64),
                    images=np.array([u for _, u in pairs], dtype=np.int64))
+
+
+def test_each_witness_derives_its_arithmetic_half_field_and_fibers():
+    # they are read off the fields on first read, not stored as fields, so
+    # a witness that replace makes derives its own
+    w = mm_basis(2)
+    assert [f.name for f in fields(w)] == ["k", "spec", "gamma", "alpha", "omega",
+                                           "members", "images"]
+    assert w.arith is _arith(w.spec.n, w.spec.poly)
+    assert w.half == w.arith.subfield(4) == tuple(w.members.tolist())
+    fibers = _fibers_of(w)
+    us, tag, size = w.fibers
+    assert us.tolist() == sorted(fibers)
+    assert us[tag].tolist() == w.images.tolist()
+    assert size.tolist() == [len(fibers[u]) for u in sorted(fibers)]
+    for array in w.fibers:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    u = min(fibers)
+    fewer = _with_fibers(w, {v: m for v, m in fibers.items() if v != u})
+    assert fewer.fibers[0].tolist() == sorted(fibers)[1:]
+    assert w.fibers[0].tolist() == sorted(fibers)
+    assert replace(w, alpha=w.alpha ^ 1).fibers is not w.fibers
 
 
 def test_mm_basis_holds_the_half_field_tagged_by_pi_read_only():

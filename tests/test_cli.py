@@ -429,7 +429,7 @@ def test_cli_jobs_never_load_numpy_ma():
 
 
 def test_import_leaves_the_collector_as_it_found_it():
-    # the package turns the cycle collector off while its layers load; one
+    # importing the package leaves the cycle collector alone; one
     # fresh process per setting, both running at once
     procs = {on: subprocess.Popen(
         [sys.executable, "-c", f"import gc\ngc.{'enable' if on else 'disable'}()\n"

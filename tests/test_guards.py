@@ -1,7 +1,8 @@
-"""Package-wide guards: every export resolves, no check is an ``assert``, no
-branch is excused from coverage, every parameter is read, one module owns
-the discrete-log arithmetic, no module sorts a difference row, and the
-per-layer benchmarks still collect.
+"""Package-wide guards: every export resolves, the package re-exports each
+module's ``__all__`` by ``import *`` and lists no name itself, no check is
+an ``assert``, no branch is excused from coverage, every parameter is read,
+one module owns the discrete-log arithmetic, no module sorts a difference
+row, and the per-layer benchmarks still collect.
 
 ``python -O`` strips ``assert`` statements, so validation in the package
 raises explicit errors instead.  A branch that no input reaches is deleted
@@ -65,6 +66,16 @@ def test_every_export_resolves():
     stale = [f"{mod.__name__}.{name}" for mod in exporting
              for name in mod.__all__ if not hasattr(mod, name)]
     assert not stale, f"__all__ names that do not resolve: {stale}"
+
+
+def test_the_package_exports_each_modules_all_and_names_none_itself():
+    missing = [f"{mod.__name__}.{name}" for mod in MODULES for name in getattr(mod, "__all__", ())
+               if getattr(gf2lab, name, None) is not getattr(mod, name)]
+    assert not missing, f"names the package does not re-export: {missing}"
+    tree = ast.parse(Path(gf2lab.__file__).read_text())
+    listed = [(node.module, [alias.name for alias in node.names]) for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level]
+    assert listed and all(names == ["*"] for _, names in listed), listed
 
 
 def test_no_assert_statements():

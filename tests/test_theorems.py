@@ -45,6 +45,7 @@ from gf2lab import (
     reduction_trace,
     run_all_checks,
     solve_linearized,
+    walsh_row,
     walsh_spectrum,
 )
 from gf2lab import spectra, theorems
@@ -53,6 +54,7 @@ from gf2lab.spectra import walsh_coefficient_direct
 from gf2lab.theorems import (
     DEFAULT_SEED,
     _family_table,
+    _relative_trace,
     fiber_partition_check,
 )
 
@@ -1443,6 +1445,71 @@ def test_walsh_histogram_follows_from_row_1(k):
     assert dict(power_walsh_spectrum(table).histogram) == law
     if k <= 3:
         assert dict(walsh_spectrum(table).histogram) == law
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_replay_counts_follow_the_per_t_law(k):
+    # one pass over every c = v + 1, as reduction_sweep makes it, grouped by
+    # the stratum t = Tr_{4k/k}(c); its tally reaches every branch of the replay
+    table = _family_table(k)
+    A = _arith(table.spec.n, table.spec.poly)
+    xs = np.arange(table.spec.size)
+    c = xs ^ 1
+    cols = theorems._derive_pass(k, xs, difference_row(table, 1).values, c)
+    assert cols.passed.all()
+    assert all(rows.any() for rows, _, _ in cols.stages)
+    t = _relative_trace(A, k, c)
+    per = 1 << (3 * k)
+    for tv in A.subfield(k):
+        here = t == tv
+        count = cols.count[here]
+        free = count[~cols.obstructed[here]]
+        assert here.sum() == per
+        if tv == 1:
+            assert free.size == per
+            assert Counter(count.tolist()) == {0: per // 2, 2: per // 2}
+        else:
+            assert free.size == per // 2
+            assert Counter(free.tolist()) == {0: per // 8, 2: per // 4, 4: per // 8}
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_walsh_row_follows_the_fiber_sizes(k):
+    # |f^(a, gamma^2)| is 0, H or 2H, in the proportions that the fiber sizes
+    # of pi give; each N_s * s counts 2^k per beta of GF(2^k) at which
+    # c^3 + beta*c + 1/gamma has s - 1 roots there, and none has 2
+    table = _family_table(k)
+    h = 1 << (2 * k)
+    classes = set()
+    for gamma in all_gammas(k):
+        w = mm_basis(k, gamma=gamma)
+        A = w.arith
+        n = Counter(w.fibers[2].tolist())
+        classes.add((n[1], n[2], n[4]))
+        n0 = h - n[1] - n[2] - n[4]
+        row = np.abs(walsh_row(table, int(A.mul(gamma, gamma))))
+        assert Counter(row.tolist()) == {v: m for v, m in {
+            0: n0 * h + n[2] * h // 2, h: n[1] * h, 2 * h: n[2] * h // 2 + n[4] * h}.items()
+            if m}
+        sub = np.array(A.subfield(k))
+        cv, beta = sub[None, :], sub[:, None]
+        cubic = A.mul(A.mul(cv, cv), cv) ^ A.mul(beta, cv) ^ A.inv(gamma)
+        roots = Counter((cubic == 0).sum(axis=1).tolist())
+        assert roots[2] == 0
+        assert all(n[s] * s == (1 << k) * roots[s - 1] for s in (1, 2, 4))
+    if k == 4:
+        assert classes == {(112, 48, 12), (48, 96, 4)}
+
+
+def test_no_split_witness_reaches_the_class_of_1_at_k_2():
+    # the witnesses' components gamma^2 lie in the classes 1 and 2 of log
+    # mod 3; b = 1 lies in class 0, and its row has 16 coefficients of 2H
+    table = _family_table(2)
+    A = _arith(table.spec.n, table.spec.poly)
+    assert A.log[1] % 3 == 0
+    assert sorted(A.log[A.mul(g, g)] % 3 for g in all_gammas(2)) == [1, 2]
+    row = np.abs(walsh_row(table, 1))
+    assert Counter(row.tolist()) == {0: 48, 16: 192, 32: 16}
 
 
 def test_run_all_checks_order_and_success():

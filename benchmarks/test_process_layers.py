@@ -6,10 +6,14 @@ included; ``python -m gf2lab analyze --exp 73 --n 12``, a short
 orbit-engine job; ``python -m gf2lab verify --k 1,2``, the exhaustive proof
 replay at desk scale; ``python -m gf2lab catalog --max-n 12 --deep``, every
 catalog row; and ``python -m gf2lab analyze --lut F`` on a seeded random
-table at n = 10, the one job that hashes a file.  Each case records in
-``extra_info`` the child's median CPU time (``ru_utime + ru_stime`` from
-``os.wait4``), its median wall time from spawn to reaping, its median peak
-resident memory, and the largest OS thread count seen at its exit.  The
+table at n = 10, the one job that hashes a file.  Before the first case,
+each command line is spawned once, untimed, so no case absorbs the
+run's warm-up (the first case used to read slower than a job that does
+its import and more).  Each case records in ``extra_info`` the child's
+median CPU time (``ru_utime + ru_stime`` from ``os.wait4``) and its median
+wall time from spawn to reaping, each with its interquartile range, its
+median peak resident memory, and the largest OS thread count seen at its
+exit.  The
 thread count and the peak (``VmHWM`` from ``/proc/self/status``) come from
 an ``atexit`` hook that a ``sitecustomize`` module, in a temporary
 directory put first on the child's ``PYTHONPATH``, installs, so the command
@@ -84,21 +88,41 @@ def _spawn(argv, hook_dir):
     return usage.ru_utime + usage.ru_stime, wall, threads, peak_kb / 1024.0
 
 
+def _argv(name, work):
+    return [arg.format(lut=work / "map.lut") for arg in COMMANDS[name]]
+
+
+def _iqr(xs):
+    q1, _, q3 = statistics.quantiles(xs, n=4)
+    return q3 - q1
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    """The hook and the table, with every command line spawned once, untimed."""
+    work = tmp_path_factory.mktemp("process")
+    assert compileall.compile_dir(SRC, quiet=1)
+    (work / "sitecustomize.py").write_text(HOOK)
+    _write_lut(work / "map.lut")
+    for name in COMMANDS:
+        _spawn(_argv(name, work), work)
+    return work
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
 @pytest.mark.parametrize("name", COMMANDS)
-def test_one_process(benchmark, tmp_path, name):
-    assert compileall.compile_dir(SRC, quiet=1)
-    (tmp_path / "sitecustomize.py").write_text(HOOK)
-    _write_lut(tmp_path / "map.lut")
-    argv = [arg.format(lut=tmp_path / "map.lut") for arg in COMMANDS[name]]
+def test_one_process(benchmark, work, name):
+    argv = _argv(name, work)
     runs = []
 
     def spawn():
-        runs.append(_spawn(argv, tmp_path))
+        runs.append(_spawn(argv, work))
 
     benchmark.pedantic(spawn, rounds=11, warmup_rounds=1)
     timed = runs[1:]
     benchmark.extra_info["cpu_s"] = statistics.median(r[0] for r in timed)
+    benchmark.extra_info["cpu_iqr_s"] = _iqr([r[0] for r in timed])
     benchmark.extra_info["wall_s"] = statistics.median(r[1] for r in timed)
+    benchmark.extra_info["wall_iqr_s"] = _iqr([r[1] for r in timed])
     benchmark.extra_info["threads"] = max(r[2] for r in timed)
     benchmark.extra_info["peak_mb"] = statistics.median(r[3] for r in timed)

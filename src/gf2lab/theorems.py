@@ -133,8 +133,11 @@ def _check_k(k: int) -> int:
 def _family_table(k: int) -> FunctionTable:
     """The family's table on GF(2^(4k)), the one place a k becomes a table;
     every entry point reads its k through :func:`_check_k` before it gets
-    here, so a k outside [1, MAX_K] is refused before any table is built."""
-    return build_lut(field_make(4 * k), dobbertin_exponent(k))
+    here, so a k outside [1, MAX_K] is refused before any table is built.
+    It drops :func:`build_lut`'s exponent stamp: the exponent, the premise
+    of the replay's lemma and of the delta row, is read off the values."""
+    f = build_lut(field_make(4 * k), dobbertin_exponent(k))
+    return FunctionTable(f.spec, f.lut)
 
 
 def _check_samples(samples: int | None) -> int | None:
@@ -480,34 +483,23 @@ def _pair_chunks(k: int, samples: int | None) -> Iterator[tuple[np.ndarray, np.n
     """The (a, b) pairs of a sweep as index arrays of _CHUNK_PAIRS pairs
     (the last may be shorter), which concatenate to the pairs in case order.
 
-    Exhaustive by default for k <= 2: every a != 0 and every b, a-major.  A
-    sample reads 4k-bit words, the low bits of little-endian 32-bit words
-    of raw bytes from ``random.Random(DEFAULT_SEED)``: first every b, then
-    every a, whose zero words are dropped and replaced by further draws.
-    The a-words come from a second generator advanced past the b-bytes,
-    since ``randbytes`` over whole words concatenates: no chunk holds more
-    than its own pairs.
+    A pair is its index p = a*2^n + b in [2^n, 4^n).  Exhaustive by default
+    for k <= 2: every p in increasing order.  A sample reads each p from the
+    low 8k bits of a little-endian 64-bit word of one
+    ``random.Random(DEFAULT_SEED)`` stream and redraws any p < 2^n (a = 0);
+    a chunk draws only the words it lacks, so no pair depends on the chunk size.
     """
     size = 1 << (4 * k)
-    if samples is None and k <= 2:
-        for start in range(size, size * size, _CHUNK_PAIRS):
-            yield np.divmod(np.arange(start, min(start + _CHUNK_PAIRS, size * size)), size)
-        return
-    count = samples if samples is not None else 1000
-    b_rng, a_rng = random.Random(DEFAULT_SEED), random.Random(DEFAULT_SEED)
-
-    def words(rng: random.Random, m: int) -> np.ndarray:
-        return np.frombuffer(rng.randbytes(4 * m), dtype="<u4").astype(np.int64) & (size - 1)
-
+    exhaustive = samples is None and k <= 2
+    count = size * (size - 1) if exhaustive else samples or 1000
+    rng = random.Random(DEFAULT_SEED)
     for start in range(0, count, _CHUNK_PAIRS):
-        a_rng.randbytes(4 * min(_CHUNK_PAIRS, count - start))
-    for start in range(0, count, _CHUNK_PAIRS):
-        b = words(b_rng, min(_CHUNK_PAIRS, count - start))
-        a = np.empty(0, dtype=np.int64)
-        while a.size < b.size:
-            drawn = words(a_rng, b.size - a.size)
-            a = np.concatenate([a, drawn[drawn != 0]])
-        yield a, b
+        m = min(_CHUNK_PAIRS, count - start)
+        p = np.arange(size + start, size + start + m) if exhaustive else np.empty(0, np.int64)
+        while p.size < m:
+            words = np.frombuffer(rng.randbytes(8 * (m - p.size)), "<u8") & np.uint64(size * size - 1)
+            p = np.concatenate([p, words.astype(np.int64)[words >= size]])
+        yield np.divmod(p, size)
 
 
 def reduction_sweep(k: int, *, samples: int | None = None) -> CheckReport:

@@ -16,7 +16,11 @@ members tagged by u.  The replay's array pass is the only caller of its
 identity helpers, so the derivation is written once, and those helpers name
 no element constant but 0 and 1, which squaring fixes.  The pair sweep
 reads its passes only for which rows pass, and a failing pair's error is
-read off the one-row pass over its own set.  A k is read through
+read off the one-row pass over its own set.  The pairs come from
+``theorems._pair_chunks`` alone: it builds the module's one seeded
+generator and makes its one ``randbytes`` stream, and the exhaustive and
+the sampled sweep share its one chunk loop, which yields each chunk's pair
+indices split by ``divmod``.  A k is read through
 ``theorems._check_k``, the one reader of ``MAX_K``, by every entry point
 before its family table is built and by ``run_all_checks`` up front, and every row
 that ``run_all_checks`` reports is exported.  One
@@ -188,6 +192,29 @@ def test_a_replay_error_is_read_off_the_pairs_own_pass():
     passes = [id(node) for node in ast.walk(defs["reduction_sweep"])
               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_derive_pass"]
     assert passes and all(read.get(call) == "passed" for call in passes)
+
+
+def test_the_pairs_are_one_stream_of_indices_in_one_chunk_loop():
+    # one seeded generator and one randbytes call feed the sample, and the
+    # exhaustive and the sampled sweep yield from the same chunk loop
+    tree = ast.parse((Path(gf2lab.__file__).parent / "theorems.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def callers(attr):
+        inside = [name for name, node in functions.items() for call in ast.walk(node)
+                  if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == attr]
+        assert len(inside) == sum(isinstance(call, ast.Call) and getattr(call.func, "attr", None)
+                                  == attr for call in ast.walk(tree)), attr
+        return inside
+
+    assert callers("Random") == ["_pair_chunks"]
+    assert callers("randbytes") == ["_pair_chunks"]
+    chunks = functions["_pair_chunks"]
+    assert sum(isinstance(node, (ast.For, ast.comprehension)) for node in ast.walk(chunks)) == 1
+    yields = [node for node in ast.walk(chunks) if isinstance(node, (ast.Yield, ast.YieldFrom))]
+    assert yields and all(isinstance(node, ast.Yield) and isinstance(node.value, ast.Call)
+                          and getattr(node.value.func, "attr", None) == "divmod"
+                          for node in yields)
 
 
 def test_k_is_checked_where_its_table_is_built():

@@ -245,22 +245,18 @@ def test_reduction_sweep_sampled_determinism():
 
 
 def _sweep_cases(k, samples):
-    """The sweep's (a, b) pairs in case order, drawn here independently:
-    4k-bit words, the low bits of little-endian 32-bit words of raw seeded
-    bytes, first every b, then every a with the zeros skipped and topped up."""
+    """The sweep's (a, b) pairs in case order, drawn here independently, one
+    word at a time: each pair index a*2^n + b is the low 8k bits of a
+    little-endian 64-bit word of raw seeded bytes, redrawn while a = 0."""
     size = 1 << (4 * k)
     if samples is None:
         return [(a, b) for a in range(1, size) for b in range(size)]
-    rng = random.Random(DEFAULT_SEED)
-
-    def words(m):
-        raw = rng.randbytes(4 * m)
-        return [int.from_bytes(raw[i : i + 4], "little") % size for i in range(0, len(raw), 4)]
-
-    bs, as_ = words(samples), []
-    while len(as_) < samples:
-        as_ += [a for a in words(samples - len(as_)) if a]
-    return list(zip(as_, bs))
+    rng, cases = random.Random(DEFAULT_SEED), []
+    while len(cases) < samples:
+        a, b = divmod(int.from_bytes(rng.randbytes(8), "little") % (size * size), size)
+        if a:
+            cases.append((a, b))
+    return cases
 
 
 def _streamed(k, samples):
@@ -295,17 +291,22 @@ def test_pair_chunks_draw_one_sample_of_raw_bytes():
 
 @pytest.mark.parametrize("chunk", [None, 7], ids=["default", "chunk7"])
 def test_pair_chunks_top_up_the_rejected_zeros(monkeypatch, chunk):
-    # at k = 1 one a-word in 16 is 0; the pairs past the first draw are
-    # top-ups, and at 7 pairs a chunk they straddle the chunk edges
+    # at k = 1 one word in 16 has a = 0; the pairs past the first 200 words
+    # are redraws, and at 7 pairs a chunk they straddle the chunk edges
     if chunk:
         monkeypatch.setattr(theorems, "_CHUNK_PAIRS", chunk)
-    cases = _sweep_cases(1, 200)
     a, b = _streamed(1, 200)
-    assert list(zip(a.tolist(), b.tolist())) == cases
-    rng = random.Random(DEFAULT_SEED)
-    rng.randbytes(4 * 200)
-    first = [w % 16 for w in np.frombuffer(rng.randbytes(4 * 200), dtype="<u4").tolist()]
-    assert 0 in first and [w for w in first if w] == a.tolist()[:len(first) - first.count(0)]
+    assert list(zip(a.tolist(), b.tolist())) == _sweep_cases(1, 200)
+    first = np.frombuffer(random.Random(DEFAULT_SEED).randbytes(8 * 200), "<u8") % 256
+    kept = first[first >= 16].tolist()
+    assert len(kept) < 200 and kept == (16 * a + b).tolist()[:len(kept)]
+
+
+def test_pair_chunks_reach_every_pair_with_a_nonzero():
+    # the law is uniform over every a != 0 and every b: 24 000 draws at
+    # k = 1 reach all 240 such pairs, and none with a = 0
+    a, b = _streamed(1, 24000)
+    assert a.min() == 1 and len(set(zip(a.tolist(), b.tolist()))) == 240
 
 
 def test_reduction_sweep_memory_is_flat_in_the_sample_count():
@@ -1501,6 +1502,45 @@ def test_walsh_row_follows_the_fiber_sizes(k):
         assert classes == {(112, 48, 12), (48, 96, 4)}
 
 
+@pytest.mark.parametrize("k", range(1, 5))
+def test_a_size_2_fiber_sums_to_0_at_exactly_half_the_v(k):
+    # the product of the two terms of {a1, a2} is (-1)^Tr(v*(a1 + a2) + e),
+    # a nonconstant affine sign in v: the sum is 0 or +-2H, each at half the v
+    for gamma in all_gammas(k):
+        w = mm_basis(k, gamma=gamma)
+        us, _, size = w.fibers
+        grid = np.abs(theorems._fiber_sum_grid(w, us[size == 2], w.half))
+        assert grid.size and set(np.unique(grid).tolist()) <= {0, 1 << (2 * k + 1)}
+        assert ((grid == 0).sum(axis=1) * 2 == len(w.half)).all()
+
+
+# the row-1 counts {count: number of b} of the family and of the inverse
+ROW_1 = {1: [{0: 9, 2: 6, 4: 1}] * 2,
+         2: [{0: 152, 2: 80, 4: 24}, {0: 129, 2: 126, 4: 1}],
+         3: [{0: 2496, 2: 1152, 4: 448}, {0: 2049, 2: 2046, 4: 1}]}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_the_family_against_the_inverse(k):
+    # equal delta 4 and Walsh extremum 2^(2k+1), through the orbit engine; one
+    # Frobenius class at k = 1 (7*2 = 14 mod 15), apart in both spectra after
+    s = field_make(4 * k)
+    h = 1 << (2 * k)
+    rows, walsh = [], []
+    for f in (build_lut(s, dobbertin_exponent(k)), build_lut(s, s.size - 2)):
+        assert power_delta(f) == 4
+        spectrum = power_walsh_spectrum(f)
+        assert spectrum.max_abs == 2 * h
+        rows.append(Counter(difference_row(f, 1).counts.tolist()))
+        walsh.append({abs(v) for v in spectrum.histogram})
+    assert rows == ROW_1[k]
+    assert rows[0][4] == ((1 << k) - 1) << (3 * k - 3)
+    if k == 1:
+        assert 2 * dobbertin_exponent(k) % s.order == s.size - 2
+    else:
+        assert walsh == [{0, h, 2 * h}, set(range(0, 2 * h + 1, 4))]
+
+
 def test_no_split_witness_reaches_the_class_of_1_at_k_2():
     # the witnesses' components gamma^2 lie in the classes 1 and 2 of log
     # mod 3; b = 1 lies in class 0, and its row has 16 coefficients of 2H
@@ -1578,6 +1618,23 @@ def test_delta_sweep_reports_a_delta_other_than_4(monkeypatch):
     assert theorems.delta_sweep(2) == CheckReport(
         "delta-sweep[k=2]", 255, 1, f"measured delta {delta} != 4")
     assert len(full) == 1 and full[0] is perm
+
+
+def test_verify_reads_the_family_premise_from_the_table(monkeypatch):
+    # f(6) and f(7) swapped under the x^d stamp: D_1 f is unchanged, so only
+    # an exponent read off the values sends both rows off the lemma
+    clean = build_lut(field_make(8), dobbertin_exponent(2))
+    lut = clean.lut.copy()
+    lut[[6, 7]] = lut[[7, 6]]
+    stamped = FunctionTable(clean.spec, lut)
+    stamped.__dict__["exponent"] = clean.exponent
+    monkeypatch.setattr(theorems, "build_lut", lambda s, d: stamped)
+    _family_table.cache_clear()
+    try:
+        failed = {r.name for r in run_all_checks([2]) if not r.ok}
+    finally:
+        _family_table.cache_clear()
+    assert {"delta-sweep[k=2]", "reduction-replay[k=2]"} <= failed
 
 
 def _patched(target, wrapper):

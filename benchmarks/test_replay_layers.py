@@ -14,7 +14,7 @@ correspondence :func:`gf2lab.quartic_check_all` and the sign pattern
 :func:`gf2lab.m4_sum_check`; the pointwise decomposition
 :func:`gf2lab.mm_decomposition_check` at k = 3 and 4, whose two traces run
 over the whole 2^(4k) grid; last the basis :func:`gf2lab.mm_basis` at
-k = 4.  The pair draw drains the chunk generator ``theorems._pair_chunks``.
+k = 3 and 4.  The pair draw drains the chunk generator ``theorems._pair_chunks``.
 Apart from it, ``theorems.fiber_partition_check``, whose row counts the
 fibers, and ``theorems._family_table``, which the f(0) = 1 case replaces,
 only public functions are called, so the file runs unchanged on any version
@@ -132,7 +132,8 @@ def test_mm_decomposition_check(benchmark, k):
     assert report.ok and report.instances == 1 << (4 * k)
 
 
-def test_mm_basis_k4(benchmark):
+@pytest.mark.parametrize("k", [3, 4], ids=["k3", "k4"])
+def test_mm_basis(benchmark, k):
     benchmark.extra_info["instances"] = 1
-    w = benchmark.pedantic(mm_basis, (4,), rounds=5, warmup_rounds=1)
-    assert w.k == 4
+    w = benchmark.pedantic(mm_basis, (k,), rounds=5, warmup_rounds=1)
+    assert w.k == k

@@ -1,14 +1,10 @@
-"""Per-layer timings of the scalar field operations and one split suite.
+"""Per-layer timings of the scalar field operations.
 
 The scalar operations of :mod:`gf2lab.field` that the proof replay and the
 split-coordinate suites call one element at a time: ``f_mul``, ``f_inv``,
 ``frobenius`` (a quarter turn, n/4 squarings), ``trace_abs`` and
 ``solve_linearized`` on the halving equation x^2 + x = rhs, each at n = 12
-and 16 on seeded elements.  Then the split-coordinate basis
-:func:`gf2lab.mm_basis` and its pointwise check
-:func:`gf2lab.mm_decomposition_check` at k = 3, the degree ``verify`` runs
-by default.  The first round of the basis builds the family table and the
-scalar tables, and is not timed.  Only public functions are called, so the
+and 16 on seeded elements.  Only public functions are called, so the
 file runs unchanged on any version of the package since these names were
 added.
 
@@ -21,8 +17,7 @@ import random
 
 import pytest
 
-from gf2lab import (f_inv, f_mul, field_make, frobenius, mm_basis,
-                    mm_decomposition_check, solve_linearized, trace_abs)
+from gf2lab import f_inv, f_mul, field_make, frobenius, solve_linearized, trace_abs
 
 
 @pytest.fixture(scope="module", params=[12, 16], ids=lambda n: f"n{n}")
@@ -61,13 +56,3 @@ def test_solve_linearized(benchmark, elements):
     roots = benchmark(solve_linearized, s, [(1, 1), (1, 0)], rhs)
     assert roots == {a, a ^ 1}
 
-
-def test_mm_basis_k3(benchmark):
-    w = benchmark.pedantic(mm_basis, (3,), rounds=5, warmup_rounds=1)
-    assert w.k == 3
-
-
-def test_mm_decomposition_check_k3(benchmark):
-    w = mm_basis(3)
-    report = benchmark.pedantic(mm_decomposition_check, (w,), rounds=5, warmup_rounds=1)
-    assert report.ok and report.instances == 1 << 12

@@ -109,22 +109,18 @@ class FunctionTable:
         c*x^d (c != 0), with e = d mod 2^n - 1, whatever made the table.
         Tables with an image 0 off 0 (the zero map fits every e), or with
         f(0) != 0 (which forces e = 0) and not constant off 0, get None
-        without the log/exp tables; the others take one pass over the logs
-        of f(g^i).  Computed once, so the lut must not change afterwards;
-        :func:`build_lut` fills it in from d without that pass.
+        without the log/exp tables; the others are checked against
+        c*x^e off 0 (c = f(1), e read off f(g)) in one gather.  Computed
+        once, so the lut must not change afterwards; :func:`build_lut`
+        fills it in from d without that check.
         """
         s, lut = self.spec, self.lut
         if not lut[1:].all() or (lut[0] and (lut[2:] != lut[1]).any()):
             return None
         A = _arith(s.n, s.poly)
-        logs = A.log[lut[A.exp]]
-        e = int(logs[1] - logs[0]) % s.order
-        # logs[i] = logs[0] + i*e; the wrap from g^(2^n-2) to g^0 holds
-        # because (2^n - 1)*e = 0 mod 2^n - 1
-        steps = np.arange(s.order, dtype=np.int64) * e
-        steps += logs[0]
-        steps %= s.order
-        return e if np.array_equal(logs, steps) else None
+        log_c = int(A.log[lut[1]])
+        e = (int(A.log[lut[A.exp[1]]]) - log_c) % s.order
+        return e if np.array_equal(A.exp[(A.log[1:] * e + log_c) % s.order], lut[1:]) else None
 
 
 @dataclass(frozen=True, eq=False)

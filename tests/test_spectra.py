@@ -596,7 +596,37 @@ def test_build_lut_exponent_matches_the_table(n):
         ds.append(dobbertin_exponent(n // 4))
     for d in ds:
         table = build_lut(s, d)
-        assert table.exponent == lut_from_values(s, table.lut).exponent, d
+        assert table.exponent == lut_from_values(s, table.lut).exponent == d % s.order, d
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_exponent_is_read_from_a_large_table(n):
+    # the property test stops at n = 10
+    s = field_make(n)
+    d = s.order + 1057
+    power = build_lut(s, d).lut
+    for c in (1, 3):
+        values = _arith(s.n, s.poly).mul(power, c)
+        assert lut_from_values(s, values).exponent == d % s.order, c
+        assert values[5] != values[9]
+        values[5], values[9] = values[9], values[5]
+        assert lut_from_values(s, values).exponent is None, c
+
+
+def test_exponent_with_f0_set_to_1():
+    # f(0) != 0 forces e = 0: a power map off 0 has none, a constant has 0
+    s = field_make(12)
+    values = build_lut(s, 73).lut.copy()
+    values[0] = 1
+    assert lut_from_values(s, values).exponent is None
+    assert lut_from_values(s, [1] + [7] * s.order).exponent == 0
+    # x has order 51 mod 0x11b, so x^51 has f(1) = f(x) = 1 but is no constant
+    s = field_make(8)
+    assert s.poly == 0x11B
+    values = build_lut(s, 51).lut.copy()
+    values[0] = 1
+    assert values[1] == values[2] == 1 and len(set(values[1:].tolist())) > 1
+    assert lut_from_values(s, values).exponent is None
 
 
 def test_a_stale_label_cannot_reach_the_orbit_engine():

@@ -4,7 +4,9 @@ The scalar operations of :mod:`gf2lab.field` that the proof replay and the
 split-coordinate suites call one element at a time: ``f_mul``, ``f_inv``,
 ``frobenius`` (a quarter turn, n/4 squarings), ``trace_abs`` and
 ``solve_linearized`` on the halving equation x^2 + x = rhs, each at n = 12
-and 16 on seeded elements.  Only public functions are called, so the
+and 16 on seeded elements; and ``field_make`` at n = 12 and 24, with the
+default modulus (cached) and with the same modulus named, which runs the
+irreducibility test.  Only public functions are called, so the
 file runs unchanged on any version of the package since these names were
 added.
 
@@ -17,7 +19,8 @@ import random
 
 import pytest
 
-from gf2lab import f_inv, f_mul, field_make, frobenius, solve_linearized, trace_abs
+from gf2lab import (default_poly, f_inv, f_mul, field_make, frobenius, solve_linearized,
+                    trace_abs)
 
 
 @pytest.fixture(scope="module", params=[12, 16], ids=lambda n: f"n{n}")
@@ -56,3 +59,10 @@ def test_solve_linearized(benchmark, elements):
     roots = benchmark(solve_linearized, s, [(1, 1), (1, 0)], rhs)
     assert roots == {a, a ^ 1}
 
+
+
+@pytest.mark.parametrize("named", [False, True], ids=["default", "named"])
+@pytest.mark.parametrize("n", [12, 24], ids=lambda n: f"n{n}")
+def test_field_make(benchmark, n, named):
+    poly = default_poly(n)
+    assert benchmark(field_make, n, poly if named else None).poly == poly

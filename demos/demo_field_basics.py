@@ -5,6 +5,8 @@
 # to bottom; every printed claim is recomputed on the spot.
 
 from gf2lab import (
+    FieldConstructionError,
+    FieldSpec,
     default_poly,
     f_add,
     f_inv,
@@ -34,6 +36,19 @@ try:
     field_make(4, 0x15)  # x^4 + x^2 + 1 = (x^2 + x + 1)^2
 except Exception as e:
     print("rejected modulus:", e)
+
+# The check belongs to FieldSpec itself, so a spec made directly is refused
+# the same way.  In the ring modulo x^4 + x^2 + 1, 3 * 5 = 15 and 3 has no
+# inverse, so an unchecked spec would give f_inv answers that are wrong.
+try:
+    FieldSpec(4, 0x15)
+except FieldConstructionError as e:
+    print("rejected spec:   ", e)
+else:
+    raise SystemExit("FieldSpec(4, 0x15) was accepted")
+default4 = FieldSpec(4)
+print(f"default GF(2^4):  modulus {default4.poly:#x}, the same field as field_make(4):",
+      default4 == field_make(4))
 
 # -- The four operations ----------------------------------------------------
 

@@ -2,8 +2,9 @@
 
 Elements are plain Python integers: bit i of the integer is the coefficient
 of x^i in the polynomial-basis representation.  A field is described by a
-:class:`FieldSpec` (degree plus irreducible modulus) and every operation is a
-pure function of its arguments, so specs and elements can be shared freely
+:class:`FieldSpec` (degree plus irreducible modulus), which checks both when
+it is made, so no spec names a ring that is not a field.  Every operation is
+a pure function of its arguments, so specs and elements can be shared freely
 across threads.  One check, :func:`_check_elements`, states the element rules
 for the scalar API, ``theorems`` and ``spectra``: an integer (never a float, a
 string or a boolean) in [0, 2^n), nonzero for ``f_inv``, ``difference_row`` and
@@ -61,7 +62,11 @@ class FieldConstructionError(ValueError):
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """A binary field GF(2^n) in a fixed polynomial basis.
+    """A binary field GF(2^n) in a fixed polynomial basis, checked when made.
+
+    Made directly, by :func:`field_make` or by ``dataclasses.replace``, the
+    spec checks itself: it holds n and poly as Python ints, and only for a
+    degree in [2, 24] and an irreducible modulus of that degree.
 
     Attributes
     ----------
@@ -69,11 +74,44 @@ class FieldSpec:
         Extension degree over GF(2); supported range 2..24.
     poly : int
         Irreducible modulus of degree n, encoded with bit i = coefficient
-        of x^i (so bit n and bit 0 are always set).
+        of x^i (so bit n and bit 0 are always set).  When omitted (None),
+        the lexicographically least irreducible polynomial of degree n is
+        selected, so the default field for a given n is always the same.
+
+    Raises
+    ------
+    ValueError
+        If n is None or out of the supported range (:func:`_check_int`).
+    TypeError
+        If n or poly is not an integer (``operator.index`` refuses it).
+    FieldConstructionError
+        If poly is malformed (negative, wrong degree, even constant term)
+        or reducible; the error names the degree of a nontrivial factor.
     """
 
     n: int
-    poly: int
+    poly: int | None = None
+
+    def __post_init__(self):
+        n = _check_int(self.n, "degree n", MIN_DEGREE, MAX_DEGREE)
+        if self.poly is None:
+            poly = default_poly(n)
+        else:
+            poly = operator.index(self.poly)
+            if poly < 0:
+                raise FieldConstructionError(f"modulus {poly:#x} is negative")
+            if poly.bit_length() != n + 1:
+                raise FieldConstructionError(
+                    f"modulus {poly:#x} does not have degree {n}")
+            if not poly & 1:
+                raise FieldConstructionError(
+                    f"modulus {poly:#x} has zero constant term, hence the factor x")
+            i = _reducible_factor_degree(poly, n)
+            if i is not None:
+                raise FieldConstructionError(
+                    f"modulus {poly:#x} is reducible: it has an irreducible factor of degree {i}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "poly", poly)
 
     @property
     def size(self) -> int:
@@ -164,48 +202,11 @@ def default_poly(n: int) -> int:
 
 
 def field_make(n: int, poly: int | None = None) -> FieldSpec:
-    """Construct a validated GF(2^n) description.
+    """Construct a validated GF(2^n) description: ``FieldSpec(n, poly)``.
 
-    Parameters
-    ----------
-    n : int
-        Extension degree, 2 <= n <= 24.
-    poly : int, optional
-        Modulus to use.  When omitted, the lexicographically least
-        irreducible polynomial of degree n is selected, so the default
-        field for a given n is always the same.
-
-    Returns
-    -------
-    FieldSpec
-
-    Raises
-    ------
-    ValueError
-        If n is None or out of the supported range (:func:`_check_int`).
-    TypeError
-        If n or poly is not an integer (``operator.index`` refuses it).
-    FieldConstructionError
-        If poly is malformed (negative, wrong degree, even constant term)
-        or reducible; the error names the degree of a nontrivial factor.
+    The degree range, the default modulus and the modulus checks, with the
+    errors they raise, are those of :class:`FieldSpec`, which states them.
     """
-    n = _check_int(n, "degree n", MIN_DEGREE, MAX_DEGREE)
-    if poly is None:
-        poly = default_poly(n)
-    else:
-        poly = operator.index(poly)
-        if poly < 0:
-            raise FieldConstructionError(f"modulus {poly:#x} is negative")
-        if poly.bit_length() != n + 1:
-            raise FieldConstructionError(
-                f"modulus {poly:#x} does not have degree {n}")
-        if not poly & 1:
-            raise FieldConstructionError(
-                f"modulus {poly:#x} has zero constant term, hence the factor x")
-        i = _reducible_factor_degree(poly, n)
-        if i is not None:
-            raise FieldConstructionError(
-                f"modulus {poly:#x} is reducible: it has an irreducible factor of degree {i}")
     return FieldSpec(n, poly)
 
 

@@ -92,12 +92,16 @@ class FunctionTable:
     """A function GF(2^n) -> GF(2^n) as an exhaustive lookup table.
 
     ``lut[i]`` is the image of the element with integer encoding i; the
-    array has length 2^n and dtype int64, and is read-only when made by
-    :func:`build_lut` or :func:`lut_from_values`.
+    array has length 2^n and dtype int64.  The table freezes it when made,
+    so the cached :attr:`exponent` stays true; :func:`lut_from_values`
+    copies first, so its caller's array stays writable.
     """
 
     spec: FieldSpec
     lut: np.ndarray
+
+    def __post_init__(self):
+        self.lut.flags.writeable = False
 
     @cached_property
     def exponent(self) -> int | None:
@@ -111,8 +115,8 @@ class FunctionTable:
         f(0) != 0 (which forces e = 0) and not constant off 0, get None
         without the log/exp tables; the others are checked against
         c*x^e off 0 (c = f(1), e read off f(g)) in one gather.  Computed
-        once, so the lut must not change afterwards; :func:`build_lut`
-        fills it in from d without that check.
+        once, which the read-only lut keeps true; :func:`build_lut` fills
+        it in from d without that check.
         """
         s, lut = self.spec, self.lut
         if not lut[1:].all() or (lut[0] and (lut[2:] != lut[1]).any()):
@@ -186,7 +190,6 @@ def build_lut(s: FieldSpec, d: int) -> FunctionTable:
     # log[0] = -1 lands on some element, which lut[0] then overwrites
     lut = A.exp[A.log * (d % A.order) % A.order]
     lut[0] = d == 0
-    lut.flags.writeable = False
     f = FunctionTable(s, lut)
     # x^d meets f(g*x) = g^e * f(x) with e = d mod 2^n - 1 (d = 0 included),
     # so the exponent property need not rederive it from the table
@@ -197,8 +200,8 @@ def build_lut(s: FieldSpec, d: int) -> FunctionTable:
 def lut_from_values(s: FieldSpec, values) -> FunctionTable:
     """Wrap an explicit value sequence as a FunctionTable, validating it.
 
-    The values are copied, so the table can be frozen without freezing the
-    caller's array.  ValueError is raised for any shape but (2^n,); then by
+    The values are copied, so the table freezes its copy, not the caller's
+    array.  ValueError is raised for any shape but (2^n,); then by
     ``field._check_elements`` for an entry that is no integer in [0, 2^n),
     however wide, a boolean included.  What passes is stored as int64.
     """
@@ -206,9 +209,7 @@ def lut_from_values(s: FieldSpec, values) -> FunctionTable:
     if lut.shape != (s.size,):
         raise ValueError(f"lookup table must have shape ({s.size},), got {lut.shape}")
     _check_elements(s, values, "lookup table entry")  # numpy may hold wide ints as floats
-    lut = lut.astype(np.int64, copy=False)
-    lut.flags.writeable = False
-    return FunctionTable(s, lut)
+    return FunctionTable(s, lut.astype(np.int64, copy=False))
 
 
 # ---------------------------------------------------------------------------

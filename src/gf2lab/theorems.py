@@ -563,10 +563,10 @@ class MMWitness:
     gamma generates the needed trace-one constant in GF(2^k); alpha and
     omega extend it so that x = y + omega*a splits the field over the
     half-degree subfield.  The fibers {a : pi(a) = u} of the inner map are
-    two read-only arrays: ``members[j]`` lies in the fiber of ``images[j]``.
-    A basis element or member outside the field, or a gamma of 0, raises
-    ValueError when the witness is made, so no row indexes the log/exp
-    tables with one or inverts a zero gamma.  ``arith``, ``half`` and
+    two arrays, frozen by the witness: ``members[j]`` lies in the fiber of
+    ``images[j]``.  A basis element or member outside the field, or a gamma
+    of 0, raises ValueError when the witness is made, so no row indexes the
+    log/exp tables with one or inverts a zero gamma.  ``arith``, ``half`` and
     ``fibers`` are derived on first read, so a replaced witness derives its own.
     """
 
@@ -582,6 +582,7 @@ class MMWitness:
         for name in ("gamma", "alpha", "omega"):
             _check_elements(self.spec, getattr(self, name), name, nonzero=name == "gamma")
         _check_elements(self.spec, self.members, "a member")
+        self.members.flags.writeable = self.images.flags.writeable = False
 
     @cached_property
     def arith(self) -> _Arith:
@@ -673,7 +674,6 @@ def mm_basis(k: int, *, gamma: int | None = None) -> MMWitness:
             "omega-conjugate-gap", "omega + omega^(2^2k) != 1", k=k, omega=omega)
     sub = np.array(A.subfield(2 * k))
     images = pi_image(MMWitness(k, spec, gamma, alpha, omega, sub, sub), sub)
-    sub.flags.writeable = images.flags.writeable = False
     return MMWitness(k, spec, gamma, alpha, omega, sub, images)
 
 

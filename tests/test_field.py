@@ -110,6 +110,28 @@ def test_field_make_reads_the_modulus_as_an_index():
         field_make(8.0)
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: FieldSpec(4, 0x15), FieldConstructionError,
+     r"^modulus 0x15 is reducible: it has an irreducible factor of degree 2$"),
+    (lambda: FieldSpec(1, 3), ValueError, r"^degree n must be an integer in \[2, 24\], got 1$"),
+    (lambda: FieldSpec(30, 1), ValueError, r"^degree n must be an integer in \[2, 24\], got 30$"),
+    (lambda: FieldSpec(4.0, 0x13), TypeError, "cannot be interpreted as an integer"),
+    (lambda: replace(field_make(8), poly=0x11A), FieldConstructionError,
+     r"^modulus 0x11a has zero constant term, hence the factor x$"),
+], ids=["reducible", "degree-1", "degree-30", "float-degree", "replace"])
+def test_a_spec_checks_itself_however_made(make, error, message):
+    # only field_make checked: FieldSpec(4, 0x15) was accepted, and f_inv on
+    # it returned 5 for 3 though 3 * 5 = 15 there (0x15 = (x^2 + x + 1)^2)
+    with pytest.raises(error, match=message):
+        make()
+
+
+def test_a_spec_holds_python_ints():
+    spec = FieldSpec(np.int64(8), np.int64(0x11B))
+    assert spec == field_make(8) == FieldSpec(8)
+    assert type(spec.n) is int and type(spec.poly) is int
+
+
 def test_element_range_checks():
     s = field_make(4)
     with pytest.raises(ValueError):

@@ -40,7 +40,11 @@ range, nonzero-element and integer rules for an element live in
 outside ``field`` only ``catalog_table``, whose ``max_n`` is a filter with no
 bound, reads an integer with ``operator.index``.  The catalog raises no
 parameter message of its own, and its rows are one table, which
-``_desk_rows`` filters with no branch per family.
+``_desk_rows`` filters with no branch per family.  Each record states its
+own rules: ``FieldSpec`` alone raises ``FieldConstructionError``, and
+``field_make`` raises nothing itself, while ``FunctionTable`` and
+``MMWitness`` freeze their arrays, so ``field_make``, ``build_lut``,
+``lut_from_values`` and ``mm_basis`` set no ``writeable`` flag.
 """
 
 import ast
@@ -442,6 +446,31 @@ def test_one_catalog_parameter_check_and_one_row_table():
     table = [node for node in tree.body if isinstance(node, ast.AnnAssign)
              and getattr(node.target, "id", None) == "_ROWS"]
     assert len(table) == 1 and isinstance(table[0].value, ast.Tuple)
+
+
+def test_each_record_states_its_own_rules():
+    # field_make checked the modulus beside an unchecked FieldSpec, and the
+    # factories froze the arrays the records hold: a spec, table or witness
+    # made directly skipped both rules
+    package = Path(gf2lab.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.rglob("*.py"))}
+    factories = {"field_make": "field.py", "build_lut": "spectra.py",
+                 "lut_from_values": "spectra.py", "mm_basis": "theorems.py"}
+    for name, module in factories.items():
+        writes = [ast.unparse(target) for node in ast.walk(_function(trees[module], name))
+                  if isinstance(node, ast.Assign) for target in node.targets
+                  if isinstance(target, ast.Attribute) and target.attr == "writeable"]
+        assert not writes, f"{name} sets {writes}"
+    make = _function(trees["field.py"], "field_make")
+    assert not [node for node in ast.walk(make) if isinstance(node, ast.Raise)]
+    assert "_check_int" not in {getattr(node, "id", None) for node in ast.walk(make)}
+    raises = {id(node): f"{name}:{node.lineno}" for name, tree in trees.items()
+              for node in ast.walk(tree) if isinstance(node, ast.Raise)
+              and "FieldConstructionError" in ast.unparse(node)}
+    spec = _function(trees["field.py"], "__post_init__", cls="FieldSpec")
+    stray = [where for key, where in raises.items()
+             if key not in {id(node) for node in ast.walk(spec)}]
+    assert raises and not stray, f"FieldConstructionError raised outside FieldSpec: {stray}"
 
 
 def test_benchmarks_still_collect():

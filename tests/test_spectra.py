@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gf2lab import (
+    FunctionTable,
     build_lut,
     classify,
     ddt_rows,
@@ -70,6 +71,17 @@ def test_tables_are_read_only():
         table.lut[0] = 1
     values[0] = 5  # the caller's array is copied, never frozen
     assert int(table.lut[0]) == 0
+
+
+def test_a_table_made_directly_freezes_its_lut():
+    # a table made over a writable array stayed writable: with f(5) and f(9)
+    # of x^7 on GF(2^8) swapped after exponent was read, classify reported
+    # delta 6 and Walsh max 64, against 8 and 68 from the full sweeps
+    s = field_make(8)
+    table = FunctionTable(s, build_lut(s, 7).lut.copy())
+    assert table.exponent == 7
+    with pytest.raises(ValueError, match="read-only"):
+        table.lut[[5, 9]] = table.lut[[9, 5]]
 
 
 def test_build_lut_edge_exponents():

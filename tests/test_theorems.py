@@ -875,6 +875,15 @@ def test_mm_basis_holds_the_half_field_tagged_by_pi_read_only():
                 getattr(w, name)[0] = 1
 
 
+def test_a_replaced_witness_freezes_its_arrays():
+    # only mm_basis froze them, so a witness made over copies stayed writable
+    w = mm_basis(2)
+    v = replace(w, members=w.members.copy(), images=w.images.copy())
+    for name in ("members", "images"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(v, name)[0] = 1
+
+
 def test_mm_basis_witness_k1():
     w = mm_basis(1)
     assert (w.gamma, w.alpha, w.omega) == (0x1, 0x6, 0x2)

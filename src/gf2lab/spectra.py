@@ -92,16 +92,21 @@ class FunctionTable:
     """A function GF(2^n) -> GF(2^n) as an exhaustive lookup table.
 
     ``lut[i]`` is the image of the element with integer encoding i; the
-    array has length 2^n and dtype int64.  The table freezes it when made,
-    so the cached :attr:`exponent` stays true; :func:`lut_from_values`
-    copies first, so its caller's array stays writable.
+    array has length 2^n and dtype int64.  The table holds a read-only copy
+    of the array it is given, so the cached :attr:`exponent` stays true
+    whatever the caller does with its own array or a view of it; any shape
+    but (2^n,) raises ValueError.
     """
 
     spec: FieldSpec
     lut: np.ndarray
 
     def __post_init__(self):
-        self.lut.flags.writeable = False
+        lut = np.array(self.lut)
+        if lut.shape != (self.spec.size,):
+            raise ValueError(f"lookup table must have shape ({self.spec.size},), got {lut.shape}")
+        lut.flags.writeable = False
+        object.__setattr__(self, "lut", lut)
 
     @cached_property
     def exponent(self) -> int | None:
@@ -200,16 +205,12 @@ def build_lut(s: FieldSpec, d: int) -> FunctionTable:
 def lut_from_values(s: FieldSpec, values) -> FunctionTable:
     """Wrap an explicit value sequence as a FunctionTable, validating it.
 
-    The values are copied, so the table freezes its copy, not the caller's
-    array.  ValueError is raised for any shape but (2^n,); then by
-    ``field._check_elements`` for an entry that is no integer in [0, 2^n),
-    however wide, a boolean included.  What passes is stored as int64.
+    ``field._check_elements`` raises ValueError for an entry that is no
+    integer in [0, 2^n), however wide, a boolean included; the table refuses
+    any shape but (2^n,).  What passes is stored as int64.
     """
-    lut = np.array(values)
-    if lut.shape != (s.size,):
-        raise ValueError(f"lookup table must have shape ({s.size},), got {lut.shape}")
     _check_elements(s, values, "lookup table entry")  # numpy may hold wide ints as floats
-    return FunctionTable(s, lut.astype(np.int64, copy=False))
+    return FunctionTable(s, np.asarray(values).astype(np.int64, copy=False))
 
 
 # ---------------------------------------------------------------------------

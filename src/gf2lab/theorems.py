@@ -563,10 +563,10 @@ class MMWitness:
     gamma generates the needed trace-one constant in GF(2^k); alpha and
     omega extend it so that x = y + omega*a splits the field over the
     half-degree subfield.  The fibers {a : pi(a) = u} of the inner map are
-    two arrays, frozen by the witness: ``members[j]`` lies in the fiber of
-    ``images[j]``.  A basis element or member outside the field, or a gamma
-    of 0, raises ValueError when the witness is made, so no row indexes the
-    log/exp tables with one or inverts a zero gamma.  ``arith``, ``half`` and
+    two arrays, of which the witness holds read-only copies: ``members[j]``
+    lies in the fiber of ``images[j]``.  A basis element or member outside
+    the field, or a gamma of 0, raises ValueError when the witness is made,
+    so no row indexes the log/exp tables with one or inverts a zero gamma.  ``arith``, ``half`` and
     ``fibers`` are derived on first read, so a replaced witness derives its own.
     """
 
@@ -582,7 +582,10 @@ class MMWitness:
         for name in ("gamma", "alpha", "omega"):
             _check_elements(self.spec, getattr(self, name), name, nonzero=name == "gamma")
         _check_elements(self.spec, self.members, "a member")
-        self.members.flags.writeable = self.images.flags.writeable = False
+        for name in ("members", "images"):
+            array = np.array(getattr(self, name))
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @cached_property
     def arith(self) -> _Arith:

@@ -43,8 +43,13 @@ parameter message of its own, and its rows are one table, which
 ``_desk_rows`` filters with no branch per family.  Each record states its
 own rules: ``FieldSpec`` alone raises ``FieldConstructionError``, and
 ``field_make`` raises nothing itself, while ``FunctionTable`` and
-``MMWitness`` freeze their arrays, so ``field_make``, ``build_lut``,
-``lut_from_values`` and ``mm_basis`` set no ``writeable`` flag.
+``MMWitness`` hold read-only copies of their arrays, so ``field_make``,
+``build_lut``, ``lut_from_values`` and ``mm_basis`` set no ``writeable``
+flag.  ``FunctionTable.__post_init__`` alone states the shape rule of a
+lookup table, and ``lut_from_values`` neither copies nor checks a shape:
+it keeps only the element check.  A ``writeable`` flag is set only by the
+two records and where gf2lab freezes arrays it makes for itself:
+``MMWitness.fibers``, ``field._log_exp_tables`` and ``field._Arith.root``.
 """
 
 import ast
@@ -471,6 +476,30 @@ def test_each_record_states_its_own_rules():
     stray = [where for key, where in raises.items()
              if key not in {id(node) for node in ast.walk(spec)}]
     assert raises and not stray, f"FieldConstructionError raised outside FieldSpec: {stray}"
+    # the records froze the arrays they were handed in place, which a view
+    # of the caller's buffer still wrote to, and lut_from_values copied and
+    # checked the shape for them: the records copy and check now, and only
+    # arrays gf2lab makes for itself are frozen in place
+    lut_from_values = _function(trees["spectra.py"], "lut_from_values")
+    assert "np.array" not in {ast.unparse(node.func) for node in ast.walk(lut_from_values)
+                              if isinstance(node, ast.Call)}
+    assert not [text for text in _raised_texts(lut_from_values) if "shape" in text]
+    table = _function(trees["spectra.py"], "__post_init__", cls="FunctionTable")
+    shapes = {id(node): f"{name}:{node.lineno}" for name, tree in trees.items()
+              for node in ast.walk(tree) if isinstance(node, ast.Constant)
+              and isinstance(node.value, str) and "must have shape" in node.value}
+    stray = [where for key, where in shapes.items()
+             if key not in {id(node) for node in ast.walk(table)}]
+    assert shapes and not stray, f"shape message outside FunctionTable: {stray}"
+    owners = [table, _function(trees["theorems.py"], "__post_init__", cls="MMWitness"),
+              _function(trees["theorems.py"], "fibers", cls="MMWitness"),
+              _function(trees["field.py"], "_log_exp_tables"),
+              _function(trees["field.py"], "root", cls="_Arith")]
+    owned = {id(node) for owner in owners for node in ast.walk(owner)}
+    writes = [f"{name}:{node.lineno}" for name, tree in trees.items() for node in ast.walk(tree)
+              if isinstance(node, ast.Assign) and id(node) not in owned
+              and any(getattr(target, "attr", None) == "writeable" for target in node.targets)]
+    assert not writes, f"writeable set outside the records and gf2lab's own arrays: {writes}"
 
 
 def test_benchmarks_still_collect():

@@ -27,6 +27,7 @@ from gf2lab import (
     nonlinearity,
     power_delta,
     power_walsh_spectrum,
+    summarize,
     trace_abs,
     walsh_row,
     walsh_spectrum,
@@ -71,6 +72,11 @@ def test_tables_are_read_only():
         table.lut[0] = 1
     values[0] = 5  # the caller's array is copied, never frozen
     assert int(table.lut[0]) == 0
+    # so is an array handed to the table itself, which used to freeze it
+    table = FunctionTable(s, values)
+    assert values.flags.writeable and not table.lut.flags.writeable
+    values[0] = 0
+    assert int(table.lut[0]) == 5
 
 
 def test_a_table_made_directly_freezes_its_lut():
@@ -82,6 +88,29 @@ def test_a_table_made_directly_freezes_its_lut():
     assert table.exponent == 7
     with pytest.raises(ValueError, match="read-only"):
         table.lut[[5, 9]] = table.lut[[9, 5]]
+
+
+@pytest.mark.parametrize("made", ["after-a-view", "over-a-view"])
+def test_a_table_holds_its_own_copy_of_its_lut(made):
+    # the table froze the array it was handed in place, so a view of that
+    # buffer, taken before or after, still wrote to it: with f(5) and f(9) of
+    # x^7 on GF(2^8) swapped through it after exponent was read, classify
+    # reported delta 6 and Walsh max 64, against 8 and 68 from the full sweeps
+    s = field_make(8)
+    x7 = build_lut(s, 7).lut
+    base = x7.copy()
+    if made == "after-a-view":
+        other = base[:]
+        table = FunctionTable(s, base)
+    else:
+        other = base
+        table = FunctionTable(s, base[:])
+    assert table.exponent == 7
+    other[[5, 9]] = other[[9, 5]]
+    assert np.array_equal(table.lut, x7) and not np.shares_memory(table.lut, base)
+    swept = summarize(table, differential_uniformity(table), walsh_spectrum(table))
+    assert vars(classify(table)) == vars(swept)
+    assert (swept.delta, swept.walsh_max) == (6, 64)
 
 
 def test_build_lut_edge_exponents():
@@ -98,6 +127,9 @@ def test_lut_from_values_validation():
     assert good.spec == s
     with pytest.raises(ValueError):
         lut_from_values(s, list(range(7)))
+    # the table states the shape rule, so a table made directly keeps it too
+    with pytest.raises(ValueError, match=r"^lookup table must have shape \(8,\), got \(7,\)$"):
+        FunctionTable(s, np.arange(7))
     with pytest.raises(ValueError, match=r"entry 0x8 is not an element of GF\(2\^3\)"):
         lut_from_values(s, [0] * 7 + [8])
     with pytest.raises(ValueError, match=r"entry -0x1 is not an element of GF\(2\^3\)"):

@@ -884,6 +884,25 @@ def test_a_replaced_witness_freezes_its_arrays():
             getattr(v, name)[0] = 1
 
 
+@pytest.mark.parametrize("made", ["after-a-view", "over-a-view"])
+def test_a_witness_holds_its_own_copies(made):
+    # the witness froze the arrays it was handed in place, so a view of the
+    # buffer, taken before or after, still changed its members and fibers
+    w = mm_basis(2)
+    members, images = w.members.copy(), w.images.copy()
+    if made == "after-a-view":
+        others = members[:], images[:]
+        v = replace(w, members=members, images=images)
+    else:
+        others = members, images
+        v = replace(w, members=members[:], images=images[:])
+    for array in others:
+        array[[0, 5]] = array[[5, 0]]
+    assert v.members.tolist() == w.members.tolist() and v.images.tolist() == w.images.tolist()
+    assert [array.tolist() for array in v.fibers] == [array.tolist() for array in w.fibers]
+    assert members.flags.writeable and not np.shares_memory(v.members, members)
+
+
 def test_mm_basis_witness_k1():
     w = mm_basis(1)
     assert (w.gamma, w.alpha, w.omega) == (0x1, 0x6, 0x2)
